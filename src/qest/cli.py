@@ -394,7 +394,7 @@ def estimate_cmd(mode, model_name, theta_text, n_text, trials, seed, eps, out_pr
             report = two_stage_estimate(
                 model,
                 theta,
-                mixed_basis_povm(),
+                mixed_basis_povm("zxy" if model.param_dim == 3 else "zx"),
                 n,
                 seed,
                 trials=trials,

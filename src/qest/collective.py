@@ -22,10 +22,13 @@ from .errors import NumericalError, ValidationError
 from .fisher import sld_fisher
 from .gaussian import smearing_kernel
 from .models import ParametricModel, model_derivatives
-from .qcore import DEFAULT_DIM_CAP, Povm, measure_distribution
+from .qcore import DEFAULT_DIM_CAP, Povm, density_stack, measure_distribution, probability_rows
 
 SUPPORT_THRESHOLD = 1e-8
 DEFAULT_EPSILON = 0.1
+# bytes of Born-rule products per block of count rows in the MLE grid scan:
+# bounds the scan's memory whatever the number of rows
+MLE_SCAN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -270,18 +273,164 @@ def _grid_points(model: ParametricModel, points_per_axis: int) -> np.ndarray:
     return pts[mask]
 
 
-def _batch_probs(model: ParametricModel, thetas: np.ndarray, m: Povm) -> np.ndarray:
-    if model.batch_states is None:
-        p = np.array(
-            [measure_distribution(model.state_at(th), m).probs for th in thetas]
-        )
-    else:
-        states = model.batch_states(thetas)
-        elems = np.array(m.elements)
-        p = np.real(np.einsum("gij,wji->gw", states, elems))
-        if m.weights is not None:
-            p = p * m.weights[None, :]
+def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a b) over broadcast stacks of matrices, the Born rule for a
+    Hermitian pair.  Each value is summed over its own contiguous products,
+    so it does not depend on how many others are computed with it."""
+    prod = (a * np.swapaxes(b, -1, -2)).real
+    return prod.reshape(prod.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _batch_probs(states: np.ndarray, elements: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Grid-scan probabilities of ``states`` (G, dim, dim) under POVM elements
+    (..., k, dim, dim) with weights (..., k): shape (..., G, k), clipped at
+    1e-300 so their logarithm is finite."""
+    p = _trace_products(states[:, None], elements[..., None, :, :, :]) * weights[..., None, :]
     return np.clip(p, 1e-300, None)
+
+
+def _model_states(model: ParametricModel, thetas: np.ndarray) -> np.ndarray:
+    """Validated density matrices (m, dim, dim) at the rows of ``thetas``."""
+    if model.batch_states is None:
+        return np.array([model.state_at(th).matrix for th in thetas])
+    return density_stack(model.batch_states(thetas))
+
+
+def _stack_povms(model: ParametricModel, povms, counts):
+    """Elements (R, k, dim, dim), weights (R, k), sum windows (R,) and counts
+    (T, k) of one shared POVM (R = 1) or one POVM per count row (R = T).
+
+    Each POVM's outcomes, with their counts, are put in a canonical order (by
+    element entries and weight).  The ascent stops at gradient norm 1e-8, so
+    two listings of one POVM could otherwise stop up to ~1e-8 apart; in this
+    order the estimate does not depend on the listing at all.  A POVM or
+    count row with fewer than k outcomes is padded with zero elements and
+    zero counts, which add nothing to the likelihood.
+    """
+    if len(povms) not in (1, len(counts)):
+        raise ValidationError("need one shared POVM or one POVM per count row")
+    k = max(len(m) for m in povms)
+    dim = model.hilbert_dim
+    elements = np.zeros((len(povms), k, dim, dim), dtype=complex)
+    weights = np.zeros((len(povms), k))
+    orders = []
+    for r, m in enumerate(povms):
+        if m.dim != dim:
+            raise ValidationError(f"dimension mismatch: state {dim}, POVM {m.dim}")
+        elems = np.array(m.elements)
+        flat = elems.reshape(len(m), -1)
+        w = np.ones(len(m)) if m.weights is None else m.weights
+        order = np.lexsort(np.column_stack([flat.real, flat.imag, w]).T)
+        elements[r, : len(m)] = elems[order]
+        weights[r, : len(m)] = w[order]
+        orders.append(order)
+    sum_tol = np.array([m.prob_sum_tol for m in povms])
+    padded = np.zeros((len(counts), k))
+    for t, row in enumerate(counts):
+        row = np.asarray(row, dtype=float)
+        order = orders[0] if len(povms) == 1 else orders[t]
+        if row.shape != order.shape or row.sum() <= 0:
+            raise ValidationError("counts must align with POVM outcomes and be nonempty")
+        padded[t, : row.size] = row[order]
+    return elements, weights, sum_tol, padded
+
+
+def _grid_starts(model, grid, elements, weights, counts) -> np.ndarray:
+    """Index into ``grid`` of each count row's largest log-likelihood (ties
+    break to the smallest index).
+
+    Rows are scanned in blocks sized so one block's Born-rule products stay
+    near ``MLE_SCAN_BYTES``; with per-row POVMs each block builds its own
+    table, with a shared POVM the one (G, k) table serves every block.
+    """
+    states = _model_states(model, grid)
+    shared = elements.shape[0] == 1
+    if shared:
+        logp = np.log(_batch_probs(states, elements[0], weights[0]))
+    entry_bytes = 16 * elements.shape[-1] ** 2
+    block = max(1, MLE_SCAN_BYTES // (entry_bytes * len(grid) * counts.shape[1]))
+    starts = np.empty(len(counts), dtype=int)
+    for lo in range(0, len(counts), block):
+        rows = slice(lo, lo + block)
+        table = logp if shared else np.log(_batch_probs(states, elements[rows], weights[rows]))
+        ll = (table * counts[rows, None, :]).sum(axis=-1)
+        if not np.isfinite(ll).any(axis=1).all():
+            raise NumericalError("likelihood is degenerate on the whole grid")
+        starts[rows] = np.argmax(ll, axis=1)
+    return starts
+
+
+def _mle_rows(model: ParametricModel, povms, counts, points_per_axis: int = 41):
+    """Maximum likelihood estimates of every count row: the batched kernel
+    behind ``mle``.
+
+    ``povms`` holds one POVM shared by all rows or one POVM per row.  The
+    grid is built once; each row starts at its best grid point and climbs by
+    projected gradient ascent with its own step size, exactly the one-row
+    rules of ``mle``.  Each evaluated point passes the DensityOperator and
+    OutcomeDistribution checks.  Returns estimates (T, d) and boundary flags
+    (T,).
+    """
+    if model.param_dim > 3:
+        raise ValidationError("grid MLE supports at most 3 parameters")
+    rows_total = len(counts)
+    if rows_total == 0:
+        return np.empty((0, model.param_dim)), np.empty(0, dtype=bool)
+    elements, weights, sum_tol, counts = _stack_povms(model, povms, counts)
+    grid = _grid_points(model, points_per_axis)
+    theta = grid[_grid_starts(model, grid, elements, weights, counts)]
+    if elements.shape[0] == 1:
+        elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
+        weights = np.broadcast_to(weights, (rows_total,) + weights.shape[1:])
+        sum_tol = np.broadcast_to(sum_tol, (rows_total,))
+    totals = counts.sum(axis=1)
+    lo_box = np.array([lo + 1e-9 for lo, _ in model.domain_box])
+    hi_box = np.array([hi - 1e-9 for _, hi in model.domain_box])
+
+    def loglik_and_grad(th, rows):
+        elems = elements[rows]
+        probs = _trace_products(_model_states(model, th)[:, None], elems) * weights[rows]
+        probs = np.clip(probability_rows(probs, sum_tol[rows]), 1e-300, None)
+        value = (counts[rows] * np.log(probs)).sum(axis=1) / totals[rows]
+        derivs = np.array([model_derivatives(model, row) for row in th])
+        dp = _trace_products(derivs[:, :, None], elems[:, None])
+        dp = dp * weights[rows][:, None, :]
+        grad = (counts[rows][:, None, :] * dp / probs[:, None, :]).sum(axis=2)
+        return value, grad / totals[rows][:, None]
+
+    def project(th):
+        # shrink each row toward the nearest interior point of the model domain
+        th = np.clip(th, lo_box, hi_box)
+        for row in th:
+            scale = 1.0
+            while not model.is_interior(row, 1e-9) and scale > 1e-12:
+                row *= 1.0 - 1e-3
+                scale *= 1.0 - 1e-3
+        return th
+
+    value, grad = loglik_and_grad(theta, np.arange(rows_total))
+    step = np.full(rows_total, 0.5)
+    active = np.ones(rows_total, dtype=bool)
+    for _ in range(400):
+        active &= np.linalg.norm(grad, axis=1) >= 1e-8
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        candidate = project(theta[rows] + step[rows, None] * grad[rows])
+        cand_value, cand_grad = loglik_and_grad(candidate, rows)
+        up = cand_value > value[rows]
+        moved = np.linalg.norm(candidate[up] - theta[rows[up]], axis=1)
+        accepted, rejected = rows[up], rows[~up]
+        theta[accepted] = candidate[up]
+        value[accepted] = cand_value[up]
+        grad[accepted] = cand_grad[up]
+        step[accepted] *= 1.3
+        step[rejected] *= 0.4
+        # a rounding-level accepted move is convergence, not a boundary hit
+        active[accepted[moved < 1e-14]] = False
+        active[rejected[step[rejected] < 1e-14]] = False
+    boundary = np.array([not model.is_interior(th, 1e-6) for th in theta])
+    return theta, boundary
 
 
 def mle(model: ParametricModel, m: Povm, counts, points_per_axis: int = 41):
@@ -289,67 +438,16 @@ def mle(model: ParametricModel, m: Povm, counts, points_per_axis: int = 41):
 
     ``counts`` is a vector aligned with the POVM labels.  A coarse grid scan
     over the domain box picks the start (ties break to the smallest flat
-    index), followed by projected gradient ascent on the mean log-likelihood
-    to gradient norm 1e-8.  Boundary maxima are flagged on the result.
+    index), followed by projected gradient ascent on the mean log-likelihood:
+    step 0.5, times 1.3 on an accepted step and 0.4 on a rejected one, until
+    the gradient norm drops below 1e-8, an accepted move below 1e-14, the step
+    below 1e-14, or after 400 iterations.  The estimate is flagged as a
+    boundary maximum when it is not interior by a margin of 1e-6.  This is the
+    one-row call of the batched kernel that ``two_stage_estimate`` runs on
+    all its trials at once.
     """
-    if model.param_dim > 3:
-        raise ValidationError("grid MLE supports at most 3 parameters")
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (len(m),) or counts.sum() <= 0:
-        raise ValidationError("counts must align with POVM outcomes and be nonempty")
-    grid = _grid_points(model, points_per_axis)
-    logp = np.log(_batch_probs(model, grid, m))
-    ll = logp @ counts
-    if not np.isfinite(ll).any():
-        raise NumericalError("likelihood is degenerate on the whole grid")
-    theta = grid[int(np.argmax(ll))].copy()
-    total = counts.sum()
-
-    def loglik_and_grad(th):
-        rho = model.state_at(th)
-        probs = measure_distribution(rho, m).probs
-        probs = np.clip(probs, 1e-300, None)
-        value = float(counts @ np.log(probs)) / total
-        derivs = model_derivatives(model, th)
-        weights = m.weights if m.weights is not None else np.ones(len(m))
-        grad = np.zeros(model.param_dim)
-        for k, dr in enumerate(derivs):
-            dp = np.array([float(np.real(np.sum(dr.T * e))) for e in m.elements]) * weights
-            grad[k] = float(np.sum(counts * dp / probs)) / total
-        return value, grad
-
-    def project(th):
-        # shrink toward the nearest interior point of the model domain
-        th = np.clip(th, [lo + 1e-9 for lo, _ in model.domain_box], [hi - 1e-9 for _, hi in model.domain_box])
-        scale = 1.0
-        while not model.is_interior(th, 1e-9) and scale > 1e-12:
-            th = th * (1.0 - 1e-3)
-            scale *= 1.0 - 1e-3
-        return th
-
-    step = 0.5
-    value, grad = loglik_and_grad(theta)
-    boundary = False
-    for _ in range(400):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-8:
-            break
-        candidate = project(theta + step * grad)
-        cand_value, cand_grad = loglik_and_grad(candidate)
-        if cand_value > value:
-            moved = float(np.linalg.norm(candidate - theta))
-            theta, value, grad = candidate, cand_value, cand_grad
-            step *= 1.3
-            if moved < 1e-14:
-                boundary = True
-                break
-        else:
-            step *= 0.4
-            if step < 1e-14:
-                break
-    if not model.is_interior(theta, 1e-6):
-        boundary = True
-    return theta, boundary
+    theta, boundary = _mle_rows(model, [m], [counts], points_per_axis)
+    return theta[0], bool(boundary[0])
 
 
 @dataclass(frozen=True)
@@ -445,21 +543,31 @@ def optimal_qubit_povm(model: ParametricModel, theta, g) -> Povm:
     return Povm(elements, labels=labels)
 
 
-def mixed_basis_povm() -> Povm:
-    """Half/half mixture of the two conjugate basis measurements on a qubit.
+def mixed_basis_povm(bases: str = "zx") -> Povm:
+    """Equal mixture of Pauli basis measurements on a qubit, one per letter of
+    ``bases`` (from "z", "x", "y"); outcomes are labelled "z+", "z-", ...
 
-    Has strictly positive Fisher information throughout the interior of both
-    built-in qubit families, which is what the first estimation stage needs.
+    The default z/x pair has strictly positive Fisher information throughout
+    the interior of the two-parameter family qubit-z0; the full family
+    qubit-full needs all three bases, "zxy", which is what the first
+    estimation stage requires there.
     """
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
-    elements = [
-        0.5 * np.diag([1.0, 0.0]).astype(complex),
-        0.5 * np.diag([0.0, 1.0]).astype(complex),
-        0.5 * np.outer(plus, plus.conj()),
-        0.5 * np.outer(minus, minus.conj()),
-    ]
-    return Povm(elements, labels=("z+", "z-", "x+", "x-"))
+    vectors = {
+        "z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
+        "x": (np.array([1, 1], dtype=complex), np.array([1, -1], dtype=complex)),
+        "y": (np.array([1, 1j]), np.array([1, -1j])),
+    }
+    if not bases or set(bases) - set(vectors) or len(set(bases)) != len(bases):
+        raise ValidationError(f"bases must be distinct letters from 'zxy', got {bases!r}")
+    weight = 1.0 / len(bases)
+    elements = []
+    labels = []
+    for b in bases:
+        for sign, vec in zip("+-", vectors[b]):
+            vec = vec / np.linalg.norm(vec)
+            elements.append(weight * np.outer(vec, vec.conj()))
+            labels.append(b + sign)
+    return Povm(elements, labels=labels)
 
 
 def two_stage_estimate(
@@ -477,8 +585,15 @@ def two_stage_estimate(
     Each trial spends ceil(sqrt(n)) copies on the pilot measurement m_prime,
     localizes by maximum likelihood, then measures every remaining copy with
     the optimal single-copy POVM built at the pilot estimate; the final
-    estimate is the stage-two MLE.  Trials whose pilot MLE lands on the
-    domain boundary are discarded and counted.
+    estimate is the stage-two MLE.  Trials whose pilot or final MLE lands on
+    the domain boundary are discarded and counted.
+
+    Trials run as a batch: every trial's stage-one counts are drawn first
+    from its own generator, one batched MLE localizes them all, and the
+    stage-two counts come from the same generators before a second batched
+    MLE.  A trial's result therefore does not depend on how many trials run
+    beside it.  The grid scans process trials in blocks (see
+    ``MLE_SCAN_BYTES``), so peak memory does not grow with ``trials``.
     """
     if model.hilbert_dim != 2:
         raise ValidationError("two-stage estimator is qubit-only")
@@ -496,23 +611,18 @@ def two_stage_estimate(
     rho = model.state_at(t)
     p_stage1 = measure_distribution(rho, m_prime).probs
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
-    estimates = []
-    discarded = 0
-    for trial_seed in seeds:
-        rng = np.random.default_rng(trial_seed)
-        counts1 = rng.multinomial(n1, p_stage1)
-        pilot, boundary = mle(model, m_prime, counts1)
-        if boundary:
-            discarded += 1
-            continue
-        m_opt = optimal_qubit_povm(model, pilot, g)
-        p_stage2 = measure_distribution(rho, m_opt).probs
-        counts2 = rng.multinomial(n2, p_stage2)
-        estimate, boundary = mle(model, m_opt, counts2)
-        if boundary:
-            discarded += 1
-            continue
-        estimates.append(estimate)
+    rngs = [np.random.default_rng(trial_seed) for trial_seed in seeds]
+    counts1 = [rng.multinomial(n1, p_stage1) for rng in rngs]
+    pilots, boundary = _mle_rows(model, [m_prime], counts1)
+    survivors = np.flatnonzero(~boundary)
+    povms = [optimal_qubit_povm(model, pilots[i], g) for i in survivors]
+    counts2 = [
+        rngs[i].multinomial(n2, measure_distribution(rho, m_opt).probs)
+        for i, m_opt in zip(survivors, povms)
+    ]
+    estimates, boundary = _mle_rows(model, povms, counts2)
+    estimates = estimates[~boundary]
+    discarded = trials - len(estimates)
     if len(estimates) < 2:
         raise NumericalError("too few surviving trials for a report")
     _, j_s = sld_fisher(model, t)

@@ -43,6 +43,55 @@ def hermitian_deviation(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
+def density_stack(matrices: np.ndarray) -> np.ndarray:
+    """Validate and normalize a stack (m, dim, dim) of density matrices.
+
+    The DensityOperator rules, applied to every matrix of the stack; any
+    matrix failing a check raises, with the checks run in the order
+    Hermiticity, trace, positivity.  Returns a new stack.
+    """
+    arr = np.asarray(matrices, dtype=complex)
+    adj = arr.conj().swapaxes(-1, -2)
+    dev = np.abs(arr - adj).max(axis=(-2, -1))
+    if (dev > HERMITICITY_TOL).any():
+        raise ValidationError(f"matrix is not Hermitian (deviation {dev.max():.3e})")
+    arr = (arr + adj) / 2
+    tr = np.real(np.trace(arr, axis1=-2, axis2=-1))
+    bad = np.abs(tr - 1.0) > TRACE_TOL
+    if bad.any():
+        raise ValidationError(f"trace is {float(tr[bad][0])!r}, expected 1 within {TRACE_TOL}")
+    low = np.linalg.eigvalsh(arr).min(axis=-1)
+    if (low < EIGENVALUE_FLOOR).any():
+        raise ValidationError(
+            f"matrix is not positive semidefinite (min eigenvalue {low.min():.3e})"
+        )
+    for i in np.flatnonzero(low < 0):
+        w, u = np.linalg.eigh(arr[i])
+        w = np.clip(w, 0.0, None)
+        fixed = (u * w) @ u.conj().T
+        arr[i] = (fixed + fixed.conj().T) / 2
+    return arr / np.real(np.trace(arr, axis1=-2, axis2=-1))[:, None, None]
+
+
+def probability_rows(probs: np.ndarray, sum_tol) -> np.ndarray:
+    """Validate and normalize a stack (m, k) of outcome probability vectors.
+
+    The OutcomeDistribution rules, per row: an entry below -1e-12 raises, tiny
+    negatives are clamped to zero, and a row whose total leaves the window
+    1 +- ``sum_tol`` (a scalar or one value per row) raises; every other row
+    is renormalized to sum to one.  Returns a new array.
+    """
+    p = np.array(probs, dtype=float)
+    if p.min() < PROB_CLAMP:
+        raise ValidationError(f"negative probability {p.min():.3e}")
+    p[p < 0] = 0.0
+    total = p.sum(axis=-1)
+    bad = np.abs(total - 1.0) > sum_tol
+    if bad.any():
+        raise ValidationError(f"probabilities sum to {float(total[bad][0])!r}, expected 1")
+    return p / np.where(total > 0, total, 1.0)[:, None]
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Trace-one positive Hermitian matrix on a finite-dimensional space.
@@ -56,25 +105,7 @@ class DensityOperator:
 
     def __init__(self, matrix: Any):
         arr = _as_complex_matrix(matrix)
-        dev = hermitian_deviation(arr)
-        if dev > HERMITICITY_TOL:
-            raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
-        arr = (arr + arr.conj().T) / 2
-        tr = float(np.real(np.trace(arr)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace is {tr!r}, expected 1 within {TRACE_TOL}")
-        eigvals = np.linalg.eigvalsh(arr)
-        if eigvals.min() < EIGENVALUE_FLOOR:
-            raise ValidationError(
-                f"matrix is not positive semidefinite (min eigenvalue {eigvals.min():.3e})"
-            )
-        if eigvals.min() < 0:
-            w, u = np.linalg.eigh(arr)
-            w = np.clip(w, 0.0, None)
-            arr = (u * w) @ u.conj().T
-            arr = (arr + arr.conj().T) / 2
-        arr = arr / np.real(np.trace(arr))
-        object.__setattr__(self, "matrix", _freeze(arr))
+        object.__setattr__(self, "matrix", _freeze(density_stack(arr[None])[0]))
 
     @property
     def dim(self) -> int:
@@ -165,6 +196,14 @@ class Povm:
     def is_gridded(self) -> bool:
         return self.weights is not None
 
+    @property
+    def prob_sum_tol(self) -> float:
+        """Window on the total outcome probability: 1e-8 for discrete POVMs,
+        scaled by the certified quadrature residual for gridded ones."""
+        if self.is_gridded:
+            return max(PROB_SUM_TOL, self.dim * self.completeness_tol)
+        return PROB_SUM_TOL
+
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
@@ -174,19 +213,12 @@ class OutcomeDistribution:
     probs: np.ndarray
 
     def __init__(self, labels: Sequence[Any], probs: Sequence[float], sum_tol: float = PROB_SUM_TOL):
-        p = np.asarray(probs, dtype=float).copy()
+        p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or len(labels) != p.size:
             raise ValidationError("labels and probs must be 1-d and equal length")
         if p.size == 0:
             raise ValidationError("empty distribution")
-        if p.min() < PROB_CLAMP:
-            raise ValidationError(f"negative probability {p.min():.3e}")
-        p[p < 0] = 0.0
-        total = p.sum()
-        if abs(total - 1.0) > sum_tol:
-            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
-        if total > 0:
-            p = p / total
+        p = probability_rows(p[None], sum_tol)[0]
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "probs", _freeze(p))
 
@@ -224,10 +256,7 @@ def measure_distribution(rho: DensityOperator, m: Povm) -> OutcomeDistribution:
     )
     if m.weights is not None:
         probs = probs * m.weights
-    sum_tol = PROB_SUM_TOL
-    if m.is_gridded:
-        sum_tol = max(PROB_SUM_TOL, m.dim * m.completeness_tol)
-    return OutcomeDistribution(m.labels, probs, sum_tol=sum_tol)
+    return OutcomeDistribution(m.labels, probs, sum_tol=m.prob_sum_tol)
 
 
 def mix(states: Sequence[DensityOperator], weights: Sequence[float]) -> DensityOperator:

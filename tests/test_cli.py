@@ -146,6 +146,18 @@ class TestEstimateCommand:
         assert res["trials"] + res["discarded"] == 60
         assert res["bound"]["kind"] == "qubit-c1"
 
+    def test_two_stage_full_qubit_family(self):
+        result = run_cli(
+            [
+                "estimate", "--mode", "two-stage", "--model", "qubit-full",
+                "--theta", "0.3,0.2,0.1", "--n", "10000", "--trials", "40", "--seed", "5",
+            ]
+        )
+        assert result.exit_code == 0
+        res = json.loads(result.output)["results"]
+        assert res["trials"] + res["discarded"] == 40
+        assert len(res["empiricalMean"]) == 3
+
     def test_two_stage_writes_trial_csv(self, tmp_path):
         prefix = tmp_path / "ts"
         result = run_cli(

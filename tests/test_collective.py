@@ -4,6 +4,7 @@ import pytest
 from qest.bounds import qubit_c1
 from qest.clt import CollectiveSpec, build_collective_ops
 from qest.collective import (
+    _mle_rows,
     ball_grid,
     build_collective_povm,
     collective_estimator_check,
@@ -33,6 +34,26 @@ def one_param_model():
         domain_box=((-1.0, 1.0),),
         derivative_at=lambda t, k: 0.5 * SIGMA_Z.astype(complex),
     )
+
+
+def pair_inversion(model, povm, counts):
+    """Closed-form interior MLE for a POVM made of weighted projector pairs
+    (elements 2i, 2i+1), the number of pairs equal to the parameter count.
+
+    Each pair's frequency difference f_i estimates tr(rho(theta) (P+ - P-)),
+    which is affine in theta for the qubit families; solving the square
+    linear system maximizes every pair's binomial likelihood at once.
+    """
+    d = model.param_dim
+    rows, rhs = [], []
+    for i in range(0, len(povm), 2):
+        plus, minus = povm.elements[i], povm.elements[i + 1]
+        diff = plus / np.trace(plus).real - minus / np.trace(minus).real
+        at = lambda th: np.real(np.trace(model.state_at(th).matrix @ diff))
+        base = at(np.zeros(d))
+        rows.append([at(np.eye(d)[k]) - base for k in range(d)])
+        rhs.append((counts[i] - counts[i + 1]) / (counts[i] + counts[i + 1]) - base)
+    return np.linalg.solve(np.array(rows), np.array(rhs))
 
 
 def tangential_model():
@@ -186,6 +207,53 @@ class TestMle:
         theta2, _ = mle(model, povm2, counts[perm])
         assert np.max(np.abs(theta1 - theta2)) < 1e-9
 
+    @pytest.mark.parametrize("counts", [[47, 9, 21, 23], [37, 10, 33, 20]])
+    def test_interior_maximum_is_not_boundary(self, counts):
+        # a rounding-level accepted step at these interior maxima used to set
+        # the boundary flag, which discarded the trial in two-stage runs
+        theta, boundary = mle(qubit_family("z0"), mixed_basis_povm(), counts)
+        closed = [(counts[0] - counts[1]) / (counts[0] + counts[1]),
+                  (counts[2] - counts[3]) / (counts[2] + counts[3])]
+        assert not boundary
+        assert np.max(np.abs(theta - closed)) < 1e-6
+
+    def test_batched_kernel_against_linear_inversion(self, rng):
+        model = qubit_family("z0")
+        mixed = mixed_basis_povm()
+        truths = [rng.uniform(0.8, 0.99) * np.array([np.cos(a), np.sin(a)])
+                  for a in rng.uniform(0, 2 * np.pi, 50)]
+        pilots = [0.8 * t for t in truths[25:]]
+        povms = [mixed] * 25 + [optimal_qubit_povm(model, p, np.eye(2)) for p in pilots]
+        counts = []
+        for t, m in zip(truths, povms):
+            probs = measure_distribution(model.state_at(t), m).probs
+            c = rng.multinomial(40, probs)
+            while (c.reshape(-1, 2).sum(axis=1) == 0).any():
+                c = rng.multinomial(40, probs)
+            counts.append(c)
+        shared_est, shared_boundary = _mle_rows(model, [mixed], counts[:25])
+        own_est, own_boundary = _mle_rows(model, povms[25:], counts[25:])
+        estimates = np.vstack([shared_est, own_est])
+        boundary = np.concatenate([shared_boundary, own_boundary])
+        inside = outside = 0
+        for i, (m, c) in enumerate(zip(povms, counts)):
+            closed = pair_inversion(model, m, c)
+            if i < 25:
+                assert np.allclose(closed, [(c[0] - c[1]) / (c[0] + c[1]),
+                                            (c[2] - c[3]) / (c[2] + c[3])], atol=1e-12)
+            radius = float(np.linalg.norm(closed))
+            if radius < 1 - 1e-3:
+                inside += 1
+                assert not boundary[i]
+                assert np.max(np.abs(estimates[i] - closed)) < 1e-6
+            elif radius > 1 + 1e-3:
+                outside += 1
+                assert boundary[i]
+            # the one-row call is the same kernel
+            one, flag = mle(model, m, c)
+            assert np.max(np.abs(one - estimates[i])) < 1e-12 and flag == boundary[i]
+        assert inside >= 20 and outside >= 5
+
     def test_too_many_parameters(self):
         model = qubit_family("full")
         object.__setattr__(model, "param_dim", 4)
@@ -239,6 +307,21 @@ class TestOptimalQubitPovm:
         assert abs(achieved - (np.sqrt(0.75) + 1.0) ** 2) < 1e-9
 
 
+class TestMixedBasisPovm:
+    def test_three_bases_make_full_family_identifiable(self):
+        model = qubit_family("full")
+        theta = np.array([0.3, 0.2, 0.1])
+        assert np.linalg.eigvalsh(classical_fisher(model, theta, mixed_basis_povm()).matrix).min() < 1e-10
+        povm = mixed_basis_povm("zxy")
+        assert povm.labels == ("z+", "z-", "x+", "x-", "y+", "y-")
+        assert np.linalg.eigvalsh(classical_fisher(model, theta, povm).matrix).min() > 0.1
+
+    @pytest.mark.parametrize("bases", ["", "zq", "zz"])
+    def test_bad_bases(self, bases):
+        with pytest.raises(ValidationError):
+            mixed_basis_povm(bases)
+
+
 class TestTwoStage:
     def test_z0_attainment_light(self):
         model = qubit_family("z0")
@@ -260,3 +343,19 @@ class TestTwoStage:
         }
         ratio = np.trace(reports[10**3].mse_matrix) / np.trace(reports[10**4].mse_matrix)
         assert 8.0 <= ratio <= 12.0
+
+    def test_trials_are_independent(self):
+        # per-trial seeds are a prefix of the longer run's, so the first
+        # surviving trials must come out the same whatever runs beside them
+        model = qubit_family("z0")
+        truth = np.array([0.5, 0.0])
+        runs = {
+            t: two_stage_estimate(model, truth, mixed_basis_povm(), n=400, seed=3, trials=t,
+                                  keep_estimates=True)
+            for t in (50, 200)
+        }
+        short, long = runs[50].extras, runs[200].extras
+        assert short["discarded"] > 0
+        assert short["discarded"] <= long["discarded"]
+        head = long["estimates"][: len(short["estimates"])]
+        assert np.max(np.abs(short["estimates"] - head)) < 1e-12
