@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NumericalError, ValidationError
 from .fisher import FisherMatrix, sld_fisher
@@ -25,6 +24,14 @@ from .models import ParametricModel, model_derivatives
 
 CONSTRAINT_TOL = 1e-7
 PSD_PAIR_TOL = 1e-8
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use: the import costs
+    more than half a second, which no command without an optimizer pays."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def check_weight_matrix(g: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -96,15 +96,27 @@ def _write_report(out_prefix: str | None, config: dict, results: dict, csv_rows=
     return report
 
 
+def _read_json_file(path: str, option: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {option} file {path!r}: {exc}") from exc
+
+
 def _load_weight(spec_text: str, dim: int) -> np.ndarray:
     if spec_text == "identity":
         return np.eye(dim)
-    data = json.loads(Path(spec_text).read_text())
-    return np.real(matrix_from_json(data))
+    if spec_text.lstrip().startswith("["):
+        # inline rows, the form a bounds report keeps in its config
+        try:
+            return np.array(json.loads(spec_text), dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"bad --g matrix {spec_text!r}: {exc}") from exc
+    return np.real(matrix_from_json(_read_json_file(spec_text, "--g")))
 
 
 def _load_povm(path: str) -> Povm:
-    data = json.loads(Path(path).read_text())
+    data = _read_json_file(path, "--povm")
     if not isinstance(data, dict) or "elements" not in data:
         raise ValidationError("POVM file must be a JSON object with an 'elements' list")
     elements = [matrix_from_json(e) for e in data["elements"]]
@@ -147,8 +159,7 @@ def main():
 @click.option("--povm", "povm_path", default=None, help="POVM JSON file (classical kind)")
 @click.option("--out", "out_prefix", default=None)
 @click.option("--seed", type=int, default=0)
-@click.option("--jobs", type=int, default=1)
-def fisher_cmd(model_name, theta_text, kind, povm_path, out_prefix, seed, jobs):
+def fisher_cmd(model_name, theta_text, kind, povm_path, out_prefix, seed):
     """Fisher information matrix of a model at a point."""
 
     def work():
@@ -191,12 +202,14 @@ def fisher_cmd(model_name, theta_text, kind, povm_path, out_prefix, seed, jobs):
 @main.command("bounds")
 @click.option("--model", "model_name", required=True)
 @click.option("--theta", "theta_text", required=True)
-@click.option("--g", "g_text", default="identity", help="'identity' or a matrix JSON file")
+@click.option(
+    "--g", "g_text", default="identity",
+    help="'identity', a matrix as JSON rows (e.g. [[1,0],[0,2]]), or a matrix JSON file",
+)
 @click.option("--starts", type=int, default=1, help="optimizer multi-start count")
 @click.option("--out", "out_prefix", default=None)
 @click.option("--seed", type=int, default=0)
-@click.option("--jobs", type=int, default=1)
-def bounds_cmd(model_name, theta_text, g_text, starts, out_prefix, seed, jobs):
+def bounds_cmd(model_name, theta_text, g_text, starts, out_prefix, seed):
     """Bound chain: SLD Cramer-Rao, collective bound, qubit single-copy bound."""
 
     def work():
@@ -246,8 +259,7 @@ def bounds_cmd(model_name, theta_text, g_text, starts, out_prefix, seed, jobs):
 @click.option("--trials", type=int, default=10000)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_prefix", default=None)
-@click.option("--jobs", type=int, default=1)
-def gauss_cmd(zeta_text, noise, n_copies, trials, seed, out_prefix, jobs):
+def gauss_cmd(zeta_text, noise, n_copies, trials, seed, out_prefix):
     """Concentration-protocol Monte Carlo for the one-mode Gaussian family."""
 
     def work():
@@ -314,8 +326,7 @@ def gauss_cmd(zeta_text, noise, n_copies, trials, seed, out_prefix, jobs):
 @click.option("--n", "n_text", required=True, help="comma list of copy counts")
 @click.option("--out", "out_prefix", default=None)
 @click.option("--seed", type=int, default=0)
-@click.option("--jobs", type=int, default=1)
-def clt_cmd(model_name, theta_text, ops_text, word_text, n_text, out_prefix, seed, jobs):
+def clt_cmd(model_name, theta_text, ops_text, word_text, n_text, out_prefix, seed):
     """Collective moments against the limiting Gaussian moments."""
 
     def work():
@@ -372,8 +383,7 @@ def clt_cmd(model_name, theta_text, ops_text, word_text, n_text, out_prefix, see
 @click.option("--seed", type=int, default=0)
 @click.option("--eps", type=float, default=0.1, help="kernel regularization (collective)")
 @click.option("--out", "out_prefix", default=None)
-@click.option("--jobs", type=int, default=1)
-def estimate_cmd(mode, model_name, theta_text, n_text, trials, seed, eps, out_prefix, jobs):
+def estimate_cmd(mode, model_name, theta_text, n_text, trials, seed, eps, out_prefix):
     """Run an estimator: adaptive two-stage Monte Carlo or exact collective check."""
 
     def work():
@@ -422,9 +432,7 @@ def estimate_cmd(mode, model_name, theta_text, n_text, trials, seed, eps, out_pr
 
             solution = _hb(model, theta, np.eye(model.param_dim), HolevoOptions(seed=seed))
             v_prime = default_v_prime(solution.s_matrix, np.eye(model.param_dim), eps)
-            rows = collective_estimator_check(
-                model, theta, solution.x_ops, v_prime, n_list, jobs=jobs
-            )
+            rows = collective_estimator_check(model, theta, solution.x_ops, v_prime, n_list)
             target = float(np.trace(solution.v_matrix + v_prime))
             results = {
                 "vPrime": v_prime,
@@ -533,7 +541,8 @@ def _dispatch_args(experiment: str, config: dict, out) -> list[str]:
             args += ["--povm", str(config["povm"])]
     elif experiment == "bounds":
         args += ["--model", str(config["model"]), "--theta", fmt_list("theta")]
-        args += ["--g", str(config.get("g", "identity"))]
+        g = config.get("g", "identity")
+        args += ["--g", g if isinstance(g, str) else json.dumps(g)]
         args += ["--starts", str(config.get("starts", 1))]
     elif experiment == "gauss":
         args += ["--zeta", fmt_list("zeta"), "--N", str(config["N"])]

@@ -5,18 +5,26 @@ n-fold product states, computed two independent ways: a combinatorial engine
 whose cost does not depend on the Hilbert-space dimension of the n-fold
 product, and a brute-force tensor engine for small n.  The gap against the
 Wick moments of the limiting Gaussian spec quantifies the convergence rate.
+
+Gaussian-smearing operators of the collective sums are built sector by
+sector.  The n-fold space splits as a direct sum of blocks C^b (x) C^m on
+which every collective sum, the product state and every function of them act
+as B (x) I_m.  For qubits the blocks are the total-spin sectors j = n/2,
+n/2 - 1, ..., of size 2j + 1 <= n + 1; any other single-copy dimension uses
+the whole 2^n-type space as one block of multiplicity 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gaussian import GaussianSpec, gaussian_moment, smearing_kernel
 from .qcore import DEFAULT_DIM_CAP, DensityOperator
+from .models import PAULIS
 from .bounds import pair_moments
 
 COLLECTIVE_DEGREE_CAP = 8
@@ -178,6 +186,118 @@ def clt_gap(spec: CollectiveSpec, n_list, word) -> list[tuple[int, float]]:
     return out
 
 
+@dataclass(frozen=True)
+class Sector:
+    """One block C^b (x) C^m of the n-fold space.
+
+    ``ops`` (d, b, b) are the collective sums X^(n) restricted to C^b; they
+    act there as ops (x) I_m with ``multiplicity`` m.  ``two_j`` is twice the
+    total spin of a qubit spin sector (basis |j, m>, m = j, ..., -j) and None
+    for the one-block layout of the whole space.
+    """
+
+    ops: np.ndarray
+    multiplicity: int
+    two_j: int | None
+
+
+def _spin_matrices(two_j: int) -> np.ndarray:
+    """(J_x, J_y, J_z) of spin j = two_j / 2 in the basis |j, m>, m = j, ..., -j."""
+    j = two_j / 2
+    m = j - np.arange(two_j + 1)
+    raising = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    lowering = raising.conj().T
+    return np.array(
+        [(raising + lowering) / 2, (raising - lowering) / 2j, np.diag(m).astype(complex)]
+    )
+
+
+def _spin_sectors(x_ops, n: int) -> list[Sector]:
+    """Total-spin sectors of qubit collective sums, j = n/2 down to 0 or 1/2.
+
+    A qubit operator X = c0 I + c . sigma sums to (n c0 I + 2 c . J^(j)) /
+    sqrt(n) on sector j, whose multiplicity is C(n, n/2 - j) - C(n, n/2 - j - 1).
+    """
+    paulis = np.array([PAULIS["x"], PAULIS["y"], PAULIS["z"]])
+    coeffs = [(np.trace(x) / 2, np.einsum("kab,ba->k", paulis, x) / 2) for x in x_ops]
+    sectors = []
+    for k in range(n // 2 + 1):
+        two_j = n - 2 * k
+        spin = _spin_matrices(two_j)
+        eye = np.eye(two_j + 1)
+        ops = np.array([(n * c0 * eye + 2 * np.einsum("k,kab->ab", c, spin)) for c0, c in coeffs])
+        multiplicity = comb(n, k) - (comb(n, k - 1) if k else 0)
+        sectors.append(Sector(ops / np.sqrt(n), multiplicity, two_j))
+    return sectors
+
+
+def _dense_sectors(x_ops, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> list[Sector]:
+    """The whole n-fold space as one block of multiplicity 1."""
+    return [Sector(np.array(build_collective_ops(x_ops, n, dim_cap)), 1, None)]
+
+
+def collective_sectors(x_ops, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> list[Sector]:
+    """Block layout of the collective sums of ``x_ops`` over n copies: the
+    total-spin sectors for qubit operators, one dense block otherwise (there
+    ``dim_cap`` bounds the n-fold dimension)."""
+    if n < 1:
+        raise ValidationError("n must be positive")
+    x_ops = [np.asarray(x, dtype=complex) for x in x_ops]
+    if x_ops[0].shape == (2, 2):
+        return _spin_sectors(x_ops, n)
+    return _dense_sectors(x_ops, n, dim_cap)
+
+
+def sector_states(rho: np.ndarray, n: int, sectors) -> list[np.ndarray]:
+    """Blocks of rho^(x)n in the layout of ``sectors``.
+
+    On spin sector j the block is f(r . J^(j)) with r the unit Bloch direction
+    of rho and f(M) = lam_+^(n/2 + M) lam_-^(n/2 - M) from rho's eigenvalues
+    lam_+ >= lam_-; for a rank-1 rho, 0^0 = 1 keeps only M = n/2.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if sectors[0].two_j is None:
+        full = rho
+        for _ in range(n - 1):
+            full = np.kron(full, rho)
+        return [full]
+    bloch = np.real([np.trace(rho @ PAULIS[a]) for a in "xyz"])
+    length = float(np.linalg.norm(bloch))
+    trace = float(np.real(np.trace(rho)))
+    lam_hi, lam_lo = (trace + length) / 2, max((trace - length) / 2, 0.0)
+    direction = bloch / length if length > 0 else np.array([0.0, 0.0, 1.0])
+    blocks = []
+    for sec in sectors:
+        # r . J has the simple spectrum -j, ..., j, in eigh's ascending order
+        _, u = np.linalg.eigh(np.einsum("k,kab->ab", direction, _spin_matrices(sec.two_j)))
+        m = np.arange(sec.two_j + 1) - sec.two_j / 2
+        f = lam_hi ** (n / 2 + m) * lam_lo ** (n / 2 - m)
+        blocks.append((u * f) @ u.conj().T)
+    return blocks
+
+
+def _smearing_blocks(ops: np.ndarray, a_mat: np.ndarray, z_norm: float, points: np.ndarray) -> np.ndarray:
+    """Smearing operators exp(-(X - x)^T A (X - x)) / Z on one sector, one per
+    row x of ``points``: shape (G, b, b), from one stacked eigh.
+
+    ``ops`` (d, b, b) are the sector's blocks of the collective sums; with A
+    symmetric the exponent is Q0 - (2 A x) . X + x^T A x with Q0 = X^T A X.
+    Each operator is formed as V V^dagger, V = U exp(-w / 2), so it is
+    Hermitian positive semidefinite by construction.
+    """
+    b = ops.shape[-1]
+    base = (ops @ np.tensordot(a_mat, ops, axes=1)).sum(axis=0)
+    quad = np.tensordot(-2.0 * points @ a_mat.T, ops, axes=1)
+    quad += base
+    diag = np.arange(b)
+    quad[:, diag, diag] += ((points @ a_mat) * points).sum(axis=1)[:, None]
+    quad = (quad + quad.conj().swapaxes(-1, -2)) / 2
+    w, u = np.linalg.eigh(quad)
+    del quad
+    u *= np.exp(-w / 2)[:, None, :]
+    return u @ u.conj().swapaxes(-1, -2) / z_norm
+
+
 def t_operator_on_sums(
     spec: CollectiveSpec,
     n: int,
@@ -190,7 +310,8 @@ def t_operator_on_sums(
     Builds exp(-(X^(n) - theta')^T A (X^(n) - theta')) / Z with the kernel
     matrix A and normalization Z fixed by the limiting commutator matrix of
     the spec (the normalization is the one certified by discretized
-    completeness; see smearing_kernel).  Output is Hermitian PSD.
+    completeness; see smearing_kernel).  The result is the dense 2^n-type
+    matrix, so ``dim_cap`` applies.  Output is Hermitian PSD.
     """
     theta_prime = np.atleast_1d(np.asarray(theta_prime, dtype=float))
     d = theta_prime.size
@@ -198,16 +319,6 @@ def t_operator_on_sums(
         raise ValidationError("theta' longer than the operator tuple")
     v_prime = np.asarray(v_prime, dtype=float)
     a_mat, z_norm = smearing_kernel(v_prime, spec.s[:d, :d])
-    ops = build_collective_ops(spec.x_ops[:d], n, dim_cap)
-    big = ops[0].shape[0]
-    eye = np.eye(big, dtype=complex)
-    shifted = [ops[k] - theta_prime[k] * eye for k in range(d)]
-    quad = np.zeros((big, big), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            if a_mat[k, l] != 0.0:
-                quad += a_mat[k, l] * (shifted[k] @ shifted[l])
-    quad = (quad + quad.conj().T) / 2
-    w, u = np.linalg.eigh(quad)
-    t_mat = (u * np.exp(-w)) @ u.conj().T / z_norm
+    (whole,) = _dense_sectors(spec.x_ops[:d], n, dim_cap)
+    t_mat = _smearing_blocks(whole.ops, a_mat, z_norm, theta_prime[None, :])[0]
     return (t_mat + t_mat.conj().T) / 2

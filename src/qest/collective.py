@@ -7,22 +7,33 @@ operators of the collective sums over a ball to get S, then sandwich each
 smearing operator between copies of S^{-1/2}.  On the quadrature grid used
 here completeness is exact on the retained support of S by construction, so
 the reported residual isolates the support truncation.
+
+All of these operators are block diagonal in the sector layout of
+``clt.collective_sectors``: for qubits the total-spin sectors j of the n-fold
+space, each a (2j + 1)-dimensional block repeated m_j times, so the POVM is
+built and evaluated on blocks of size at most n + 1 instead of 2^n.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import check_weight_matrix, _sym_sqrt, _sym_isqrt
-from .clt import CollectiveSpec, build_collective_ops
+from .clt import CollectiveSpec, _smearing_blocks, collective_sectors, sector_states
 from .errors import NumericalError, ValidationError
 from .fisher import sld_fisher
 from .gaussian import smearing_kernel
 from .models import ParametricModel, model_derivatives
-from .qcore import DEFAULT_DIM_CAP, Povm, density_stack, measure_distribution, probability_rows
+from .qcore import (
+    DEFAULT_DIM_CAP,
+    DensityOperator,
+    Povm,
+    density_stack,
+    measure_distribution,
+    probability_rows,
+)
 
 SUPPORT_THRESHOLD = 1e-8
 DEFAULT_EPSILON = 0.1
@@ -33,19 +44,25 @@ MLE_SCAN_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class CollectivePovm:
-    """Gridded square-root-sandwich POVM on the n-fold space.
+    """Gridded square-root-sandwich POVM on the n-fold space, in the sector
+    layout of ``sectors`` (see ``clt.collective_sectors``).
 
-    ``elements`` are the sandwiched operators including grid weights, laid out
-    parallel to ``outcomes`` (the estimate attached to each grid point, i.e.
-    grid point / sqrt(n)).  ``support_projector`` is the retained eigenspace
-    of the accumulated smearing operator; completeness holds against it.
+    Every operator is block diagonal, sum over sectors of B (x) I_m.
+    ``elements`` holds one stack (G, b, b) per sector: the sandwiched blocks
+    of all G grid points, including grid weights, laid out parallel to
+    ``outcomes`` (the estimate attached to each grid point, i.e. grid point /
+    sqrt(n)).  ``s_operator`` and ``support_projector`` hold one (b, b) block
+    per sector: the accumulated smearing operator and its retained
+    eigenspace, against which completeness holds.  ``dropped_dimensions``
+    counts dropped eigenvalues with their sector multiplicity.
     """
 
     n_copies: int
     outcomes: np.ndarray
+    sectors: tuple
     elements: tuple
-    s_operator: np.ndarray
-    support_projector: np.ndarray
+    s_operator: tuple
+    support_projector: tuple
     support_gap: float
     dropped_dimensions: int
     completeness_residual: float
@@ -53,9 +70,14 @@ class CollectivePovm:
     grid_step: float
     v_prime: np.ndarray
 
-    def to_povm(self) -> Povm:
-        labels = tuple(tuple(np.round(o, 12)) for o in self.outcomes)
-        return Povm(self.elements, labels=labels, completeness_tol=1e-5)
+    def probabilities(self, rho: DensityOperator) -> np.ndarray:
+        """Born-rule probabilities tr(rho^(x)n E_x) of every grid outcome,
+        summed as sum_j m_j tr(pi_j(rho) E_{x,j}) over the sectors."""
+        blocks = sector_states(rho.matrix, self.n_copies, self.sectors)
+        return sum(
+            sec.multiplicity * np.einsum("ab,gba->g", block, stack).real
+            for sec, block, stack in zip(self.sectors, blocks, self.elements)
+        )
 
 
 def ball_grid(d: int, radius: float, step: float) -> np.ndarray:
@@ -86,20 +108,27 @@ def build_collective_povm(
     radius: float | None = None,
     grid_step: float | None = None,
     dim_cap: int = DEFAULT_DIM_CAP,
-    jobs: int = 1,
     v_matrix=None,
 ) -> CollectivePovm:
     """Construct the collective POVM from single-copy operators.
 
     S accumulates the smearing operators over the ball grid; elements are
-    S^{-1/2} T_x S^{-1/2} dx with outcome x / sqrt(n).  The inverse square
-    root lives on the eigenspace of S above ``SUPPORT_THRESHOLD`` times its
-    largest eigenvalue; dropped dimensions and the completeness residual on
-    the support are recorded.  Defaults: radius 4 sqrt(lmax(v + v')), step
+    S^{-1/2} T_x S^{-1/2} dx with outcome x / sqrt(n).  Everything is built
+    sector by sector (total-spin sectors of size <= n + 1 for qubit
+    operators, one dense block otherwise, capped by ``dim_cap``), one stacked
+    eigh per sector for the whole grid.  The inverse square root lives on the
+    eigenspace of S above ``SUPPORT_THRESHOLD`` times its largest eigenvalue
+    over all sectors; dropped dimensions (with multiplicity) and the
+    completeness residual, the operator norm of sum_x E_x - P on the
+    support, are recorded.  Defaults: radius 4 sqrt(lmax(v + v')), step
     radius / 16.
     """
-    x_ops = [np.asarray(x, dtype=complex) for x in x_ops]
-    d = len(x_ops)
+    sectors = collective_sectors(x_ops, n, dim_cap)
+    return _povm_on_sectors(sectors, n, v_prime, s_matrix, radius, grid_step, v_matrix)
+
+
+def _povm_on_sectors(sectors, n, v_prime, s_matrix, radius, grid_step, v_matrix) -> CollectivePovm:
+    d = sectors[0].ops.shape[0]
     v_prime = np.asarray(v_prime, dtype=float)
     s_matrix = np.zeros((d, d)) if s_matrix is None else np.asarray(s_matrix, dtype=float)
     a_mat, z_norm = smearing_kernel(v_prime, s_matrix)
@@ -111,56 +140,42 @@ def build_collective_povm(
     grid = ball_grid(d, radius, grid_step)
     cell = grid_step**d
 
-    ops_n = build_collective_ops(x_ops, n, dim_cap)
-    big = ops_n[0].shape[0]
-    eye = np.eye(big, dtype=complex)
-    quad_base = np.zeros((big, big), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            if a_mat[k, l] != 0.0:
-                quad_base += a_mat[k, l] * (ops_n[k] @ ops_n[l])
-    quad_base = (quad_base + quad_base.conj().T) / 2
-
-    def smear(x_pt):
-        shift = 2.0 * (a_mat @ x_pt)
-        quad = quad_base - sum(shift[k] * ops_n[k] for k in range(d))
-        quad = quad + float(x_pt @ a_mat @ x_pt) * eye
-        quad = (quad + quad.conj().T) / 2
-        w, u = np.linalg.eigh(quad)
-        return (u * np.exp(-w)) @ u.conj().T / z_norm
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            t_list = list(pool.map(smear, grid))
-    else:
-        t_list = [smear(x) for x in grid]
-
-    s_op = sum(t_list) * cell
-    s_op = (s_op + s_op.conj().T) / 2
-    w, u = np.linalg.eigh(s_op)
-    keep = w > SUPPORT_THRESHOLD * w.max()
-    if not keep.any():
+    stacks = [_smearing_blocks(sec.ops, a_mat, z_norm, grid) for sec in sectors]
+    s_blocks = []
+    spectra = []
+    for t in stacks:
+        s_op = t.sum(axis=0) * cell
+        s_op = (s_op + s_op.conj().T) / 2
+        s_blocks.append(s_op)
+        spectra.append(np.linalg.eigh(s_op))
+    top = max(w.max() for w, _ in spectra)
+    keeps = [w > SUPPORT_THRESHOLD * top for w, _ in spectra]
+    if not any(keep.any() for keep in keeps):
         raise NumericalError("accumulated smearing operator is numerically zero")
-    dropped = int((~keep).sum())
-    u_keep = u[:, keep]
-    s_isqrt = (u_keep * (w[keep] ** -0.5)) @ u_keep.conj().T
-    projector = u_keep @ u_keep.conj().T
-    support_gap = float(1.0 - w[keep].min())
+    dropped = sum(sec.multiplicity * int((~keep).sum()) for sec, keep in zip(sectors, keeps))
+    support_gap = float(1.0 - min(w[keep].min() for (w, _), keep in zip(spectra, keeps) if keep.any()))
 
-    elements = []
-    total = np.zeros((big, big), dtype=complex)
-    for t_mat in t_list:
-        e = s_isqrt @ t_mat @ s_isqrt * cell
-        e = (e + e.conj().T) / 2
-        elements.append(e)
-        total += e
-    residual = float(np.max(np.abs(total - projector)))
+    projectors = []
+    residual = 0.0
+    for t, (w, u), keep in zip(stacks, spectra, keeps):
+        u_keep = u[:, keep]
+        s_isqrt = (u_keep * (w[keep] ** -0.5)) @ u_keep.conj().T
+        projector = u_keep @ u_keep.conj().T
+        # the sandwich overwrites the smearing stack in place
+        np.matmul(s_isqrt @ t, s_isqrt, out=t)
+        t *= cell
+        t += t.conj().swapaxes(-1, -2)
+        t /= 2
+        projectors.append(projector)
+        defect = t.sum(axis=0) - projector
+        residual = max(residual, float(np.abs(np.linalg.eigvalsh(defect)).max()))
     return CollectivePovm(
         n_copies=n,
         outcomes=grid / np.sqrt(n),
-        elements=tuple(elements),
-        s_operator=s_op,
-        support_projector=projector,
+        sectors=tuple(sectors),
+        elements=tuple(stacks),
+        s_operator=tuple(s_blocks),
+        support_projector=tuple(projectors),
         support_gap=support_gap,
         dropped_dimensions=dropped,
         completeness_residual=residual,
@@ -189,7 +204,6 @@ def collective_estimator_check(
     grid_step: float | None = None,
     fd_step: float = 1e-3,
     dim_cap: int = DEFAULT_DIM_CAP,
-    jobs: int = 1,
 ) -> list[CollectiveCheckRow]:
     """Local-unbiasedness correction trend of the collective POVM.
 
@@ -197,40 +211,39 @@ def collective_estimator_check(
     deviation u, its exact outcome distribution under the n-fold perturbed
     state gives the response matrix A_n = d e / d u by central differences,
     and the corrected, rescaled covariance n A^{-1} V A^{-T} is compared
-    against v(X) + v' by the caller.
+    against v(X) + v' by the caller.  Probabilities are summed sector by
+    sector (see ``CollectivePovm.probabilities``), so qubit models reach n
+    far beyond the dense cap.
     """
-    t = model.require_domain(theta)
-    rho0 = model.state_at(t)
-    spec = CollectiveSpec(rho0, x_ops)
     v_prime = np.asarray(v_prime, dtype=float)
+
+    def povm_at(spec, n):
+        return build_collective_povm(
+            spec.x_ops, v_prime, n, s_matrix=spec.s, radius=radius,
+            grid_step=grid_step, dim_cap=dim_cap, v_matrix=spec.v,
+        )
+
+    return _estimator_rows(model, theta, x_ops, n_list, fd_step, povm_at)
+
+
+def _estimator_rows(model, theta, x_ops, n_list, fd_step, povm_at):
+    """``collective_estimator_check`` with the POVM for n copies built by
+    ``povm_at(spec, n)``."""
+    t = model.require_domain(theta)
+    spec = CollectiveSpec(model.state_at(t), x_ops)
+    d = model.param_dim
     rows = []
     for n in n_list:
-        povm = build_collective_povm(
-            spec.x_ops,
-            v_prime,
-            int(n),
-            s_matrix=spec.s,
-            radius=radius,
-            grid_step=grid_step,
-            dim_cap=dim_cap,
-            jobs=jobs,
-            v_matrix=spec.v,
-        )
+        n = int(n)
+        povm = povm_at(spec, n)
         outcomes = povm.outcomes
 
         def probs(u_vec):
-            shifted = t + np.asarray(u_vec, dtype=float)
-            rho_n = model.state_at(shifted).matrix
-            full = rho_n
-            for _ in range(int(n) - 1):
-                full = np.kron(full, rho_n)
-            p = np.array([float(np.real(np.sum(full.T * e))) for e in povm.elements])
-            return np.clip(p, 0.0, None)
+            return np.clip(povm.probabilities(model.state_at(t + u_vec)), 0.0, None)
 
-        p0 = probs(np.zeros(model.param_dim))
+        p0 = probs(np.zeros(d))
         leakage = float(1.0 - p0.sum())
         p0n = p0 / p0.sum()
-        d = model.param_dim
         a_n = np.zeros((d, d))
         for j in range(d):
             du = np.zeros(d)
@@ -244,10 +257,10 @@ def collective_estimator_check(
             raise NumericalError("response matrix A_n is singular; enlarge the ball radius")
         second = np.einsum("ik,il,i->kl", outcomes, outcomes, p0n)
         a_inv = np.linalg.inv(a_n)
-        scaled = int(n) * a_inv @ second @ a_inv.T
+        scaled = n * a_inv @ second @ a_inv.T
         rows.append(
             CollectiveCheckRow(
-                n_copies=int(n),
+                n_copies=n,
                 a_matrix=a_n,
                 scaled_covariance=scaled,
                 completeness_residual=povm.completeness_residual,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericalError, ValidationError
 from .qcore import DensityOperator, OutcomeDistribution
@@ -236,6 +235,8 @@ def fock_density(zeta: complex, noise: float, cutoff: int, tail_tol: float = DEF
         mat = np.diag(therm.astype(complex))
     else:
         a = annihilation_operator(work)
+        from scipy.linalg import expm
+
         disp = expm(zeta * a.conj().T - np.conj(zeta) * a)
         mat = (disp * therm) @ disp.conj().T
     cropped = mat[:cutoff, :cutoff]
@@ -257,6 +258,8 @@ def auto_cutoff(zeta_mag: float, noise: float, tail_tol: float = DEFAULT_TAIL_TO
         diag = therm
     else:
         a = annihilation_operator(work)
+        from scipy.linalg import expm
+
         disp = expm(zeta_mag * a.conj().T - zeta_mag * a)
         diag = np.real(np.diag((disp * therm) @ disp.conj().T))
     cum = np.cumsum(diag)
@@ -272,6 +275,8 @@ def auto_cutoff(zeta_mag: float, noise: float, tail_tol: float = DEFAULT_TAIL_TO
 def characteristic_function(state: FockState, x: float, y: float) -> complex:
     """Tr rho exp(i (x Q + y P)) on the truncated space."""
     q, p = quadrature_operators(state.cutoff)
+    from scipy.linalg import expm
+
     weyl = expm(1j * (x * q + y * p))
     return complex(np.trace(state.matrix @ weyl))
 

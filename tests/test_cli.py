@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from qest.cli import main
@@ -61,6 +62,46 @@ class TestFisherCommand:
         assert result.exit_code == 0
         mat = np.array(json.loads(result.output)["results"]["matrix"]["re"])
         assert np.allclose(mat, np.diag([1.0, 0.0, 0.0]), atol=1e-10)
+
+
+class TestInputFiles:
+    def test_missing_povm_file_exits_2(self, tmp_path):
+        result = run_cli(
+            [
+                "fisher", "--model", "qubit-full", "--theta", "0,0,0",
+                "--kind", "classical", "--povm", str(tmp_path / "absent.json"),
+            ]
+        )
+        assert result.exit_code == 2
+        assert "cannot read --povm file" in result.output
+        assert "Traceback" not in result.output
+
+    def test_malformed_povm_file_exits_2(self, tmp_path):
+        povm_file = tmp_path / "povm.json"
+        povm_file.write_text('{"elements": [')
+        result = run_cli(
+            [
+                "fisher", "--model", "qubit-full", "--theta", "0,0,0",
+                "--kind", "classical", "--povm", str(povm_file),
+            ]
+        )
+        assert result.exit_code == 2
+        assert "cannot read --povm file" in result.output
+
+    @pytest.mark.parametrize("content", [None, "not json", '{"dim": 2}', "[[1, 0], [0, 1]]"])
+    def test_bad_weight_file_exits_2(self, tmp_path, content):
+        g_file = tmp_path / "g.json"
+        if content is not None:
+            g_file.write_text(content)
+        result = run_cli(["bounds", "--model", "qubit-z0", "--theta", "0.5,0", "--g", str(g_file)])
+        assert result.exit_code == 2
+        assert len(result.output.strip().splitlines()) == 1
+
+    def test_inline_weight_rows(self):
+        result = run_cli(["bounds", "--model", "qubit-z0", "--theta", "0,0", "--g", "[[1, 0], [0, 2]]"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["config"]["g"] == [[1.0, 0.0], [0.0, 2.0]]
 
 
 class TestBoundsCommand:
@@ -199,6 +240,17 @@ class TestRunConfig:
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert run_cli(["run", "--config", str(config), "--out", str(out_a)]).exit_code == 0
+        assert run_cli(["run", "--config", str(config), "--out", str(out_b)]).exit_code == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_bounds_report_config_replays(self, tmp_path):
+        # the config embedded in a report stores g as rows, not a file path
+        out_a = tmp_path / "a"
+        args = ["bounds", "--model", "qubit-z0", "--theta", "0.5,0", "--seed", "2"]
+        assert run_cli(args + ["--out", str(out_a)]).exit_code == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads((tmp_path / "a.json").read_text())["config"]))
+        out_b = tmp_path / "b"
         assert run_cli(["run", "--config", str(config), "--out", str(out_b)]).exit_code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 

@@ -7,6 +7,8 @@ from qest.clt import (
     clt_gap,
     collective_moment,
     collective_moment_bruteforce,
+    collective_sectors,
+    sector_states,
     t_operator_on_sums,
 )
 from qest.errors import NumericalError, ValidationError
@@ -105,6 +107,57 @@ class TestCltGap:
         ss_res = np.sum((gaps - pred) ** 2)
         ss_tot = np.sum((gaps - gaps.mean()) ** 2)
         assert 1.0 - ss_res / ss_tot > 0.999
+
+
+class TestSpinSectors:
+    def test_multiplicities_fill_the_space(self):
+        for n in range(1, 13):
+            sectors = collective_sectors([SIGMA_X], n)
+            assert sum(sec.multiplicity * (sec.two_j + 1) for sec in sectors) == 2**n
+            assert [sec.two_j for sec in sectors] == list(range(n, -1, -2))
+
+    def test_moments_match_combinatorial_engine(self, rng):
+        # sum_j m_j tr(pi_j(rho) B_j^{k1} ... B_j^{km}) is the collective
+        # moment, checked against the combinatorial engine far beyond the
+        # dense cap, for a mixed and a rank-1 state
+        pure = np.array([np.cos(0.4), np.exp(0.7j) * np.sin(0.4)])
+        for rho in (random_density(rng), DensityOperator(np.outer(pure, pure.conj()))):
+            spec = CollectiveSpec(rho, [random_hermitian(rng), random_hermitian(rng)])
+            for n in (1, 2, 5, 8, 13, 24):
+                sectors = collective_sectors(spec.x_ops, n)
+                blocks = sector_states(rho.matrix, n, sectors)
+                for word in ((1, 1), (1, 2), (2, 1, 2), (1, 2, 1, 2), (1, 1, 2, 2, 1, 2)):
+                    total = 0j
+                    for sec, block in zip(sectors, blocks):
+                        prod = block
+                        for k in word:
+                            prod = prod @ sec.ops[k - 1]
+                        total += sec.multiplicity * np.trace(prod)
+                    exact = collective_moment(spec, n, word)
+                    assert abs(total - exact) < 1e-9 * max(1.0, abs(exact))
+
+    def test_spectra_match_dense(self, rng):
+        rho = random_density(rng)
+        x = random_hermitian(rng)
+        for n in range(1, 9):
+            sectors = collective_sectors([x], n)
+            blocks = sector_states(rho.matrix, n, sectors)
+
+            def spread(mats):
+                return np.sort(np.concatenate(
+                    [np.repeat(np.linalg.eigvalsh(m), sec.multiplicity) for sec, m in zip(sectors, mats)]
+                ))
+
+            dense_x = np.linalg.eigvalsh(build_collective_ops([x], n)[0])
+            dense_rho = np.linalg.eigvalsh(tensor_power(rho, n).matrix)
+            assert np.max(np.abs(spread([sec.ops[0] for sec in sectors]) - dense_x)) < 1e-12
+            assert np.max(np.abs(spread(blocks) - dense_rho)) < 1e-14
+
+    def test_other_dimensions_use_one_dense_block(self):
+        ops = [np.diag([1.0, 0.0, -1.0])]
+        (sector,) = collective_sectors(ops, 3)
+        assert sector.two_j is None and sector.multiplicity == 1
+        assert np.allclose(sector.ops[0], build_collective_ops(ops, 3)[0])
 
 
 class TestTOperatorOnSums:

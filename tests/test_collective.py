@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from qest.bounds import qubit_c1
-from qest.clt import CollectiveSpec, build_collective_ops
+from qest.bounds import HolevoOptions, holevo_bound, qubit_c1
+from qest.clt import CollectiveSpec, _dense_sectors, build_collective_ops
 from qest.collective import (
+    _estimator_rows,
     _mle_rows,
+    _povm_on_sectors,
     ball_grid,
     build_collective_povm,
     collective_estimator_check,
@@ -93,7 +95,7 @@ class TestBuildCollectivePovm:
         v_prime = np.array([[0.5]])
         povm = build_collective_povm(spec.x_ops, v_prime, n, s_matrix=spec.s, radius=6.0, grid_step=0.1)
         rho_n = tensor_power(rho, n).matrix
-        probs = np.array([np.real(np.sum(rho_n.T * e)) for e in povm.elements])
+        probs = povm.probabilities(rho)
 
         xs = build_collective_ops(spec.x_ops, n)[0]
         w, u = np.linalg.eigh(xs)
@@ -111,10 +113,10 @@ class TestBuildCollectivePovm:
             spec.x_ops, v_prime, 6, s_matrix=spec.s, radius=4.0, grid_step=0.25
         )
         assert povm.completeness_residual < 1e-6
-        for e in povm.elements[:50]:
-            assert np.linalg.eigvalsh(e).min() > -1e-9
+        for stack in povm.elements:
+            assert np.linalg.eigvalsh(stack[:50]).min() > -1e-9
         # retained eigenvalues of S dominate (1 - support_gap) on the support
-        kept = np.linalg.eigvalsh(povm.s_operator)
+        kept = np.concatenate([np.linalg.eigvalsh(block) for block in povm.s_operator])
         kept = kept[kept > 1e-8 * kept.max()]
         assert kept.min() >= 1.0 - povm.support_gap - 1e-12
 
@@ -131,9 +133,10 @@ class TestBuildCollectivePovm:
         povm = build_collective_povm(
             spec.x_ops, np.eye(2), 1, s_matrix=spec.s, radius=7.0, grid_step=0.25
         )
-        off_identity = povm.s_operator - np.trace(povm.s_operator) / 2 * np.eye(2)
+        (s_op,) = povm.s_operator
+        off_identity = s_op - np.trace(s_op) / 2 * np.eye(2)
         assert np.max(np.abs(off_identity)) < 1e-12
-        probs = np.array([np.real(np.sum(rho.matrix.T * e)) for e in povm.elements])
+        probs = povm.probabilities(rho)
         probs = probs / probs.sum()
         outs = povm.outcomes
         cov = np.einsum("ik,il,i->kl", outs, outs, probs)
@@ -163,6 +166,20 @@ class TestCollectiveEstimatorCheck:
             assert r.completeness_residual < 1e-5
             assert abs(r.leakage) < 1e-6
 
+    def test_tangential_trend_beyond_dense_cap(self):
+        # the paper's limit n tr -> tr(v + v') = 3.2 and A_n -> I, past the
+        # n = 8 where the dense 2^n construction stops
+        rows = collective_estimator_check(
+            tangential_model(), np.zeros(2), [SIGMA_X, SIGMA_Y], 0.6 * np.eye(2), [8, 16, 32]
+        )
+        a_gaps = [np.linalg.norm(r.a_matrix - np.eye(2)) for r in rows]
+        trace_gaps = [abs(np.trace(r.scaled_covariance) - 3.2) for r in rows]
+        assert a_gaps[2] < a_gaps[1] < a_gaps[0]
+        assert trace_gaps[2] < trace_gaps[1] < trace_gaps[0]
+        assert trace_gaps[2] < 0.06
+        for r in rows:
+            assert r.completeness_residual < 1e-5
+
     def test_scalar_limit(self):
         # d = 1: classical smoothing is exact at every n, so the scaled
         # covariance equals 1/j_S + v' (the variance of sigma_z under this
@@ -178,6 +195,75 @@ class TestCollectiveEstimatorCheck:
         for r in rows:
             assert abs(float(r.scaled_covariance[0, 0]) - target) < 1e-4 * target
             assert abs(float(r.a_matrix[0, 0]) - 1.0) < 1e-4
+
+
+class TestSectorsAgainstDense:
+    """The spin-sector layout against the dense 2^n layout (the oracle).
+
+    n stops at 6: a dense POVM at n = 7 or 8 holds hundreds of MB to GB.
+    """
+
+    def cases(self):
+        z0 = qubit_family("z0")
+        theta = np.array([0.5, 0.0])
+        solution = holevo_bound(z0, theta, np.eye(2), HolevoOptions(seed=1))
+        z0_v_prime = default_v_prime(solution.s_matrix, np.eye(2), 0.1)
+        return [
+            (z0, theta, solution.x_ops, z0_v_prime),
+            (tangential_model(), np.zeros(2), [SIGMA_X, SIGMA_Y], 0.6 * np.eye(2)),
+        ]
+
+    def test_povm_probabilities(self):
+        pure = np.array([np.cos(0.3), np.exp(-0.4j) * np.sin(0.3)])
+        rank_one = DensityOperator(np.outer(pure, pure.conj()))
+        for model, theta, x_ops, v_prime in self.cases():
+            spec = CollectiveSpec(model.state_at(theta), x_ops)
+            states = [model.state_at(theta), model.state_at(np.array([0.5, 0.0])),
+                      model.state_at(np.array([-0.2, 0.3])), rank_one]
+            for n in range(1, 7):
+                spin = build_collective_povm(spec.x_ops, v_prime, n, s_matrix=spec.s, v_matrix=spec.v)
+                dense = _dense_povm(spec, v_prime, n)
+                assert spin.dropped_dimensions == dense.dropped_dimensions
+                assert abs(spin.support_gap - dense.support_gap) < 1e-10
+                assert spin.completeness_residual < 1e-10 and dense.completeness_residual < 1e-10
+                for rho in states:
+                    rho_n = tensor_power(rho, n).matrix
+                    oracle = np.einsum("ab,gba->g", rho_n, dense.elements[0]).real
+                    assert np.max(np.abs(spin.probabilities(rho) - oracle)) < 1e-10
+
+    def test_estimator_rows(self):
+        for model, theta, x_ops, v_prime in self.cases():
+            rows = collective_estimator_check(model, theta, x_ops, v_prime, [2, 3, 5, 6])
+            dense = _estimator_rows(
+                model, theta, x_ops, [2, 3, 5, 6], 1e-3,
+                lambda spec, n: _dense_povm(spec, v_prime, n),
+            )
+            for r, rd in zip(rows, dense):
+                assert np.max(np.abs(r.a_matrix - rd.a_matrix)) < 1e-10
+                assert np.max(np.abs(r.scaled_covariance - rd.scaled_covariance)) < 1e-10
+                assert abs(r.leakage - rd.leakage) < 1e-10
+
+    def test_dropped_dimensions(self):
+        # a narrow kernel on a small ball drops the outer spectrum of
+        # sigma_z^(n); each dropped spin-sector eigenvalue counts m_j times
+        spec = CollectiveSpec(DensityOperator(np.diag([0.7, 0.3])), [SIGMA_Z])
+        for radius in (0.3, 0.6):
+            for n in (4, 5, 6):
+                spin = build_collective_povm(
+                    spec.x_ops, [[0.05]], n, s_matrix=spec.s, radius=radius, grid_step=0.05
+                )
+                dense = _dense_povm(spec, [[0.05]], n, radius, 0.05)
+                assert spin.dropped_dimensions > 0
+                assert spin.dropped_dimensions == dense.dropped_dimensions
+                oracle = np.einsum("ab,gba->g", tensor_power(spec.rho, n).matrix, dense.elements[0]).real
+                assert np.max(np.abs(spin.probabilities(spec.rho) - oracle)) < 1e-10
+
+
+def _dense_povm(spec, v_prime, n, radius=None, grid_step=None):
+    """``build_collective_povm`` of the spec's operators on the dense layout."""
+    return _povm_on_sectors(
+        _dense_sectors(spec.x_ops, n), n, v_prime, spec.s, radius, grid_step, spec.v
+    )
 
 
 class TestMle:
