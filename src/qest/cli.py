@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import sys
@@ -71,7 +70,24 @@ def _jsonable(obj):
     return obj
 
 
-def _write_report(out_prefix: str | None, config: dict, results: dict, csv_rows=None, csv_header=None) -> dict:
+CSV_BLOCK_ROWS = 8192
+
+
+def _csv_blocks(header, columns):
+    """CSV text of a header and equal-length 1-D numeric columns, in blocks.
+
+    Each column slice is formatted once (``tolist`` then ``repr``), which
+    gives the bytes ``csv.writer`` writes for the same rows of floats and
+    ints; blocks of ``CSV_BLOCK_ROWS`` rows keep the text's memory bounded.
+    """
+    columns = [np.asarray(col) for col in columns]
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK_ROWS):
+        cells = [map(repr, col[start : start + CSV_BLOCK_ROWS].tolist()) for col in columns]
+        yield "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _write_report(out_prefix: str | None, config: dict, results: dict, csv_header=None, csv_columns=None) -> dict:
     report = {
         "config": config,
         "configHash": _config_hash(config),
@@ -86,11 +102,9 @@ def _write_report(out_prefix: str | None, config: dict, results: dict, csv_rows=
         path = Path(f"{out_prefix}.json")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
-        if csv_rows is not None:
-            with open(f"{out_prefix}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(csv_header)
-                writer.writerows(csv_rows)
+        if csv_columns is not None:
+            with open(f"{out_prefix}.csv", "w") as fh:
+                fh.writelines(_csv_blocks(csv_header, csv_columns))
     else:
         click.echo(text)
     return report
@@ -293,27 +307,29 @@ def gauss_cmd(zeta_text, noise, n_copies, trials, seed, out_prefix):
             "boundNoiseSeparable": report.bound_noise_separable,
             "relativeSeFlag": report.relative_se_flag,
         }
-        csv_rows = None
-        header = None
+        columns = None
         if report.per_trial:
-            header = [
-                "trial",
-                "zeta_hat_re",
-                "zeta_hat_im",
-                "noise_hat",
-                "zeta_hat_base_re",
-                "zeta_hat_base_im",
-                "noise_hat_base",
-            ]
             zh = report.per_trial["zeta_hat"]
-            nh = report.per_trial["noise_hat"]
             zb = report.per_trial["zeta_hat_baseline"]
-            nb = report.per_trial["noise_hat_baseline"]
-            csv_rows = [
-                [i, zh[i].real, zh[i].imag, nh[i], zb[i].real, zb[i].imag, nb[i]]
-                for i in range(len(zh))
+            columns = [
+                np.arange(len(zh)),
+                zh.real,
+                zh.imag,
+                report.per_trial["noise_hat"],
+                zb.real,
+                zb.imag,
+                report.per_trial["noise_hat_baseline"],
             ]
-        _write_report(out_prefix, config, results, csv_rows, header)
+        header = [
+            "trial",
+            "zeta_hat_re",
+            "zeta_hat_im",
+            "noise_hat",
+            "zeta_hat_base_re",
+            "zeta_hat_base_im",
+            "noise_hat_base",
+        ]
+        _write_report(out_prefix, config, results, header, columns)
 
     _run_guarded(work)
 
@@ -367,8 +383,8 @@ def clt_cmd(model_name, theta_text, ops_text, word_text, n_text, out_prefix, see
             out_prefix,
             config,
             results,
-            rows,
             ["n", "exact_re", "exact_im", "gaussian_re", "gaussian_im", "gap"],
+            list(zip(*rows)),
         )
 
     _run_guarded(work)
@@ -419,13 +435,12 @@ def estimate_cmd(mode, model_name, theta_text, n_text, trials, seed, eps, out_pr
                 "bound": {"kind": report.bound_kind, "value": report.bound_value},
                 "scaledWeightedTrace": report.extras["weighted_trace_scaled"],
             }
-            csv_rows = None
-            header = None
+            columns = None
             if "estimates" in report.extras:
                 est = report.extras.pop("estimates")
-                header = ["trial"] + [f"theta_hat_{k + 1}" for k in range(model.param_dim)]
-                csv_rows = [[i] + list(row) for i, row in enumerate(est)]
-            _write_report(out_prefix, config, results, csv_rows, header)
+                columns = [np.arange(len(est)), *est.T]
+            header = ["trial"] + [f"theta_hat_{k + 1}" for k in range(model.param_dim)]
+            _write_report(out_prefix, config, results, header, columns)
         else:
             n_list = _parse_ints(n_text)
             from .bounds import holevo_bound as _hb
@@ -462,8 +477,8 @@ def estimate_cmd(mode, model_name, theta_text, n_text, trials, seed, eps, out_pr
                 out_prefix,
                 config,
                 results,
-                csv_rows,
                 ["n", "scaled_trace", "a_minus_identity", "completeness_residual"],
+                list(zip(*csv_rows)),
             )
 
     _run_guarded(work)

@@ -305,20 +305,27 @@ def t_operator_on_sums(
     v_prime,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> np.ndarray:
-    """Gaussian-smearing operator of the collective sums on the n-fold space.
+    """Gaussian-smearing operators of the collective sums on the n-fold space.
 
     Builds exp(-(X^(n) - theta')^T A (X^(n) - theta')) / Z with the kernel
     matrix A and normalization Z fixed by the limiting commutator matrix of
     the spec (the normalization is the one certified by discretized
-    completeness; see smearing_kernel).  The result is the dense 2^n-type
-    matrix, so ``dim_cap`` applies.  Output is Hermitian PSD.
+    completeness; see smearing_kernel).  ``theta_prime`` is one point (d,),
+    giving one dense 2^n-type matrix (D, D), or a stack of points (G, d),
+    giving (G, D, D) from a single build of the collective sums; ``dim_cap``
+    applies to D.  Every output matrix is Hermitian PSD.
     """
-    theta_prime = np.atleast_1d(np.asarray(theta_prime, dtype=float))
-    d = theta_prime.size
+    points = np.asarray(theta_prime, dtype=float)
+    if points.ndim > 2:
+        raise ValidationError("theta' must be one point (d,) or a stack of points (G, d)")
+    single = points.ndim < 2
+    points = np.atleast_2d(points)
+    d = points.shape[1]
     if d > spec.n_ops:
         raise ValidationError("theta' longer than the operator tuple")
     v_prime = np.asarray(v_prime, dtype=float)
     a_mat, z_norm = smearing_kernel(v_prime, spec.s[:d, :d])
     (whole,) = _dense_sectors(spec.x_ops[:d], n, dim_cap)
-    t_mat = _smearing_blocks(whole.ops, a_mat, z_norm, theta_prime[None, :])[0]
-    return (t_mat + t_mat.conj().T) / 2
+    t_mats = _smearing_blocks(whole.ops, a_mat, z_norm, points)
+    t_mats = (t_mats + t_mats.conj().swapaxes(-1, -2)) / 2
+    return t_mats[0] if single else t_mats

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 from qest.cli import main
+from qest.collective import mixed_basis_povm, two_stage_estimate
+from qest.gaussian import gaussian_protocol_mse
+from qest.models import model_from_name
 
 
 def run_cli(args):
@@ -277,3 +282,71 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "fisher" in proc.stdout
+
+
+def csv_writer_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestCsvColumns:
+    # csv.writer over per-row lists of the same seeded data is the oracle
+
+    def test_gauss_csv(self, tmp_path):
+        # 10000 trials cross the writer's 8192-row block boundary
+        args = ["--zeta", "0.3,-0.1", "--N", "0.7", "--n", "10", "--trials", "10000", "--seed", "8"]
+        assert run_cli(["gauss", *args, "--out", str(tmp_path / "g")]).exit_code == 0
+        per_trial = gaussian_protocol_mse(0.3 - 0.1j, 0.7, 10, 10000, 8, keep_trials=True).per_trial
+        zh, nh = per_trial["zeta_hat"], per_trial["noise_hat"]
+        zb, nb = per_trial["zeta_hat_baseline"], per_trial["noise_hat_baseline"]
+        rows = [[i, zh[i].real, zh[i].imag, nh[i], zb[i].real, zb[i].imag, nb[i]] for i in range(len(zh))]
+        header = ["trial", "zeta_hat_re", "zeta_hat_im", "noise_hat", "zeta_hat_base_re", "zeta_hat_base_im", "noise_hat_base"]
+        assert (tmp_path / "g.csv").read_text() == csv_writer_text(header, rows)
+
+    def test_two_stage_csv(self, tmp_path):
+        args = ["--model", "qubit-z0", "--theta", "0.5,0.0", "--n", "400", "--trials", "30", "--seed", "5"]
+        result = run_cli(["estimate", "--mode", "two-stage", *args, "--out", str(tmp_path / "ts")])
+        assert result.exit_code == 0
+        report = two_stage_estimate(
+            model_from_name("qubit-z0"), [0.5, 0.0], mixed_basis_povm("zx"), 400, 5,
+            trials=30, keep_estimates=True,
+        )
+        rows = [[i] + list(row) for i, row in enumerate(report.extras["estimates"])]
+        expected = csv_writer_text(["trial", "theta_hat_1", "theta_hat_2"], rows)
+        assert (tmp_path / "ts.csv").read_text() == expected
+
+    def test_collective_csv(self, tmp_path):
+        args = ["--model", "qubit-z0", "--theta", "0,0", "--n", "2,4", "--seed", "1"]
+        result = run_cli(["estimate", "--mode", "collective", *args, "--out", str(tmp_path / "c")])
+        assert result.exit_code == 0
+        # the JSON report keeps every float the CSV rows are made of
+        rows = [
+            [
+                r["n"],
+                r["scaledTrace"],
+                float(np.linalg.norm(np.array(r["aMatrix"]) - np.eye(2))),
+                r["completenessResidual"],
+            ]
+            for r in json.loads((tmp_path / "c.json").read_text())["results"]["rows"]
+        ]
+        expected = csv_writer_text(["n", "scaled_trace", "a_minus_identity", "completeness_residual"], rows)
+        assert (tmp_path / "c.csv").read_text() == expected
+
+
+class TestImports:
+    def test_fock_paths_do_not_import_scipy(self):
+        code = (
+            "import sys\n"
+            "from qest.cli import main\n"
+            "try:\n"
+            "    main(['fisher', '--kind', 'sld', '--model', 'gauss1:0.3:16', '--theta', '0.3,0.2'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "scipy modules: []"

@@ -177,7 +177,7 @@ class TestTOperatorOnSums:
         spec = spec_sigma_z()
         n = 2
         grid = np.arange(-8, 8.0001, 0.02)
-        total = sum(t_operator_on_sums(spec, n, [g], [[0.5]]) for g in grid) * 0.02
+        total = t_operator_on_sums(spec, n, grid[:, None], [[0.5]]).sum(axis=0) * 0.02
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
 
     def test_hermitian_psd(self, rng):
@@ -211,14 +211,26 @@ class TestTOperatorOnSums:
         for n in (1, 2, 4, 6):
             step = 0.5
             grid = np.arange(-5.5, 5.5001, step)
-            total = np.zeros((2**n, 2**n), dtype=complex)
-            for gx in grid:
-                for gy in grid:
-                    total += t_operator_on_sums(spec, n, [gx, gy], np.eye(2)) * step**2
+            gx, gy = np.meshgrid(grid, grid, indexing="ij")
+            points = np.column_stack([gx.ravel(), gy.ravel()])
+            total = t_operator_on_sums(spec, n, points, np.eye(2)).sum(axis=0) * step**2
             rho_n = tensor_power(mixed_qubit(), n).matrix
             devs.append(abs(float(np.real(np.trace(rho_n @ total))) - 1.0))
         assert all(devs[i + 1] < devs[i] for i in range(len(devs) - 1))
         assert devs[-1] < 0.03
+
+    def test_point_stack_matches_single_points(self, rng):
+        # the single-point call is the oracle for the stacked one
+        rho = random_density(rng)
+        spec = CollectiveSpec(rho, [random_hermitian(rng), random_hermitian(rng)])
+        v_prime = spec.v + np.abs(spec.s[0, 1]) * np.eye(2) + 0.1 * np.eye(2)
+        points = rng.normal(size=(5, 2))
+        stack = t_operator_on_sums(spec, 3, points, v_prime)
+        assert stack.shape == (5, 8, 8)
+        for point, t_mat in zip(points, stack):
+            assert np.max(np.abs(t_mat - t_operator_on_sums(spec, 3, point, v_prime))) < 1e-14
+        with pytest.raises(ValidationError):
+            t_operator_on_sums(spec, 3, points[None], v_prime)
 
     def test_eigenvalue_condition(self):
         spec = CollectiveSpec(DensityOperator(np.diag([0.75, 0.25])), [SIGMA_X, SIGMA_Y])

@@ -5,6 +5,9 @@ from qest.errors import NumericalError, ValidationError
 from qest.gaussian import (
     GaussianSpec,
     ONE_MODE_S,
+    _mse_and_se,
+    _unitary_exp,
+    annihilation_operator,
     auto_cutoff,
     characteristic_function,
     coherent_vector,
@@ -126,16 +129,54 @@ class TestTDensity:
         sd = np.sqrt(np.linalg.eigvalsh(total_cov).max())
         grid = np.linspace(-6 * sd, 6 * sd, 301)
         step = grid[1] - grid[0]
-        total = 0.0
-        for gx in grid:
-            for gy in grid:
-                total += t_density(spec.theta + np.array([gx, gy]), vp, spec)
-        assert abs(total * step * step - 1.0) < 1e-4
+        gx, gy = np.meshgrid(grid, grid, indexing="ij")
+        dens = t_density(spec.theta + np.stack([gx, gy], axis=-1), vp, spec)
+        assert dens.shape == (301, 301)
+        assert abs(dens.sum() * step * step - 1.0) < 1e-4
+
+    def test_point_array_matches_scalar_calls(self, rng):
+        # scalar calls, and the normal density written out, are the oracle
+        spec = one_mode_spec(0.2 + 0.1j, 0.6)
+        vp = np.array([[0.9, 0.1], [0.1, 0.7]])
+        total = spec.v + vp
+        points = spec.theta + rng.normal(scale=2.0, size=(2, 3, 2))
+        dens = t_density(points, vp, spec)
+        assert dens.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            diff = spec.theta - points[idx]
+            direct = np.exp(-0.5 * diff @ np.linalg.inv(total) @ diff) / (
+                2 * np.pi * np.sqrt(np.linalg.det(total))
+            )
+            scalar = t_density(points[idx], vp, spec)
+            assert isinstance(scalar, float)
+            assert abs(dens[idx] - scalar) <= 1e-14 * scalar
+            assert abs(scalar - direct) < 1e-14 * direct
 
     def test_eigenvalue_condition_propagates(self):
         spec = one_mode_spec(0j, 1.0)
         with pytest.raises(NumericalError):
             t_density(np.zeros(2), 0.3 * np.eye(2), spec)
+
+
+class TestUnitaryExp:
+    # scipy.linalg.expm is the oracle here only; the package does not import it
+
+    def test_displacement_operator(self):
+        from scipy.linalg import expm
+
+        for dim, zeta in ((16, 0.3 + 0.2j), (80, 0.7 - 0.3j), (192, 1.5 + 1.0j)):
+            a = annihilation_operator(dim)
+            gen = zeta * a.conj().T - np.conj(zeta) * a
+            assert np.max(np.abs(_unitary_exp(1j * gen) - expm(gen))) < 1e-12
+
+    def test_weyl_operator(self):
+        from scipy.linalg import expm
+
+        for dim in (16, 128):
+            q, p = quadrature_operators(dim)
+            for x, y in ((0.3, -0.8), (1.5, 1.2), (-2.0, 0.1)):
+                gen = x * q + y * p
+                assert np.max(np.abs(_unitary_exp(-gen) - expm(1j * gen))) < 1e-12
 
 
 class TestFockDensity:
@@ -273,6 +314,67 @@ class TestConcentrate:
             res = concentrate(zeta, 0.5, n)
             total = sum(abs(m[0]) ** 2 for m in res.modes)
             assert abs(total - n * abs(zeta) ** 2) < 1e-12
+
+
+def per_copy_protocol(zeta, noise, n, trials, seed):
+    """Per-copy reference for gaussian_protocol_mse: n - 1 geometric photon
+    counts and n heterodyne outcomes per trial, drawn from the same child
+    generators as the sampler."""
+    root = np.random.default_rng(seed)
+    s_het, s_num, s_base = (np.random.default_rng(s) for s in root.integers(0, 2**63 - 1, 3))
+    sigma = np.sqrt((noise + 1.0) / 2.0)
+    alpha = np.sqrt(n) * zeta + sigma * (
+        s_het.standard_normal(trials) + 1j * s_het.standard_normal(trials)
+    )
+    counts = s_num.geometric(p=1.0 / (noise + 1.0), size=(trials, n - 1)) - 1
+    base = zeta + sigma * (
+        s_base.standard_normal((trials, n)) + 1j * s_base.standard_normal((trials, n))
+    )
+    zeta_hat_base = base.mean(axis=1)
+    spread = np.abs(base - zeta_hat_base[:, None]) ** 2
+    return {
+        "zeta_hat": alpha / np.sqrt(n),
+        "noise_hat": counts.mean(axis=1),
+        "zeta_hat_baseline": zeta_hat_base,
+        "noise_hat_baseline": spread.sum(axis=1) / n - 1.0,
+    }
+
+
+class TestSamplerAgainstPerCopy:
+    @pytest.mark.parametrize("zeta, noise, n", [(0.4 - 0.2j, 1.5, 2), (0.6 + 0.4j, 0.0, 40)])
+    def test_same_law_as_per_copy_draws(self, zeta, noise, n):
+        from scipy.stats import ks_2samp
+
+        trials = 20000
+        fast = gaussian_protocol_mse(zeta, noise, n, trials, seed=101, keep_trials=True).per_trial
+        # an independent per-copy run: a different seed, so the samples share no draws
+        slow = per_copy_protocol(zeta, noise, n, trials, seed=202)
+        for key, part in (
+            ("noise_hat", np.real),
+            ("zeta_hat_baseline", np.real),
+            ("zeta_hat_baseline", np.imag),
+            ("noise_hat_baseline", np.real),
+        ):
+            a, b = part(fast[key]), part(slow[key])
+            assert ks_2samp(a, b).pvalue > 1e-3, key
+            se_mean = np.sqrt((a.var() + b.var()) / trials)
+            assert abs(a.mean() - b.mean()) <= 4 * se_mean, key
+            # SE of a sample variance: sqrt((m4 - var^2) / trials)
+            se_var = np.sqrt(
+                (np.mean((a - a.mean()) ** 4) - a.var() ** 2 + np.mean((b - b.mean()) ** 4) - b.var() ** 2)
+                / trials
+            )
+            assert abs(a.var() - b.var()) <= 4 * se_var, key
+        if noise == 0:
+            assert not fast["noise_hat"].any()
+
+    @pytest.mark.parametrize("zeta, noise, n", [(0.4 - 0.2j, 1.5, 2), (0.6 + 0.4j, 0.0, 40)])
+    def test_protocol_mean_bit_identical(self, zeta, noise, n):
+        rep = gaussian_protocol_mse(zeta, noise, n, 5000, seed=303, keep_trials=True)
+        ref = per_copy_protocol(zeta, noise, n, 5000, seed=303)
+        assert np.array_equal(rep.per_trial["zeta_hat"], ref["zeta_hat"])
+        mse, se = _mse_and_se(2.0 * np.abs(ref["zeta_hat"] - zeta) ** 2)
+        assert rep.mse_theta == mse and rep.se_mse_theta == se
 
 
 class TestProtocol:
