@@ -9,7 +9,10 @@ The Holevo objective is convex but nonsmooth through the trace-norm term; the
 optimizer smooths singular values with sqrt(x^2 + mu^2), anneals mu downward
 with warm starts, and keeps iterates exactly feasible by eliminating the
 linear constraints with a particular solution plus a null-space basis, so the
-reported value is always attained by a feasible tuple.
+reported value is always attained by a feasible tuple.  Each mu stage runs
+``minimize``, a NumPy box-constrained L-BFGS whose line search brackets a zero
+of the directional derivative, because near the smoothed kink the objective
+is flat to float precision while its gradient is not.
 """
 
 from __future__ import annotations
@@ -24,14 +27,139 @@ from .models import ParametricModel, model_derivatives
 
 CONSTRAINT_TOL = 1e-7
 PSD_PAIR_TOL = 1e-8
+LBFGS_MEMORY = 10
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use: the import costs
-    more than half a second, which no command without an optimizer pays."""
-    from scipy.optimize import minimize as scipy_minimize
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Last iterate of ``minimize``: the point, its value and gradient, and
+    the iteration and function-evaluation counts."""
 
-    return scipy_minimize(*args, **kwargs)
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nit: int
+    nfev: int
+
+
+def minimize(fun, x0, *, args=(), bounds=(-np.inf, np.inf), max_iter: int, ftol: float, gtol: float):
+    """Minimize ``fun(x, *args) -> (value, gradient)`` over the box
+    ``bounds = (lower, upper)`` (scalars or arrays shaped like ``x0``) by
+    limited-memory BFGS (Liu & Nocedal, Math. Prog. 45, 1989), keeping the
+    last ``LBFGS_MEMORY`` steps.
+
+    Coordinates at a bound that the gradient or the quasi-Newton direction
+    pushes outward are held fixed for the step; the step length stops at the
+    first bound the free coordinates reach.  Each line search brackets a zero
+    of the directional derivative (see ``_wolfe_step``).  Stops when the
+    projected gradient's largest entry is at most ``gtol``, when a step lowers
+    f by at most ``ftol * max(|f|, 1)``, after ``max_iter`` iterations, or
+    when the line search finds no step.
+    """
+    lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)) for b in bounds)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    f, g = fun(x, *args)
+    nfev, nit = 1, 0
+    pairs = []  # (step, gradient change) of the last LBFGS_MEMORY steps
+    while nit < max_iter and np.max(np.abs(np.clip(x - g, lower, upper) - x), initial=0.0) > gtol:
+        at_lower, at_upper = x <= lower, x >= upper
+        free = ~((at_lower & (g > 0)) | (at_upper & (g < 0)))
+        while True:
+            d = -_inverse_hessian_times(g, pairs, free)
+            blocked = (at_lower & (d < 0)) | (at_upper & (d > 0))
+            if not blocked.any():
+                break
+            free &= ~blocked
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(d > 0, (upper - x) / d, np.where(d < 0, (lower - x) / d, np.inf))
+        a_max = float(room.min(initial=np.inf))
+        if nit == 0:
+            # no curvature data yet: the steepest-descent step is not
+            # extrapolated (L-BFGS-B's rule), so a start that is already
+            # stationary to float noise cannot wander off along a flat valley
+            a_max = min(a_max, 1.0)
+
+        def phi(a):
+            x_a = np.clip(x + a * d, lower, upper)
+            f_a, g_a = fun(x_a, *args)
+            return x_a, float(f_a), g_a, float(g_a @ d)
+
+        step, evals = _wolfe_step(phi, f, float(g @ d), min(1.0, a_max), a_max)
+        nfev += evals
+        if step is None:
+            break
+        x_new, f_new, g_new = step
+        nit += 1
+        pairs = [*pairs[-(LBFGS_MEMORY - 1):], (x_new - x, g_new - g)]
+        f_old, x, f, g = f, x_new, f_new, g_new
+        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            break
+    return MinimizeResult(x=x, fun=float(f), jac=g, nit=nit, nfev=nfev)
+
+
+def _inverse_hessian_times(g, pairs, free):
+    """L-BFGS two-loop recursion on the free coordinates: the inverse of the
+    free block of the Hessian estimate times g, zero on fixed coordinates.
+
+    Each step pair (s, y) is cut to the free coordinates, where y = H s holds
+    for the free block when the step left the fixed ones alone; pairs without
+    positive curvature there are skipped.
+    """
+    cut = [(s * free, y * free) for s, y in pairs]
+    cut = [(s, y, 1.0 / sy) for s, y in cut if (sy := float(s @ y)) > 1e-12 * float(y @ y)]
+    q = g * free
+    alphas = []
+    for s, y, r in reversed(cut):
+        a = r * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    if cut:
+        s, y, r = cut[-1]
+        q *= 1.0 / (r * float(y @ y))
+    for (s, y, r), a in zip(cut, reversed(alphas)):
+        q += (a - r * float(y @ q)) * s
+    return q
+
+
+def _wolfe_step(phi, f0, slope0, a, a_max, c1=1e-4, c2=0.9, max_evals=60):
+    """Line search along a descent direction with phi'(0) = ``slope0 < 0``.
+
+    Accepts a strong-Wolfe step: f(a) <= f0 + c1 a slope0 and
+    |phi'(a)| <= c2 |slope0|, where the decrease test is granted a slack of
+    1e-12 |f0| (the approximate Wolfe rule of Hager & Zhang, SIAM J. Optim.
+    16, 2005).  Near a kink smoothed at 1e-8 the function is flat to float
+    precision while phi' is not, so the search brackets a sign change of
+    phi' (secant steps kept inside the bracket, bisection otherwise) rather
+    than backtracking on f.  A step cut short by the box is accepted where f
+    still decreases.  Returns ((x, f, g), evaluations), or (None, evaluations)
+    when no step lowers f.
+    """
+    slack = 1e-12 * abs(f0)
+    lo, lo_slope, lo_point = 0.0, slope0, None
+    hi = hi_slope = None
+    last_width = np.inf
+    for evals in range(1, max_evals + 1):
+        x_a, f_a, g_a, slope = phi(a)
+        decrease = f_a <= f0 + c1 * a * slope0 + slack
+        if decrease and abs(slope) <= -c2 * slope0:
+            return (x_a, f_a, g_a), evals
+        if decrease and slope < 0:
+            lo, lo_slope, lo_point = a, slope, (x_a, f_a, g_a)
+            if hi is None:
+                if a >= a_max:
+                    return lo_point, evals
+                a = min(4.0 * a, a_max)
+                continue
+        else:
+            hi, hi_slope = a, slope
+        width = hi - lo
+        if width <= 1e-16 * hi:
+            break
+        # secant on phi' while it halves the bracket, bisection otherwise
+        secant = lo - lo_slope * width / (hi_slope - lo_slope) if hi_slope > 0 else lo
+        a = secant if lo < secant < hi and width <= 0.5 * last_width else lo + 0.5 * width
+        last_width = width
+    return lo_point, evals
 
 
 def check_weight_matrix(g: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -243,15 +371,16 @@ def holevo_bound(model: ParametricModel, theta, g, opts: HolevoOptions | None = 
 
     basis = _traceless_hermitian_basis(dim)
     m = basis.shape[0]
-    # constraint matrix and second-moment forms in basis coordinates
-    a_con = np.real(np.einsum("aij,lji->la", basis, np.array(derivs)))
+    # constraint matrix and second-moment forms in basis coordinates, as
+    # matrix products: tr(X Y) is flat(X) . flat(Y^T)
+    basis_t = basis.transpose(0, 2, 1).reshape(m, dim * dim)
+    a_con = np.real(np.array(derivs).reshape(d, dim * dim) @ basis_t.T)
     if np.linalg.matrix_rank(a_con, tol=1e-10) < d:
         raise NumericalError("degenerate local-unbiasedness constraints")
-    rho_b = np.einsum("ij,ajk->aik", rho, basis)
-    f1 = np.einsum("aij,bji->ab", rho_b, basis)
+    f1 = (rho @ basis).reshape(m, dim * dim) @ basis_t.T
     v_form = np.real(f1)
     s_form = np.imag(f1)
-    mu_vec = np.real(np.einsum("ij,aji->a", rho, basis))
+    mu_vec = np.real(basis_t @ rho.reshape(-1))
     v_centered = v_form - np.outer(mu_vec, mu_vec)
 
     c_part = np.linalg.lstsq(a_con, np.eye(d), rcond=None)[0].T  # (d, m)
@@ -313,7 +442,6 @@ def holevo_bound(model: ParametricModel, theta, g, opts: HolevoOptions | None = 
         starts.append(z_init + opts.start_scale * rng.standard_normal(z_init.shape))
 
     bound = opts.coordinate_bound
-    box = [(-bound, bound)] * z_init.size
 
     def projected_grad_norm(z, grad):
         pg = grad.copy()
@@ -337,10 +465,10 @@ def holevo_bound(model: ParametricModel, theta, g, opts: HolevoOptions | None = 
                 smoothed,
                 z,
                 args=(mu,),
-                method="L-BFGS-B",
-                jac=True,
-                bounds=box,
-                options={"maxiter": opts.max_iter, "ftol": 1e-14, "gtol": 1e-10},
+                bounds=(-bound, bound),
+                max_iter=opts.max_iter,
+                ftol=1e-14,
+                gtol=1e-10,
             )
             z = res.x
             grad_norm = projected_grad_norm(z, np.asarray(res.jac))

@@ -193,14 +193,16 @@ def quadrature_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
+def coherent_vector(alpha, dim: int) -> np.ndarray:
+    """Fock amplitudes of the coherent state |alpha> on ``dim`` levels; an
+    array of alphas gives one row of amplitudes per alpha."""
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
     k = np.arange(dim)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim, dtype=float)))))
-    if alpha == 0:
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    log_mag = k * np.log(np.abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # alpha = 0 gives log|alpha| = -inf: the vacuum amplitude is 1, the rest 0
+        log_pow = np.where(k == 0, 0.0, k * np.log(np.abs(alpha)))
+    log_mag = log_pow - 0.5 * log_fact - 0.5 * np.abs(alpha) ** 2
     phase = np.exp(1j * k * np.angle(alpha))
     return np.exp(log_mag) * phase
 
@@ -318,17 +320,12 @@ def heterodyne_povm(cutoff: int, radius: float, n_radial: int, n_angle: int, com
     angles = 2 * np.pi * np.arange(n_angle) / n_angle
     dr = radius / n_radial
     dphi = 2 * np.pi / n_angle
-    elements = []
-    labels = []
-    weights = []
-    for r in radii:
-        for phi in angles:
-            alpha = r * np.exp(1j * phi)
-            vec = coherent_vector(alpha, cutoff)
-            elements.append(np.outer(vec, vec.conj()))
-            labels.append(complex(alpha))
-            weights.append(r * dr * dphi / np.pi)
-    return Povm(elements, labels=labels, weights=weights, completeness_tol=completeness_tol)
+    # radius-major grid: one row per (r, phi)
+    alphas = (radii[:, None] * np.exp(1j * angles)).ravel()
+    vecs = coherent_vector(alphas, cutoff)
+    elements = vecs[:, :, None] * vecs.conj()[:, None, :]
+    weights = np.repeat(radii * dr * dphi / np.pi, n_angle)
+    return Povm(elements, labels=alphas.tolist(), weights=weights, completeness_tol=completeness_tol)
 
 
 def heterodyne_sample(zeta: complex, noise: float, count: int, seed: int) -> np.ndarray:

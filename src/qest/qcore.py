@@ -34,13 +34,24 @@ def _as_complex_matrix(matrix: Any) -> np.ndarray:
     return arr
 
 
+def _element_stack(elements: Sequence[Any]) -> np.ndarray:
+    """POVM elements as one (k, dim, dim) complex array; the per-element
+    shape errors name the first offending element's shape."""
+    try:
+        stack = np.asarray(elements, dtype=complex)
+    except ValueError:  # ragged: elements of different shapes
+        stack = None
+    if stack is not None and stack.ndim == 3 and len(stack) and stack.shape[1] == stack.shape[2]:
+        return stack
+    mats = [_as_complex_matrix(m) for m in elements]
+    if not mats:
+        raise ValidationError("POVM needs at least one element")
+    raise ValidationError("POVM elements have mixed dimensions")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def hermitian_deviation(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
 def density_stack(matrices: np.ndarray) -> np.ndarray:
@@ -149,18 +160,18 @@ class Povm:
         weights: Sequence[float] | None = None,
         completeness_tol: float | None = None,
     ):
-        mats = [_as_complex_matrix(m) for m in elements]
-        if not mats:
-            raise ValidationError("POVM needs at least one element")
-        dim = mats[0].shape[0]
-        if any(m.shape[0] != dim for m in mats):
-            raise ValidationError("POVM elements have mixed dimensions")
-        for i, m in enumerate(mats):
-            if hermitian_deviation(m) > 1e-10:
-                raise ValidationError(f"POVM element {i} is not Hermitian")
-            if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -POVM_PSD_TOL:
-                raise ValidationError(f"POVM element {i} is not positive semidefinite")
-        mats = [(m + m.conj().T) / 2 for m in mats]
+        stack = _element_stack(elements)
+        dim = stack.shape[1]
+        adj = stack.conj().swapaxes(-1, -2)
+        not_hermitian = np.abs(stack - adj).max(axis=(-2, -1)) > 1e-10
+        mats = stack + adj
+        mats /= 2
+        not_psd = np.linalg.eigvalsh(mats).min(axis=-1) < -POVM_PSD_TOL
+        bad = np.flatnonzero(not_hermitian | not_psd)
+        if bad.size:
+            i = int(bad[0])
+            problem = "Hermitian" if not_hermitian[i] else "positive semidefinite"
+            raise ValidationError(f"POVM element {i} is not {problem}")
         if labels is None:
             labels = tuple(range(len(mats)))
         else:
@@ -174,9 +185,8 @@ class Povm:
         else:
             w = None
         tol = completeness_tol if completeness_tol is not None else POVM_COMPLETENESS_TOL
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, m in enumerate(mats):
-            total += m if w is None else w[i] * m
+        flat = mats.reshape(len(mats), dim * dim)
+        total = (flat.sum(axis=0) if w is None else w @ flat).reshape(dim, dim)
         residual = float(np.max(np.abs(total - np.eye(dim))))
         if residual > tol:
             raise ValidationError(
@@ -184,7 +194,7 @@ class Povm:
             )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "elements", tuple(_freeze(m) for m in mats))
+        object.__setattr__(self, "elements", tuple(_freeze(mats)))
         object.__setattr__(self, "weights", _freeze(w) if w is not None else None)
         object.__setattr__(self, "completeness_residual", residual)
         object.__setattr__(self, "completeness_tol", tol)

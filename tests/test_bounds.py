@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qest.bounds
 from qest.bounds import (
     HolevoOptions,
     cr_value,
@@ -8,12 +9,13 @@ from qest.bounds import (
     gill_massar,
     holevo_bound,
     holevo_objective,
+    minimize,
     nuclear_norm,
     qubit_c1,
 )
 from qest.errors import NumericalError, ValidationError
 from qest.fisher import classical_fisher, sld_fisher
-from qest.models import ParametricModel, diagonal_family, qubit_family
+from qest.models import ParametricModel, diagonal_family, gaussian_displacement_family, qubit_family
 from qest.qcore import DensityOperator, Povm
 
 from conftest import SIGMA_X, SIGMA_Z, random_povm
@@ -285,6 +287,72 @@ class TestHolevoBound:
         v_weighted = holevo_bound(scaled, np.zeros(2), np.eye(2) / c**2).value
         assert abs(v_scaled - c**2 * v0) < 1e-6
         assert abs(v_weighted - v0) < 1e-6
+
+
+def scipy_minimize(fun, x0, *, args=(), bounds=(-np.inf, np.inf), max_iter, ftol, gtol):
+    """``qest.bounds.minimize`` with the same arguments, run by SciPy's L-BFGS-B."""
+    from scipy.optimize import minimize as reference
+
+    lower, upper = bounds
+    return reference(
+        fun,
+        x0,
+        args=args,
+        method="L-BFGS-B",
+        jac=True,
+        bounds=[(lower, upper)] * np.size(x0),
+        options={"maxiter": max_iter, "ftol": ftol, "gtol": gtol},
+    )
+
+
+class TestMinimize:
+    def test_quadratic_with_active_box(self, rng):
+        # 0.5 x'Ax - b'x on [-1, 1]^8 with b built from a KKT point: two
+        # coordinates on the upper face, two on the lower, the rest interior
+        raw = rng.standard_normal((8, 8))
+        a = raw @ raw.T + 0.5 * np.eye(8)
+        x_star = rng.uniform(-0.8, 0.8, 8)
+        x_star[[1, 4]] = 1.0
+        x_star[[2, 6]] = -1.0
+        grad_star = np.zeros(8)
+        grad_star[[1, 4]] = -rng.uniform(0.5, 2.0, 2)
+        grad_star[[2, 6]] = rng.uniform(0.5, 2.0, 2)
+        b = a @ x_star - grad_star
+
+        def fun(x):
+            return 0.5 * x @ a @ x - b @ x, a @ x - b
+
+        res = minimize(fun, np.zeros(8), bounds=(-1.0, 1.0), max_iter=200, ftol=0.0, gtol=1e-10)
+        assert np.max(np.abs(res.x - x_star)) < 1e-8
+        assert abs(res.fun - fun(x_star)[0]) < 1e-12
+        assert np.array_equal(res.jac, fun(res.x)[1])
+        assert 0 < res.nit < res.nfev
+
+
+class TestHolevoAgainstScipy:
+    """The NumPy optimizer against SciPy's L-BFGS-B, same objective and
+    stage tolerances: the bound and every start's value agree."""
+
+    @pytest.mark.parametrize(
+        "model, theta, opts",
+        [
+            (submodel_xy(0.5), (0.0, 0.0), HolevoOptions(seed=11, n_starts=5)),
+            (qubit_family("z0"), (0.5, 0.0), HolevoOptions(seed=3, n_starts=5)),
+            (qubit_family("z0"), (0.2, 0.3), HolevoOptions(seed=3, n_starts=5)),
+            (gaussian_displacement_family(0.3, cutoff=16), (0.3, 0.2), HolevoOptions()),
+            # rank-one state: a flat valley runs out to the box, and steps
+            # taken along it on float noise change the value
+            (pure_qubit_model(), (1.1, 0.4), HolevoOptions(seed=3, n_starts=3)),
+        ],
+        ids=["xy", "z0-a", "z0-b", "gauss1", "pure"],
+    )
+    def test_same_values(self, monkeypatch, model, theta, opts):
+        t = np.array(theta)
+        ours = holevo_bound(model, t, np.eye(2), opts)
+        monkeypatch.setattr(qest.bounds, "minimize", scipy_minimize)
+        reference = holevo_bound(model, t, np.eye(2), opts)
+        assert abs(ours.value - reference.value) < 1e-6
+        assert np.max(np.abs(np.subtract(ours.start_values, reference.start_values))) < 1e-6
 
 
 class TestGaussianShiftBound:

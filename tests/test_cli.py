@@ -336,17 +336,35 @@ class TestCsvColumns:
         assert (tmp_path / "c.csv").read_text() == expected
 
 
+def scipy_modules_after(argv):
+    """SciPy modules loaded by one CLI command run in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "from qest.cli import main\n"
+        "try:\n"
+        f"    main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 class TestImports:
     def test_fock_paths_do_not_import_scipy(self):
-        code = (
-            "import sys\n"
-            "from qest.cli import main\n"
-            "try:\n"
-            "    main(['fisher', '--kind', 'sld', '--model', 'gauss1:0.3:16', '--theta', '0.3,0.2'])\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+        argv = ["fisher", "--kind", "sld", "--model", "gauss1:0.3:16", "--theta", "0.3,0.2"]
+        assert scipy_modules_after(argv) == "scipy modules: []"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--model", "qubit-z0", "--theta", "0.5,0", "--starts", "5"],
+            ["bounds", "--model", "gauss1:0.3:16", "--theta", "0.3,0.2"],
+            ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0,0", "--n", "2,4"],
+        ],
+        ids=["bounds-qubit", "bounds-gauss1", "estimate-collective"],
+    )
+    def test_bound_commands_do_not_import_scipy(self, argv):
+        assert scipy_modules_after(argv) == "scipy modules: []"

@@ -261,6 +261,34 @@ class TestCoherentResolution:
         block = total[:16, :16]
         assert np.max(np.abs(block - np.eye(16))) < 1e-4
 
+    def test_coherent_rows_match_single_vectors(self):
+        alphas = np.array([[0.0, 1.5 - 0.5j], [-2.0j, 0.3 + 4.0j]])
+        rows = coherent_vector(alphas, 24)
+        assert rows.shape == (2, 2, 24)
+        for idx in np.ndindex(alphas.shape):
+            assert np.array_equal(rows[idx], coherent_vector(complex(alphas[idx]), 24))
+        vacuum = np.zeros(24, dtype=complex)
+        vacuum[0] = 1.0
+        assert np.array_equal(coherent_vector(0j, 24), vacuum)
+
+    def test_heterodyne_povm_matches_grid_loop(self):
+        # the per-point construction: one coherent projector per (r, phi)
+        radius, n_radial, n_angle = 5.0, 6, 8
+        povm = heterodyne_povm(8, radius=radius, n_radial=n_radial, n_angle=n_angle, completeness_tol=0.5)
+        dr, dphi = radius / n_radial, 2 * np.pi / n_angle
+        i = 0
+        for r in (np.arange(n_radial) + 0.5) * dr:
+            for phi in 2 * np.pi * np.arange(n_angle) / n_angle:
+                alpha = r * np.exp(1j * phi)
+                vec = coherent_vector(alpha, 8)
+                outer = np.outer(vec, vec.conj())
+                assert povm.labels[i] == complex(alpha)
+                assert povm.weights[i] == r * dr * dphi / np.pi
+                # Povm stores each element Hermitian-symmetrized
+                assert np.array_equal(povm.elements[i], (outer + outer.conj().T) / 2)
+                i += 1
+        assert i == len(povm)
+
     def test_heterodyne_povm_object(self):
         # a disc large enough for the cutoff is a valid gridded POVM;
         # the residual is certified on construction and stored

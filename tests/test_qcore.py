@@ -65,6 +65,22 @@ class TestPovm:
         with pytest.raises(ValidationError):
             Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
 
+    def test_first_failing_element_named(self):
+        # element 1 fails positivity before element 2 fails Hermiticity
+        hermitian_fail = np.array([[0.5, 0.1], [0.0, 0.5]])
+        with pytest.raises(ValidationError, match="element 1 is not positive semidefinite"):
+            Povm([np.eye(2), np.diag([-0.5, 0.0]), hermitian_fail])
+        with pytest.raises(ValidationError, match="element 1 is not Hermitian"):
+            Povm([np.eye(2), hermitian_fail, np.diag([-0.5, 0.0])])
+
+    def test_element_shapes(self):
+        with pytest.raises(ValidationError, match="at least one element"):
+            Povm([])
+        with pytest.raises(ValidationError, match="mixed dimensions"):
+            Povm([np.eye(2), np.eye(3)])
+        with pytest.raises(ValidationError, match="expected a square matrix"):
+            Povm([np.ones((2, 3)), np.ones((2, 3))])
+
     def test_random_povms_complete(self, rng):
         for _ in range(10):
             m = random_povm(rng, dim=3, outcomes=4)
