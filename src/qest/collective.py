@@ -33,6 +33,7 @@ from .qcore import (
     density_stack,
     measure_distribution,
     probability_rows,
+    trace_products,
 )
 
 SUPPORT_THRESHOLD = 1e-8
@@ -286,19 +287,11 @@ def _grid_points(model: ParametricModel, points_per_axis: int) -> np.ndarray:
     return pts[mask]
 
 
-def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re tr(a b) over broadcast stacks of matrices, the Born rule for a
-    Hermitian pair.  Each value is summed over its own contiguous products,
-    so it does not depend on how many others are computed with it."""
-    prod = (a * np.swapaxes(b, -1, -2)).real
-    return prod.reshape(prod.shape[:-2] + (-1,)).sum(axis=-1)
-
-
 def _batch_probs(states: np.ndarray, elements: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Grid-scan probabilities of ``states`` (G, dim, dim) under POVM elements
     (..., k, dim, dim) with weights (..., k): shape (..., G, k), clipped at
     1e-300 so their logarithm is finite."""
-    p = _trace_products(states[:, None], elements[..., None, :, :, :]) * weights[..., None, :]
+    p = trace_products(states[:, None], elements[..., None, :, :, :]) * weights[..., None, :]
     return np.clip(p, 1e-300, None)
 
 
@@ -330,7 +323,7 @@ def _stack_povms(model: ParametricModel, povms, counts):
     for r, m in enumerate(povms):
         if m.dim != dim:
             raise ValidationError(f"dimension mismatch: state {dim}, POVM {m.dim}")
-        elems = np.array(m.elements)
+        elems = m.stack
         flat = elems.reshape(len(m), -1)
         w = np.ones(len(m)) if m.weights is None else m.weights
         order = np.lexsort(np.column_stack([flat.real, flat.imag, w]).T)
@@ -402,11 +395,11 @@ def _mle_rows(model: ParametricModel, povms, counts, points_per_axis: int = 41):
 
     def loglik_and_grad(th, rows):
         elems = elements[rows]
-        probs = _trace_products(_model_states(model, th)[:, None], elems) * weights[rows]
+        probs = trace_products(_model_states(model, th)[:, None], elems) * weights[rows]
         probs = np.clip(probability_rows(probs, sum_tol[rows]), 1e-300, None)
         value = (counts[rows] * np.log(probs)).sum(axis=1) / totals[rows]
         derivs = np.array([model_derivatives(model, row) for row in th])
-        dp = _trace_products(derivs[:, :, None], elems[:, None])
+        dp = trace_products(derivs[:, :, None], elems[:, None])
         dp = dp * weights[rows][:, None, :]
         grad = (counts[rows][:, None, :] * dp / probs[:, None, :]).sum(axis=2)
         return value, grad / totals[rows][:, None]

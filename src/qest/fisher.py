@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .models import ParametricModel, model_derivatives
-from .qcore import DensityOperator, Povm, measure_distribution
+from .qcore import DensityOperator, Povm, measure_distribution, trace_products
 
 SUPPORT_TOL = 1e-10
 OFF_SUPPORT_TOL = 1e-10
@@ -175,10 +175,7 @@ def classical_fisher(model: ParametricModel, theta, m: Povm) -> FisherMatrix:
     dropped = float(probs[~keep].sum())
     if not keep.any():
         raise NumericalError("all outcomes fall below the probability floor")
-    dp = np.zeros((d, len(m)))
-    for k, dr in enumerate(derivs):
-        dp[k] = [float(np.real(np.sum(dr.T * e))) for e in m.elements]
-        dp[k] *= weights
+    dp = np.array([trace_products(m.stack, dr) * weights for dr in derivs])
     j = np.zeros((d, d))
     for a in range(d):
         for b in range(a, d):

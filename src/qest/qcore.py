@@ -143,12 +143,15 @@ class Povm:
     ``weights`` is None for discrete POVMs (elements must sum to the identity
     within 1e-10) and carries the quadrature weight per element for gridded
     ones, in which case the completeness residual against the supplied
-    tolerance is recorded instead of demanding exactness.
+    tolerance is recorded instead of demanding exactness.  ``stack`` holds
+    the elements as one frozen (k, dim, dim) array; ``elements`` are views of
+    its rows.
     """
 
     dim: int
     labels: tuple
     elements: tuple
+    stack: np.ndarray
     weights: np.ndarray | None
     completeness_residual: float
     completeness_tol: float
@@ -194,7 +197,8 @@ class Povm:
             )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "elements", tuple(_freeze(mats)))
+        object.__setattr__(self, "stack", _freeze(mats))
+        object.__setattr__(self, "elements", tuple(mats))
         object.__setattr__(self, "weights", _freeze(w) if w is not None else None)
         object.__setattr__(self, "completeness_residual", residual)
         object.__setattr__(self, "completeness_tol", tol)
@@ -251,6 +255,14 @@ class OutcomeDistribution:
         return buf.getvalue()
 
 
+def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a b) over broadcast stacks of matrices, the Born rule for a
+    Hermitian pair.  Each value is summed over its own contiguous products,
+    so it does not depend on how many others are computed with it."""
+    prod = (a * np.swapaxes(b, -1, -2)).real
+    return prod.reshape(prod.shape[:-2] + (-1,)).sum(axis=-1)
+
+
 def measure_distribution(rho: DensityOperator, m: Povm) -> OutcomeDistribution:
     """Outcome distribution of measuring ``m`` on ``rho`` by the trace rule.
 
@@ -261,9 +273,7 @@ def measure_distribution(rho: DensityOperator, m: Povm) -> OutcomeDistribution:
     """
     if rho.dim != m.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, POVM {m.dim}")
-    probs = np.array(
-        [float(np.real(np.sum(rho.matrix.T * e))) for e in m.elements], dtype=float
-    )
+    probs = trace_products(m.stack, rho.matrix)
     if m.weights is not None:
         probs = probs * m.weights
     return OutcomeDistribution(m.labels, probs, sum_tol=m.prob_sum_tol)

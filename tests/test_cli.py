@@ -12,6 +12,7 @@ from qest.cli import main
 from qest.collective import mixed_basis_povm, two_stage_estimate
 from qest.gaussian import gaussian_protocol_mse
 from qest.models import model_from_name
+from qest.qcore import matrix_to_json
 
 
 def run_cli(args):
@@ -248,15 +249,81 @@ class TestRunConfig:
         assert run_cli(["run", "--config", str(config), "--out", str(out_b)]).exit_code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_bounds_report_config_replays(self, tmp_path):
-        # the config embedded in a report stores g as rows, not a file path
-        out_a = tmp_path / "a"
-        args = ["bounds", "--model", "qubit-z0", "--theta", "0.5,0", "--seed", "2"]
-        assert run_cli(args + ["--out", str(out_a)]).exit_code == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fisher", "--model", "qubit-z0", "--theta", "0.5,0", "--kind", "sld", "--seed", "3"],
+            ["fisher", "--model", "qubit-full", "--theta", "0.1,0.2,0.3", "--kind", "rld"],
+            ["fisher", "--model", "qubit-full", "--theta", "0.1,0.2,0.3", "--kind", "classical", "--povm", "POVM"],
+            ["bounds", "--model", "qubit-z0", "--theta", "0.5,0", "--seed", "2"],
+            ["gauss", "--zeta", "0.5,0.2", "--N", "1.0", "--n", "32", "--trials", "1000", "--seed", "3"],
+            ["clt", "--model", "qubit-full", "--theta", "0.3,0.2,0.1", "--ops", "x,z", "--word", "1,2,1,2", "--n", "2,4,8"],
+            ["estimate", "--mode", "two-stage", "--model", "qubit-z0", "--theta", "0.5,0", "--n", "400", "--trials", "30", "--seed", "5"],
+            ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0,0", "--n", "2,4", "--eps", "0.2"],
+        ],
+        ids=["fisher-sld", "fisher-rld", "fisher-classical", "bounds", "gauss", "clt", "two-stage", "collective"],
+    )
+    def test_report_config_replays(self, tmp_path, argv):
+        # a report's embedded config (g stored as rows, n as its comma text)
+        # runs through `run` to the same bytes, CSV included
+        povm_file = tmp_path / "basis.json"
+        povm_file.write_text(json.dumps({"elements": [matrix_to_json(m) for m in mixed_basis_povm("zxy").elements]}))
+        argv = [str(povm_file) if arg == "POVM" else arg for arg in argv]
+        assert run_cli(argv + ["--out", str(tmp_path / "a")]).exit_code == 0
         config = tmp_path / "config.json"
         config.write_text(json.dumps(json.loads((tmp_path / "a.json").read_text())["config"]))
-        out_b = tmp_path / "b"
-        assert run_cli(["run", "--config", str(config), "--out", str(out_b)]).exit_code == 0
+        assert run_cli(["run", "--config", str(config), "--out", str(tmp_path / "b")]).exit_code == 0
+        for suffix in (".json", ".csv"):
+            a, b = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+            assert a.exists() == b.exists()
+            assert not a.exists() or a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "fisher", "theta": [0, 0, 0]},
+            {"experiment": "bounds"},
+            {"experiment": "gauss", "zeta": [0.5, 0], "N": 1.0},
+            {"experiment": "clt", "model": "qubit-full", "theta": [0, 0, 0], "ops": ["z"], "word": [1]},
+            {"experiment": "estimate", "model": "qubit-z0", "theta": [0, 0], "n": "2"},
+        ],
+        ids=["fisher", "bounds", "gauss", "clt", "estimate"],
+    )
+    def test_missing_key_exits_2(self, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = run_cli(["run", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith("validation error: missing config key")
+        assert len(result.output.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"tolerances": {}}, "unknown config keys: ['tolerances']"),
+            ({"kind": "bogus"}, "config key 'kind'"),
+            ({"seed": 4.5}, "config key 'seed': 4.5 is not of type integer"),
+            ({"seed": True}, "config key 'seed': True is not of type integer"),
+            ({"theta": "0,x,0"}, "config key 'theta'"),
+            ({"experiment": ["fisher"]}, "unknown experiment"),
+        ],
+        ids=["tolerances", "bad-choice", "float-seed", "bool-seed", "bad-list", "unhashable-experiment"],
+    )
+    def test_bad_value_exits_2(self, tmp_path, extra, message):
+        config = {"experiment": "fisher", "model": "qubit-full", "theta": [0, 0, 0], **extra}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = run_cli(["run", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"validation error: {message}")
+        assert len(result.output.strip().splitlines()) == 1
+
+    def test_null_key_takes_default(self, tmp_path):
+        args = ["fisher", "--model", "qubit-full", "--theta", "0,0,0"]
+        assert run_cli(args + ["--out", str(tmp_path / "a")]).exit_code == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "fisher", "model": "qubit-full", "theta": "0,0,0", "kind": None}))
+        assert run_cli(["run", "--config", str(config), "--out", str(tmp_path / "b")]).exit_code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_gauss_config(self, tmp_path):

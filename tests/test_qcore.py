@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qest.errors import NumericalError, ValidationError
+from qest.gaussian import heterodyne_povm
 from qest.qcore import (
     DensityOperator,
     OutcomeDistribution,
@@ -14,9 +15,10 @@ from qest.qcore import (
     mix,
     sample_outcomes,
     tensor_power,
+    trace_products,
 )
 
-from conftest import random_density, random_povm
+from conftest import random_density, random_hermitian, random_povm
 
 
 def basis_povm():
@@ -122,6 +124,33 @@ class TestMeasureDistribution:
         for _ in range(5):
             dist = measure_distribution(random_density(rng), random_povm(rng, outcomes=5))
             assert abs(dist.probs.sum() - 1) < 1e-8
+
+
+def born_loop(a, m):
+    """Re tr(a M_w) one element at a time: the loop the kernel replaced."""
+    return np.array([float(np.real(np.sum(a.T * e))) for e in m.elements])
+
+
+class TestTraceProducts:
+    # the per-element loop is the oracle; the kernel sums the same dim^2
+    # products in another order, so both agree to dim^2 roundings of the
+    # largest product
+    @pytest.mark.parametrize("kind", ["random", "heterodyne"])
+    def test_matches_per_element_loop(self, rng, kind):
+        if kind == "random":
+            m = random_povm(rng, dim=4, outcomes=7)
+        else:
+            m = heterodyne_povm(8, radius=5.0, n_radial=6, n_angle=8, completeness_tol=0.5)
+        # a state (probabilities) and a Hermitian operand (derivatives)
+        for a in (random_density(rng, m.dim).matrix, random_hermitian(rng, m.dim)):
+            tol = 4 * m.dim**2 * np.finfo(float).eps * np.abs(a).max() * np.abs(m.stack).max()
+            assert np.max(np.abs(trace_products(m.stack, a) - born_loop(a, m))) <= tol
+
+    def test_value_independent_of_stack(self, rng):
+        m = random_povm(rng, dim=3, outcomes=5)
+        a = random_hermitian(rng, 3)
+        whole = trace_products(m.stack, a)
+        assert all(trace_products(m.stack[i], a) == whole[i] for i in range(len(m)))
 
 
 class TestMix:
