@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import check_weight_matrix, _sym_sqrt, _sym_isqrt
 from .clt import CollectiveSpec, _smearing_blocks, collective_sectors, sector_states
 from .errors import NumericalError, ValidationError
-from .fisher import sld_fisher
+from .fisher import _sld_stack, sld_fisher
 from .gaussian import smearing_kernel
 from .models import ParametricModel, model_derivatives
 from .qcore import (
@@ -91,8 +91,8 @@ def ball_grid(d: int, radius: float, step: float) -> np.ndarray:
 
 def default_v_prime(s_matrix: np.ndarray, g: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Regularized kernel covariance sqrt(g)^-1 (|sqrt(g) s sqrt(g)| + eps) sqrt(g)^-1."""
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive: the smearing kernel diverges at 0")
+    if not 0 < epsilon < np.inf:
+        raise ValidationError("epsilon must be positive and finite: the smearing kernel diverges at 0")
     g_sqrt = _sym_sqrt(g)
     g_isqrt = _sym_isqrt(g)
     w = g_sqrt @ s_matrix @ g_sqrt
@@ -283,8 +283,7 @@ def _grid_points(model: ParametricModel, points_per_axis: int) -> np.ndarray:
         axes.append(np.linspace(lo + pad, hi - pad, points_per_axis))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    mask = np.array([model.domain_check(p) and model.is_interior(p, 1e-6) for p in pts])
-    return pts[mask]
+    return pts[model.is_interior(pts, 1e-6)]
 
 
 def _batch_probs(states: np.ndarray, elements: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -374,7 +373,9 @@ def _mle_rows(model: ParametricModel, povms, counts, points_per_axis: int = 41):
     grid is built once; each row starts at its best grid point and climbs by
     projected gradient ascent with its own step size, exactly the one-row
     rules of ``mle``.  Each evaluated point passes the DensityOperator and
-    OutcomeDistribution checks.  Returns estimates (T, d) and boundary flags
+    OutcomeDistribution checks.  The domain tests and model derivatives of
+    the grid, of each ascent step and of the final points are made on the
+    whole stack of rows at once.  Returns estimates (T, d) and boundary flags
     (T,).
     """
     if model.param_dim > 3:
@@ -398,20 +399,23 @@ def _mle_rows(model: ParametricModel, povms, counts, points_per_axis: int = 41):
         probs = trace_products(_model_states(model, th)[:, None], elems) * weights[rows]
         probs = np.clip(probability_rows(probs, sum_tol[rows]), 1e-300, None)
         value = (counts[rows] * np.log(probs)).sum(axis=1) / totals[rows]
-        derivs = np.array([model_derivatives(model, row) for row in th])
+        derivs = model_derivatives(model, th)
         dp = trace_products(derivs[:, :, None], elems[:, None])
         dp = dp * weights[rows][:, None, :]
         grad = (counts[rows][:, None, :] * dp / probs[:, None, :]).sum(axis=2)
         return value, grad / totals[rows][:, None]
 
     def project(th):
-        # shrink each row toward the nearest interior point of the model domain
+        # shrink each row toward the nearest interior point of the model
+        # domain: a row outside is scaled by 1 - 1e-3 until it is interior or
+        # its total scale drops to 1e-12
         th = np.clip(th, lo_box, hi_box)
-        for row in th:
-            scale = 1.0
-            while not model.is_interior(row, 1e-9) and scale > 1e-12:
-                row *= 1.0 - 1e-3
-                scale *= 1.0 - 1e-3
+        scale = np.ones(len(th))
+        shrink = np.flatnonzero(~model.is_interior(th, 1e-9))
+        while shrink.size:
+            th[shrink] *= 1.0 - 1e-3
+            scale[shrink] *= 1.0 - 1e-3
+            shrink = shrink[~model.is_interior(th[shrink], 1e-9) & (scale[shrink] > 1e-12)]
         return th
 
     value, grad = loglik_and_grad(theta, np.arange(rows_total))
@@ -435,7 +439,7 @@ def _mle_rows(model: ParametricModel, povms, counts, points_per_axis: int = 41):
         # a rounding-level accepted move is convergence, not a boundary hit
         active[accepted[moved < 1e-14]] = False
         active[rejected[step[rejected] < 1e-14]] = False
-    boundary = np.array([not model.is_interior(th, 1e-6) for th in theta])
+    boundary = ~model.is_interior(theta, 1e-6)
     return theta, boundary
 
 
@@ -516,37 +520,47 @@ def optimal_qubit_povm(model: ParametricModel, theta, g) -> Povm:
     the spectral decomposition of the matching inverse-SLD-coordinate
     observable, selected with probability proportional to sqrt(eigenvalue).
     The resulting mixture saturates the trace constraint and its classical
-    Fisher matrix attains (tr sqrt(j^{-1/2} g j^{-1/2}))^2.
+    Fisher matrix attains (tr sqrt(j^{-1/2} g j^{-1/2}))^2.  This is the
+    one-row call of ``_optimal_qubit_povms``.
     """
+    return _optimal_qubit_povms(model, model.require_domain(theta)[None], g)[0]
+
+
+def _optimal_qubit_povms(model: ParametricModel, thetas: np.ndarray, g) -> list[Povm]:
+    """``optimal_qubit_povm`` at every row of ``thetas`` (m, d), with the SLDs,
+    Fisher matrices and eigendecompositions of all rows computed as stacks."""
     if model.hilbert_dim != 2:
         raise ValidationError("optimal measurement construction is qubit-only")
-    t = model.require_domain(theta)
     g = check_weight_matrix(g, model.param_dim)
-    slds, j_s = sld_fisher(model, t)
-    w, o = np.linalg.eigh(j_s.matrix)
-    if w.min() <= 0:
+    slds, _, j_s = _sld_stack(_model_states(model, thetas), model_derivatives(model, thetas))
+    w, o = np.linalg.eigh(j_s)
+    if (w.min(axis=-1) <= 0).any():
         raise NumericalError("SLD Fisher matrix is singular")
-    j_isqrt = (o * (w**-0.5)) @ o.T
+    j_isqrt = (o * (w[:, None, :] ** -0.5)) @ o.swapaxes(-1, -2)
     core = j_isqrt @ g @ j_isqrt
     kappa, u = np.linalg.eigh(core)
     kappa = np.clip(kappa, 0.0, None)
     probs = np.sqrt(kappa)
-    if probs.sum() <= 0:
+    total = probs.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise ValidationError("weight matrix is zero")
-    probs = probs / probs.sum()
-    elements = []
-    labels = []
-    for i in range(len(kappa)):
-        if probs[i] < 1e-14:
-            continue
-        direction = j_isqrt @ u[:, i]
-        observable = sum(direction[k] * slds.operators[k] for k in range(model.param_dim))
-        _, vecs = np.linalg.eigh(observable)
-        for a in range(2):
-            proj = np.outer(vecs[:, a], vecs[:, a].conj())
-            elements.append(probs[i] * proj)
-            labels.append((i, a))
-    return Povm(elements, labels=labels)
+    probs = probs / total
+    # direction i of row r is j_isqrt[r] @ u[r, :, i], one matrix-vector
+    # product per (r, i); observable i is sum_k direction_k L_k
+    directions = (j_isqrt[:, None] @ u.swapaxes(-1, -2)[..., None])[..., 0]
+    observables = 0
+    for k in range(model.param_dim):
+        observables = observables + directions[..., k, None, None] * slds[:, None, k]
+    vecs = np.linalg.eigh(observables)[1].swapaxes(-1, -2)
+    # (m, i, a, 2, 2): probs_i times the projector on eigenvector a of observable i
+    elements = probs[..., None, None, None] * (vecs[..., :, None] * vecs[..., None, :].conj())
+    povms = []
+    for row_probs, row_elements in zip(probs, elements):
+        kept = [i for i in range(len(row_probs)) if not row_probs[i] < 1e-14]
+        povms.append(
+            Povm(row_elements[kept].reshape(-1, 2, 2), labels=[(i, a) for i in kept for a in range(2)])
+        )
+    return povms
 
 
 def mixed_basis_povm(bases: str = "zx") -> Povm:
@@ -595,14 +609,16 @@ def two_stage_estimate(
     the domain boundary are discarded and counted.
 
     Trials run as a batch: every trial's stage-one counts are drawn first
-    from its own generator, one batched MLE localizes them all, and the
-    stage-two counts come from the same generators before a second batched
-    MLE.  A trial's result therefore does not depend on how many trials run
+    from its own generator, one batched MLE localizes them all, one stacked
+    call builds every survivor's optimal POVM, and the stage-two counts come
+    from the same generators before a second batched MLE.  A trial's result therefore does not depend on how many trials run
     beside it.  The grid scans process trials in blocks (see
     ``MLE_SCAN_BYTES``), so peak memory does not grow with ``trials``.
     """
     if model.hilbert_dim != 2:
         raise ValidationError("two-stage estimator is qubit-only")
+    if trials < 2:
+        raise ValidationError("two-stage estimation needs at least 2 trials")
     t = model.require_domain(theta_true)
     g = np.eye(model.param_dim) if g is None else check_weight_matrix(g, model.param_dim)
     n1 = int(np.ceil(np.sqrt(n)))
@@ -621,7 +637,7 @@ def two_stage_estimate(
     counts1 = [rng.multinomial(n1, p_stage1) for rng in rngs]
     pilots, boundary = _mle_rows(model, [m_prime], counts1)
     survivors = np.flatnonzero(~boundary)
-    povms = [optimal_qubit_povm(model, pilots[i], g) for i in survivors]
+    povms = _optimal_qubit_povms(model, pilots[survivors], g)
     counts2 = [
         rngs[i].multinomial(n2, measure_distribution(rho, m_opt).probs)
         for i, m_opt in zip(survivors, povms)

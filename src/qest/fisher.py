@@ -75,47 +75,48 @@ def sld_fisher(model: ParametricModel, theta) -> tuple[LogDerivativeSet, FisherM
     Matrix elements between eigenvectors with lam_j + lam_k below the support
     tolerance are zeroed when the derivative vanishes there (gauge freedom)
     and rejected otherwise: the derivative leaves the support and the SLD does
-    not exist.
+    not exist.  This is the one-row call of ``_sld_stack``.
     """
     t = model.require_domain(theta)
     rho = model.state_at(t)
-    derivs = model_derivatives(model, t)
-    lam, u = np.linalg.eigh(rho.matrix)
-    denom = lam[:, None] + lam[None, :]
-    ops = []
-    residuals = []
-    for k, dr in enumerate(derivs):
-        dr_eig = u.conj().T @ dr @ u
-        l_eig = np.zeros_like(dr_eig)
-        small = denom < SUPPORT_TOL
-        if np.any(small & (np.abs(dr_eig) > OFF_SUPPORT_TOL)):
-            raise NumericalError(
-                f"derivative {k} leaves the support of rho; SLD undefined"
-            )
-        ok = ~small
-        l_eig[ok] = 2.0 * dr_eig[ok] / denom[ok]
-        l_op = u @ l_eig @ u.conj().T
-        l_op = (l_op + l_op.conj().T) / 2
-        resid = _frobenius(
-            (l_op @ rho.matrix + rho.matrix @ l_op) / 2 - dr
-        )
-        if resid > RESIDUAL_TOL:
-            raise NumericalError(f"SLD residual {resid:.3e} exceeds {RESIDUAL_TOL}")
-        ops.append(l_op)
-        residuals.append(resid)
-    d = len(ops)
-    j = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            val = 0.5 * np.real(
-                np.trace(rho.matrix @ (ops[a] @ ops[b] + ops[b] @ ops[a]))
-            )
-            j[a, b] = val
-            j[b, a] = val
+    ops, residuals, j = _sld_stack(rho.matrix[None], model_derivatives(model, t)[None])
     return (
-        LogDerivativeSet(tuple(ops), tuple(residuals), "sld"),
-        FisherMatrix(j, "sld"),
+        LogDerivativeSet(tuple(ops[0]), tuple(residuals[0].tolist()), "sld"),
+        FisherMatrix(j[0], "sld"),
     )
+
+
+def _sld_stack(rhos: np.ndarray, derivs: np.ndarray):
+    """SLDs (m, d, dim, dim), their residuals (m, d) and Fisher matrices
+    (m, d, d) of the states ``rhos`` (m, dim, dim) with derivatives
+    ``derivs`` (m, d, dim, dim), every row with the checks of ``sld_fisher``.
+    j[a, b] = tr(rho (L_a L_b + L_b L_a)) / 2."""
+    lam, u = np.linalg.eigh(rhos)
+    u = u[:, None]
+    u_adj = u.conj().swapaxes(-1, -2)
+    denom = (lam[:, :, None] + lam[:, None, :])[:, None]
+    dr_eig = u_adj @ derivs @ u
+    small = np.broadcast_to(denom < SUPPORT_TOL, dr_eig.shape)
+    leaves = (small & (np.abs(dr_eig) > OFF_SUPPORT_TOL)).any(axis=(-2, -1))
+    if leaves.any():
+        k = int(np.argwhere(leaves)[0, 1])
+        raise NumericalError(f"derivative {k} leaves the support of rho; SLD undefined")
+    ok = ~small
+    l_eig = np.zeros_like(dr_eig)
+    l_eig[ok] = 2.0 * dr_eig[ok] / np.broadcast_to(denom, dr_eig.shape)[ok]
+    l_op = u @ l_eig @ u_adj
+    l_op = (l_op + l_op.conj().swapaxes(-1, -2)) / 2
+    rho_rows = rhos[:, None]
+    defects = (l_op @ rho_rows + rho_rows @ l_op) / 2 - derivs
+    # one norm per matrix: a stacked norm sums in another order, and reports carry residuals
+    residuals = np.array([[_frobenius(m) for m in row] for row in defects])
+    if (residuals > RESIDUAL_TOL).any():
+        raise NumericalError(f"SLD residual {residuals.max():.3e} exceeds {RESIDUAL_TOL}")
+    prods = l_op[:, :, None] @ l_op[:, None, :]
+    anti = prods + prods.swapaxes(1, 2)
+    # contiguous diagonals, summed along their own axis as a single trace is
+    diag = np.diagonal(rhos[:, None, None] @ anti, axis1=-2, axis2=-1).copy()
+    return l_op, residuals, 0.5 * np.real(diag.sum(axis=-1))
 
 
 def rld_fisher(model: ParametricModel, theta) -> tuple[LogDerivativeSet, FisherMatrix]:

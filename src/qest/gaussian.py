@@ -447,8 +447,10 @@ def gaussian_protocol_mse(
         raise ValidationError("protocol needs n >= 2")
     if trials < 1000:
         raise ValidationError("at least 1000 trials required")
-    if noise < 0:
-        raise ValidationError("noise must be nonnegative")
+    if not 0 <= noise < np.inf:
+        raise ValidationError("noise must be finite and nonnegative")
+    if not np.isfinite(zeta):
+        raise ValidationError("zeta must be finite")
     root = np.random.default_rng(seed)
     s_het, s_num, s_base = (np.random.default_rng(s) for s in root.integers(0, 2**63 - 1, 3))
 

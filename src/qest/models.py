@@ -30,11 +30,18 @@ class ParametricModel:
     """A map theta -> density operator with domain and derivative metadata.
 
     ``state_at`` must return a valid DensityOperator for every theta passing
-    ``domain_check``.  ``derivative_at``, when present, returns the analytic
-    partial derivative matrix for one parameter index.  ``domain_box`` bounds
-    the domain per axis for grid searches; ``batch_states``, when present,
-    maps an (m, d) array of parameter points to an (m, dim, dim) array of raw
-    state matrices and exists purely as a fast path.
+    ``domain_check``.  ``domain_check`` maps a stack of parameter points,
+    shape (..., d), to a boolean array of shape (...); one point (d,) is the
+    one-row case and gives a boolean scalar.  A user-defined model must
+    therefore index coordinates as ``t[..., k]``, never ``t[k]``.
+    ``derivative_at(t, k)``, when present, returns the analytic partial
+    derivative for parameter index k at the points ``t`` (..., d): an array
+    (..., dim, dim), or one (dim, dim) matrix when it does not depend on
+    theta.  ``domain_box`` bounds the domain per axis for grid searches;
+    ``batch_states``, when present, maps an (m, d) array of parameter points
+    to an (m, dim, dim) array of raw state matrices and exists purely as a
+    fast path.  ``is_interior`` and ``model_derivatives`` take one point or a
+    stack alike.
     """
 
     name: str
@@ -61,18 +68,41 @@ class ParametricModel:
             raise ValidationError(f"theta {t.tolist()} outside domain of {self.name!r}")
         return t
 
-    def is_interior(self, theta, margin: float = FD_STEP) -> bool:
-        """True when every +-margin perturbation along each axis stays in the domain."""
-        t = self.theta(theta)
-        if not self.domain_check(t):
-            return False
-        for k in range(self.param_dim):
-            for sgn in (1.0, -1.0):
-                shifted = t.copy()
-                shifted[k] += sgn * margin
-                if not self.domain_check(shifted):
-                    return False
-        return True
+    def _points(self, theta) -> np.ndarray:
+        """``theta`` as one point (d,) or a stack of points (m, d)."""
+        t = np.atleast_1d(np.asarray(theta, dtype=float))
+        if t.ndim > 2 or t.shape[-1] != self.param_dim:
+            raise ValidationError(
+                f"model {self.name!r} expects {self.param_dim} parameters per point, got shape {t.shape}"
+            )
+        return t
+
+    def _in_domain(self, points: np.ndarray) -> np.ndarray:
+        """``domain_check`` of a stack (..., d), checked to give one flag per point."""
+        ok = np.asarray(self.domain_check(points))
+        if ok.shape != points.shape[:-1]:
+            raise ValidationError(
+                f"domain_check of model {self.name!r} must map points (..., d) to flags (...): "
+                f"got shape {ok.shape} for points {points.shape}"
+            )
+        return ok
+
+    def is_interior(self, theta, margin: float = FD_STEP):
+        """True when a point and every +-margin perturbation along each axis
+        lie in the domain.  One point (d,) gives a bool, a stack (m, d) one
+        flag per row; the 2d + 1 points of each row are checked in one call
+        of ``domain_check``."""
+        t = self._points(theta)
+        shifts = np.concatenate([np.zeros((1, self.param_dim)), np.eye(self.param_dim) * margin,
+                                 np.eye(self.param_dim) * -margin])
+        inside = self._in_domain(t[..., None, :] + shifts).all(axis=-1)
+        return bool(inside) if t.ndim == 1 else inside
+
+
+def _in_unit_ball(t: np.ndarray) -> np.ndarray:
+    # each row's dot product t @ t as a stacked matmul, which rounds exactly
+    # like the one-point t @ t
+    return (t[..., None, :] @ t[..., :, None])[..., 0, 0] <= 1.0 + 1e-12
 
 
 def _qubit_matrix(x: float, y: float, z: float) -> np.ndarray:
@@ -110,7 +140,7 @@ def qubit_family(kind: str = "full") -> ParametricModel:
             param_dim=3,
             hilbert_dim=2,
             state_at=state,
-            domain_check=lambda t: float(t @ t) <= 1.0 + 1e-12,
+            domain_check=_in_unit_ball,
             domain_box=((-1.0, 1.0),) * 3,
             derivative_at=lambda t, k: derivs[k],
             batch_states=batch,
@@ -135,7 +165,7 @@ def qubit_family(kind: str = "full") -> ParametricModel:
             param_dim=2,
             hilbert_dim=2,
             state_at=state,
-            domain_check=lambda t: float(t @ t) <= 1.0 + 1e-12,
+            domain_check=_in_unit_ball,
             domain_box=((-1.0, 1.0),) * 2,
             derivative_at=lambda t, k: derivs[k],
             batch_states=batch,
@@ -165,7 +195,7 @@ def diagonal_family(dim: int = 2) -> ParametricModel:
         return m
 
     def check(t):
-        return bool((t > 0).all() and t.sum() < 1.0)
+        return (t > 0).all(axis=-1) & (t.sum(axis=-1) < 1.0)
 
     return ParametricModel(
         name=f"diag:{dim}",
@@ -202,7 +232,7 @@ def gaussian_displacement_family(
         return DensityOperator(_gaussian.fock_density(zeta, noise, cutoff).matrix)
 
     def deriv(t, k):
-        rho = state(t).matrix
+        rho = np.array([state(p).matrix for p in t.reshape(-1, 2)]).reshape(t.shape[:-1] + (cutoff, cutoff))
         if k == 0:
             return -1j * (p_op @ rho - rho @ p_op)
         return 1j * (q_op @ rho - rho @ q_op)
@@ -212,51 +242,60 @@ def gaussian_displacement_family(
         param_dim=2,
         hilbert_dim=cutoff,
         state_at=state,
-        domain_check=lambda t: float(np.hypot(t[0], t[1])) <= theta_max,
+        domain_check=lambda t: np.hypot(t[..., 0], t[..., 1]) <= theta_max,
         domain_box=((-theta_max, theta_max),) * 2,
         derivative_at=deriv,
         meta={"noise": noise, "cutoff": cutoff},
     )
 
 
-def model_derivatives(model: ParametricModel, theta) -> list[np.ndarray]:
+def model_derivatives(model: ParametricModel, theta) -> np.ndarray:
     """Partial derivative matrices of rho_theta, one per parameter.
 
-    Analytic derivatives are used when the model carries them; otherwise
-    symmetric central differences with step ``FD_STEP``, which requires theta
-    to sit at least one step inside the domain.  Every returned matrix is
-    symmetrized to exact Hermitian; the trace must vanish within 10*h^2.
+    ``theta`` is one point (d,) or a stack of points (m, d); the result has
+    shape (d, dim, dim) or (m, d, dim, dim).  Analytic derivatives are used
+    when the model carries them; otherwise symmetric central differences with
+    step ``FD_STEP``, which requires every point to sit at least one step
+    inside the domain.  Every returned matrix is symmetrized to exact
+    Hermitian; the trace must vanish within 10*h^2.
     """
-    t = model.require_domain(theta)
-    out = []
+    t = model._points(theta)
+    outside = ~model._in_domain(t)
+    if outside.any():
+        bad = t if t.ndim == 1 else t[np.flatnonzero(outside)[0]]
+        raise ValidationError(f"theta {bad.tolist()} outside domain of {model.name!r}")
+    dim = model.hilbert_dim
+    out = np.empty(t.shape[:-1] + (model.param_dim, dim, dim), dtype=complex)
     if model.derivative_at is not None:
         for k in range(model.param_dim):
-            m = np.asarray(model.derivative_at(t, k), dtype=complex)
-            m = (m + m.conj().T) / 2
-            _check_traceless(m, 1e-10)
-            out.append(m)
+            # a theta-independent (dim, dim) derivative broadcasts over the rows
+            out[..., k, :, :] = model.derivative_at(t, k)
+        out = (out + out.conj().swapaxes(-1, -2)) / 2
+        _check_traceless(out, 1e-10)
         return out
-    if not model.is_interior(t, margin=FD_STEP):
+    if not np.all(model.is_interior(t, margin=FD_STEP)):
         raise ValidationError(
             "finite-difference derivatives need an interior point "
             f"(margin {FD_STEP}) for model {model.name!r}"
         )
+
+    def states(points):
+        mats = [model.state_at(p).matrix for p in points.reshape(-1, model.param_dim)]
+        return np.array(mats).reshape(t.shape[:-1] + (dim, dim))
+
     for k in range(model.param_dim):
         step = np.zeros(model.param_dim)
         step[k] = FD_STEP
-        plus = model.state_at(t + step).matrix
-        minus = model.state_at(t - step).matrix
-        m = (plus - minus) / (2 * FD_STEP)
-        m = (m + m.conj().T) / 2
-        _check_traceless(m, 10 * FD_STEP**2)
-        out.append(m)
+        out[..., k, :, :] = (states(t + step) - states(t - step)) / (2 * FD_STEP)
+    out = (out + out.conj().swapaxes(-1, -2)) / 2
+    _check_traceless(out, 10 * FD_STEP**2)
     return out
 
 
 def _check_traceless(m: np.ndarray, tol: float) -> None:
-    tr = abs(complex(np.trace(m)))
-    if tr > tol:
-        raise ValidationError(f"derivative trace {tr:.3e} exceeds {tol:.1e}")
+    tr = np.abs(m.diagonal(axis1=-2, axis2=-1).sum(axis=-1))
+    if (tr > tol).any():
+        raise ValidationError(f"derivative trace {tr[tr > tol].max():.3e} exceeds {tol:.1e}")
 
 
 def model_from_name(name: str) -> ParametricModel:

@@ -64,7 +64,7 @@ def submodel_xy_at_half():
         param_dim=2,
         hilbert_dim=2,
         state_at=lambda t: full.state_at(np.array([t[0], t[1], 0.5])),
-        domain_check=lambda t: t[0] ** 2 + t[1] ** 2 <= 0.74,
+        domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 <= 0.74,
         domain_box=((-0.86, 0.86),) * 2,
         derivative_at=lambda t, k: derivs[k],
     )
@@ -244,7 +244,7 @@ def test_criterion_7_collective_povm():
         state_at=lambda t: DensityOperator(
             0.5 * (np.eye(2) + t[0] * SIGMA_X + t[1] * SIGMA_Y + 0.5 * SIGMA_Z)
         ),
-        domain_check=lambda t: t[0] ** 2 + t[1] ** 2 <= 0.74,
+        domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 <= 0.74,
         domain_box=((-0.86, 0.86),) * 2,
         derivative_at=lambda t, k: [0.5 * SIGMA_X, 0.5 * SIGMA_Y][k],
     )

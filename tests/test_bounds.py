@@ -31,7 +31,7 @@ def submodel_xy(z_fixed):
         param_dim=2,
         hilbert_dim=2,
         state_at=lambda t: full.state_at(np.array([t[0], t[1], z_fixed])),
-        domain_check=lambda t: t[0] ** 2 + t[1] ** 2 + z_fixed**2 <= 1 + 1e-12,
+        domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 + z_fixed**2 <= 1 + 1e-12,
         domain_box=((-0.8, 0.8),) * 2,
         derivative_at=lambda t, k: derivs[k],
     )
@@ -61,7 +61,7 @@ def pure_qubit_model():
         param_dim=2,
         hilbert_dim=2,
         state_at=state,
-        domain_check=lambda t: 0.05 < t[0] < np.pi - 0.05,
+        domain_check=lambda t: (0.05 < t[..., 0]) & (t[..., 0] < np.pi - 0.05),
         domain_box=((0.05, np.pi - 0.05), (-np.pi, np.pi)),
         derivative_at=deriv,
     )
@@ -243,7 +243,7 @@ class TestHolevoBound:
             param_dim=1,
             hilbert_dim=2,
             state_at=lambda t: full.state_at(np.array([t[0], 0.3, 0.2])),
-            domain_check=lambda t: t[0] ** 2 + 0.13 <= 1,
+            domain_check=lambda t: t[..., 0] ** 2 + 0.13 <= 1,
             domain_box=((-0.9, 0.9),),
             derivative_at=lambda t, k: 0.5 * SIGMA_Z.astype(complex),
         )

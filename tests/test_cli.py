@@ -153,6 +153,28 @@ class TestGaussCommand:
         assert len(csv_text) == 1001
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauss", "--zeta", "0.6,0.4", "--N", "nan", "--n", "10", "--trials", "1000"],
+            ["gauss", "--zeta", "0.6,0.4", "--N", "inf", "--n", "10", "--trials", "1000"],
+            ["gauss", "--zeta", "nan,0.4", "--N", "1", "--n", "10", "--trials", "1000"],
+            ["gauss", "--zeta", "0.6,-inf", "--N", "1", "--n", "10", "--trials", "1000"],
+            ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0.5,0",
+             "--n", "2", "--eps", "nan"],
+            ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0.5,0",
+             "--n", "2", "--eps", "inf"],
+        ],
+    )
+    def test_exit_2_with_one_line(self, argv):
+        result = run_cli(argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error:")
+
+
 class TestCltCommand:
     def test_fourth_moment_rows(self):
         result = run_cli(
@@ -192,6 +214,17 @@ class TestEstimateCommand:
         res = json.loads(result.output)["results"]
         assert res["trials"] + res["discarded"] == 60
         assert res["bound"]["kind"] == "qubit-c1"
+
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    def test_two_stage_too_few_trials_exit_2(self, trials):
+        result = run_cli(
+            [
+                "estimate", "--mode", "two-stage", "--model", "qubit-z0",
+                "--theta", "0.5,0.0", "--n", "400", "--trials", trials,
+            ]
+        )
+        assert result.exit_code == 2
+        assert "at least 2 trials" in result.stderr
 
     def test_two_stage_full_qubit_family(self):
         result = run_cli(

@@ -5,8 +5,12 @@ from qest.bounds import HolevoOptions, holevo_bound, qubit_c1
 from qest.clt import CollectiveSpec, _dense_sectors, build_collective_ops
 from qest.collective import (
     _estimator_rows,
+    _grid_starts,
     _mle_rows,
+    _model_states,
+    _optimal_qubit_povms,
     _povm_on_sectors,
+    _stack_povms,
     ball_grid,
     build_collective_povm,
     collective_estimator_check,
@@ -20,7 +24,14 @@ from qest.collective import (
 from qest.errors import ValidationError
 from qest.fisher import classical_fisher, sld_fisher
 from qest.models import ParametricModel, qubit_family
-from qest.qcore import DensityOperator, Povm, measure_distribution, tensor_power
+from qest.qcore import (
+    DensityOperator,
+    Povm,
+    measure_distribution,
+    probability_rows,
+    tensor_power,
+    trace_products,
+)
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -32,7 +43,7 @@ def one_param_model():
         param_dim=1,
         hilbert_dim=2,
         state_at=lambda t: DensityOperator(np.diag([(1 + t[0]) / 2, (1 - t[0]) / 2])),
-        domain_check=lambda t: abs(t[0]) < 1,
+        domain_check=lambda t: np.abs(t[..., 0]) < 1,
         domain_box=((-1.0, 1.0),),
         derivative_at=lambda t, k: 0.5 * SIGMA_Z.astype(complex),
     )
@@ -68,7 +79,7 @@ def tangential_model():
         state_at=lambda t: DensityOperator(
             0.5 * (np.eye(2) + t[0] * SIGMA_X + t[1] * SIGMA_Y + 0.5 * SIGMA_Z)
         ),
-        domain_check=lambda t: t[0] ** 2 + t[1] ** 2 <= 0.74,
+        domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 <= 0.74,
         domain_box=((-0.86, 0.86),) * 2,
         derivative_at=lambda t, k: derivs[k],
     )
@@ -266,7 +277,104 @@ def _dense_povm(spec, v_prime, n, radius=None, grid_step=None):
     )
 
 
+def _point_interior(model, t, margin):
+    # is_interior one point at a time: 2d + 1 single-point domain checks
+    if not model.domain_check(t):
+        return False
+    for k in range(model.param_dim):
+        for sgn in (1.0, -1.0):
+            shifted = t.copy()
+            shifted[k] += sgn * margin
+            if not model.domain_check(shifted):
+                return False
+    return True
+
+
+def _pointwise_mle_rows(model, povms, counts, points_per_axis=41):
+    """The batched MLE with its domain tests, projection and derivatives made
+    one row at a time: the reference for the stacked kernel."""
+    rows_total = len(counts)
+    elements, weights, sum_tol, counts = _stack_povms(model, povms, counts)
+    axes = []
+    for lo, hi in model.domain_box:
+        pad = (hi - lo) / (points_per_axis + 1)
+        axes.append(np.linspace(lo + pad, hi - pad, points_per_axis))
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    grid = pts[np.array([_point_interior(model, p, 1e-6) for p in pts])]
+    theta = grid[_grid_starts(model, grid, elements, weights, counts)]
+    if elements.shape[0] == 1:
+        elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
+        weights = np.broadcast_to(weights, (rows_total,) + weights.shape[1:])
+        sum_tol = np.broadcast_to(sum_tol, (rows_total,))
+    totals = counts.sum(axis=1)
+    lo_box = np.array([lo + 1e-9 for lo, _ in model.domain_box])
+    hi_box = np.array([hi - 1e-9 for _, hi in model.domain_box])
+
+    def derivatives(row):
+        mats = [np.asarray(model.derivative_at(row, k), dtype=complex) for k in range(model.param_dim)]
+        return [(m + m.conj().T) / 2 for m in mats]
+
+    def loglik_and_grad(th, rows):
+        elems = elements[rows]
+        probs = trace_products(_model_states(model, th)[:, None], elems) * weights[rows]
+        probs = np.clip(probability_rows(probs, sum_tol[rows]), 1e-300, None)
+        value = (counts[rows] * np.log(probs)).sum(axis=1) / totals[rows]
+        derivs = np.array([derivatives(row) for row in th])
+        dp = trace_products(derivs[:, :, None], elems[:, None]) * weights[rows][:, None, :]
+        grad = (counts[rows][:, None, :] * dp / probs[:, None, :]).sum(axis=2)
+        return value, grad / totals[rows][:, None]
+
+    def project(th):
+        th = np.clip(th, lo_box, hi_box)
+        for row in th:
+            scale = 1.0
+            while not _point_interior(model, row, 1e-9) and scale > 1e-12:
+                row *= 1.0 - 1e-3
+                scale *= 1.0 - 1e-3
+        return th
+
+    value, grad = loglik_and_grad(theta, np.arange(rows_total))
+    step = np.full(rows_total, 0.5)
+    active = np.ones(rows_total, dtype=bool)
+    for _ in range(400):
+        active &= np.linalg.norm(grad, axis=1) >= 1e-8
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        candidate = project(theta[rows] + step[rows, None] * grad[rows])
+        cand_value, cand_grad = loglik_and_grad(candidate, rows)
+        up = cand_value > value[rows]
+        moved = np.linalg.norm(candidate[up] - theta[rows[up]], axis=1)
+        accepted, rejected = rows[up], rows[~up]
+        theta[accepted] = candidate[up]
+        value[accepted] = cand_value[up]
+        grad[accepted] = cand_grad[up]
+        step[accepted] *= 1.3
+        step[rejected] *= 0.4
+        active[accepted[moved < 1e-14]] = False
+        active[rejected[step[rejected] < 1e-14]] = False
+    boundary = np.array([not _point_interior(model, th, 1e-6) for th in theta])
+    return theta, boundary
+
+
 class TestMle:
+    @pytest.mark.parametrize("kind,bases,per_axis", [("z0", "zx", 41), ("full", "zxy", 21)])
+    def test_stacked_kernel_matches_pointwise_reference(self, kind, bases, per_axis, rng):
+        # 50 count rows of 40 copies at random states, half of them near the
+        # surface of the ball, so some ascents end on the domain boundary
+        model = qubit_family(kind)
+        povm = mixed_basis_povm(bases)
+        d = model.param_dim
+        u = rng.standard_normal((50, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        truths = u * np.concatenate([rng.uniform(0, 0.9, 25), rng.uniform(0.95, 1.0, 25)])[:, None]
+        counts = [rng.multinomial(40, measure_distribution(model.state_at(t), povm).probs) for t in truths]
+        theta, boundary = _mle_rows(model, [povm], counts, per_axis)
+        ref_theta, ref_boundary = _pointwise_mle_rows(model, [povm], counts, per_axis)
+        assert np.array_equal(theta, ref_theta)
+        assert np.array_equal(boundary, ref_boundary)
+        assert 0 < boundary.sum() < 50
+
     def test_bernoulli_closed_form(self):
         model = one_param_model()
         povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -372,6 +480,28 @@ class TestMseReport:
             mse_report(np.array([[1.0]]), [0.0], bound_value=0.0)
 
 
+def _pointwise_optimal_povm(model, t, g):
+    """The optimal POVM built one measurement direction at a time: the
+    reference for the stacked construction."""
+    slds, j_s = sld_fisher(model, t)
+    w, o = np.linalg.eigh(j_s.matrix)
+    j_isqrt = (o * (w**-0.5)) @ o.T
+    kappa, u = np.linalg.eigh(j_isqrt @ g @ j_isqrt)
+    probs = np.sqrt(np.clip(kappa, 0.0, None))
+    probs = probs / probs.sum()
+    elements, labels = [], []
+    for i in range(len(kappa)):
+        if probs[i] < 1e-14:
+            continue
+        direction = j_isqrt @ u[:, i]
+        observable = sum(direction[k] * slds.operators[k] for k in range(model.param_dim))
+        _, vecs = np.linalg.eigh(observable)
+        for a in range(2):
+            elements.append(probs[i] * np.outer(vecs[:, a], vecs[:, a].conj()))
+            labels.append((i, a))
+    return Povm(elements, labels=labels)
+
+
 class TestOptimalQubitPovm:
     def test_attains_closed_form(self, rng):
         model = qubit_family("z0")
@@ -384,6 +514,24 @@ class TestOptimalQubitPovm:
             _, j_s = sld_fisher(model, t)
             achieved = np.trace(g @ np.linalg.inv(j_m.matrix))
             assert abs(achieved - qubit_c1(j_s, g)) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["z0", "full"])
+    @pytest.mark.parametrize("rank", ["full", "one"])
+    def test_stacked_rows_match_pointwise_loop(self, kind, rank, rng):
+        # two-stage builds every survivor's POVM in one stacked call; each must
+        # equal the per-direction loop bit for bit, also for a rank-one weight
+        # matrix, whose other directions get weights at rounding level or none
+        model = qubit_family(kind)
+        d = model.param_dim
+        gm = rng.standard_normal((d, d))
+        g = gm @ gm.T + 0.2 * np.eye(d) if rank == "full" else np.outer(gm[0], gm[0])
+        pts = rng.uniform(-0.55, 0.55, (20, d))
+        stacked = _optimal_qubit_povms(model, pts, g)
+        for povm, p in zip(stacked, pts):
+            ref = _pointwise_optimal_povm(model, p, g)
+            for got in (povm, optimal_qubit_povm(model, p, g)):
+                assert np.array_equal(got.stack, ref.stack)
+                assert got.labels == ref.labels
 
     def test_z0_reference_point(self):
         model = qubit_family("z0")
@@ -429,6 +577,16 @@ class TestTwoStage:
         }
         ratio = np.trace(reports[10**3].mse_matrix) / np.trace(reports[10**4].mse_matrix)
         assert 8.0 <= ratio <= 12.0
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_too_few_trials_rejected_before_sampling(self, trials, monkeypatch):
+        def no_mle(*args, **kwargs):
+            raise AssertionError("sampled before checking the trial count")
+
+        monkeypatch.setattr("qest.collective._mle_rows", no_mle)
+        with pytest.raises(ValidationError, match="at least 2 trials"):
+            two_stage_estimate(qubit_family("z0"), np.array([0.5, 0.0]), mixed_basis_povm(),
+                               n=400, seed=3, trials=trials)
 
     def test_trials_are_independent(self):
         # per-trial seeds are a prefix of the longer run's, so the first

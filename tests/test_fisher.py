@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from qest.errors import NumericalError
-from qest.fisher import classical_fisher, d_map, rld_fisher, sld_fisher
-from qest.models import ParametricModel, diagonal_family, gaussian_displacement_family, qubit_family
+from qest.fisher import _sld_stack, classical_fisher, d_map, rld_fisher, sld_fisher
+from qest.models import (
+    ParametricModel,
+    diagonal_family,
+    gaussian_displacement_family,
+    model_derivatives,
+    qubit_family,
+)
 from qest.qcore import DensityOperator, Povm
 
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_povm
@@ -30,10 +36,33 @@ def submodel_xy(z_fixed):
         param_dim=2,
         hilbert_dim=2,
         state_at=state,
-        domain_check=lambda t: t[0] ** 2 + t[1] ** 2 + z_fixed**2 <= 1 + 1e-12,
+        domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 + z_fixed**2 <= 1 + 1e-12,
         domain_box=((-1.0, 1.0),) * 2,
         derivative_at=lambda t, k: derivs[k],
     )
+
+
+def pointwise_sld(rho, derivs):
+    """SLDs, residuals and Fisher matrix one derivative and one entry at a
+    time: the reference for the stacked kernel."""
+    lam, u = np.linalg.eigh(rho)
+    denom = lam[:, None] + lam[None, :]
+    ops, residuals = [], []
+    for dr in derivs:
+        dr_eig = u.conj().T @ dr @ u
+        l_eig = np.zeros_like(dr_eig)
+        ok = ~(denom < 1e-10)
+        l_eig[ok] = 2.0 * dr_eig[ok] / denom[ok]
+        l_op = u @ l_eig @ u.conj().T
+        l_op = (l_op + l_op.conj().T) / 2
+        ops.append(l_op)
+        residuals.append(float(np.linalg.norm((l_op @ rho + rho @ l_op) / 2 - dr)))
+    d = len(ops)
+    j = np.zeros((d, d))
+    for a in range(d):
+        for b in range(a, d):
+            j[a, b] = j[b, a] = 0.5 * np.real(np.trace(rho @ (ops[a] @ ops[b] + ops[b] @ ops[a])))
+    return np.array(ops), residuals, j
 
 
 class TestSld:
@@ -46,6 +75,25 @@ class TestSld:
         for op, want in zip(logs.operators, expected):
             assert np.max(np.abs(op - want)) < 1e-12
         assert np.allclose(j.matrix, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["qubit-full", "gauss1"])
+    def test_stacked_rows_match_pointwise_loop(self, kind, rng):
+        # the stacked kernel and its one-row call give the numbers of the
+        # loop over derivatives and Fisher entries bit for bit
+        if kind == "gauss1":
+            model, pts = gaussian_displacement_family(0.3, cutoff=16), rng.uniform(-0.5, 0.5, (4, 2))
+        else:
+            model, pts = qubit_family("full"), rng.uniform(-0.5, 0.5, (6, 3))
+        states = np.array([model.state_at(p).matrix for p in pts])
+        ops, residuals, j = _sld_stack(states, model_derivatives(model, pts))
+        for r, p in enumerate(pts):
+            ref_ops, ref_residuals, ref_j = pointwise_sld(model.state_at(p).matrix, model_derivatives(model, p))
+            logs, one = sld_fisher(model, p)
+            for got_ops, got_residuals, got_j in [(ops[r], residuals[r], j[r]),
+                                                  (logs.operators, logs.residuals, one.matrix)]:
+                assert np.array_equal(np.array(got_ops), ref_ops)
+                assert list(got_residuals) == ref_residuals
+                assert np.array_equal(got_j, ref_j)
 
     def test_mixed_point_fisher(self):
         # radial parameter gains 1/(1 - r^2); tangential stay at 1
@@ -88,7 +136,7 @@ def half_sigma_z_model():
         param_dim=1,
         hilbert_dim=2,
         state_at=lambda t: DensityOperator(np.diag([(1 + t[0]) / 2, (1 - t[0]) / 2])),
-        domain_check=lambda t: abs(t[0]) <= 1,
+        domain_check=lambda t: np.abs(t[..., 0]) <= 1,
         domain_box=((-1.0, 1.0),),
         derivative_at=lambda t, k: 0.5 * SIGMA_Z,
     )

@@ -3,6 +3,7 @@ import pytest
 
 from qest.errors import ValidationError
 from qest.models import (
+    FD_STEP,
     ParametricModel,
     diagonal_family,
     gaussian_displacement_family,
@@ -86,6 +87,151 @@ class TestDerivatives:
         )
         with pytest.raises(ValidationError):
             model_derivatives(numeric, np.array([1.0, 0.0]))
+
+
+# The one-point forms that domain_check, is_interior and model_derivatives had
+# before they took stacks, kept as oracles for the stacked forms.
+POINT_DOMAIN = {
+    "qubit-full": lambda t: float(t @ t) <= 1.0 + 1e-12,
+    "qubit-z0": lambda t: float(t @ t) <= 1.0 + 1e-12,
+    "diag:3": lambda t: bool((t > 0).all() and t.sum() < 1.0),
+    "gauss1:0.3:16": lambda t: float(np.hypot(t[0], t[1])) <= 3.0,
+}
+
+
+def point_is_interior(check, t, margin):
+    if not check(t):
+        return False
+    for k in range(len(t)):
+        for sgn in (1.0, -1.0):
+            shifted = t.copy()
+            shifted[k] += sgn * margin
+            if not check(shifted):
+                return False
+    return True
+
+
+def point_derivatives(model, check, t):
+    if not check(t):
+        raise ValidationError("outside the domain")
+    out = []
+    if model.derivative_at is not None:
+        for k in range(model.param_dim):
+            m = np.asarray(model.derivative_at(t, k), dtype=complex)
+            out.append((m + m.conj().T) / 2)
+        return out
+    if not point_is_interior(check, t, FD_STEP):
+        raise ValidationError("not interior")
+    for k in range(model.param_dim):
+        step = np.zeros(model.param_dim)
+        step[k] = FD_STEP
+        m = (model.state_at(t + step).matrix - model.state_at(t - step).matrix) / (2 * FD_STEP)
+        out.append((m + m.conj().T) / 2)
+    return out
+
+
+def _edge_points(spec, rng):
+    """Random points of the domain box and beyond, points on the domain's
+    edge, 1e-12 and one margin inside and outside it, and NaN entries."""
+    if spec.startswith("qubit"):
+        d = 3 if spec == "qubit-full" else 2
+        u = rng.standard_normal((64, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        radii = [1.0, 1 - 1e-12, 1 + 1e-12, 1 - 1e-9, 1 - 1e-6, 1 - FD_STEP, 1 - 2e-6]
+        # |t|^2 within rounding of the check's threshold 1 + 1e-12, where
+        # differently rounded dot products disagree
+        edge = np.vstack([u[:8] * r for r in radii] + [u * np.sqrt(1 + 1e-12), np.eye(d), -np.eye(d)])
+        box = rng.uniform(-1.1, 1.1, size=(40, d))
+    elif spec == "diag:3":
+        a = rng.uniform(0.05, 0.95, size=8)
+        edge = np.array(
+            [[x, y] for v in a for x, y in [
+                (v, 1 - v), (v, 1 - v - 1e-12), (v, 1 - v + 1e-12), (v, 1 - v - 1e-6),
+                (0.0, v / 2), (1e-12, v / 2), (-1e-12, v / 2), (1e-9, v / 2), (v / 2, FD_STEP),
+            ]]
+        )
+        box = rng.uniform(-0.1, 1.1, size=(40, 2))
+    else:
+        a = rng.uniform(0, 2 * np.pi, size=8)
+        u = np.column_stack([np.cos(a), np.sin(a)])
+        edge = np.vstack([u * r for r in [3.0, 3 - 1e-12, 3 + 1e-12, 3 - 1e-6, 3 - FD_STEP]])
+        box = rng.uniform(-3.3, 3.3, size=(40, 2))
+    pts = np.vstack([edge, box])
+    nan = pts[:4].copy()
+    nan[np.arange(4), np.arange(4) % pts.shape[1]] = np.nan
+    return np.vstack([pts, nan])
+
+
+@pytest.mark.parametrize("spec", sorted(POINT_DOMAIN))
+class TestStackedAgainstPointwise:
+    def test_domain_check(self, spec, rng):
+        model, check = model_from_name(spec), POINT_DOMAIN[spec]
+        pts = _edge_points(spec, rng)
+        stacked = model.domain_check(pts)
+        assert stacked.shape == (len(pts),)
+        assert stacked.tolist() == [check(p) for p in pts]
+        assert stacked.any() and not stacked.all()
+        assert model.domain_check(pts[0]) == check(pts[0])
+
+    @pytest.mark.parametrize("margin", [1e-9, 1e-6, FD_STEP])
+    def test_is_interior(self, spec, margin, rng):
+        model, check = model_from_name(spec), POINT_DOMAIN[spec]
+        pts = _edge_points(spec, rng)
+        expected = [point_is_interior(check, p, margin) for p in pts]
+        assert model.is_interior(pts, margin).tolist() == expected
+        assert [model.is_interior(p, margin) for p in pts] == expected
+
+    def test_model_derivatives(self, spec, rng):
+        model, check = model_from_name(spec), POINT_DOMAIN[spec]
+        edge = _edge_points(spec, rng)
+        inside = np.array([check(p) for p in edge])
+        if spec.startswith("gauss1"):
+            # the cutoff-16 Fock state is accurate only near the origin
+            pts = rng.uniform(-0.5, 0.5, size=(12, 2))
+        else:
+            pts = edge[inside]
+        expected = np.array([point_derivatives(model, check, p) for p in pts])
+        stacked = model_derivatives(model, pts)
+        assert stacked.shape == (len(pts), model.param_dim, model.hilbert_dim, model.hilbert_dim)
+        assert np.array_equal(stacked, expected)
+        assert np.array_equal(model_derivatives(model, pts[0]), expected[0])
+        # one row outside the domain, or with a NaN entry, rejects the stack
+        for bad in (edge[~inside][0], edge[-1]):
+            with pytest.raises(ValidationError, match="outside domain"):
+                model_derivatives(model, np.vstack([pts[:3], bad]))
+
+
+class TestStackedFiniteDifferences:
+    def test_against_pointwise(self, rng):
+        base = qubit_family("full")
+        numeric = ParametricModel(
+            name="qubit-fd",
+            param_dim=3,
+            hilbert_dim=2,
+            state_at=base.state_at,
+            domain_check=base.domain_check,
+            domain_box=base.domain_box,
+        )
+        check = POINT_DOMAIN["qubit-full"]
+        pts = rng.uniform(-0.55, 0.55, size=(30, 3))
+        expected = np.array([point_derivatives(numeric, check, p) for p in pts])
+        assert np.array_equal(model_derivatives(numeric, pts), expected)
+        edge = np.vstack([pts[:2], [[1 - FD_STEP / 2, 0.0, 0.0]]])
+        with pytest.raises(ValidationError, match="interior"):
+            model_derivatives(numeric, edge)
+
+    def test_point_only_domain_check_rejected(self):
+        base = qubit_family("z0")
+        scalar = ParametricModel(
+            name="z0-scalar",
+            param_dim=2,
+            hilbert_dim=2,
+            state_at=base.state_at,
+            domain_check=lambda t: float(np.sum(t * t)) <= 1.0,
+            domain_box=base.domain_box,
+        )
+        with pytest.raises(ValidationError, match="domain_check"):
+            scalar.is_interior(np.array([0.1, 0.2]))
 
 
 class TestDiagonalFamily:
