@@ -27,7 +27,6 @@ from .models import (
 )
 from .fisher import FisherMatrix, LogDerivativeSet, classical_fisher, d_map, rld_fisher, sld_fisher
 from .bounds import (
-    HolevoOptions,
     HolevoSolution,
     cr_value,
     gaussian_shift_bound,

@@ -2,17 +2,20 @@
 
 Classical/quantum Cramer-Rao values, the closed-form qubit single-copy bound,
 the Gill-Massar trace constraint, the Gaussian-shift bound
-tr(g v) + ||sqrt(g) s sqrt(g)||_1, and the collective (Holevo) bound computed
-by constrained minimization over locally unbiased operator tuples.
+tr(g v) + ||sqrt(g) s sqrt(g)||_1, and the collective (Holevo) bound: the
+minimum of that value over locally unbiased operator tuples.
 
-The Holevo objective is convex but nonsmooth through the trace-norm term; the
-optimizer smooths singular values with sqrt(x^2 + mu^2), anneals mu downward
-with warm starts, and keeps iterates exactly feasible by eliminating the
-linear constraints with a particular solution plus a null-space basis, so the
-reported value is always attained by a feasible tuple.  Each mu stage runs
-``minimize``, a NumPy box-constrained L-BFGS whose line search brackets a zero
-of the directional derivative, because near the smoothed kink the objective
-is flat to float precision while its gradient is not.
+The collective bound is computed from its concave dual (Holevo 1982, ch. 6;
+Albarelli, Friel & Datta, PRL 123, 200503, 2019).  The trace norm of a real
+antisymmetric matrix A is the maximum of tr(W^T A) over real antisymmetric W
+with ||W||_op <= 1, and the minimum over tuples and the maximum over W swap,
+so the bound is the maximum over W of h(W), the minimum of
+tr(g v) + tr(W^T sqrt(g) s sqrt(g)) over locally unbiased tuples.  For fixed
+W that is a convex quadratic program; in rho's eigenbasis it splits into one
+small block per pair of eigenvalues, and one Schur solve gives h(W) and its
+minimizing tuple.  Projected gradient ascent on W returns the recovered
+tuple's exact value, attained by a feasible tuple, with the lower bound h(W):
+the bound lies between the two, and their gap certifies the answer.
 """
 
 from __future__ import annotations
@@ -22,144 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fisher import FisherMatrix, sld_fisher
+from .fisher import SUPPORT_TOL, FisherMatrix, sld_fisher
 from .models import ParametricModel, model_derivatives
+from .qcore import trace_products
 
 CONSTRAINT_TOL = 1e-7
 PSD_PAIR_TOL = 1e-8
-LBFGS_MEMORY = 10
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    """Last iterate of ``minimize``: the point, its value and gradient, and
-    the iteration and function-evaluation counts."""
-
-    x: np.ndarray
-    fun: float
-    jac: np.ndarray
-    nit: int
-    nfev: int
-
-
-def minimize(fun, x0, *, args=(), bounds=(-np.inf, np.inf), max_iter: int, ftol: float, gtol: float):
-    """Minimize ``fun(x, *args) -> (value, gradient)`` over the box
-    ``bounds = (lower, upper)`` (scalars or arrays shaped like ``x0``) by
-    limited-memory BFGS (Liu & Nocedal, Math. Prog. 45, 1989), keeping the
-    last ``LBFGS_MEMORY`` steps.
-
-    Coordinates at a bound that the gradient or the quasi-Newton direction
-    pushes outward are held fixed for the step; the step length stops at the
-    first bound the free coordinates reach.  Each line search brackets a zero
-    of the directional derivative (see ``_wolfe_step``).  Stops when the
-    projected gradient's largest entry is at most ``gtol``, when a step lowers
-    f by at most ``ftol * max(|f|, 1)``, after ``max_iter`` iterations, or
-    when the line search finds no step.
-    """
-    lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), np.shape(x0)) for b in bounds)
-    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    f, g = fun(x, *args)
-    nfev, nit = 1, 0
-    pairs = []  # (step, gradient change) of the last LBFGS_MEMORY steps
-    while nit < max_iter and np.max(np.abs(np.clip(x - g, lower, upper) - x), initial=0.0) > gtol:
-        at_lower, at_upper = x <= lower, x >= upper
-        free = ~((at_lower & (g > 0)) | (at_upper & (g < 0)))
-        while True:
-            d = -_inverse_hessian_times(g, pairs, free)
-            blocked = (at_lower & (d < 0)) | (at_upper & (d > 0))
-            if not blocked.any():
-                break
-            free &= ~blocked
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(d > 0, (upper - x) / d, np.where(d < 0, (lower - x) / d, np.inf))
-        a_max = float(room.min(initial=np.inf))
-        if nit == 0:
-            # no curvature data yet: the steepest-descent step is not
-            # extrapolated (L-BFGS-B's rule), so a start that is already
-            # stationary to float noise cannot wander off along a flat valley
-            a_max = min(a_max, 1.0)
-
-        def phi(a):
-            x_a = np.clip(x + a * d, lower, upper)
-            f_a, g_a = fun(x_a, *args)
-            return x_a, float(f_a), g_a, float(g_a @ d)
-
-        step, evals = _wolfe_step(phi, f, float(g @ d), min(1.0, a_max), a_max)
-        nfev += evals
-        if step is None:
-            break
-        x_new, f_new, g_new = step
-        nit += 1
-        pairs = [*pairs[-(LBFGS_MEMORY - 1):], (x_new - x, g_new - g)]
-        f_old, x, f, g = f, x_new, f_new, g_new
-        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
-            break
-    return MinimizeResult(x=x, fun=float(f), jac=g, nit=nit, nfev=nfev)
-
-
-def _inverse_hessian_times(g, pairs, free):
-    """L-BFGS two-loop recursion on the free coordinates: the inverse of the
-    free block of the Hessian estimate times g, zero on fixed coordinates.
-
-    Each step pair (s, y) is cut to the free coordinates, where y = H s holds
-    for the free block when the step left the fixed ones alone; pairs without
-    positive curvature there are skipped.
-    """
-    cut = [(s * free, y * free) for s, y in pairs]
-    cut = [(s, y, 1.0 / sy) for s, y in cut if (sy := float(s @ y)) > 1e-12 * float(y @ y)]
-    q = g * free
-    alphas = []
-    for s, y, r in reversed(cut):
-        a = r * float(s @ q)
-        q -= a * y
-        alphas.append(a)
-    if cut:
-        s, y, r = cut[-1]
-        q *= 1.0 / (r * float(y @ y))
-    for (s, y, r), a in zip(cut, reversed(alphas)):
-        q += (a - r * float(y @ q)) * s
-    return q
-
-
-def _wolfe_step(phi, f0, slope0, a, a_max, c1=1e-4, c2=0.9, max_evals=60):
-    """Line search along a descent direction with phi'(0) = ``slope0 < 0``.
-
-    Accepts a strong-Wolfe step: f(a) <= f0 + c1 a slope0 and
-    |phi'(a)| <= c2 |slope0|, where the decrease test is granted a slack of
-    1e-12 |f0| (the approximate Wolfe rule of Hager & Zhang, SIAM J. Optim.
-    16, 2005).  Near a kink smoothed at 1e-8 the function is flat to float
-    precision while phi' is not, so the search brackets a sign change of
-    phi' (secant steps kept inside the bracket, bisection otherwise) rather
-    than backtracking on f.  A step cut short by the box is accepted where f
-    still decreases.  Returns ((x, f, g), evaluations), or (None, evaluations)
-    when no step lowers f.
-    """
-    slack = 1e-12 * abs(f0)
-    lo, lo_slope, lo_point = 0.0, slope0, None
-    hi = hi_slope = None
-    last_width = np.inf
-    for evals in range(1, max_evals + 1):
-        x_a, f_a, g_a, slope = phi(a)
-        decrease = f_a <= f0 + c1 * a * slope0 + slack
-        if decrease and abs(slope) <= -c2 * slope0:
-            return (x_a, f_a, g_a), evals
-        if decrease and slope < 0:
-            lo, lo_slope, lo_point = a, slope, (x_a, f_a, g_a)
-            if hi is None:
-                if a >= a_max:
-                    return lo_point, evals
-                a = min(4.0 * a, a_max)
-                continue
-        else:
-            hi, hi_slope = a, slope
-        width = hi - lo
-        if width <= 1e-16 * hi:
-            break
-        # secant on phi' while it halves the bracket, bisection otherwise
-        secant = lo - lo_slope * width / (hi_slope - lo_slope) if hi_slope > 0 else lo
-        a = secant if lo < secant < hi and width <= 0.5 * last_width else lo + 0.5 * width
-        last_width = width
-    return lo_point, evals
+# the dual ascent stays just inside the unit ball: at a rank-deficient state
+# the supremum is approached only as ||W||_op -> 1, where the blocks of the
+# quadratic program turn singular.  Shrinking W by this factor lowers h by at
+# most (1 - DUAL_RADIUS) (C^H - C^S) <= (1 - DUAL_RADIUS) C^H / 2.
+DUAL_RADIUS = 1.0 - 1e-7
+GAP_TOL = 1e-6
 
 
 def check_weight_matrix(g: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -169,6 +46,8 @@ def check_weight_matrix(g: np.ndarray, dim: int | None = None) -> np.ndarray:
         raise ValidationError("weight matrix must be square")
     if dim is not None and g.shape[0] != dim:
         raise ValidationError(f"weight matrix must be {dim}x{dim}")
+    if not np.isfinite(g).all():
+        raise ValidationError("weight matrix entries must be finite")
     if np.max(np.abs(g - g.T)) > 1e-12:
         raise ValidationError("weight matrix must be symmetric")
     if np.linalg.eigvalsh(g).min() < -1e-12:
@@ -197,6 +76,12 @@ def _sym_isqrt(g: np.ndarray) -> np.ndarray:
 
 def nuclear_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())
+
+
+def _shift_value(v: np.ndarray, s: np.ndarray, g: np.ndarray) -> float:
+    """tr(g v) + ||sqrt(g) s sqrt(g)||_1 of the pair matrices (v, s)."""
+    gs = _sym_sqrt(g)
+    return float(np.trace(g @ v)) + nuclear_norm(gs @ s @ gs)
 
 
 def cr_value(j, g) -> float:
@@ -245,8 +130,7 @@ def gaussian_shift_bound(v: np.ndarray, s: np.ndarray, g) -> float:
         raise ValidationError("s must be antisymmetric")
     if np.linalg.eigvalsh(v + 1j * s).min() < -1e-10:
         raise ValidationError("v + i s must be positive semidefinite")
-    gs = _sym_sqrt(g)
-    return float(np.trace(g @ v)) + nuclear_norm(gs @ s @ gs)
+    return _shift_value(v, s, g)
 
 
 def pair_moments(rho_matrix: np.ndarray, x_ops) -> tuple[np.ndarray, np.ndarray]:
@@ -291,77 +175,120 @@ def holevo_objective(model: ParametricModel, theta, x_ops, g) -> tuple[float, np
     v, s = pair_moments(rho, x_ops)
     if np.linalg.eigvalsh(v + 1j * s).min() < -PSD_PAIR_TOL:
         raise NumericalError("pair-moment matrix v + i s lost positivity")
-    gs = _sym_sqrt(g)
-    value = float(np.trace(v @ g)) + nuclear_norm(gs @ s @ gs)
-    return value, v, s
-
-
-@dataclass(frozen=True)
-class HolevoOptions:
-    seed: int = 0
-    tol: float = 1e-6
-    max_iter: int = 2000
-    n_starts: int = 1
-    start_scale: float = 1.0
-    mu_initial: float = 1e-2
-    mu_final: float = 1e-8
-    # box bound on the free coordinates: at rank-deficient states the
-    # minimizing tuple can be unbounded (the infimum sits at the end of a
-    # flat valley) and unbounded iterates drown the objective in float noise
-    coordinate_bound: float = 1e4
+    return _shift_value(v, s, g), v, s
 
 
 @dataclass(frozen=True)
 class HolevoSolution:
-    """Minimizer data for the collective bound at one (model, theta, g)."""
+    """The collective bound at one (model, theta, g).
+
+    ``value`` is attained by the locally unbiased tuple ``x_ops``, whose pair
+    matrices are ``v_matrix`` and ``s_matrix``; ``dual_value`` is the lower
+    bound h(W) of the dual, so the bound lies in [dual_value, value].
+    """
 
     value: float
+    dual_value: float
     x_ops: tuple
     v_matrix: np.ndarray
     s_matrix: np.ndarray
     constraint_residual: float
-    stationarity: float
-    optimizer_trace: tuple
-    start_values: tuple
 
 
-def _traceless_hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal (trace inner product) basis of traceless Hermitian matrices."""
-    basis = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = m[j, i] = 1 / np.sqrt(2)
-            basis.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = -1j / np.sqrt(2)
-            m[j, i] = 1j / np.sqrt(2)
-            basis.append(m)
-    for l in range(1, dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[:l, :l] = np.eye(l)
-        m[l, l] = -l
-        basis.append(m / np.sqrt(l * (l + 1)))
-    return np.array(basis)
+def _dual_solver(lam: np.ndarray, d_eig: np.ndarray, e: np.ndarray):
+    """The inner minimum W -> (h(W), s, y) of the dual, in rho's eigenbasis.
 
+    ``lam`` are rho's eigenvalues, ``d_eig`` (d, dim, dim) the derivatives in
+    its eigenbasis, and ``e`` (r, d + 1) the constraint targets of a tuple
+    Y_1..Y_r of unit weight: tr(Y_a d_j rho) = e[a, j] and tr(rho Y_a) =
+    e[a, d] = 0.  h(W) is the minimum of tr v(Y) + tr(W^T s(Y)); the minimizer
+    y (r, dim, dim) has commutator matrix s, the gradient of h at W.
 
-def holevo_bound(model: ParametricModel, theta, g, opts: HolevoOptions | None = None) -> HolevoSolution:
-    """Collective bound: minimize holevo_objective over locally unbiased tuples.
-
-    The tuple is expanded in a traceless Hermitian basis; the d^2 linear
-    constraints Tr(X_k d rho_l) = delta_kl are eliminated exactly, and the
-    search starts from the inverse-SLD tuple, which is always feasible.
+    Entry (p, q) of every Y_a forms one block: for p < q a complex r-vector
+    with the form (lam_p + lam_q) I + i (lam_p - lam_q) W, for p = q a real
+    one with the form lam_p I, which alone meets the centring rows.  Blocks
+    outside rho's support (lam_p + lam_q below SUPPORT_TOL, where the
+    derivatives vanish) are left at zero.
     """
-    opts = opts or HolevoOptions()
+    d, dim = d_eig.shape[0], lam.size
+    r = e.shape[0]
+    p, q = np.triu_indices(dim, 1)
+    kept = lam[p] + lam[q] >= SUPPORT_TOL
+    p, q = p[kept], q[kept]
+    plus, minus = lam[p] + lam[q], lam[p] - lam[q]
+    c_pair = np.zeros((p.size, d + 1), dtype=complex)
+    c_pair[:, :d] = d_eig[:, p, q].T
+    diag = np.flatnonzero(2 * lam >= SUPPORT_TOL)
+    c_diag = np.column_stack([np.real(d_eig[:, diag, diag]).T, lam[diag]])
+    m_diag = np.kron(np.eye(r), (c_diag.T / lam[diag]) @ c_diag)
+
+    def solve(w):
+        h_inv = np.linalg.inv(plus[:, None, None] * np.eye(r) + 1j * minus[:, None, None] * w)
+        # Schur complement M = sum over blocks of C B^-1 C^T, rows (a, j)
+        m = 4 * np.real(np.einsum("pi,pk,pab->aibk", c_pair.conj(), c_pair, h_inv))
+        nu = np.linalg.solve(m.reshape(e.size, e.size) + m_diag, e.ravel()).reshape(e.shape)
+        y_pair = np.einsum("pab,pb->pa", h_inv, 2 * c_pair @ nu.T)
+        y = np.zeros((r, dim, dim), dtype=complex)
+        y[:, p, q] = y_pair.T
+        y[:, q, p] = y_pair.T.conj()
+        y[:, diag, diag] = ((c_diag @ nu.T) / lam[diag, None]).T
+        s = np.imag(np.einsum("p,pa,pb->ab", minus, y_pair, y_pair.conj()))
+        return float(e.ravel() @ nu.ravel()), s, y
+
+    return solve
+
+
+def _project(w: np.ndarray) -> np.ndarray:
+    """Nearest antisymmetric W with ||W||_op <= DUAL_RADIUS: clip the singular values."""
+    u, sv, vt = np.linalg.svd(w)
+    w = (u * np.minimum(sv, DUAL_RADIUS)) @ vt
+    return (w - w.T) / 2
+
+
+def _dual_ascent(solve, r: int):
+    """Maximize the concave h over the ball of ``_project`` by projected
+    gradient ascent with Barzilai-Borwein steps from W = 0.  Stops when the
+    gap ||s||_1 - tr(W^T s) is at the rounding level or when no step ascends;
+    returns the last h(W) and its minimizer."""
+    w = np.zeros((r, r))
+    h, s, y = solve(w)
+    step = None
+    while nuclear_norm(s) - float(np.sum(w * s)) > 1e-12 * max(1.0, h):
+        if step is None:
+            step = 1.0 / np.linalg.norm(s)
+        while True:
+            w_new = _project(w + step * s)
+            if np.linalg.norm(w_new - w) <= 1e-15:
+                return h, y
+            h_new, s_new, y_new = solve(w_new)
+            if h_new > h:
+                break
+            step /= 2
+        dw = w_new - w
+        curvature = -float(np.sum(dw * (s_new - s)))
+        step = float(np.sum(dw * dw)) / curvature if curvature > 0 else 2 * step
+        w, h, s, y = w_new, h_new, s_new, y_new
+    return h, y
+
+
+def holevo_bound(model: ParametricModel, theta, g) -> HolevoSolution:
+    """Collective bound: the minimum of holevo_objective over locally unbiased
+    tuples, computed from its dual (see the module docstring).
+
+    The dual works on the range of g = Q diag(gamma) Q^T with the tuple
+    Y_a = sqrt(gamma_a) sum_k Q_ka X_k, whose weight is the identity.  The
+    components with gamma_a = 0 carry no weight and only need to be
+    feasible; they are taken from the inverse-SLD tuple.  Raises
+    NumericalError when the duality gap exceeds GAP_TOL max(1, value).
+    """
     t = model.require_domain(theta)
     g = check_weight_matrix(g, model.param_dim)
     rho = model.state_at(t).matrix
     dim = rho.shape[0]
     if dim > 32:
         raise NumericalError(
-            f"Holevo optimization over a {dim}-dimensional space needs a "
-            f"{dim * dim - 1}-operator basis; restrict the model (e.g. a "
-            "smaller Fock cutoff) to 32 dimensions or fewer"
+            f"the Holevo bound is computed on 32 dimensions or fewer, not {dim}; "
+            "restrict the model (e.g. a smaller Fock cutoff)"
         )
     d = model.param_dim
     derivs = model_derivatives(model, t)
@@ -369,147 +296,34 @@ def holevo_bound(model: ParametricModel, theta, g, opts: HolevoOptions | None = 
     if np.linalg.cond(j_s.matrix) > 1e12:
         raise NumericalError("model derivatives are linearly dependent at theta")
 
-    basis = _traceless_hermitian_basis(dim)
-    m = basis.shape[0]
-    # constraint matrix and second-moment forms in basis coordinates, as
-    # matrix products: tr(X Y) is flat(X) . flat(Y^T)
-    basis_t = basis.transpose(0, 2, 1).reshape(m, dim * dim)
-    a_con = np.real(np.array(derivs).reshape(d, dim * dim) @ basis_t.T)
-    if np.linalg.matrix_rank(a_con, tol=1e-10) < d:
-        raise NumericalError("degenerate local-unbiasedness constraints")
-    f1 = (rho @ basis).reshape(m, dim * dim) @ basis_t.T
-    v_form = np.real(f1)
-    s_form = np.imag(f1)
-    mu_vec = np.real(basis_t @ rho.reshape(-1))
-    v_centered = v_form - np.outer(mu_vec, mu_vec)
+    gamma, q = np.linalg.eigh(g)
+    weighted = gamma > 1e-12 * gamma.max()
+    e = np.zeros((int(weighted.sum()), d + 1))
+    e[:, :d] = (np.sqrt(gamma[weighted]) * q[:, weighted]).T
+    lam, u = np.linalg.eigh(rho)
+    # eigh can return -1e-17 for a zero eigenvalue, and a negative lam makes
+    # a block indefinite at ||W||_op near 1
+    solve = _dual_solver(np.clip(lam, 0.0, None), u.conj().T @ derivs @ u, e)
+    dual_value, y = _dual_ascent(solve, e.shape[0])
 
-    c_part = np.linalg.lstsq(a_con, np.eye(d), rcond=None)[0].T  # (d, m)
-    _, sv, vt = np.linalg.svd(a_con)
-    null_dim = m - d
-    kernel = vt[d:].T  # (m, q) orthonormal null-space basis
-    g_sqrt = _sym_sqrt(g)
-
-    # feasible start: inverse-SLD tuple projected on the traceless basis
-    j_inv = np.linalg.inv(j_s.matrix)
-    c_init = np.zeros((d, m))
-    for k in range(d):
-        x = sum(j_inv[k, l] * slds.operators[l] for l in range(d))
-        x = x - np.trace(x) / dim * np.eye(dim)
-        c_init[k] = np.real(np.einsum("aij,ji->a", basis, x))
-
-    def unpack(z):
-        if null_dim == 0:
-            return c_part
-        return c_part + (kernel @ z.reshape(null_dim, d)).T
-
-    def pack(c):
-        if null_dim == 0:
-            return np.zeros(0)
-        return (kernel.T @ (c - c_part).T).reshape(-1)
-
-    def smoothed(z, mu):
-        c = unpack(z)
-        v = c @ v_centered @ c.T
-        s = c @ s_form @ c.T
-        h = 1j * (g_sqrt @ s @ g_sqrt)
-        w, u = np.linalg.eigh(h)
-        value = float(np.trace(v @ g)) + float(np.sum(np.sqrt(w**2 + mu**2)))
-        grad_c = 2.0 * g @ c @ v_centered
-        p = (u * (w / np.sqrt(w**2 + mu**2))) @ u.conj().T
-        grad_c = grad_c + np.real(2j * g_sqrt @ p @ g_sqrt @ c @ s_form)
-        if null_dim == 0:
-            return value, np.zeros(0)
-        grad_z = (kernel.T @ grad_c.T).reshape(-1)
-        return value, grad_z
-
-    def exact_value(z):
-        c = unpack(z)
-        v = c @ v_centered @ c.T
-        s = c @ s_form @ c.T
-        return float(np.trace(v @ g)) + nuclear_norm(g_sqrt @ s @ g_sqrt), v, s
-
-    mus = []
-    mu = opts.mu_initial
-    while mu > opts.mu_final:
-        mus.append(mu)
-        mu /= 10.0
-    mus.append(opts.mu_final)
-
-    rng = np.random.default_rng(opts.seed)
-    z_init = pack(c_init)
-    starts = [z_init]
-    for _ in range(max(0, opts.n_starts - 1)):
-        starts.append(z_init + opts.start_scale * rng.standard_normal(z_init.shape))
-
-    bound = opts.coordinate_bound
-
-    def projected_grad_norm(z, grad):
-        pg = grad.copy()
-        pg[(z >= bound - 1e-9) & (grad < 0)] = 0.0
-        pg[(z <= -bound + 1e-9) & (grad > 0)] = 0.0
-        return float(np.linalg.norm(pg))
-
-    best = None
-    start_values = []
-    for z0 in starts:
-        z = np.clip(z0, -bound, bound)
-        trace = []
-        grad_norm = 0.0
-        best_z, best_val = z.copy(), exact_value(z)[0]
-        for mu in mus:
-            if null_dim == 0:
-                val, _ = smoothed(z, mu)
-                trace.append({"mu": mu, "value": val, "gradNorm": 0.0, "iterations": 0})
-                continue
-            res = minimize(
-                smoothed,
-                z,
-                args=(mu,),
-                bounds=(-bound, bound),
-                max_iter=opts.max_iter,
-                ftol=1e-14,
-                gtol=1e-10,
-            )
-            z = res.x
-            grad_norm = projected_grad_norm(z, np.asarray(res.jac))
-            trace.append(
-                {
-                    "mu": mu,
-                    "value": float(res.fun),
-                    "gradNorm": grad_norm,
-                    "iterations": int(res.nit),
-                }
-            )
-            stage_val = exact_value(z)[0]
-            if stage_val < best_val:
-                best_val, best_z = stage_val, z.copy()
-        if null_dim > 0 and grad_norm > opts.tol:
-            raise NumericalError(
-                f"Holevo optimizer did not reach stationarity {opts.tol:.1e} "
-                f"(projected gradient norm {grad_norm:.3e})"
-            )
-        value, v, s = exact_value(best_z)
-        start_values.append(value)
-        if best is None or value < best[0]:
-            best = (value, best_z, v, s, tuple(trace), grad_norm)
-
-    value, z, v, s, trace, grad_norm = best
-    c = unpack(z)
-    x_ops = tuple(np.einsum("a,aij->ij", c[k], basis) for k in range(d))
-    resid = max(
-        abs(np.real(np.trace(x_ops[k] @ derivs[l])) - (1.0 if k == l else 0.0))
-        for k in range(d)
-        for l in range(d)
-    )
+    unweighted = q[:, ~weighted]
+    x_sld = np.einsum("kl,lij->kij", np.linalg.inv(j_s.matrix), slds.operators)
+    x = np.einsum("ka,aij->kij", q[:, weighted] / np.sqrt(gamma[weighted]), u @ y @ u.conj().T)
+    x = x + np.einsum("kl,lij->kij", unweighted @ unweighted.T, x_sld)
+    x_ops = tuple((x + x.conj().swapaxes(-1, -2)) / 2)
+    value, v, s = holevo_objective(model, t, x_ops, g)
+    resid = float(np.max(np.abs(trace_products(np.array(x_ops)[:, None], derivs[None]) - np.eye(d))))
     if resid > CONSTRAINT_TOL:
         raise NumericalError(f"constraint residual {resid:.3e} exceeds {CONSTRAINT_TOL}")
+    if value - dual_value > GAP_TOL * max(1.0, value):
+        raise NumericalError(
+            f"Holevo duality gap {value - dual_value:.3e} exceeds {GAP_TOL:.0e} x max(1, value)"
+        )
     return HolevoSolution(
         value=value,
+        dual_value=dual_value,
         x_ops=x_ops,
         v_matrix=v,
         s_matrix=s,
-        constraint_residual=float(resid),
-        stationarity=float(grad_norm),
-        optimizer_trace=trace,
-        start_values=tuple(start_values),
+        constraint_residual=resid,
     )

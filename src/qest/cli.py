@@ -14,7 +14,11 @@ the subcommand calls.  Required keys, then optional ones with defaults:
 - fisher: model, theta; kind "sld" ("rld", "classical"), povm (a POVM file,
   needed by "classical"), seed 0, out
 - bounds: model, theta; g "identity" (or matrix rows, or a matrix file),
-  starts 1, seed 0, out
+  starts 1, seed 0, out.  ``starts`` and ``seed`` are accepted so older
+  configs replay; the collective bound is deterministic and ignores both.
+  The report's ``optimizer`` block gives the tuple's constraint
+  ``residual``, the ``dual`` lower bound and the ``gap`` between the
+  ``holevo`` value and that bound.
 - gauss: zeta ([re, im]), N, n; trials 10000, seed 0, out
 - clt: model, theta, ops, word, n; seed 0, out
 - estimate: mode ("two-stage", "collective"), model, theta, n; trials 1000,
@@ -39,7 +43,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .bounds import HolevoOptions, cr_value, holevo_bound, qubit_c1
+from .bounds import cr_value, holevo_bound, qubit_c1
 from .clt import CollectiveSpec, collective_moment
 from .collective import (
     collective_estimator_check,
@@ -308,27 +312,26 @@ def fisher_experiment(values: dict) -> None:
     "--g", type=click.UNPROCESSED, default="identity",
     help="'identity', a matrix as JSON rows (e.g. [[1,0],[0,2]]), or a matrix JSON file",
 )
-@click.option("--starts", type=INT, default=1, help="optimizer multi-start count")
+@click.option("--starts", type=INT, default=1, help="accepted for old configs; has no effect")
 @_OUT
-@_SEED
+@click.option("--seed", type=INT, default=0, help="accepted for old configs; has no effect")
 def bounds_experiment(values: dict) -> None:
     """Bound chain: SLD Cramer-Rao, collective bound, qubit single-copy bound."""
     model = model_from_name(values["model"])
-    theta, seed, starts = values["theta"], values["seed"], values["starts"]
+    theta = values["theta"]
     g = _load_weight(values["g"], model.param_dim)
     config = {**_report_config("bounds", values), "g": g.tolist()}
     _, j_s = sld_fisher(model, theta)
     cr_sld = cr_value(j_s, g)
-    solution = holevo_bound(model, theta, g, HolevoOptions(seed=seed, n_starts=starts))
+    solution = holevo_bound(model, theta, g)
     results = {
         "crSld": cr_sld,
         "holevo": solution.value,
         "gaps": {"holevoMinusCrSld": solution.value - cr_sld},
         "optimizer": {
-            "iters": sum(stage["iterations"] for stage in solution.optimizer_trace),
             "residual": solution.constraint_residual,
-            "stationarity": solution.stationarity,
-            "startValues": list(solution.start_values),
+            "dual": solution.dual_value,
+            "gap": solution.value - solution.dual_value,
         },
     }
     if model.hilbert_dim == 2:
@@ -479,7 +482,7 @@ def estimate_experiment(values: dict) -> None:
         _write_report(out, config, results, header, columns)
         return
     identity = np.eye(model.param_dim)
-    solution = holevo_bound(model, theta, identity, HolevoOptions(seed=seed))
+    solution = holevo_bound(model, theta, identity)
     v_prime = default_v_prime(solution.s_matrix, identity, values["eps"])
     rows = collective_estimator_check(model, theta, solution.x_ops, v_prime, n_list)
     results = {

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gaussian import GaussianSpec, gaussian_moment, smearing_kernel
-from .qcore import DEFAULT_DIM_CAP, DensityOperator
+from .qcore import DEFAULT_DIM_CAP, DensityOperator, _kron_power
 from .models import PAULIS
 from .bounds import pair_moments
 
@@ -167,9 +167,7 @@ def collective_moment_bruteforce(
     """Oracle for collective_moment: explicit tensor-product computation."""
     idx = _check_word(spec, word)
     ops = build_collective_ops(spec.x_ops, n, dim_cap)
-    rho_n = spec.rho.matrix
-    for _ in range(n - 1):
-        rho_n = np.kron(rho_n, spec.rho.matrix)
+    rho_n = _kron_power(spec.rho.matrix, n)
     mat = np.eye(spec.rho.dim**n, dtype=complex)
     for k in idx:
         mat = mat @ ops[k]
@@ -257,10 +255,7 @@ def sector_states(rho: np.ndarray, n: int, sectors) -> list[np.ndarray]:
     """
     rho = np.asarray(rho, dtype=complex)
     if sectors[0].two_j is None:
-        full = rho
-        for _ in range(n - 1):
-            full = np.kron(full, rho)
-        return [full]
+        return [_kron_power(rho, n)]
     bloch = np.real([np.trace(rho @ PAULIS[a]) for a in "xyz"])
     length = float(np.linalg.norm(bloch))
     trace = float(np.real(np.trace(rho)))

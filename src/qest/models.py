@@ -220,8 +220,8 @@ def gaussian_displacement_family(
     """
     from . import gaussian as _gaussian
 
-    if noise < 0:
-        raise ValidationError("noise must be nonnegative")
+    if not 0 <= noise < np.inf:
+        raise ValidationError("noise must be finite and nonnegative")
     if cutoff is None:
         # |zeta| = |theta|/sqrt2 <= theta_max/sqrt2 over the domain disk
         cutoff = _gaussian.auto_cutoff(theta_max / np.sqrt(2.0), noise)

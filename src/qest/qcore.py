@@ -164,6 +164,8 @@ class Povm:
         completeness_tol: float | None = None,
     ):
         stack = _element_stack(elements)
+        if not np.isfinite(stack).all():
+            raise ValidationError("POVM element entries must be finite")
         dim = stack.shape[1]
         adj = stack.conj().swapaxes(-1, -2)
         not_hermitian = np.abs(stack - adj).max(axis=(-2, -1)) > 1e-10
@@ -183,8 +185,8 @@ class Povm:
             raise ValidationError("label/element count mismatch")
         if weights is not None:
             w = np.asarray(weights, dtype=float)
-            if w.shape != (len(mats),) or (w < 0).any():
-                raise ValidationError("weights must be nonnegative, one per element")
+            if w.shape != (len(mats),) or not ((w >= 0) & (w < np.inf)).all():
+                raise ValidationError("weights must be finite and nonnegative, one per element")
         else:
             w = None
         tol = completeness_tol if completeness_tol is not None else POVM_COMPLETENESS_TOL
@@ -305,10 +307,15 @@ def tensor_power(rho: DensityOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -
         raise ValidationError("tensor power needs n >= 1")
     if rho.dim**n > dim_cap:
         raise NumericalError(f"dimension {rho.dim}^{n} exceeds cap {dim_cap}")
-    out = rho.matrix
+    return DensityOperator(_kron_power(rho.matrix, n))
+
+
+def _kron_power(matrix: np.ndarray, n: int) -> np.ndarray:
+    """matrix^(x)n, the n-fold Kronecker power, multiplied left to right."""
+    out = matrix
     for _ in range(n - 1):
-        out = np.kron(out, rho.matrix)
-    return DensityOperator(out)
+        out = np.kron(out, matrix)
+    return out
 
 
 def sample_outcomes(dist: OutcomeDistribution, seed: int, count: int) -> list:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from qest.bounds import (
-    HolevoOptions,
     cr_value,
     gaussian_shift_bound,
     gill_massar,
@@ -113,7 +112,7 @@ def test_criterion_3_qubit_bound_chain():
     g = np.eye(3)
     _, j_s = sld_fisher(model, theta)
     cr = cr_value(j_s, g)
-    sol = holevo_bound(model, theta, g, HolevoOptions(seed=0, n_starts=5))
+    sol = holevo_bound(model, theta, g)
     c1 = qubit_c1(j_s, g)
     gap = c1 - sol.value
     elapsed = budget.elapsed()
@@ -143,18 +142,19 @@ def test_criterion_4_holevo_optimizer_correctness():
         sum(j_inv[k, l] * logs.operators[l] for l in range(2)) for k in range(2)
     ]
     closed_form, _, _ = holevo_objective(model, theta, l_inverse, g)
-    sol = holevo_bound(model, theta, g, HolevoOptions(seed=1, n_starts=5))
-    start_dev = max(abs(v - closed_form) for v in sol.start_values)
+    sol = holevo_bound(model, theta, g)
+    dev = abs(sol.value - closed_form)
     elapsed = budget.elapsed()
     ok = (
         abs(closed_form - 3.0) < 1e-9
-        and start_dev < 2e-4
+        and dev < 2e-4
         and elapsed < budget.limit
     )
     report(
         4,
         ok,
-        f"closed form {closed_form:.9f}, worst start dev {start_dev:.2e}, {elapsed:.1f}s",
+        f"closed form {closed_form:.9f}, holevo {sol.value:.9f} (dual {sol.dual_value:.9f}), "
+        f"dev {dev:.2e}, {elapsed:.1f}s",
     )
 
 

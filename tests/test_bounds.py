@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 
-import qest.bounds
 from qest.bounds import (
-    HolevoOptions,
+    GAP_TOL,
     cr_value,
     gaussian_shift_bound,
     gill_massar,
     holevo_bound,
     holevo_objective,
-    minimize,
     nuclear_norm,
     qubit_c1,
 )
 from qest.errors import NumericalError, ValidationError
 from qest.fisher import classical_fisher, sld_fisher
-from qest.models import ParametricModel, diagonal_family, gaussian_displacement_family, qubit_family
+from qest.models import (
+    ParametricModel,
+    diagonal_family,
+    gaussian_displacement_family,
+    model_derivatives,
+    qubit_family,
+)
 from qest.qcore import DensityOperator, Povm
 
 from conftest import SIGMA_X, SIGMA_Z, random_povm
@@ -64,6 +68,29 @@ def pure_qubit_model():
         domain_check=lambda t: (0.05 < t[..., 0]) & (t[..., 0] < np.pi - 0.05),
         domain_box=((0.05, np.pi - 0.05), (-np.pi, np.pi)),
         derivative_at=deriv,
+    )
+
+
+def qutrit_family(seed):
+    """Three-parameter linear family rho0 + sum_k theta_k H_k on a qutrit:
+    a random full-rank rho0 (eigenvalues >= 0.1) and random traceless
+    Hermitian directions H_k of scale 0.1."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    rho0 = 0.7 * a @ a.conj().T / np.trace(a @ a.conj().T).real + 0.1 * np.eye(3)
+    directions = []
+    for _ in range(3):
+        n = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h = (n + n.conj().T) / 2
+        directions.append(0.1 * (h - np.trace(h) / 3 * np.eye(3)))
+    return ParametricModel(
+        name=f"qutrit-{seed}",
+        param_dim=3,
+        hilbert_dim=3,
+        state_at=lambda t: DensityOperator(rho0 + np.einsum("k,kab->ab", t, directions)),
+        domain_check=lambda t: (np.abs(t) <= 0.2).all(axis=-1),
+        domain_box=((-0.2, 0.2),) * 3,
+        derivative_at=lambda t, k: directions[k],
     )
 
 
@@ -175,22 +202,6 @@ class TestHolevoBound:
         sol = holevo_bound(submodel_xy(0.5), np.zeros(2), np.eye(2))
         assert abs(sol.value - 3.0) < 2e-4
 
-    def test_multistart_invariance(self):
-        sol = holevo_bound(
-            submodel_xy(0.5),
-            np.zeros(2),
-            np.eye(2),
-            HolevoOptions(seed=11, n_starts=5),
-        )
-        assert max(sol.start_values) - min(sol.start_values) < 2e-4
-
-    def test_deterministic_given_seed(self):
-        opts = HolevoOptions(seed=13, n_starts=3)
-        a = holevo_bound(submodel_xy(0.5), np.zeros(2), np.eye(2), opts)
-        b = holevo_bound(submodel_xy(0.5), np.zeros(2), np.eye(2), opts)
-        assert a.value == b.value
-        assert a.start_values == b.start_values
-
     def test_z0_point_equals_cr(self):
         # s(L^-1) vanishes at (0.5, 0), so the bound collapses to tr j_S^{-1}
         model = qubit_family("z0")
@@ -258,8 +269,36 @@ class TestHolevoBound:
         from qest.models import gaussian_displacement_family
 
         model = gaussian_displacement_family(0.3, cutoff=16)
-        sol = holevo_bound(model, np.array([0.1, -0.05]), np.eye(2), HolevoOptions(seed=2))
+        sol = holevo_bound(model, np.array([0.1, -0.05]), np.eye(2))
         assert abs(sol.value - 2.6) < 1e-6
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            pytest.param(seed, value, id=f"seed{seed}")
+            for seed, value in enumerate(
+                [17.539283286264, 16.478742815397, 27.643032741103, 50.082969188020, 17.124137816829]
+            )
+        ],
+    )
+    def test_qutrit_three_parameters(self, seed, expected):
+        # the dual optimum lies inside the ball here; a smoothed primal
+        # minimizer stalled short of stationarity on these families
+        sol = holevo_bound(qutrit_family(seed), np.zeros(3), np.eye(3))
+        assert sol.value - sol.dual_value <= GAP_TOL * max(1.0, sol.value)
+        assert abs(sol.value - expected) < 1e-7 * expected
+        assert sol.constraint_residual <= 1e-7
+
+    def test_singular_weight(self):
+        # only the first parameter is weighted: its variance, [j_S^-1]_11,
+        # is 1 - x^2 on qubit-z0 and N + 1/2 on gauss1 (N = 0.3), the latter
+        # up to the Fock truncation
+        g = np.diag([1.0, 0.0])
+        z0 = holevo_bound(qubit_family("z0"), np.array([0.2, 0.3]), g)
+        assert abs(z0.value - 0.96) < 1e-9
+        gauss = holevo_bound(gaussian_displacement_family(0.3, cutoff=16), np.array([0.3, 0.2]), g)
+        assert abs(gauss.value - 0.8) < 1e-6
+        assert max(z0.constraint_residual, gauss.constraint_residual) <= 1e-7
 
     def test_dimension_guard(self):
         from qest.models import gaussian_displacement_family
@@ -289,70 +328,105 @@ class TestHolevoBound:
         assert abs(v_weighted - v0) < 1e-6
 
 
-def scipy_minimize(fun, x0, *, args=(), bounds=(-np.inf, np.inf), max_iter, ftol, gtol):
-    """``qest.bounds.minimize`` with the same arguments, run by SciPy's L-BFGS-B."""
-    from scipy.optimize import minimize as reference
+def traceless_hermitian_basis(dim):
+    """Orthonormal (trace inner product) basis of the traceless Hermitian matrices."""
+    basis = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, j] = m[j, i] = 1
+            basis.append(m / np.sqrt(2))
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, j], m[j, i] = -1j, 1j
+            basis.append(m / np.sqrt(2))
+    for l in range(1, dim):
+        m = np.diag(np.r_[np.ones(l), -l, np.zeros(dim - l - 1)]).astype(complex)
+        basis.append(m / np.sqrt(l * (l + 1)))
+    return np.array(basis)
 
-    lower, upper = bounds
-    return reference(
-        fun,
-        x0,
-        args=args,
-        method="L-BFGS-B",
-        jac=True,
-        bounds=[(lower, upper)] * np.size(x0),
-        options={"maxiter": max_iter, "ftol": ftol, "gtol": gtol},
-    )
+
+def scipy_holevo(model, theta, g, start_scale):
+    """Collective bound by SciPy's L-BFGS-B on the smoothed primal, sharing no
+    code with the dual.
+
+    Tuples are expanded in a traceless Hermitian basis with the constraints
+    tr(X_k d_j rho) = delta_kj eliminated (least-norm solution plus null
+    space).  The trace norm is smoothed to sum sqrt(sigma^2 + mu^2) over the
+    eigenvalues of i sqrt(g) s sqrt(g), with mu annealed from 1e-2 to 1e-8.
+    The start is the inverse-SLD tuple with standard normal noise of
+    ``start_scale`` on its free coordinates; returns the unsmoothed value of
+    the last tuple.  Coordinates stay in [-1e4, 1e4]: at a rank-one state
+    the infimum lies at the end of a flat valley.
+    """
+    from scipy.optimize import minimize
+
+    rho = model.state_at(theta).matrix
+    derivs = model_derivatives(model, theta)
+    d = len(derivs)
+    basis = traceless_hermitian_basis(rho.shape[0])
+    m = len(basis)
+    flat_t = basis.transpose(0, 2, 1).reshape(m, -1)  # tr(A B) = flat(A) . flat(B^T)
+    a_con = np.real(derivs.reshape(d, -1) @ flat_t.T)
+    moments = (rho @ basis).reshape(m, -1) @ flat_t.T
+    mean = np.real(flat_t @ rho.reshape(-1))
+    v_form, s_form = np.real(moments) - np.outer(mean, mean), np.imag(moments)
+    c_part = np.linalg.pinv(a_con).T
+    kernel = np.linalg.svd(a_con)[2][d:].T
+    w, u = np.linalg.eigh(g)
+    g_sqrt = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
+
+    def tuple_moments(z):
+        c = c_part + (kernel @ z.reshape(-1, d)).T
+        return c, c @ v_form @ c.T, c @ s_form @ c.T
+
+    def smoothed(z, mu):
+        c, v, s = tuple_moments(z)
+        lam, vec = np.linalg.eigh(1j * g_sqrt @ s @ g_sqrt)
+        p = (vec * (lam / np.sqrt(lam**2 + mu**2))) @ vec.conj().T
+        grad = 2 * g @ c @ v_form + np.real(2j * g_sqrt @ p @ g_sqrt @ c @ s_form)
+        return np.trace(g @ v) + np.sqrt(lam**2 + mu**2).sum(), (kernel.T @ grad.T).ravel()
+
+    logs, j_s = sld_fisher(model, theta)
+    x_sld = np.einsum("kl,lab->kab", np.linalg.inv(j_s.matrix), logs.operators)
+    z = (kernel.T @ (np.real(x_sld.reshape(d, -1) @ flat_t.T) - c_part).T).ravel()
+    z += start_scale * np.random.default_rng(0).standard_normal(z.size)
+    for mu in 10.0 ** -np.arange(2, 9):
+        z = minimize(
+            smoothed, z, args=(mu,), jac=True, method="L-BFGS-B", bounds=[(-1e4, 1e4)] * z.size,
+            options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10},
+        ).x
+    _, v, s = tuple_moments(z)
+    return np.trace(g @ v) + np.linalg.svd(g_sqrt @ s @ g_sqrt, compute_uv=False).sum()
 
 
-class TestMinimize:
-    def test_quadratic_with_active_box(self, rng):
-        # 0.5 x'Ax - b'x on [-1, 1]^8 with b built from a KKT point: two
-        # coordinates on the upper face, two on the lower, the rest interior
-        raw = rng.standard_normal((8, 8))
-        a = raw @ raw.T + 0.5 * np.eye(8)
-        x_star = rng.uniform(-0.8, 0.8, 8)
-        x_star[[1, 4]] = 1.0
-        x_star[[2, 6]] = -1.0
-        grad_star = np.zeros(8)
-        grad_star[[1, 4]] = -rng.uniform(0.5, 2.0, 2)
-        grad_star[[2, 6]] = rng.uniform(0.5, 2.0, 2)
-        b = a @ x_star - grad_star
-
-        def fun(x):
-            return 0.5 * x @ a @ x - b @ x, a @ x - b
-
-        res = minimize(fun, np.zeros(8), bounds=(-1.0, 1.0), max_iter=200, ftol=0.0, gtol=1e-10)
-        assert np.max(np.abs(res.x - x_star)) < 1e-8
-        assert abs(res.fun - fun(x_star)[0]) < 1e-12
-        assert np.array_equal(res.jac, fun(res.x)[1])
-        assert 0 < res.nit < res.nfev
+# (model, theta, oracle start scale): the inverse-SLD tuple is optimal in
+# all five cases, so the qubit oracles start away from it; on gauss1 (506
+# free coordinates) such a start takes SciPy about two minutes
+HOLEVO_CASES = [
+    pytest.param(submodel_xy(0.5), (0.0, 0.0), 1.0, id="xy"),
+    pytest.param(qubit_family("z0"), (0.5, 0.0), 1.0, id="z0-a"),
+    pytest.param(qubit_family("z0"), (0.2, 0.3), 1.0, id="z0-b"),
+    pytest.param(gaussian_displacement_family(0.3, cutoff=16), (0.3, 0.2), 0.0, id="gauss1"),
+    pytest.param(pure_qubit_model(), (1.1, 0.4), 1.0, id="pure"),
+]
 
 
 class TestHolevoAgainstScipy:
-    """The NumPy optimizer against SciPy's L-BFGS-B, same objective and
-    stage tolerances: the bound and every start's value agree."""
+    """The dual against SciPy's L-BFGS-B on the smoothed primal."""
 
-    @pytest.mark.parametrize(
-        "model, theta, opts",
-        [
-            (submodel_xy(0.5), (0.0, 0.0), HolevoOptions(seed=11, n_starts=5)),
-            (qubit_family("z0"), (0.5, 0.0), HolevoOptions(seed=3, n_starts=5)),
-            (qubit_family("z0"), (0.2, 0.3), HolevoOptions(seed=3, n_starts=5)),
-            (gaussian_displacement_family(0.3, cutoff=16), (0.3, 0.2), HolevoOptions()),
-            # rank-one state: a flat valley runs out to the box, and steps
-            # taken along it on float noise change the value
-            (pure_qubit_model(), (1.1, 0.4), HolevoOptions(seed=3, n_starts=3)),
-        ],
-        ids=["xy", "z0-a", "z0-b", "gauss1", "pure"],
-    )
-    def test_same_values(self, monkeypatch, model, theta, opts):
+    @pytest.mark.parametrize("model, theta, start_scale", HOLEVO_CASES)
+    def test_same_values(self, model, theta, start_scale):
         t = np.array(theta)
-        ours = holevo_bound(model, t, np.eye(2), opts)
-        monkeypatch.setattr(qest.bounds, "minimize", scipy_minimize)
-        reference = holevo_bound(model, t, np.eye(2), opts)
-        assert abs(ours.value - reference.value) < 1e-6
-        assert np.max(np.abs(np.subtract(ours.start_values, reference.start_values))) < 1e-6
+        ours = holevo_bound(model, t, np.eye(2))
+        assert abs(ours.value - scipy_holevo(model, t, np.eye(2), start_scale)) < 1e-6
+
+    @pytest.mark.parametrize("model, theta, start_scale", HOLEVO_CASES)
+    def test_certificate(self, model, theta, start_scale):
+        t = np.array(theta)
+        sol = holevo_bound(model, t, np.eye(2))
+        assert sol.dual_value <= sol.value + 1e-12 * max(1.0, sol.value)
+        assert sol.value - sol.dual_value <= GAP_TOL * max(1.0, sol.value)
+        assert holevo_objective(model, t, sol.x_ops, np.eye(2))[0] == sol.value
 
 
 class TestGaussianShiftBound:

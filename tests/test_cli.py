@@ -165,10 +165,34 @@ class TestNonFiniteInputs:
              "--n", "2", "--eps", "nan"],
             ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0.5,0",
              "--n", "2", "--eps", "inf"],
+            ["bounds", "--model", "qubit-z0", "--theta", "0.5,0", "--g", "[[NaN, 0], [0, 1]]"],
+            ["bounds", "--model", "qubit-z0", "--theta", "0.5,0", "--g", "[[1, 0], [0, Infinity]]"],
+            ["fisher", "--model", "gauss1:nan:16", "--theta", "0.3,0.2"],
+            ["bounds", "--model", "gauss1:inf:16", "--theta", "0.3,0.2"],
         ],
     )
     def test_exit_2_with_one_line(self, argv):
-        result = run_cli(argv)
+        self.check_exit_2(run_cli(argv))
+
+    @pytest.mark.parametrize(
+        "elements, weights",
+        [
+            ([[[float("nan"), 0], [0, 0]], [[1, 0], [0, 1]]], None),
+            ([[[0.5, 0], [0, 0.5]], [[0.5, 0], [0, 0.5]]], [1.0, float("nan")]),
+        ],
+        ids=["element", "weight"],
+    )
+    def test_povm_file_exit_2(self, tmp_path, elements, weights):
+        povm_file = tmp_path / "povm.json"
+        povm = {"elements": [matrix_to_json(np.array(e, dtype=complex)) for e in elements]}
+        if weights is not None:
+            povm["weights"] = weights
+        povm_file.write_text(json.dumps(povm))
+        argv = ["fisher", "--model", "qubit-full", "--theta", "0,0,0", "--kind", "classical", "--povm", str(povm_file)]
+        self.check_exit_2(run_cli(argv))
+
+    @staticmethod
+    def check_exit_2(result):
         assert result.exit_code == 2
         assert result.stdout == ""
         lines = result.stderr.splitlines()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qest.bounds import HolevoOptions, holevo_bound, qubit_c1
+from qest.bounds import holevo_bound, qubit_c1
 from qest.clt import CollectiveSpec, _dense_sectors, build_collective_ops
 from qest.collective import (
     _estimator_rows,
@@ -217,7 +217,7 @@ class TestSectorsAgainstDense:
     def cases(self):
         z0 = qubit_family("z0")
         theta = np.array([0.5, 0.0])
-        solution = holevo_bound(z0, theta, np.eye(2), HolevoOptions(seed=1))
+        solution = holevo_bound(z0, theta, np.eye(2))
         z0_v_prime = default_v_prime(solution.s_matrix, np.eye(2), 0.1)
         return [
             (z0, theta, solution.x_ops, z0_v_prime),
