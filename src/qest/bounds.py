@@ -139,23 +139,17 @@ def pair_moments(rho_matrix: np.ndarray, x_ops) -> tuple[np.ndarray, np.ndarray]
     Returns (v, s) with v[k,j] = Tr rho (Xc_k o Xc_j) and
     s[k,j] = -i/2 Tr rho [Xc_k, Xc_j] where Xc = X - Tr(rho X) I.
     """
-    d = len(x_ops)
-    dim = rho_matrix.shape[0]
-    centered = [
-        np.asarray(x, dtype=complex)
-        - np.real(np.trace(rho_matrix @ np.asarray(x))) * np.eye(dim)
-        for x in x_ops
-    ]
-    v = np.zeros((d, d))
-    s = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            prod_ab = complex(np.trace(rho_matrix @ centered[a] @ centered[b]))
-            prod_ba = complex(np.trace(rho_matrix @ centered[b] @ centered[a]))
-            v[a, b] = v[b, a] = 0.5 * np.real(prod_ab + prod_ba)
-            s_val = np.real(-0.5j * (prod_ab - prod_ba))
-            s[a, b] = s_val
-            s[b, a] = -s_val
+    x = np.asarray(x_ops, dtype=complex)
+    d, dim = len(x), rho_matrix.shape[0]
+    # contiguous diagonals, summed along their own axis as a single trace is
+    means = np.real(np.diagonal(rho_matrix @ x, axis1=-2, axis2=-1).copy().sum(axis=-1))
+    centered = x - means[:, None, None] * np.eye(dim)
+    prods = (rho_matrix @ centered)[:, None] @ centered[None]
+    tr = np.diagonal(prods, axis1=-2, axis2=-1).copy().sum(axis=-1)
+    v = 0.5 * np.real(tr + tr.T)
+    half = np.real(-0.5j * (tr - tr.T))
+    # s[a, b] for a < b, negated into s[b, a] and onto the diagonal
+    s = np.where(np.triu(np.ones((d, d), dtype=bool), 1), half, -half.T)
     return v, s
 
 

@@ -12,7 +12,8 @@ An experiment's click options are its config schema: a config names its
 the subcommand calls.  Required keys, then optional ones with defaults:
 
 - fisher: model, theta; kind "sld" ("rld", "classical"), povm (a POVM file,
-  needed by "classical"), seed 0, out
+  needed by "classical"; the report stores its absolute path, so the config
+  replays from any directory), seed 0, out
 - bounds: model, theta; g "identity" (or matrix rows, or a matrix file),
   starts 1, seed 0, out.  ``starts`` and ``seed`` are accepted so older
   configs replay; the collective bound is deterministic and ignores both.
@@ -28,7 +29,8 @@ List values are JSON lists or the command line's comma text; ``estimate``
 stores ``n`` as that comma text.  A null value counts as absent.  ``run``
 exits 2 on an unknown or missing key; ``run --out`` overrides ``out``.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (running out
+of memory included).
 """
 
 from __future__ import annotations
@@ -166,6 +168,9 @@ def _run_guarded(fn):
     except NumericalError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(_ExitCodes.NUMERICAL)
+    except MemoryError as exc:
+        click.echo(f"numerical failure: out of memory: {exc}", err=True)
+        sys.exit(_ExitCodes.NUMERICAL)
     sys.exit(_ExitCodes.OK)
 
 
@@ -290,6 +295,7 @@ def fisher_experiment(values: dict) -> None:
         if values["povm"] is None:
             raise ValidationError("classical Fisher needs --povm")
         j = classical_fisher(model, theta, _load_povm(values["povm"]))
+        config["povm"] = str(Path(values["povm"]).resolve())
         results = {
             "matrix": matrix_to_json(j.matrix.astype(complex)),
             "droppedMass": j.dropped_mass,

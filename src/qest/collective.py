@@ -20,17 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import check_weight_matrix, _sym_sqrt, _sym_isqrt
+from .bounds import check_weight_matrix, qubit_c1, _sym_sqrt, _sym_isqrt
 from .clt import CollectiveSpec, _smearing_blocks, collective_sectors, sector_states
 from .errors import NumericalError, ValidationError
-from .fisher import _sld_stack, sld_fisher
+from .fisher import _sld_stack, classical_fisher, sld_fisher
 from .gaussian import smearing_kernel
 from .models import ParametricModel, model_derivatives
 from .qcore import (
     DEFAULT_DIM_CAP,
     DensityOperator,
     Povm,
-    density_stack,
     measure_distribution,
     probability_rows,
     trace_products,
@@ -294,13 +293,6 @@ def _batch_probs(states: np.ndarray, elements: np.ndarray, weights: np.ndarray) 
     return np.clip(p, 1e-300, None)
 
 
-def _model_states(model: ParametricModel, thetas: np.ndarray) -> np.ndarray:
-    """Validated density matrices (m, dim, dim) at the rows of ``thetas``."""
-    if model.batch_states is None:
-        return np.array([model.state_at(th).matrix for th in thetas])
-    return density_stack(model.batch_states(thetas))
-
-
 def _stack_povms(model: ParametricModel, povms, counts):
     """Elements (R, k, dim, dim), weights (R, k), sum windows (R,) and counts
     (T, k) of one shared POVM (R = 1) or one POVM per count row (R = T).
@@ -348,7 +340,7 @@ def _grid_starts(model, grid, elements, weights, counts) -> np.ndarray:
     near ``MLE_SCAN_BYTES``; with per-row POVMs each block builds its own
     table, with a shared POVM the one (G, k) table serves every block.
     """
-    states = _model_states(model, grid)
+    states = model.state_stack(grid)
     shared = elements.shape[0] == 1
     if shared:
         logp = np.log(_batch_probs(states, elements[0], weights[0]))
@@ -396,7 +388,7 @@ def _mle_rows(model: ParametricModel, povms, counts, points_per_axis: int = 41):
 
     def loglik_and_grad(th, rows):
         elems = elements[rows]
-        probs = trace_products(_model_states(model, th)[:, None], elems) * weights[rows]
+        probs = trace_products(model.state_stack(th)[:, None], elems) * weights[rows]
         probs = np.clip(probability_rows(probs, sum_tol[rows]), 1e-300, None)
         value = (counts[rows] * np.log(probs)).sum(axis=1) / totals[rows]
         derivs = model_derivatives(model, th)
@@ -532,7 +524,7 @@ def _optimal_qubit_povms(model: ParametricModel, thetas: np.ndarray, g) -> list[
     if model.hilbert_dim != 2:
         raise ValidationError("optimal measurement construction is qubit-only")
     g = check_weight_matrix(g, model.param_dim)
-    slds, _, j_s = _sld_stack(_model_states(model, thetas), model_derivatives(model, thetas))
+    slds, _, j_s = _sld_stack(model.state_stack(thetas), model_derivatives(model, thetas))
     w, o = np.linalg.eigh(j_s)
     if (w.min(axis=-1) <= 0).any():
         raise NumericalError("SLD Fisher matrix is singular")
@@ -625,8 +617,6 @@ def two_stage_estimate(
     n2 = n - n1
     if n2 < 1:
         raise ValidationError("n too small for two stages")
-    from .fisher import classical_fisher
-
     j_pilot = classical_fisher(model, t, m_prime)
     if np.linalg.eigvalsh(j_pilot.matrix).min() <= 1e-10:
         raise ValidationError("pilot measurement has singular Fisher information")
@@ -648,8 +638,6 @@ def two_stage_estimate(
     if len(estimates) < 2:
         raise NumericalError("too few surviving trials for a report")
     _, j_s = sld_fisher(model, t)
-    from .bounds import qubit_c1
-
     bound = qubit_c1(j_s, g)
     extras = {
         "discarded": discarded,

@@ -135,21 +135,14 @@ def rld_fisher(model: ParametricModel, theta) -> tuple[LogDerivativeSet, FisherM
             f"(min eigenvalue {lam.min():.3e})"
         )
     derivs = model_derivatives(model, t)
-    rho_inv = np.linalg.inv(rho.matrix)
-    ops = []
-    residuals = []
-    for dr in derivs:
-        l_op = rho_inv @ dr
-        resid = _frobenius(rho.matrix @ l_op - dr)
-        if resid > RESIDUAL_TOL:
-            raise NumericalError(f"RLD residual {resid:.3e} exceeds {RESIDUAL_TOL}")
-        ops.append(l_op)
-        residuals.append(resid)
-    d = len(ops)
-    j = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            j[a, b] = np.trace(rho.matrix @ ops[a] @ ops[b].conj().T)
+    ops = np.linalg.inv(rho.matrix) @ derivs
+    # one norm per matrix: a stacked norm sums in another order, and reports carry residuals
+    residuals = [_frobenius(m) for m in rho.matrix @ ops - derivs]
+    if max(residuals) > RESIDUAL_TOL:
+        raise NumericalError(f"RLD residual {max(residuals):.3e} exceeds {RESIDUAL_TOL}")
+    prods = (rho.matrix @ ops)[:, None] @ ops.conj().swapaxes(-1, -2)[None]
+    # contiguous diagonals, summed along their own axis as a single trace is
+    j = np.diagonal(prods, axis1=-2, axis2=-1).copy().sum(axis=-1)
     j = (j + j.conj().T) / 2
     return (
         LogDerivativeSet(tuple(ops), tuple(residuals), "rld"),
@@ -176,7 +169,7 @@ def classical_fisher(model: ParametricModel, theta, m: Povm) -> FisherMatrix:
     dropped = float(probs[~keep].sum())
     if not keep.any():
         raise NumericalError("all outcomes fall below the probability floor")
-    dp = np.array([trace_products(m.stack, dr) * weights for dr in derivs])
+    dp = trace_products(m.stack, derivs[:, None]) * weights
     j = np.zeros((d, d))
     for a in range(d):
         for b in range(a, d):

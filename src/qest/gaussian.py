@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .qcore import DensityOperator, OutcomeDistribution
+from .qcore import DensityOperator, OutcomeDistribution, Povm
 
 MOMENT_DEGREE_CAP = 10
 DEFAULT_TAIL_TOL = 1e-8
@@ -295,8 +295,6 @@ def number_distribution(state: FockState) -> OutcomeDistribution:
 
 def number_povm(cutoff: int):
     """Projective number measurement on the truncated space."""
-    from .qcore import Povm
-
     elements = []
     for k in range(cutoff):
         m = np.zeros((cutoff, cutoff), dtype=complex)
@@ -314,8 +312,6 @@ def heterodyne_povm(cutoff: int, radius: float, n_radial: int, n_angle: int, com
     must cover the cutoff (radius of roughly sqrt(cutoff) + 4 or more) or the
     top Fock levels fail the certificate.
     """
-    from .qcore import Povm
-
     radii = (np.arange(n_radial) + 0.5) * (radius / n_radial)
     angles = 2 * np.pi * np.arange(n_angle) / n_angle
     dr = radius / n_radial

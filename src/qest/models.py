@@ -14,8 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import gaussian
 from .errors import ValidationError
-from .qcore import DensityOperator
+from .qcore import DensityOperator, density_stack
 
 FD_STEP = 1e-5
 
@@ -29,29 +30,31 @@ PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 class ParametricModel:
     """A map theta -> density operator with domain and derivative metadata.
 
-    ``state_at`` must return a valid DensityOperator for every theta passing
-    ``domain_check``.  ``domain_check`` maps a stack of parameter points,
-    shape (..., d), to a boolean array of shape (...); one point (d,) is the
-    one-row case and gives a boolean scalar.  A user-defined model must
+    Every callable of a model takes a stack of parameter points, shape
+    (..., d); one point (d,) is the one-row case.  A user-defined model must
     therefore index coordinates as ``t[..., k]``, never ``t[k]``.
-    ``derivative_at(t, k)``, when present, returns the analytic partial
-    derivative for parameter index k at the points ``t`` (..., d): an array
-    (..., dim, dim), or one (dim, dim) matrix when it does not depend on
-    theta.  ``domain_box`` bounds the domain per axis for grid searches;
-    ``batch_states``, when present, maps an (m, d) array of parameter points
-    to an (m, dim, dim) array of raw state matrices and exists purely as a
-    fast path.  ``is_interior`` and ``model_derivatives`` take one point or a
-    stack alike.
+
+    - ``states(t)`` maps points (..., d) to raw state matrices
+      (..., dim, dim), each a valid density matrix for a point passing
+      ``domain_check``; ``state_at`` and ``state_stack`` validate them.
+    - ``domain_check(t)`` maps points (..., d) to booleans (...).
+    - ``derivatives(t)``, when present, gives the analytic partial
+      derivatives (..., d, dim, dim), or one stack (d, dim, dim) when they do
+      not depend on theta.  Without it ``model_derivatives`` takes central
+      finite differences of ``states``.
+    - ``domain_box`` bounds the domain per axis for grid searches.
+
+    ``state_stack``, ``is_interior`` and ``model_derivatives`` take one point
+    or a stack alike.
     """
 
     name: str
     param_dim: int
     hilbert_dim: int
-    state_at: Callable[[np.ndarray], DensityOperator]
-    domain_check: Callable[[np.ndarray], bool]
+    states: Callable[[np.ndarray], np.ndarray]
+    domain_check: Callable[[np.ndarray], np.ndarray]
     domain_box: tuple
-    derivative_at: Callable[[np.ndarray, int], np.ndarray] | None = None
-    batch_states: Callable[[np.ndarray], np.ndarray] | None = None
+    derivatives: Callable[[np.ndarray], np.ndarray] | None = None
     meta: dict = field(default_factory=dict)
 
     def theta(self, theta) -> np.ndarray:
@@ -67,6 +70,23 @@ class ParametricModel:
         if not self.domain_check(t):
             raise ValidationError(f"theta {t.tolist()} outside domain of {self.name!r}")
         return t
+
+    def state_at(self, theta) -> DensityOperator:
+        """The state at one point (d,)."""
+        return DensityOperator(self.states(np.asarray(theta, dtype=float)))
+
+    def state_stack(self, points) -> np.ndarray:
+        """Density matrices (..., dim, dim) at the points (..., d), each
+        validated and normalized by the DensityOperator rules."""
+        points = np.asarray(points, dtype=float)
+        raw = np.asarray(self.states(points))
+        dim = self.hilbert_dim
+        if raw.shape != points.shape[:-1] + (dim, dim):
+            raise ValidationError(
+                f"states of model {self.name!r} must map points (..., d) to matrices (..., {dim}, {dim}): "
+                f"got shape {raw.shape} for points {points.shape}"
+            )
+        return density_stack(raw)
 
     def _points(self, theta) -> np.ndarray:
         """``theta`` as one point (d,) or a stack of points (m, d)."""
@@ -105,8 +125,14 @@ def _in_unit_ball(t: np.ndarray) -> np.ndarray:
     return (t[..., None, :] @ t[..., :, None])[..., 0, 0] <= 1.0 + 1e-12
 
 
-def _qubit_matrix(x: float, y: float, z: float) -> np.ndarray:
-    return 0.5 * np.array([[1 + x, y + 1j * z], [y - 1j * z, 1 - x]], dtype=complex)
+def _qubit_states(x, y, z) -> np.ndarray:
+    """The matrices [[1+x, y+iz], [y-iz, 1-x]]/2 at broadcast coordinates."""
+    out = np.empty(np.broadcast(x, y, z).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1 + x
+    out[..., 1, 1] = 1 - x
+    out[..., 0, 1] = y + 1j * z
+    out[..., 1, 0] = y - 1j * z
+    return out / 2
 
 
 def qubit_family(kind: str = "full") -> ParametricModel:
@@ -117,60 +143,21 @@ def qubit_family(kind: str = "full") -> ParametricModel:
     derivatives are attached (constant in theta).
     """
     if kind == "full":
-        derivs = [
-            0.5 * SIGMA_Z,
-            0.5 * SIGMA_X,
-            0.5 * np.array([[0, 1j], [-1j, 0]], dtype=complex),
-        ]
-
-        def state(t):
-            return DensityOperator(_qubit_matrix(t[0], t[1], t[2]))
-
-        def batch(ts):
-            ts = np.asarray(ts, dtype=float)
-            out = np.empty((ts.shape[0], 2, 2), dtype=complex)
-            out[:, 0, 0] = 1 + ts[:, 0]
-            out[:, 1, 1] = 1 - ts[:, 0]
-            out[:, 0, 1] = ts[:, 1] + 1j * ts[:, 2]
-            out[:, 1, 0] = ts[:, 1] - 1j * ts[:, 2]
-            return out / 2
-
-        return ParametricModel(
-            name="qubit-full",
-            param_dim=3,
-            hilbert_dim=2,
-            state_at=state,
-            domain_check=_in_unit_ball,
-            domain_box=((-1.0, 1.0),) * 3,
-            derivative_at=lambda t, k: derivs[k],
-            batch_states=batch,
-        )
-    if kind == "z0":
-        derivs = [0.5 * SIGMA_Z, 0.5 * SIGMA_X]
-
-        def state(t):
-            return DensityOperator(_qubit_matrix(t[0], t[1], 0.0))
-
-        def batch(ts):
-            ts = np.asarray(ts, dtype=float)
-            out = np.empty((ts.shape[0], 2, 2), dtype=complex)
-            out[:, 0, 0] = 1 + ts[:, 0]
-            out[:, 1, 1] = 1 - ts[:, 0]
-            out[:, 0, 1] = ts[:, 1]
-            out[:, 1, 0] = ts[:, 1]
-            return out / 2
-
-        return ParametricModel(
-            name="qubit-z0",
-            param_dim=2,
-            hilbert_dim=2,
-            state_at=state,
-            domain_check=_in_unit_ball,
-            domain_box=((-1.0, 1.0),) * 2,
-            derivative_at=lambda t, k: derivs[k],
-            batch_states=batch,
-        )
-    raise ValidationError(f"unknown qubit family kind {kind!r}")
+        d, states = 3, lambda t: _qubit_states(t[..., 0], t[..., 1], t[..., 2])
+    elif kind == "z0":
+        d, states = 2, lambda t: _qubit_states(t[..., 0], t[..., 1], 0.0)
+    else:
+        raise ValidationError(f"unknown qubit family kind {kind!r}")
+    derivs = np.array([SIGMA_Z, SIGMA_X, [[0, 1j], [-1j, 0]]][:d]) / 2
+    return ParametricModel(
+        name=f"qubit-{kind}",
+        param_dim=d,
+        hilbert_dim=2,
+        states=states,
+        domain_check=_in_unit_ball,
+        domain_box=((-1.0, 1.0),) * d,
+        derivatives=lambda t: derivs,
+    )
 
 
 def diagonal_family(dim: int = 2) -> ParametricModel:
@@ -183,16 +170,17 @@ def diagonal_family(dim: int = 2) -> ParametricModel:
     if dim < 2:
         raise ValidationError("diagonal family needs dim >= 2")
     d = dim - 1
+    diag = np.arange(dim)
 
-    def state(t):
-        p = np.append(t, 1.0 - t.sum())
-        return DensityOperator(np.diag(p.astype(complex)))
+    def states(t):
+        out = np.zeros(t.shape[:-1] + (dim, dim), dtype=complex)
+        out[..., diag, diag] = np.concatenate([t, 1.0 - t.sum(axis=-1, keepdims=True)], axis=-1)
+        return out
 
-    def deriv(t, k):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[k, k] = 1.0
-        m[dim - 1, dim - 1] = -1.0
-        return m
+    # d rho / d theta_k = |k><k| - |dim-1><dim-1|, constant in theta
+    derivs = np.zeros((d, dim, dim), dtype=complex)
+    derivs[diag[:d], diag[:d], diag[:d]] = 1.0
+    derivs[:, d, d] = -1.0
 
     def check(t):
         return (t > 0).all(axis=-1) & (t.sum(axis=-1) < 1.0)
@@ -201,10 +189,10 @@ def diagonal_family(dim: int = 2) -> ParametricModel:
         name=f"diag:{dim}",
         param_dim=d,
         hilbert_dim=dim,
-        state_at=state,
+        states=states,
         domain_check=check,
         domain_box=((0.0, 1.0),) * d,
-        derivative_at=deriv,
+        derivatives=lambda t: derivs,
     )
 
 
@@ -218,33 +206,31 @@ def gaussian_displacement_family(
     domain radius unless given.  Derivatives are the exact displacement
     generators d rho/d theta1 = -i[P, rho], d rho/d theta2 = i[Q, rho].
     """
-    from . import gaussian as _gaussian
-
     if not 0 <= noise < np.inf:
         raise ValidationError("noise must be finite and nonnegative")
     if cutoff is None:
         # |zeta| = |theta|/sqrt2 <= theta_max/sqrt2 over the domain disk
-        cutoff = _gaussian.auto_cutoff(theta_max / np.sqrt(2.0), noise)
-    q_op, p_op = _gaussian.quadrature_operators(cutoff)
+        cutoff = gaussian.auto_cutoff(theta_max / np.sqrt(2.0), noise)
+    q_op, p_op = gaussian.quadrature_operators(cutoff)
 
-    def state(t):
-        zeta = (t[0] + 1j * t[1]) / np.sqrt(2.0)
-        return DensityOperator(_gaussian.fock_density(zeta, noise, cutoff).matrix)
+    def states(t):
+        # each Fock state is built from scratch, one point at a time
+        mats = [gaussian.fock_density((p[0] + 1j * p[1]) / np.sqrt(2.0), noise, cutoff).matrix
+                for p in t.reshape(-1, 2)]
+        return np.array(mats).reshape(t.shape[:-1] + (cutoff, cutoff))
 
-    def deriv(t, k):
-        rho = np.array([state(p).matrix for p in t.reshape(-1, 2)]).reshape(t.shape[:-1] + (cutoff, cutoff))
-        if k == 0:
-            return -1j * (p_op @ rho - rho @ p_op)
-        return 1j * (q_op @ rho - rho @ q_op)
+    def derivatives(t):
+        rho = density_stack(states(t))
+        return np.stack([-1j * (p_op @ rho - rho @ p_op), 1j * (q_op @ rho - rho @ q_op)], axis=-3)
 
     return ParametricModel(
         name=f"gauss1:{noise:g}",
         param_dim=2,
         hilbert_dim=cutoff,
-        state_at=state,
+        states=states,
         domain_check=lambda t: np.hypot(t[..., 0], t[..., 1]) <= theta_max,
         domain_box=((-theta_max, theta_max),) * 2,
-        derivative_at=deriv,
+        derivatives=derivatives,
         meta={"noise": noise, "cutoff": cutoff},
     )
 
@@ -265,11 +251,16 @@ def model_derivatives(model: ParametricModel, theta) -> np.ndarray:
         bad = t if t.ndim == 1 else t[np.flatnonzero(outside)[0]]
         raise ValidationError(f"theta {bad.tolist()} outside domain of {model.name!r}")
     dim = model.hilbert_dim
-    out = np.empty(t.shape[:-1] + (model.param_dim, dim, dim), dtype=complex)
-    if model.derivative_at is not None:
-        for k in range(model.param_dim):
-            # a theta-independent (dim, dim) derivative broadcasts over the rows
-            out[..., k, :, :] = model.derivative_at(t, k)
+    shape = t.shape[:-1] + (model.param_dim, dim, dim)
+    if model.derivatives is not None:
+        out = np.asarray(model.derivatives(t), dtype=complex)
+        if out.shape not in (shape, shape[-3:]):
+            raise ValidationError(
+                f"derivatives of model {model.name!r} must map points (..., d) to (..., d, dim, dim) "
+                f"or give one (d, dim, dim) stack: got shape {out.shape} for points {t.shape}"
+            )
+        # a theta-independent (d, dim, dim) stack broadcasts over the rows
+        out = np.broadcast_to(out, shape)
         out = (out + out.conj().swapaxes(-1, -2)) / 2
         _check_traceless(out, 1e-10)
         return out
@@ -278,15 +269,10 @@ def model_derivatives(model: ParametricModel, theta) -> np.ndarray:
             "finite-difference derivatives need an interior point "
             f"(margin {FD_STEP}) for model {model.name!r}"
         )
-
-    def states(points):
-        mats = [model.state_at(p).matrix for p in points.reshape(-1, model.param_dim)]
-        return np.array(mats).reshape(t.shape[:-1] + (dim, dim))
-
-    for k in range(model.param_dim):
-        step = np.zeros(model.param_dim)
-        step[k] = FD_STEP
-        out[..., k, :, :] = (states(t + step) - states(t - step)) / (2 * FD_STEP)
+    # row k of ``steps`` moves parameter k: points (..., d, d) give (..., d, dim, dim)
+    steps = np.eye(model.param_dim) * FD_STEP
+    centre = t[..., None, :]
+    out = (model.state_stack(centre + steps) - model.state_stack(centre - steps)) / (2 * FD_STEP)
     out = (out + out.conj().swapaxes(-1, -2)) / 2
     _check_traceless(out, 10 * FD_STEP**2)
     return out

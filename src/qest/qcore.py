@@ -55,13 +55,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def density_stack(matrices: np.ndarray) -> np.ndarray:
-    """Validate and normalize a stack (m, dim, dim) of density matrices.
+    """Validate and normalize a stack (..., dim, dim) of density matrices.
 
     The DensityOperator rules, applied to every matrix of the stack; any
     matrix failing a check raises, with the checks run in the order
-    Hermiticity, trace, positivity.  Returns a new stack.
+    Hermiticity, trace, positivity.  Returns a new stack of the same shape.
     """
     arr = np.asarray(matrices, dtype=complex)
+    shape = arr.shape
+    arr = arr.reshape((-1,) + shape[-2:])
     adj = arr.conj().swapaxes(-1, -2)
     dev = np.abs(arr - adj).max(axis=(-2, -1))
     if (dev > HERMITICITY_TOL).any():
@@ -81,7 +83,7 @@ def density_stack(matrices: np.ndarray) -> np.ndarray:
         w = np.clip(w, 0.0, None)
         fixed = (u * w) @ u.conj().T
         arr[i] = (fixed + fixed.conj().T) / 2
-    return arr / np.real(np.trace(arr, axis1=-2, axis2=-1))[:, None, None]
+    return (arr / np.real(np.trace(arr, axis1=-2, axis2=-1))[:, None, None]).reshape(shape)
 
 
 def probability_rows(probs: np.ndarray, sum_tol) -> np.ndarray:
@@ -116,7 +118,7 @@ class DensityOperator:
 
     def __init__(self, matrix: Any):
         arr = _as_complex_matrix(matrix)
-        object.__setattr__(self, "matrix", _freeze(density_stack(arr[None])[0]))
+        object.__setattr__(self, "matrix", _freeze(density_stack(arr)))
 
     @property
     def dim(self) -> int:

@@ -33,7 +33,7 @@ from qest.gaussian import (
     number_distribution,
     one_mode_covariance,
 )
-from qest.models import ParametricModel, qubit_family
+from qest.models import ParametricModel, _qubit_states, qubit_family
 from qest.qcore import DensityOperator
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_povm
@@ -56,16 +56,15 @@ def report(number, ok, detail):
 
 def submodel_xy_at_half():
     """(x, y) parameters of the full family at fixed z = 1/2."""
-    derivs = [0.5 * SIGMA_Z, 0.5 * SIGMA_X]
-    full = qubit_family("full")
+    derivs = np.array([0.5 * SIGMA_Z, 0.5 * SIGMA_X])
     return ParametricModel(
         name="qubit-xy@z=0.5",
         param_dim=2,
         hilbert_dim=2,
-        state_at=lambda t: full.state_at(np.array([t[0], t[1], 0.5])),
+        states=lambda t: _qubit_states(t[..., 0], t[..., 1], 0.5),
         domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 <= 0.74,
         domain_box=((-0.86, 0.86),) * 2,
-        derivative_at=lambda t, k: derivs[k],
+        derivatives=lambda t: derivs,
     )
 
 
@@ -241,12 +240,12 @@ def test_criterion_7_collective_povm():
         name="tangential",
         param_dim=2,
         hilbert_dim=2,
-        state_at=lambda t: DensityOperator(
-            0.5 * (np.eye(2) + t[0] * SIGMA_X + t[1] * SIGMA_Y + 0.5 * SIGMA_Z)
+        states=lambda t: 0.5 * (
+            np.eye(2) + t[..., 0, None, None] * SIGMA_X + t[..., 1, None, None] * SIGMA_Y + 0.5 * SIGMA_Z
         ),
         domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 <= 0.74,
         domain_box=((-0.86, 0.86),) * 2,
-        derivative_at=lambda t, k: [0.5 * SIGMA_X, 0.5 * SIGMA_Y][k],
+        derivatives=lambda t: np.array([0.5 * SIGMA_X, 0.5 * SIGMA_Y]),
     )
     x_ops = [SIGMA_X, SIGMA_Y]
     epsilon = 0.1

@@ -19,8 +19,9 @@ from qest.models import (
     gaussian_displacement_family,
     model_derivatives,
     qubit_family,
+    _qubit_states,
 )
-from qest.qcore import DensityOperator, Povm
+from qest.qcore import Povm
 
 from conftest import SIGMA_X, SIGMA_Z, random_povm
 
@@ -28,46 +29,40 @@ ONE_MODE_S = np.array([[0.0, 0.5], [-0.5, 0.0]])
 
 
 def submodel_xy(z_fixed):
-    full = qubit_family("full")
-    derivs = [0.5 * SIGMA_Z, 0.5 * SIGMA_X]
+    derivs = np.array([0.5 * SIGMA_Z, 0.5 * SIGMA_X])
     return ParametricModel(
         name=f"qubit-xy@z={z_fixed}",
         param_dim=2,
         hilbert_dim=2,
-        state_at=lambda t: full.state_at(np.array([t[0], t[1], z_fixed])),
+        states=lambda t: _qubit_states(t[..., 0], t[..., 1], z_fixed),
         domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 + z_fixed**2 <= 1 + 1e-12,
         domain_box=((-0.8, 0.8),) * 2,
-        derivative_at=lambda t, k: derivs[k],
+        derivatives=lambda t: derivs,
     )
 
 
 def pure_qubit_model():
     """Two-parameter family of pure states (polar, azimuth angles)."""
 
-    def vec(t):
-        a, b = t
-        return np.array([np.cos(a / 2), np.exp(1j * b) * np.sin(a / 2)])
+    def states(t):
+        a, b = t[..., 0], t[..., 1]
+        v = np.stack([np.cos(a / 2) + 0j, np.exp(1j * b) * np.sin(a / 2)], axis=-1)
+        return v[..., :, None] * v[..., None, :].conj()
 
-    def state(t):
-        v = vec(t)
-        return DensityOperator(np.outer(v, v.conj()))
-
-    def deriv(t, k):
+    def derivatives(t):
         h = 1e-6
-        step = np.zeros(2)
-        step[k] = h
-        vp, vm = vec(t + step), vec(t - step)
-        dm = (np.outer(vp, vp.conj()) - np.outer(vm, vm.conj())) / (2 * h)
-        return (dm + dm.conj().T) / 2
+        steps = np.eye(2) * h
+        dm = (states(t[..., None, :] + steps) - states(t[..., None, :] - steps)) / (2 * h)
+        return (dm + dm.conj().swapaxes(-1, -2)) / 2
 
     return ParametricModel(
         name="pure-qubit",
         param_dim=2,
         hilbert_dim=2,
-        state_at=state,
+        states=states,
         domain_check=lambda t: (0.05 < t[..., 0]) & (t[..., 0] < np.pi - 0.05),
         domain_box=((0.05, np.pi - 0.05), (-np.pi, np.pi)),
-        derivative_at=deriv,
+        derivatives=derivatives,
     )
 
 
@@ -83,14 +78,15 @@ def qutrit_family(seed):
         n = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h = (n + n.conj().T) / 2
         directions.append(0.1 * (h - np.trace(h) / 3 * np.eye(3)))
+    directions = np.array(directions)
     return ParametricModel(
         name=f"qutrit-{seed}",
         param_dim=3,
         hilbert_dim=3,
-        state_at=lambda t: DensityOperator(rho0 + np.einsum("k,kab->ab", t, directions)),
+        states=lambda t: rho0 + np.einsum("...k,kab->...ab", t, directions),
         domain_check=lambda t: (np.abs(t) <= 0.2).all(axis=-1),
         domain_box=((-0.2, 0.2),) * 3,
-        derivative_at=lambda t, k: directions[k],
+        derivatives=lambda t: directions,
     )
 
 
@@ -248,15 +244,14 @@ class TestHolevoBound:
     def test_noncommutative_one_parameter(self):
         # d = 1 collapses to the inverse SLD Fisher even when the derivative
         # does not commute with the state
-        full = qubit_family("full")
         model = ParametricModel(
             name="x-slice",
             param_dim=1,
             hilbert_dim=2,
-            state_at=lambda t: full.state_at(np.array([t[0], 0.3, 0.2])),
+            states=lambda t: _qubit_states(t[..., 0], 0.3, 0.2),
             domain_check=lambda t: t[..., 0] ** 2 + 0.13 <= 1,
             domain_box=((-0.9, 0.9),),
-            derivative_at=lambda t, k: 0.5 * SIGMA_Z.astype(complex),
+            derivatives=lambda t: 0.5 * SIGMA_Z[None],
         )
         t = np.array([0.25])
         sol = holevo_bound(model, t, np.eye(1))
@@ -316,10 +311,10 @@ class TestHolevoBound:
             name="scaled",
             param_dim=2,
             hilbert_dim=2,
-            state_at=lambda t: base.state_at(t / c),
+            states=lambda t: base.states(t / c),
             domain_check=lambda t: base.domain_check(t / c),
             domain_box=((-1.0, 1.0),) * 2,
-            derivative_at=lambda t, k: base.derivative_at(t / c, k) / c,
+            derivatives=lambda t: base.derivatives(t / c) / c,
         )
         v0 = holevo_bound(base, np.zeros(2), np.eye(2)).value
         v_scaled = holevo_bound(scaled, np.zeros(2), np.eye(2)).value

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qest import cli
 from qest.cli import main
 from qest.collective import mixed_basis_povm, two_stage_estimate
 from qest.gaussian import gaussian_protocol_mse
@@ -262,6 +263,20 @@ class TestEstimateCommand:
         assert res["trials"] + res["discarded"] == 40
         assert len(res["empiricalMean"]) == 3
 
+    def test_out_of_memory_exits_3_with_one_line(self, monkeypatch):
+        # diag:3 at n = 7 passes the dimension cap, but its dense smearing
+        # stack does not fit in memory; the failed allocation is simulated
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 56.8 GiB for an array")
+
+        monkeypatch.setattr(cli, "collective_estimator_check", exhausted)
+        argv = ["estimate", "--mode", "collective", "--model", "diag:3", "--theta", "0.2,0.3", "--n", "7"]
+        result = run_cli(argv)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: out of memory")
+
     def test_two_stage_writes_trial_csv(self, tmp_path):
         prefix = tmp_path / "ts"
         result = run_cli(
@@ -382,6 +397,23 @@ class TestRunConfig:
         config.write_text(json.dumps({"experiment": "fisher", "model": "qubit-full", "theta": "0,0,0", "kind": None}))
         assert run_cli(["run", "--config", str(config), "--out", str(tmp_path / "b")]).exit_code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_povm_path_replays_from_another_directory(self, tmp_path, monkeypatch):
+        # a relative --povm is stored resolved, so the config runs anywhere
+        made, elsewhere = tmp_path / "made", tmp_path / "elsewhere"
+        made.mkdir()
+        elsewhere.mkdir()
+        povm = {"elements": [matrix_to_json(m) for m in mixed_basis_povm("zxy").elements]}
+        (made / "basis.json").write_text(json.dumps(povm))
+        monkeypatch.chdir(made)
+        argv = ["fisher", "--model", "qubit-full", "--theta", "0.1,0.2,0.3", "--kind", "classical"]
+        assert run_cli(argv + ["--povm", "basis.json", "--out", "a"]).exit_code == 0
+        config = json.loads((made / "a.json").read_text())["config"]
+        assert config["povm"] == str((made / "basis.json").resolve())
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        monkeypatch.chdir(elsewhere)
+        assert run_cli(["run", "--config", str(tmp_path / "config.json"), "--out", "b"]).exit_code == 0
+        assert (made / "a.json").read_bytes() == (elsewhere / "b.json").read_bytes()
 
     def test_gauss_config(self, tmp_path):
         config = tmp_path / "gauss.json"

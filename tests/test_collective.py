@@ -7,7 +7,6 @@ from qest.collective import (
     _estimator_rows,
     _grid_starts,
     _mle_rows,
-    _model_states,
     _optimal_qubit_povms,
     _povm_on_sectors,
     _stack_povms,
@@ -42,10 +41,10 @@ def one_param_model():
         name="one-param",
         param_dim=1,
         hilbert_dim=2,
-        state_at=lambda t: DensityOperator(np.diag([(1 + t[0]) / 2, (1 - t[0]) / 2])),
+        states=lambda t: (np.eye(2) + t[..., 0, None, None] * SIGMA_Z) / 2,
         domain_check=lambda t: np.abs(t[..., 0]) < 1,
         domain_box=((-1.0, 1.0),),
-        derivative_at=lambda t, k: 0.5 * SIGMA_Z.astype(complex),
+        derivatives=lambda t: 0.5 * SIGMA_Z[None],
     )
 
 
@@ -71,17 +70,16 @@ def pair_inversion(model, povm, counts):
 
 def tangential_model():
     """(x, y) parameters orthogonal to a Bloch vector of length 1/2."""
-    derivs = [0.5 * SIGMA_X, 0.5 * SIGMA_Y]
     return ParametricModel(
         name="tangential",
         param_dim=2,
         hilbert_dim=2,
-        state_at=lambda t: DensityOperator(
-            0.5 * (np.eye(2) + t[0] * SIGMA_X + t[1] * SIGMA_Y + 0.5 * SIGMA_Z)
+        states=lambda t: 0.5 * (
+            np.eye(2) + t[..., 0, None, None] * SIGMA_X + t[..., 1, None, None] * SIGMA_Y + 0.5 * SIGMA_Z
         ),
         domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 <= 0.74,
         domain_box=((-0.86, 0.86),) * 2,
-        derivative_at=lambda t, k: derivs[k],
+        derivatives=lambda t: np.array([0.5 * SIGMA_X, 0.5 * SIGMA_Y]),
     )
 
 
@@ -311,12 +309,13 @@ def _pointwise_mle_rows(model, povms, counts, points_per_axis=41):
     hi_box = np.array([hi - 1e-9 for _, hi in model.domain_box])
 
     def derivatives(row):
-        mats = [np.asarray(model.derivative_at(row, k), dtype=complex) for k in range(model.param_dim)]
+        mats = np.asarray(model.derivatives(row), dtype=complex)
         return [(m + m.conj().T) / 2 for m in mats]
 
     def loglik_and_grad(th, rows):
         elems = elements[rows]
-        probs = trace_products(_model_states(model, th)[:, None], elems) * weights[rows]
+        states = np.array([model.state_at(row).matrix for row in th])
+        probs = trace_products(states[:, None], elems) * weights[rows]
         probs = np.clip(probability_rows(probs, sum_tol[rows]), 1e-300, None)
         value = (counts[rows] * np.log(probs)).sum(axis=1) / totals[rows]
         derivs = np.array([derivatives(row) for row in th])

@@ -9,6 +9,7 @@ from qest.models import (
     gaussian_displacement_family,
     model_derivatives,
     qubit_family,
+    _qubit_states,
 )
 from qest.qcore import DensityOperator, Povm
 
@@ -25,20 +26,15 @@ def bernoulli_fisher(p):
 
 def submodel_xy(z_fixed):
     """Two-parameter (x, y) slice of the full qubit family at fixed z."""
-    full = qubit_family("full")
-
-    def state(t):
-        return full.state_at(np.array([t[0], t[1], z_fixed]))
-
-    derivs = [0.5 * SIGMA_Z, 0.5 * SIGMA_X]
+    derivs = np.array([0.5 * SIGMA_Z, 0.5 * SIGMA_X])
     return ParametricModel(
         name=f"qubit-xy@z={z_fixed}",
         param_dim=2,
         hilbert_dim=2,
-        state_at=state,
+        states=lambda t: _qubit_states(t[..., 0], t[..., 1], z_fixed),
         domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 + z_fixed**2 <= 1 + 1e-12,
         domain_box=((-1.0, 1.0),) * 2,
-        derivative_at=lambda t, k: derivs[k],
+        derivatives=lambda t: derivs,
     )
 
 
@@ -135,10 +131,10 @@ def half_sigma_z_model():
         name="halved-bernoulli",
         param_dim=1,
         hilbert_dim=2,
-        state_at=lambda t: DensityOperator(np.diag([(1 + t[0]) / 2, (1 - t[0]) / 2])),
+        states=lambda t: (np.eye(2) + t[..., 0, None, None] * SIGMA_Z) / 2,
         domain_check=lambda t: np.abs(t[..., 0]) <= 1,
         domain_box=((-1.0, 1.0),),
-        derivative_at=lambda t, k: 0.5 * SIGMA_Z,
+        derivatives=lambda t: 0.5 * SIGMA_Z[None],
     )
 
 

@@ -4,7 +4,9 @@ import pytest
 from qest.errors import ValidationError
 from qest.models import (
     FD_STEP,
+    SIGMA_Z,
     ParametricModel,
+    _qubit_states,
     diagonal_family,
     gaussian_displacement_family,
     model_derivatives,
@@ -35,13 +37,6 @@ class TestQubitFamily:
         assert model.domain_check(np.array([0.5, 0.5, 0.5]))
         assert not model.domain_check(np.array([0.9, 0.9, 0.9]))
 
-    def test_batch_matches_single(self, rng):
-        model = qubit_family("full")
-        pts = rng.uniform(-0.5, 0.5, size=(6, 3))
-        batch = model.batch_states(pts)
-        for i, p in enumerate(pts):
-            assert np.allclose(batch[i], model.state_at(p).matrix)
-
 
 class TestDerivatives:
     def test_analytic_x(self):
@@ -60,7 +55,7 @@ class TestDerivatives:
             name="qubit-fd",
             param_dim=3,
             hilbert_dim=2,
-            state_at=analytic.state_at,
+            states=analytic.states,
             domain_check=analytic.domain_check,
             domain_box=analytic.domain_box,
         )
@@ -81,7 +76,7 @@ class TestDerivatives:
             name="z0-fd",
             param_dim=2,
             hilbert_dim=2,
-            state_at=base.state_at,
+            states=base.states,
             domain_check=base.domain_check,
             domain_box=base.domain_box,
         )
@@ -115,9 +110,8 @@ def point_derivatives(model, check, t):
     if not check(t):
         raise ValidationError("outside the domain")
     out = []
-    if model.derivative_at is not None:
-        for k in range(model.param_dim):
-            m = np.asarray(model.derivative_at(t, k), dtype=complex)
+    if model.derivatives is not None:
+        for m in np.asarray(model.derivatives(t), dtype=complex):
             out.append((m + m.conj().T) / 2)
         return out
     if not point_is_interior(check, t, FD_STEP):
@@ -162,6 +156,14 @@ def _edge_points(spec, rng):
     return np.vstack([pts, nan])
 
 
+def _inside_points(spec, check, edge, rng):
+    """The domain points among ``edge``; for gauss1 random points near the
+    origin, where the cutoff-16 Fock state is accurate."""
+    if spec.startswith("gauss1"):
+        return rng.uniform(-0.5, 0.5, size=(12, 2))
+    return edge[[check(p) for p in edge]]
+
+
 @pytest.mark.parametrize("spec", sorted(POINT_DOMAIN))
 class TestStackedAgainstPointwise:
     def test_domain_check(self, spec, rng):
@@ -181,20 +183,26 @@ class TestStackedAgainstPointwise:
         assert model.is_interior(pts, margin).tolist() == expected
         assert [model.is_interior(p, margin) for p in pts] == expected
 
+    def test_state_stack(self, spec, rng):
+        model, check = model_from_name(spec), POINT_DOMAIN[spec]
+        pts = _inside_points(spec, check, _edge_points(spec, rng), rng)
+        stacked = model.state_stack(pts)
+        assert stacked.shape == (len(pts), model.hilbert_dim, model.hilbert_dim)
+        assert np.array_equal(stacked, [model.state_at(p).matrix for p in pts])
+        assert np.array_equal(model.state_stack(pts[0]), stacked[0])
+        grid = model.state_stack(pts[:4].reshape(2, 2, -1))
+        assert np.array_equal(grid.reshape(stacked[:4].shape), stacked[:4])
+
     def test_model_derivatives(self, spec, rng):
         model, check = model_from_name(spec), POINT_DOMAIN[spec]
         edge = _edge_points(spec, rng)
         inside = np.array([check(p) for p in edge])
-        if spec.startswith("gauss1"):
-            # the cutoff-16 Fock state is accurate only near the origin
-            pts = rng.uniform(-0.5, 0.5, size=(12, 2))
-        else:
-            pts = edge[inside]
+        pts = _inside_points(spec, check, edge, rng)
         expected = np.array([point_derivatives(model, check, p) for p in pts])
         stacked = model_derivatives(model, pts)
         assert stacked.shape == (len(pts), model.param_dim, model.hilbert_dim, model.hilbert_dim)
         assert np.array_equal(stacked, expected)
-        assert np.array_equal(model_derivatives(model, pts[0]), expected[0])
+        assert np.array_equal(stacked, [model_derivatives(model, p) for p in pts])
         # one row outside the domain, or with a NaN entry, rejects the stack
         for bad in (edge[~inside][0], edge[-1]):
             with pytest.raises(ValidationError, match="outside domain"):
@@ -208,7 +216,7 @@ class TestStackedFiniteDifferences:
             name="qubit-fd",
             param_dim=3,
             hilbert_dim=2,
-            state_at=base.state_at,
+            states=base.states,
             domain_check=base.domain_check,
             domain_box=base.domain_box,
         )
@@ -216,6 +224,7 @@ class TestStackedFiniteDifferences:
         pts = rng.uniform(-0.55, 0.55, size=(30, 3))
         expected = np.array([point_derivatives(numeric, check, p) for p in pts])
         assert np.array_equal(model_derivatives(numeric, pts), expected)
+        assert np.array_equal([model_derivatives(numeric, p) for p in pts], expected)
         edge = np.vstack([pts[:2], [[1 - FD_STEP / 2, 0.0, 0.0]]])
         with pytest.raises(ValidationError, match="interior"):
             model_derivatives(numeric, edge)
@@ -226,12 +235,40 @@ class TestStackedFiniteDifferences:
             name="z0-scalar",
             param_dim=2,
             hilbert_dim=2,
-            state_at=base.state_at,
+            states=base.states,
             domain_check=lambda t: float(np.sum(t * t)) <= 1.0,
             domain_box=base.domain_box,
         )
         with pytest.raises(ValidationError, match="domain_check"):
             scalar.is_interior(np.array([0.1, 0.2]))
+
+    def test_point_only_states_rejected(self):
+        base = qubit_family("z0")
+        scalar = ParametricModel(
+            name="z0-point-states",
+            param_dim=2,
+            hilbert_dim=2,
+            states=lambda t: _qubit_states(t[0], t[1], 0.0),
+            domain_check=base.domain_check,
+            domain_box=base.domain_box,
+        )
+        with pytest.raises(ValidationError, match="states"):
+            scalar.state_stack(np.array([[0.1, 0.2], [0.3, 0.1], [0.0, 0.5]]))
+
+    def test_one_matrix_derivative_rejected(self):
+        # one (dim, dim) matrix would broadcast to every parameter
+        base = qubit_family("z0")
+        single = ParametricModel(
+            name="z0-one-derivative",
+            param_dim=2,
+            hilbert_dim=2,
+            states=base.states,
+            domain_check=base.domain_check,
+            domain_box=base.domain_box,
+            derivatives=lambda t: SIGMA_Z / 2,
+        )
+        with pytest.raises(ValidationError, match="derivatives"):
+            model_derivatives(single, np.array([0.1, 0.2]))
 
 
 class TestDiagonalFamily:
