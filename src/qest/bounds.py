@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .fisher import SUPPORT_TOL, FisherMatrix, sld_fisher
 from .models import ParametricModel, model_derivatives
-from .qcore import trace_products
+from .qcore import _sym_isqrt, _sym_sqrt, trace_products
 
 CONSTRAINT_TOL = 1e-7
 PSD_PAIR_TOL = 1e-8
@@ -59,19 +59,6 @@ def _fisher_matrix(j) -> np.ndarray:
     if isinstance(j, FisherMatrix):
         return np.asarray(j.matrix)
     return np.asarray(j)
-
-
-def _sym_sqrt(g: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(g)
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.T
-
-
-def _sym_isqrt(g: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(g)
-    if w.min() <= 0:
-        raise NumericalError("matrix inverse square root needs positive definiteness")
-    return (u * (w**-0.5)) @ u.T
 
 
 def nuclear_norm(m: np.ndarray) -> float:

@@ -175,9 +175,9 @@ def _run_guarded(fn):
 
 
 class _CommaList(click.ParamType):
-    """Comma-separated items on the command line.  A config gives a JSON
-    list, read as its items joined by commas, or the same text.  With no
-    ``item`` type the value stays that comma text."""
+    """Comma-separated items on the command line, at least one.  A config
+    gives a JSON list, read as its items joined by commas, or the same text.
+    With no ``item`` type the value stays that comma text."""
 
     def __init__(self, name: str, item=None):
         self.name = name
@@ -185,10 +185,13 @@ class _CommaList(click.ParamType):
 
     def convert(self, value, param, ctx):
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        items = [x for x in text.split(",") if x.strip() != ""]
+        if not items:
+            self.fail(f"{text!r} is an empty comma list", param, ctx)
         if self.item is None:
             return text
         try:
-            return [self.item(x) for x in text.split(",") if x.strip() != ""]
+            return [self.item(x) for x in items]
         except ValueError:
             self.fail(f"{text!r} is not a comma list of {self.name}", param, ctx)
 

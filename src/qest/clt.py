@@ -11,7 +11,8 @@ sector.  The n-fold space splits as a direct sum of blocks C^b (x) C^m on
 which every collective sum, the product state and every function of them act
 as B (x) I_m.  For qubits the blocks are the total-spin sectors j = n/2,
 n/2 - 1, ..., of size 2j + 1 <= n + 1; any other single-copy dimension uses
-the whole 2^n-type space as one block of multiplicity 1.
+the whole 2^n-type space as one block of multiplicity 1.  Dense n-fold arrays
+are checked against ``qcore.MAX_ARRAY_BYTES`` before they are allocated.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from math import comb, prod
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .gaussian import GaussianSpec, gaussian_moment, smearing_kernel
-from .qcore import DEFAULT_DIM_CAP, DensityOperator, _kron_power
+from .qcore import DensityOperator, _kron_power, check_array_bytes
 from .models import PAULIS
 from .bounds import pair_moments
 
@@ -59,6 +60,8 @@ class CollectiveSpec:
                 raise ValidationError(f"centering residual {resid:.3e}")
             xc.setflags(write=False)
             ops.append(xc)
+        if not ops:
+            raise ValidationError("a collective spec needs at least one operator")
         v, s = pair_moments(rho.matrix, ops)
         if np.linalg.eigvalsh(v + 1j * s).min() < -1e-10:
             raise ValidationError("pair moments violate v + i s >= 0")
@@ -143,30 +146,26 @@ def collective_moment(spec: CollectiveSpec, n: int, word) -> complex:
     return total / n ** (m / 2)
 
 
-def build_collective_ops(x_ops, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> list[np.ndarray]:
-    """Dense matrices of X^(n) = sum_j X_(j) / sqrt(n) on the n-fold space."""
+def build_collective_ops(x_ops, n: int) -> list[np.ndarray]:
+    """Dense matrices of X^(n) = sum_j X_(j) / sqrt(n) on the n-fold space,
+    summed site by site: S_{k+1} = S_k (x) I + I_{dim^k} (x) X."""
     dim = x_ops[0].shape[0]
-    if dim**n > dim_cap:
-        raise NumericalError(f"dimension {dim}^{n} exceeds cap {dim_cap}")
+    check_array_bytes((len(x_ops), dim**n, dim**n), "the collective sums")
     eye = np.eye(dim, dtype=complex)
     out = []
     for x in x_ops:
-        total = np.zeros((dim**n, dim**n), dtype=complex)
-        for j in range(n):
-            factor = np.eye(1, dtype=complex)
-            for site in range(n):
-                factor = np.kron(factor, x if site == j else eye)
-            total += factor
+        total = np.asarray(x, dtype=complex)
+        for k in range(1, n):
+            total = np.kron(total, eye)
+            total += np.kron(np.eye(dim**k, dtype=complex), x)
         out.append(total / np.sqrt(n))
     return out
 
 
-def collective_moment_bruteforce(
-    spec: CollectiveSpec, n: int, word, dim_cap: int = DEFAULT_DIM_CAP
-) -> complex:
+def collective_moment_bruteforce(spec: CollectiveSpec, n: int, word) -> complex:
     """Oracle for collective_moment: explicit tensor-product computation."""
     idx = _check_word(spec, word)
-    ops = build_collective_ops(spec.x_ops, n, dim_cap)
+    ops = build_collective_ops(spec.x_ops, n)
     rho_n = _kron_power(spec.rho.matrix, n)
     mat = np.eye(spec.rho.dim**n, dtype=complex)
     for k in idx:
@@ -229,21 +228,20 @@ def _spin_sectors(x_ops, n: int) -> list[Sector]:
     return sectors
 
 
-def _dense_sectors(x_ops, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> list[Sector]:
+def _dense_sectors(x_ops, n: int) -> list[Sector]:
     """The whole n-fold space as one block of multiplicity 1."""
-    return [Sector(np.array(build_collective_ops(x_ops, n, dim_cap)), 1, None)]
+    return [Sector(np.array(build_collective_ops(x_ops, n)), 1, None)]
 
 
-def collective_sectors(x_ops, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> list[Sector]:
+def collective_sectors(x_ops, n: int) -> list[Sector]:
     """Block layout of the collective sums of ``x_ops`` over n copies: the
-    total-spin sectors for qubit operators, one dense block otherwise (there
-    ``dim_cap`` bounds the n-fold dimension)."""
+    total-spin sectors for qubit operators, one dense block otherwise."""
     if n < 1:
         raise ValidationError("n must be positive")
     x_ops = [np.asarray(x, dtype=complex) for x in x_ops]
     if x_ops[0].shape == (2, 2):
         return _spin_sectors(x_ops, n)
-    return _dense_sectors(x_ops, n, dim_cap)
+    return _dense_sectors(x_ops, n)
 
 
 def sector_states(rho: np.ndarray, n: int, sectors) -> list[np.ndarray]:
@@ -281,6 +279,7 @@ def _smearing_blocks(ops: np.ndarray, a_mat: np.ndarray, z_norm: float, points: 
     Hermitian positive semidefinite by construction.
     """
     b = ops.shape[-1]
+    check_array_bytes((len(points), b, b), "the smearing operators")
     base = (ops @ np.tensordot(a_mat, ops, axes=1)).sum(axis=0)
     quad = np.tensordot(-2.0 * points @ a_mat.T, ops, axes=1)
     quad += base
@@ -293,13 +292,7 @@ def _smearing_blocks(ops: np.ndarray, a_mat: np.ndarray, z_norm: float, points: 
     return u @ u.conj().swapaxes(-1, -2) / z_norm
 
 
-def t_operator_on_sums(
-    spec: CollectiveSpec,
-    n: int,
-    theta_prime,
-    v_prime,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> np.ndarray:
+def t_operator_on_sums(spec: CollectiveSpec, n: int, theta_prime, v_prime) -> np.ndarray:
     """Gaussian-smearing operators of the collective sums on the n-fold space.
 
     Builds exp(-(X^(n) - theta')^T A (X^(n) - theta')) / Z with the kernel
@@ -307,8 +300,8 @@ def t_operator_on_sums(
     the spec (the normalization is the one certified by discretized
     completeness; see smearing_kernel).  ``theta_prime`` is one point (d,),
     giving one dense 2^n-type matrix (D, D), or a stack of points (G, d),
-    giving (G, D, D) from a single build of the collective sums; ``dim_cap``
-    applies to D.  Every output matrix is Hermitian PSD.
+    giving (G, D, D) from a single build of the collective sums.  Every
+    output matrix is Hermitian PSD.
     """
     points = np.asarray(theta_prime, dtype=float)
     if points.ndim > 2:
@@ -320,7 +313,7 @@ def t_operator_on_sums(
         raise ValidationError("theta' longer than the operator tuple")
     v_prime = np.asarray(v_prime, dtype=float)
     a_mat, z_norm = smearing_kernel(v_prime, spec.s[:d, :d])
-    (whole,) = _dense_sectors(spec.x_ops[:d], n, dim_cap)
+    (whole,) = _dense_sectors(spec.x_ops[:d], n)
     t_mats = _smearing_blocks(whole.ops, a_mat, z_norm, points)
     t_mats = (t_mats + t_mats.conj().swapaxes(-1, -2)) / 2
     return t_mats[0] if single else t_mats

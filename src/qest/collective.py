@@ -11,7 +11,9 @@ the reported residual isolates the support truncation.
 All of these operators are block diagonal in the sector layout of
 ``clt.collective_sectors``: for qubits the total-spin sectors j of the n-fold
 space, each a (2j + 1)-dimensional block repeated m_j times, so the POVM is
-built and evaluated on blocks of size at most n + 1 instead of 2^n.
+built and evaluated on blocks of size at most n + 1 instead of 2^n.  Any
+other dimension is one dense block, refused with NumericalError when its
+(G, b, b) smearing stack would pass ``qcore.MAX_ARRAY_BYTES``.
 """
 
 from __future__ import annotations
@@ -20,16 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import check_weight_matrix, qubit_c1, _sym_sqrt, _sym_isqrt
+from .bounds import check_weight_matrix, qubit_c1
 from .clt import CollectiveSpec, _smearing_blocks, collective_sectors, sector_states
 from .errors import NumericalError, ValidationError
 from .fisher import _sld_stack, classical_fisher, sld_fisher
 from .gaussian import smearing_kernel
 from .models import ParametricModel, model_derivatives
 from .qcore import (
-    DEFAULT_DIM_CAP,
     DensityOperator,
     Povm,
+    _sym_isqrt,
+    _sym_sqrt,
     measure_distribution,
     probability_rows,
     trace_products,
@@ -37,6 +40,8 @@ from .qcore import (
 
 SUPPORT_THRESHOLD = 1e-8
 DEFAULT_EPSILON = 0.1
+# central-difference step of the response matrix A_n, in local coordinates
+RESPONSE_FD_STEP = 1e-3
 # bytes of Born-rule products per block of count rows in the MLE grid scan:
 # bounds the scan's memory whatever the number of rows
 MLE_SCAN_BYTES = 1 << 20
@@ -101,21 +106,19 @@ def default_v_prime(s_matrix: np.ndarray, g: np.ndarray, epsilon: float = DEFAUL
 
 
 def build_collective_povm(
-    x_ops,
+    spec: CollectiveSpec,
     v_prime,
     n: int,
-    s_matrix=None,
     radius: float | None = None,
     grid_step: float | None = None,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    v_matrix=None,
 ) -> CollectivePovm:
-    """Construct the collective POVM from single-copy operators.
+    """Construct the collective POVM of the spec's operators on n copies.
 
-    S accumulates the smearing operators over the ball grid; elements are
-    S^{-1/2} T_x S^{-1/2} dx with outcome x / sqrt(n).  Everything is built
-    sector by sector (total-spin sectors of size <= n + 1 for qubit
-    operators, one dense block otherwise, capped by ``dim_cap``), one stacked
+    The kernel's commutator matrix s and the default radius come from the
+    spec's pair moments.  S accumulates the smearing operators over the ball
+    grid; elements are S^{-1/2} T_x S^{-1/2} dx with outcome x / sqrt(n).
+    Everything is built sector by sector (total-spin sectors of size
+    <= n + 1 for qubit operators, one dense block otherwise), one stacked
     eigh per sector for the whole grid.  The inverse square root lives on the
     eigenspace of S above ``SUPPORT_THRESHOLD`` times its largest eigenvalue
     over all sectors; dropped dimensions (with multiplicity) and the
@@ -123,18 +126,16 @@ def build_collective_povm(
     support, are recorded.  Defaults: radius 4 sqrt(lmax(v + v')), step
     radius / 16.
     """
-    sectors = collective_sectors(x_ops, n, dim_cap)
-    return _povm_on_sectors(sectors, n, v_prime, s_matrix, radius, grid_step, v_matrix)
+    sectors = collective_sectors(spec.x_ops, n)
+    return _povm_on_sectors(sectors, spec, n, v_prime, radius, grid_step)
 
 
-def _povm_on_sectors(sectors, n, v_prime, s_matrix, radius, grid_step, v_matrix) -> CollectivePovm:
-    d = sectors[0].ops.shape[0]
+def _povm_on_sectors(sectors, spec, n, v_prime, radius, grid_step) -> CollectivePovm:
+    d = spec.n_ops
     v_prime = np.asarray(v_prime, dtype=float)
-    s_matrix = np.zeros((d, d)) if s_matrix is None else np.asarray(s_matrix, dtype=float)
-    a_mat, z_norm = smearing_kernel(v_prime, s_matrix)
+    a_mat, z_norm = smearing_kernel(v_prime, spec.s)
     if radius is None:
-        spread = v_prime if v_matrix is None else np.asarray(v_matrix, dtype=float) + v_prime
-        radius = 4.0 * float(np.sqrt(np.linalg.eigvalsh(spread).max()))
+        radius = 4.0 * float(np.sqrt(np.linalg.eigvalsh(spec.v + v_prime).max()))
     if grid_step is None:
         grid_step = radius / 16.0
     grid = ball_grid(d, radius, grid_step)
@@ -202,31 +203,25 @@ def collective_estimator_check(
     n_list,
     radius: float | None = None,
     grid_step: float | None = None,
-    fd_step: float = 1e-3,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> list[CollectiveCheckRow]:
     """Local-unbiasedness correction trend of the collective POVM.
 
     Works in local coordinates u around theta: the POVM estimates the
     deviation u, its exact outcome distribution under the n-fold perturbed
-    state gives the response matrix A_n = d e / d u by central differences,
-    and the corrected, rescaled covariance n A^{-1} V A^{-T} is compared
-    against v(X) + v' by the caller.  Probabilities are summed sector by
+    state gives the response matrix A_n = d e / d u by central differences
+    of step ``RESPONSE_FD_STEP``, and the corrected, rescaled covariance
+    n A^{-1} V A^{-T} is compared against v(X) + v' by the caller.  Probabilities are summed sector by
     sector (see ``CollectivePovm.probabilities``), so qubit models reach n
-    far beyond the dense cap.
+    far beyond what the dense 2^n layout holds.
     """
-    v_prime = np.asarray(v_prime, dtype=float)
 
     def povm_at(spec, n):
-        return build_collective_povm(
-            spec.x_ops, v_prime, n, s_matrix=spec.s, radius=radius,
-            grid_step=grid_step, dim_cap=dim_cap, v_matrix=spec.v,
-        )
+        return build_collective_povm(spec, v_prime, n, radius, grid_step)
 
-    return _estimator_rows(model, theta, x_ops, n_list, fd_step, povm_at)
+    return _estimator_rows(model, theta, x_ops, n_list, povm_at)
 
 
-def _estimator_rows(model, theta, x_ops, n_list, fd_step, povm_at):
+def _estimator_rows(model, theta, x_ops, n_list, povm_at):
     """``collective_estimator_check`` with the POVM for n copies built by
     ``povm_at(spec, n)``."""
     t = model.require_domain(theta)
@@ -247,12 +242,12 @@ def _estimator_rows(model, theta, x_ops, n_list, fd_step, povm_at):
         a_n = np.zeros((d, d))
         for j in range(d):
             du = np.zeros(d)
-            du[j] = fd_step
+            du[j] = RESPONSE_FD_STEP
             pp = probs(du)
             pm = probs(-du)
             mean_p = (outcomes * (pp / pp.sum())[:, None]).sum(axis=0)
             mean_m = (outcomes * (pm / pm.sum())[:, None]).sum(axis=0)
-            a_n[:, j] = (mean_p - mean_m) / (2 * fd_step)
+            a_n[:, j] = (mean_p - mean_m) / (2 * RESPONSE_FD_STEP)
         if abs(np.linalg.det(a_n)) < 1e-12:
             raise NumericalError("response matrix A_n is singular; enlarge the ball radius")
         second = np.einsum("ik,il,i->kl", outcomes, outcomes, p0n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .qcore import DensityOperator, OutcomeDistribution, Povm
+from .qcore import DensityOperator, OutcomeDistribution, Povm, _sym_sqrt
 
 MOMENT_DEGREE_CAP = 10
 DEFAULT_TAIL_TOL = 1e-8
@@ -101,11 +101,6 @@ def gaussian_moment(spec: GaussianSpec, indices) -> complex:
     return total
 
 
-def _matrix_abs(m: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(m.T @ m)
-    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
-
-
 def _f_scalar(x: float) -> float:
     # f(x) = log((1+x)/(1-x))/(4x), continuously 1/2 at x = 0
     if x < 1e-6:
@@ -119,29 +114,35 @@ def smearing_kernel(v_prime: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, flo
     Returns (A, Z) such that the POVM density at displacement theta' is
     exp(-(X - theta')^T A (X - theta')) / Z.  The eigenvalues of
     |v'^{-1/2} s v'^{-1/2}| must all be below one or the kernel diverges.
+    A v' so large or so small that A is not finite or Z is not in (0, inf)
+    raises NumericalError.
     """
     v_prime = np.asarray(v_prime, dtype=float)
     s = np.asarray(s, dtype=float)
     d = v_prime.shape[0]
-    w, u = np.linalg.eigh((v_prime + v_prime.T) / 2)
-    if w.min() <= 0:
-        raise ValidationError("v' must be positive definite")
-    v_isqrt = (u * (w**-0.5)) @ u.T
-    m = v_isqrt @ s @ v_isqrt
-    abs_m = _matrix_abs(m)
-    wa, ua = np.linalg.eigh(abs_m)
-    if wa.max() >= 1.0 - 1e-12:
-        raise NumericalError(
-            "eigenvalue condition violated: |v'^{-1/2} s v'^{-1/2}| has an "
-            f"eigenvalue {wa.max():.6f} >= 1"
+    # an extreme v' overflows or underflows here; A and Z are checked below
+    with np.errstate(all="ignore"):
+        w, u = np.linalg.eigh((v_prime + v_prime.T) / 2)
+        if w.min() <= 0:
+            raise ValidationError("v' must be positive definite")
+        v_isqrt = (u * (w**-0.5)) @ u.T
+        m = v_isqrt @ s @ v_isqrt
+        abs_m = _sym_sqrt(m.T @ m)
+        wa, ua = np.linalg.eigh(abs_m)
+        if wa.max() >= 1.0 - 1e-12:
+            raise NumericalError(
+                "eigenvalue condition violated: |v'^{-1/2} s v'^{-1/2}| has an "
+                f"eigenvalue {wa.max():.6f} >= 1"
+            )
+        f_m = (ua * np.array([_f_scalar(x) for x in wa])) @ ua.T
+        a = v_isqrt @ f_m @ v_isqrt
+        z = (
+            (2 * np.pi) ** (d / 2)
+            * np.sqrt(np.linalg.det(v_prime))
+            * float(np.linalg.det(np.eye(d) - abs_m @ abs_m)) ** 0.25
         )
-    f_m = (ua * np.array([_f_scalar(x) for x in wa])) @ ua.T
-    a = v_isqrt @ f_m @ v_isqrt
-    z = (
-        (2 * np.pi) ** (d / 2)
-        * np.sqrt(np.linalg.det(v_prime))
-        * float(np.linalg.det(np.eye(d) - abs_m @ abs_m)) ** 0.25
-    )
+    if not (np.isfinite(a).all() and 0 < z < np.inf):
+        raise NumericalError(f"smearing kernel out of range (Z = {z:.3e}): v' is too large or too small")
     return a, z
 
 

@@ -4,12 +4,14 @@ Density operators, POVMs, outcome statistics from the trace rule, probabilistic
 mixtures, tensor powers, and reproducible outcome sampling.  All hard numerical
 tolerances used by the validators live in this module as constants so tests and
 downstream code agree on one set of numbers.
+Builders of n-fold arrays call ``check_array_bytes`` before they allocate.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -24,7 +26,27 @@ POVM_PSD_TOL = 1e-10
 POVM_COMPLETENESS_TOL = 1e-10
 PROB_CLAMP = -1e-12
 PROB_SUM_TOL = 1e-8
-DEFAULT_DIM_CAP = 4096
+MAX_ARRAY_BYTES = 2**30
+
+
+def check_array_bytes(shape, what: str) -> None:
+    """Raise NumericalError if a complex array of ``shape`` would take
+    ``MAX_ARRAY_BYTES`` or more; ``what`` names the array in the message."""
+    nbytes = 16 * math.prod(shape)
+    if nbytes >= MAX_ARRAY_BYTES:
+        raise NumericalError(f"{what} would take {nbytes / 2**30:.2f} GiB, over the {MAX_ARRAY_BYTES >> 30} GiB limit")
+
+
+def _sym_sqrt(g: np.ndarray) -> np.ndarray:
+    w, u = np.linalg.eigh(g)
+    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
+
+
+def _sym_isqrt(g: np.ndarray) -> np.ndarray:
+    w, u = np.linalg.eigh(g)
+    if w.min() <= 0:
+        raise NumericalError("matrix inverse square root needs positive definiteness")
+    return (u * (w**-0.5)) @ u.T
 
 
 def _as_complex_matrix(matrix: Any) -> np.ndarray:
@@ -303,17 +325,16 @@ def mix(states: Sequence[DensityOperator], weights: Sequence[float]) -> DensityO
     return DensityOperator(total)
 
 
-def tensor_power(rho: DensityOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> DensityOperator:
-    """n-fold tensor power rho^(x)n, capped at total dimension ``dim_cap``."""
+def tensor_power(rho: DensityOperator, n: int) -> DensityOperator:
+    """n-fold tensor power rho^(x)n, within the per-array byte limit."""
     if n < 1:
         raise ValidationError("tensor power needs n >= 1")
-    if rho.dim**n > dim_cap:
-        raise NumericalError(f"dimension {rho.dim}^{n} exceeds cap {dim_cap}")
     return DensityOperator(_kron_power(rho.matrix, n))
 
 
 def _kron_power(matrix: np.ndarray, n: int) -> np.ndarray:
     """matrix^(x)n, the n-fold Kronecker power, multiplied left to right."""
+    check_array_bytes((matrix.shape[0] ** n,) * 2, "the n-fold tensor power")
     out = matrix
     for _ in range(n - 1):
         out = np.kron(out, matrix)

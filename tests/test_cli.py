@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -214,6 +215,29 @@ class TestCltCommand:
         for n in (2, 5, 10):
             assert abs(gaps[n] - 2.0 / n) < 1e-10
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clt", "--model", "qubit-full", "--theta", "0,0,0", "--ops", ",", "--word", "1", "--n", "2"],
+            ["clt", "--model", "qubit-full", "--theta", "0,0,0", "--ops", "z", "--word", "1", "--n", ","],
+            ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0,0", "--n", ","],
+        ],
+    )
+    def test_empty_list_exits_2(self, argv):
+        result = run_cli(argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "empty comma list" in result.stderr
+
+    def test_empty_list_in_config_exits_2(self, tmp_path):
+        config = tmp_path / "clt.json"
+        config.write_text(json.dumps(
+            {"experiment": "clt", "model": "qubit-z0", "theta": [0.5, 0], "ops": ["z"], "word": [1, 1], "n": []}
+        ))
+        result = run_cli(["run", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == ["validation error: config key 'n': '' is an empty comma list"]
+
 
 class TestEstimateCommand:
     def test_collective_mode(self):
@@ -264,8 +288,8 @@ class TestEstimateCommand:
         assert len(res["empiricalMean"]) == 3
 
     def test_out_of_memory_exits_3_with_one_line(self, monkeypatch):
-        # diag:3 at n = 7 passes the dimension cap, but its dense smearing
-        # stack does not fit in memory; the failed allocation is simulated
+        # an allocation under the byte limit can still fail on a small
+        # machine; the failed allocation is simulated
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 56.8 GiB for an array")
 
@@ -276,6 +300,35 @@ class TestEstimateCommand:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: out of memory")
+
+    @pytest.mark.parametrize("n", ["6", "7"])
+    def test_byte_limit_exits_3_with_one_line(self, n):
+        # the dense diag:3 smearing stack is 6.31 GiB at n = 6 and 56.8 GiB
+        # at n = 7; the address-space limit turns a check placed after the
+        # allocation into a MemoryError instead of exhausting the host
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "from qest.cli import main\n"
+            f"main({['estimate', '--mode', 'collective', '--model', 'diag:3', '--theta', '0.2,0.3', '--n', n]!r})\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: the smearing operators would take")
+        assert lines[0].endswith("GiB, over the 1 GiB limit")
+
+    @pytest.mark.parametrize("eps", ["1e308", "1e-300"])
+    def test_extreme_eps_exits_3_with_one_line(self, eps):
+        argv = ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0,0", "--n", "2", "--eps", eps]
+        result = run_cli(argv)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: smearing kernel out of range")
 
     def test_two_stage_writes_trial_csv(self, tmp_path):
         prefix = tmp_path / "ts"

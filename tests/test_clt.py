@@ -38,6 +38,10 @@ class TestCollectiveSpec:
         assert np.allclose(spec.v, np.eye(2), atol=1e-12)
         assert abs(spec.s[0, 1] - 0.5) < 1e-12
 
+    def test_empty_operator_tuple(self):
+        with pytest.raises(ValidationError):
+            CollectiveSpec(mixed_qubit(), [])
+
 
 class TestCollectiveMoment:
     def test_second_moment_n_independent(self):
@@ -153,11 +157,35 @@ class TestSpinSectors:
             assert np.max(np.abs(spread([sec.ops[0] for sec in sectors]) - dense_x)) < 1e-12
             assert np.max(np.abs(spread(blocks) - dense_rho)) < 1e-14
 
+    def test_collective_ops_match_site_by_site_sum(self, rng):
+        # the recursion S_{k+1} = S_k (x) I + I (x) X adds the same terms in
+        # the same order as the sum over sites of one Kronecker chain each
+        for dim in (2, 3, 4):
+            x_ops = [random_hermitian(rng, dim), random_hermitian(rng, dim)]
+            for n in range(1, 6):
+                fast = build_collective_ops(x_ops, n)
+                for x, op in zip(x_ops, fast):
+                    assert np.array_equal(op, _site_by_site_sum(x, n))
+
     def test_other_dimensions_use_one_dense_block(self):
         ops = [np.diag([1.0, 0.0, -1.0])]
         (sector,) = collective_sectors(ops, 3)
         assert sector.two_j is None and sector.multiplicity == 1
         assert np.allclose(sector.ops[0], build_collective_ops(ops, 3)[0])
+
+
+def _site_by_site_sum(x, n):
+    """X^(n) as the sum over sites j of I (x) .. (x) X (x) .. (x) I, one
+    n-factor Kronecker chain per site (n^2 products)."""
+    dim = x.shape[0]
+    eye = np.eye(dim, dtype=complex)
+    total = np.zeros((dim**n, dim**n), dtype=complex)
+    for j in range(n):
+        factor = np.eye(1, dtype=complex)
+        for site in range(n):
+            factor = np.kron(factor, x if site == j else eye)
+        total += factor
+    return total / np.sqrt(n)
 
 
 class TestTOperatorOnSums:
@@ -238,6 +266,14 @@ class TestTOperatorOnSums:
             t_operator_on_sums(spec, 2, [0.0, 0.0], 0.3 * np.eye(2))
 
     def test_cap(self):
+        # the 8192 x 8192 collective sum is exactly the 1 GiB limit
         spec = spec_sigma_z()
         with pytest.raises(NumericalError):
             t_operator_on_sums(spec, 13, [0.0], [[1.0]])
+
+    def test_smearing_stack_limit(self):
+        # 1024 points of 256 x 256 blocks are exactly 1 GiB: refused before
+        # the stack is built
+        spec = spec_sigma_z()
+        with pytest.raises(NumericalError, match="smearing operators"):
+            t_operator_on_sums(spec, 8, np.zeros((1024, 1)), [[1.0]])

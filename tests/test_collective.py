@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,9 @@ from qest.collective import (
     optimal_qubit_povm,
     two_stage_estimate,
 )
-from qest.errors import ValidationError
+from qest.errors import NumericalError, ValidationError
 from qest.fisher import classical_fisher, sld_fisher
-from qest.models import ParametricModel, qubit_family
+from qest.models import ParametricModel, model_from_name, qubit_family
 from qest.qcore import (
     DensityOperator,
     Povm,
@@ -102,7 +104,7 @@ class TestBuildCollectivePovm:
         spec = CollectiveSpec(rho, [SIGMA_Z])
         n = 4
         v_prime = np.array([[0.5]])
-        povm = build_collective_povm(spec.x_ops, v_prime, n, s_matrix=spec.s, radius=6.0, grid_step=0.1)
+        povm = build_collective_povm(spec, v_prime, n, radius=6.0, grid_step=0.1)
         rho_n = tensor_power(rho, n).matrix
         probs = povm.probabilities(rho)
 
@@ -118,9 +120,7 @@ class TestBuildCollectivePovm:
     def test_completeness_qubit_d2(self):
         spec = CollectiveSpec(DensityOperator(np.diag([0.75, 0.25])), [SIGMA_X, SIGMA_Y])
         v_prime = 0.6 * np.eye(2)
-        povm = build_collective_povm(
-            spec.x_ops, v_prime, 6, s_matrix=spec.s, radius=4.0, grid_step=0.25
-        )
+        povm = build_collective_povm(spec, v_prime, 6, radius=4.0, grid_step=0.25)
         assert povm.completeness_residual < 1e-6
         for stack in povm.elements:
             assert np.linalg.eigvalsh(stack[:50]).min() > -1e-9
@@ -139,9 +139,7 @@ class TestBuildCollectivePovm:
 
         rho = DensityOperator(np.eye(2) / 2)
         spec = CollectiveSpec(rho, [SIGMA_X, SIGMA_Y])
-        povm = build_collective_povm(
-            spec.x_ops, np.eye(2), 1, s_matrix=spec.s, radius=7.0, grid_step=0.25
-        )
+        povm = build_collective_povm(spec, np.eye(2), 1, radius=7.0, grid_step=0.25)
         (s_op,) = povm.s_operator
         off_identity = s_op - np.trace(s_op) / 2 * np.eye(2)
         assert np.max(np.abs(off_identity)) < 1e-12
@@ -154,6 +152,23 @@ class TestBuildCollectivePovm:
         exact = num / den / 2
         assert np.max(np.abs(cov - exact * np.eye(2))) < 2e-3
         assert np.max(np.abs(cov - 2.0 * np.eye(2))) < 0.25
+
+    def test_dense_stack_over_the_byte_limit_is_refused(self):
+        # diag:3 at n = 6: the 797 smearing operators of the 729 x 729 block
+        # would take 6.31 GiB; the build stops before allocating them
+        model = model_from_name("diag:3")
+        theta = np.array([0.2, 0.3])
+        solution = holevo_bound(model, theta, np.eye(2))
+        spec = CollectiveSpec(model.state_at(theta), solution.x_ops)
+        v_prime = default_v_prime(solution.s_matrix, np.eye(2), 0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="smearing operators would take 6.31 GiB"):
+                build_collective_povm(spec, v_prime, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_ball_grid_masks(self):
         pts = ball_grid(2, 1.0, 0.5)
@@ -230,7 +245,7 @@ class TestSectorsAgainstDense:
             states = [model.state_at(theta), model.state_at(np.array([0.5, 0.0])),
                       model.state_at(np.array([-0.2, 0.3])), rank_one]
             for n in range(1, 7):
-                spin = build_collective_povm(spec.x_ops, v_prime, n, s_matrix=spec.s, v_matrix=spec.v)
+                spin = build_collective_povm(spec, v_prime, n)
                 dense = _dense_povm(spec, v_prime, n)
                 assert spin.dropped_dimensions == dense.dropped_dimensions
                 assert abs(spin.support_gap - dense.support_gap) < 1e-10
@@ -244,8 +259,7 @@ class TestSectorsAgainstDense:
         for model, theta, x_ops, v_prime in self.cases():
             rows = collective_estimator_check(model, theta, x_ops, v_prime, [2, 3, 5, 6])
             dense = _estimator_rows(
-                model, theta, x_ops, [2, 3, 5, 6], 1e-3,
-                lambda spec, n: _dense_povm(spec, v_prime, n),
+                model, theta, x_ops, [2, 3, 5, 6], lambda spec, n: _dense_povm(spec, v_prime, n)
             )
             for r, rd in zip(rows, dense):
                 assert np.max(np.abs(r.a_matrix - rd.a_matrix)) < 1e-10
@@ -258,9 +272,7 @@ class TestSectorsAgainstDense:
         spec = CollectiveSpec(DensityOperator(np.diag([0.7, 0.3])), [SIGMA_Z])
         for radius in (0.3, 0.6):
             for n in (4, 5, 6):
-                spin = build_collective_povm(
-                    spec.x_ops, [[0.05]], n, s_matrix=spec.s, radius=radius, grid_step=0.05
-                )
+                spin = build_collective_povm(spec, [[0.05]], n, radius=radius, grid_step=0.05)
                 dense = _dense_povm(spec, [[0.05]], n, radius, 0.05)
                 assert spin.dropped_dimensions > 0
                 assert spin.dropped_dimensions == dense.dropped_dimensions
@@ -270,9 +282,7 @@ class TestSectorsAgainstDense:
 
 def _dense_povm(spec, v_prime, n, radius=None, grid_step=None):
     """``build_collective_povm`` of the spec's operators on the dense layout."""
-    return _povm_on_sectors(
-        _dense_sectors(spec.x_ops, n), n, v_prime, spec.s, radius, grid_step, spec.v
-    )
+    return _povm_on_sectors(_dense_sectors(spec.x_ops, n), spec, n, v_prime, radius, grid_step)
 
 
 def _point_interior(model, t, margin):

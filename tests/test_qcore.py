@@ -6,9 +6,11 @@ import pytest
 from qest.errors import NumericalError, ValidationError
 from qest.gaussian import heterodyne_povm
 from qest.qcore import (
+    MAX_ARRAY_BYTES,
     DensityOperator,
     OutcomeDistribution,
     Povm,
+    check_array_bytes,
     matrix_from_json,
     matrix_to_json,
     measure_distribution,
@@ -202,8 +204,22 @@ class TestTensorPower:
         assert abs(np.real(np.trace(tensor_power(rho, 5).matrix)) - 1) < 1e-9
 
     def test_cap(self):
+        # 8192^2 complex entries are exactly the 1 GiB limit
         with pytest.raises(NumericalError):
             tensor_power(qubit(0, 0, 0), 13)
+
+
+class TestArrayBytes:
+    def test_boundary(self):
+        assert MAX_ARRAY_BYTES == 2**30
+        check_array_bytes((2**26 - 1,), "an array")  # 2^30 - 16 bytes
+        with pytest.raises(NumericalError, match="an array would take 1.00 GiB, over the 1 GiB limit"):
+            check_array_bytes((2**26,), "an array")
+
+    def test_no_integer_overflow(self):
+        # 16^20 entries overflow int64; the size must still be refused
+        with pytest.raises(NumericalError):
+            check_array_bytes((16**10, 16**10), "an array")
 
 
 class TestSampleOutcomes:
