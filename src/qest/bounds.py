@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fisher import SUPPORT_TOL, FisherMatrix, sld_fisher
+from .gaussian import GaussianSpec
 from .models import ParametricModel, model_derivatives
 from .qcore import _sym_isqrt, _sym_sqrt, trace_products
 
@@ -39,12 +40,12 @@ DUAL_RADIUS = 1.0 - 1e-7
 GAP_TOL = 1e-6
 
 
-def check_weight_matrix(g: np.ndarray, dim: int | None = None) -> np.ndarray:
+def check_weight_matrix(g: np.ndarray, dim: int) -> np.ndarray:
     """Validate a real symmetric PSD weight matrix and return it as float array."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValidationError("weight matrix must be square")
-    if dim is not None and g.shape[0] != dim:
+    if g.shape[0] != dim:
         raise ValidationError(f"weight matrix must be {dim}x{dim}")
     if not np.isfinite(g).all():
         raise ValidationError("weight matrix entries must be finite")
@@ -106,17 +107,13 @@ def gaussian_shift_bound(v: np.ndarray, s: np.ndarray, g) -> float:
     """Mean-estimation bound tr(g v) + ||sqrt(g) s sqrt(g)||_1.
 
     ``v`` is the symmetric covariance, ``s`` the antisymmetric commutator
-    matrix; v + i s must be positive semidefinite.
+    matrix; v + i s must be positive semidefinite.  ``GaussianSpec`` checks
+    all three; the value is computed on ``v`` and ``s`` as given.
     """
     v = np.asarray(v, dtype=float)
     s = np.asarray(s, dtype=float)
     g = check_weight_matrix(g, v.shape[0])
-    if np.max(np.abs(v - v.T)) > 1e-12:
-        raise ValidationError("v must be symmetric")
-    if np.max(np.abs(s + s.T)) > 1e-12:
-        raise ValidationError("s must be antisymmetric")
-    if np.linalg.eigvalsh(v + 1j * s).min() < -1e-10:
-        raise ValidationError("v + i s must be positive semidefinite")
+    GaussianSpec(np.zeros(v.shape[0]), v, s)
     return _shift_value(v, s, g)
 
 

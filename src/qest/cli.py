@@ -66,14 +66,11 @@ def _config_hash(config: dict) -> str:
 
 
 def _jsonable(obj):
+    # complex values reach reports only through matrix_to_json or explicit re/im
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return {"re": np.real(obj).tolist(), "im": np.imag(obj).tolist()}
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -221,9 +218,6 @@ FLOAT = _Number(click.FLOAT, (bool,))
 _OUT = click.option("--out", default=None, help="report prefix: writes <out>.json, and <out>.csv for row data")
 _SEED = click.option("--seed", type=INT, default=0)
 
-# subcommand name -> experiment function; main.commands[name].params is its schema
-_EXPERIMENTS = {}
-
 
 @click.group()
 @click.version_option(__version__)
@@ -237,7 +231,9 @@ def _experiment(name: str):
     The click options stacked on ``fn`` are the experiment's one schema.  The
     subcommand reads its command line through them and ``qest run`` reads a
     config through them (``_config_values``); both hand ``fn`` the same dict,
-    one converted value per option name.
+    one converted value per option name.  ``functools.wraps`` hands the
+    options to the command and leaves ``fn`` as its ``callback.__wrapped__``,
+    through which ``qest run`` calls it.
     """
 
     def register(fn):
@@ -246,7 +242,6 @@ def _experiment(name: str):
         def command(**values):
             _run_guarded(lambda: fn(values))
 
-        _EXPERIMENTS[name] = fn
         return fn
 
     return register
@@ -541,12 +536,13 @@ def run_cmd(config_path, out_prefix):
         if not isinstance(config, dict):
             raise ValidationError("config must be a JSON object")
         name = config.get("experiment")
-        if not isinstance(name, str) or name not in _EXPERIMENTS:
+        if not isinstance(name, str) or name == "run" or name not in main.commands:
             raise ValidationError(f"unknown experiment {name!r}")
-        values = _config_values(main.commands[name], config)
+        command = main.commands[name]
+        values = _config_values(command, config)
         if out_prefix:
             values["out"] = out_prefix
-        _EXPERIMENTS[name](values)
+        command.callback.__wrapped__(values)
 
     _run_guarded(work)
 

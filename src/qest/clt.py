@@ -233,13 +233,24 @@ def _dense_sectors(x_ops, n: int) -> list[Sector]:
     return [Sector(np.array(build_collective_ops(x_ops, n)), 1, None)]
 
 
+def _spin_layout(x_ops) -> bool:
+    # the layout rule: total-spin sectors for qubit operators, one dense block otherwise
+    return np.shape(x_ops[0]) == (2, 2)
+
+
+def largest_block(x_ops, n: int) -> int:
+    """Size b of the largest block of ``collective_sectors(x_ops, n)``, known
+    before any block is built: n + 1 for spin sectors, dim^n for a dense one."""
+    return n + 1 if _spin_layout(x_ops) else np.shape(x_ops[0])[0] ** n
+
+
 def collective_sectors(x_ops, n: int) -> list[Sector]:
     """Block layout of the collective sums of ``x_ops`` over n copies: the
     total-spin sectors for qubit operators, one dense block otherwise."""
     if n < 1:
         raise ValidationError("n must be positive")
     x_ops = [np.asarray(x, dtype=complex) for x in x_ops]
-    if x_ops[0].shape == (2, 2):
+    if _spin_layout(x_ops):
         return _spin_sectors(x_ops, n)
     return _dense_sectors(x_ops, n)
 
@@ -271,7 +282,8 @@ def sector_states(rho: np.ndarray, n: int, sectors) -> list[np.ndarray]:
 
 def _smearing_blocks(ops: np.ndarray, a_mat: np.ndarray, z_norm: float, points: np.ndarray) -> np.ndarray:
     """Smearing operators exp(-(X - x)^T A (X - x)) / Z on one sector, one per
-    row x of ``points``: shape (G, b, b), from one stacked eigh.
+    row x of ``points``: shape (G, b, b), from one stacked eigh.  Callers
+    check the stack's bytes before they build the sector.
 
     ``ops`` (d, b, b) are the sector's blocks of the collective sums; with A
     symmetric the exponent is Q0 - (2 A x) . X + x^T A x with Q0 = X^T A X.
@@ -279,7 +291,6 @@ def _smearing_blocks(ops: np.ndarray, a_mat: np.ndarray, z_norm: float, points: 
     Hermitian positive semidefinite by construction.
     """
     b = ops.shape[-1]
-    check_array_bytes((len(points), b, b), "the smearing operators")
     base = (ops @ np.tensordot(a_mat, ops, axes=1)).sum(axis=0)
     quad = np.tensordot(-2.0 * points @ a_mat.T, ops, axes=1)
     quad += base
@@ -313,6 +324,8 @@ def t_operator_on_sums(spec: CollectiveSpec, n: int, theta_prime, v_prime) -> np
         raise ValidationError("theta' longer than the operator tuple")
     v_prime = np.asarray(v_prime, dtype=float)
     a_mat, z_norm = smearing_kernel(v_prime, spec.s[:d, :d])
+    size = spec.rho.dim**n
+    check_array_bytes((len(points), size, size), "the smearing operators")
     (whole,) = _dense_sectors(spec.x_ops[:d], n)
     t_mats = _smearing_blocks(whole.ops, a_mat, z_norm, points)
     t_mats = (t_mats + t_mats.conj().swapaxes(-1, -2)) / 2

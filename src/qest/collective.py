@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import check_weight_matrix, qubit_c1
-from .clt import CollectiveSpec, _smearing_blocks, collective_sectors, sector_states
+from .clt import CollectiveSpec, _smearing_blocks, collective_sectors, largest_block, sector_states
 from .errors import NumericalError, ValidationError
 from .fisher import _sld_stack, classical_fisher, sld_fisher
 from .gaussian import smearing_kernel
@@ -33,6 +33,7 @@ from .qcore import (
     Povm,
     _sym_isqrt,
     _sym_sqrt,
+    check_array_bytes,
     measure_distribution,
     probability_rows,
     trace_products,
@@ -45,6 +46,8 @@ RESPONSE_FD_STEP = 1e-3
 # bytes of Born-rule products per block of count rows in the MLE grid scan:
 # bounds the scan's memory whatever the number of rows
 MLE_SCAN_BYTES = 1 << 20
+# points per axis of the MLE start grid over the domain box
+MLE_GRID_POINTS = 41
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,10 @@ class CollectivePovm:
     ``elements`` holds one stack (G, b, b) per sector: the sandwiched blocks
     of all G grid points, including grid weights, laid out parallel to
     ``outcomes`` (the estimate attached to each grid point, i.e. grid point /
-    sqrt(n)).  ``s_operator`` and ``support_projector`` hold one (b, b) block
-    per sector: the accumulated smearing operator and its retained
-    eigenspace, against which completeness holds.  ``dropped_dimensions``
-    counts dropped eigenvalues with their sector multiplicity.
+    sqrt(n)).  ``s_operator`` holds one (b, b) block per sector: the
+    accumulated smearing operator, on whose retained eigenspace completeness
+    holds.  ``dropped_dimensions`` counts dropped eigenvalues with their
+    sector multiplicity.
     """
 
     n_copies: int
@@ -67,13 +70,9 @@ class CollectivePovm:
     sectors: tuple
     elements: tuple
     s_operator: tuple
-    support_projector: tuple
     support_gap: float
     dropped_dimensions: int
     completeness_residual: float
-    radius: float
-    grid_step: float
-    v_prime: np.ndarray
 
     def probabilities(self, rho: DensityOperator) -> np.ndarray:
         """Born-rule probabilities tr(rho^(x)n E_x) of every grid outcome,
@@ -124,23 +123,28 @@ def build_collective_povm(
     over all sectors; dropped dimensions (with multiplicity) and the
     completeness residual, the operator norm of sum_x E_x - P on the
     support, are recorded.  Defaults: radius 4 sqrt(lmax(v + v')), step
-    radius / 16.
+    radius / 16.  The smearing stack of the largest block is checked against
+    ``qcore.MAX_ARRAY_BYTES`` before any block is built.
     """
-    sectors = collective_sectors(spec.x_ops, n)
-    return _povm_on_sectors(sectors, spec, n, v_prime, radius, grid_step)
+    kernel, grid, cell = _kernel_and_grid(spec, v_prime, radius, grid_step)
+    b = largest_block(spec.x_ops, n)
+    check_array_bytes((len(grid), b, b), "the smearing operators")
+    return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, cell)
 
 
-def _povm_on_sectors(sectors, spec, n, v_prime, radius, grid_step) -> CollectivePovm:
-    d = spec.n_ops
-    v_prime = np.asarray(v_prime, dtype=float)
-    a_mat, z_norm = smearing_kernel(v_prime, spec.s)
+def _kernel_and_grid(spec: CollectiveSpec, v_prime, radius, grid_step):
+    """Smearing kernel (A, Z), ball grid and grid cell volume of
+    ``build_collective_povm``, with the defaults filled in."""
+    kernel = smearing_kernel(v_prime, spec.s)
     if radius is None:
         radius = 4.0 * float(np.sqrt(np.linalg.eigvalsh(spec.v + v_prime).max()))
     if grid_step is None:
         grid_step = radius / 16.0
-    grid = ball_grid(d, radius, grid_step)
-    cell = grid_step**d
+    return kernel, ball_grid(spec.n_ops, radius, grid_step), grid_step**spec.n_ops
 
+
+def _povm_on_sectors(sectors, n, kernel, grid, cell) -> CollectivePovm:
+    a_mat, z_norm = kernel
     stacks = [_smearing_blocks(sec.ops, a_mat, z_norm, grid) for sec in sectors]
     s_blocks = []
     spectra = []
@@ -156,19 +160,17 @@ def _povm_on_sectors(sectors, spec, n, v_prime, radius, grid_step) -> Collective
     dropped = sum(sec.multiplicity * int((~keep).sum()) for sec, keep in zip(sectors, keeps))
     support_gap = float(1.0 - min(w[keep].min() for (w, _), keep in zip(spectra, keeps) if keep.any()))
 
-    projectors = []
     residual = 0.0
     for t, (w, u), keep in zip(stacks, spectra, keeps):
         u_keep = u[:, keep]
         s_isqrt = (u_keep * (w[keep] ** -0.5)) @ u_keep.conj().T
-        projector = u_keep @ u_keep.conj().T
         # the sandwich overwrites the smearing stack in place
         np.matmul(s_isqrt @ t, s_isqrt, out=t)
         t *= cell
         t += t.conj().swapaxes(-1, -2)
         t /= 2
-        projectors.append(projector)
-        defect = t.sum(axis=0) - projector
+        # completeness holds against the projector on the retained eigenspace
+        defect = t.sum(axis=0) - u_keep @ u_keep.conj().T
         residual = max(residual, float(np.abs(np.linalg.eigvalsh(defect)).max()))
     return CollectivePovm(
         n_copies=n,
@@ -176,13 +178,9 @@ def _povm_on_sectors(sectors, spec, n, v_prime, radius, grid_step) -> Collective
         sectors=tuple(sectors),
         elements=tuple(stacks),
         s_operator=tuple(s_blocks),
-        support_projector=tuple(projectors),
         support_gap=support_gap,
         dropped_dimensions=dropped,
         completeness_residual=residual,
-        radius=float(radius),
-        grid_step=float(grid_step),
-        v_prime=v_prime,
     )
 
 
@@ -249,7 +247,11 @@ def _estimator_rows(model, theta, x_ops, n_list, povm_at):
             mean_m = (outcomes * (pm / pm.sum())[:, None]).sum(axis=0)
             a_n[:, j] = (mean_p - mean_m) / (2 * RESPONSE_FD_STEP)
         if abs(np.linalg.det(a_n)) < 1e-12:
-            raise NumericalError("response matrix A_n is singular; enlarge the ball radius")
+            total = spec.rho.dim**n
+            raise NumericalError(
+                f"response matrix A_n is singular at n = {n}: S keeps {total - povm.dropped_dimensions} "
+                f"of {total} dimensions ({povm.dropped_dimensions} dropped); v' is too narrow for these operators"
+            )
         second = np.einsum("ik,il,i->kl", outcomes, outcomes, p0n)
         a_inv = np.linalg.inv(a_n)
         scaled = n * a_inv @ second @ a_inv.T
@@ -270,11 +272,11 @@ def _estimator_rows(model, theta, x_ops, n_list, povm_at):
 # ---------------------------------------------------------------------------
 
 
-def _grid_points(model: ParametricModel, points_per_axis: int) -> np.ndarray:
+def _grid_points(model: ParametricModel) -> np.ndarray:
     axes = []
     for lo, hi in model.domain_box:
-        pad = (hi - lo) / (points_per_axis + 1)
-        axes.append(np.linspace(lo + pad, hi - pad, points_per_axis))
+        pad = (hi - lo) / (MLE_GRID_POINTS + 1)
+        axes.append(np.linspace(lo + pad, hi - pad, MLE_GRID_POINTS))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     return pts[model.is_interior(pts, 1e-6)]
@@ -352,7 +354,7 @@ def _grid_starts(model, grid, elements, weights, counts) -> np.ndarray:
     return starts
 
 
-def _mle_rows(model: ParametricModel, povms, counts, points_per_axis: int = 41):
+def _mle_rows(model: ParametricModel, povms, counts):
     """Maximum likelihood estimates of every count row: the batched kernel
     behind ``mle``.
 
@@ -371,7 +373,7 @@ def _mle_rows(model: ParametricModel, povms, counts, points_per_axis: int = 41):
     if rows_total == 0:
         return np.empty((0, model.param_dim)), np.empty(0, dtype=bool)
     elements, weights, sum_tol, counts = _stack_povms(model, povms, counts)
-    grid = _grid_points(model, points_per_axis)
+    grid = _grid_points(model)
     theta = grid[_grid_starts(model, grid, elements, weights, counts)]
     if elements.shape[0] == 1:
         elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
@@ -430,20 +432,20 @@ def _mle_rows(model: ParametricModel, povms, counts, points_per_axis: int = 41):
     return theta, boundary
 
 
-def mle(model: ParametricModel, m: Povm, counts, points_per_axis: int = 41):
+def mle(model: ParametricModel, m: Povm, counts):
     """Maximum likelihood estimate from an outcome histogram.
 
     ``counts`` is a vector aligned with the POVM labels.  A coarse grid scan
-    over the domain box picks the start (ties break to the smallest flat
-    index), followed by projected gradient ascent on the mean log-likelihood:
-    step 0.5, times 1.3 on an accepted step and 0.4 on a rejected one, until
-    the gradient norm drops below 1e-8, an accepted move below 1e-14, the step
-    below 1e-14, or after 400 iterations.  The estimate is flagged as a
-    boundary maximum when it is not interior by a margin of 1e-6.  This is the
-    one-row call of the batched kernel that ``two_stage_estimate`` runs on
-    all its trials at once.
+    over the domain box, ``MLE_GRID_POINTS`` per axis, picks the start (ties
+    break to the smallest flat index), followed by projected gradient ascent
+    on the mean log-likelihood: step 0.5, times 1.3 on an accepted step and
+    0.4 on a rejected one, until the gradient norm drops below 1e-8, an
+    accepted move below 1e-14, the step below 1e-14, or after 400
+    iterations.  The estimate is flagged as a boundary maximum when it is not
+    interior by a margin of 1e-6.  This is the one-row call of the batched
+    kernel that ``two_stage_estimate`` runs on all its trials at once.
     """
-    theta, boundary = _mle_rows(model, [m], [counts], points_per_axis)
+    theta, boundary = _mle_rows(model, [m], [counts])
     return theta[0], bool(boundary[0])
 
 
@@ -461,9 +463,7 @@ class EstimationReport:
     standard_errors: np.ndarray
     extras: dict = field(default_factory=dict)
 
-    def weighted_trace(self, g=None) -> float:
-        if g is None:
-            return float(np.trace(self.mse_matrix))
+    def weighted_trace(self, g) -> float:
         return float(np.trace(np.asarray(g) @ self.mse_matrix))
 
 

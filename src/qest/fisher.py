@@ -43,16 +43,6 @@ class FisherMatrix:
         if self.kind not in ("sld", "rld", "classical"):
             raise ValidationError(f"unknown Fisher kind {self.kind!r}")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def inverse(self) -> np.ndarray:
-        m = self.matrix
-        if np.linalg.cond(m) > 1e12:
-            raise NumericalError(f"{self.kind} Fisher matrix is numerically singular")
-        return np.linalg.inv(m)
-
 
 @dataclass(frozen=True)
 class LogDerivativeSet:

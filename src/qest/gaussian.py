@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .qcore import DensityOperator, OutcomeDistribution, Povm, _sym_sqrt
+from .qcore import OutcomeDistribution, Povm, _sym_sqrt
 
 MOMENT_DEGREE_CAP = 10
 DEFAULT_TAIL_TOL = 1e-8
@@ -216,25 +216,19 @@ class FockState:
     matrix: np.ndarray
     tail_mass: float
 
-    def density_operator(self) -> DensityOperator:
-        return DensityOperator(self.matrix)
-
 
 def thermal_probabilities(noise: float, dim: int) -> np.ndarray:
-    if noise == 0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-        return p
     k = np.arange(dim)
     return (noise / (noise + 1.0)) ** k / (noise + 1.0)
 
 
-def fock_density(zeta: complex, noise: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL) -> FockState:
+def fock_density(zeta: complex, noise: float, cutoff: int) -> FockState:
     """Displaced thermal state in the Fock basis.
 
     Built as D(zeta) rho_thermal D(zeta)^dagger on a working space with edge
     margin, then cropped to ``cutoff``.  The mass lost to truncation must stay
-    below ``tail_tol``; the cropped matrix is renormalized to unit trace.
+    below ``DEFAULT_TAIL_TOL``; the cropped matrix is renormalized to unit
+    trace.
     """
     if noise < 0:
         raise ValidationError("noise must be nonnegative")
@@ -252,17 +246,18 @@ def fock_density(zeta: complex, noise: float, cutoff: int, tail_tol: float = DEF
         mat = (disp * therm) @ disp.conj().T
     cropped = mat[:cutoff, :cutoff]
     tail = float(1.0 - np.real(np.trace(cropped)))
-    if tail >= tail_tol:
+    if tail >= DEFAULT_TAIL_TOL:
         raise NumericalError(
-            f"insufficient cutoff {cutoff}: truncation tail {tail:.3e} >= {tail_tol:.1e}"
+            f"insufficient cutoff {cutoff}: truncation tail {tail:.3e} >= {DEFAULT_TAIL_TOL:.1e}"
         )
     cropped = (cropped + cropped.conj().T) / 2
     cropped = cropped / np.real(np.trace(cropped))
     return FockState(cutoff=cutoff, matrix=cropped, tail_mass=tail)
 
 
-def auto_cutoff(zeta_mag: float, noise: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest power-of-two Fock cutoff keeping the truncation tail below tol."""
+def auto_cutoff(zeta_mag: float, noise: float) -> int:
+    """Smallest power-of-two Fock cutoff keeping the truncation tail below
+    ``DEFAULT_TAIL_TOL``."""
     work = 512
     therm = thermal_probabilities(noise, work)
     if zeta_mag == 0:
@@ -272,7 +267,7 @@ def auto_cutoff(zeta_mag: float, noise: float, tail_tol: float = DEFAULT_TAIL_TO
         disp = _unitary_exp(1j * zeta_mag * (a.conj().T - a))
         diag = np.real(np.diag((disp * therm) @ disp.conj().T))
     cum = np.cumsum(diag)
-    needed = int(np.searchsorted(cum, 1.0 - tail_tol * 0.1) + 1)
+    needed = int(np.searchsorted(cum, 1.0 - DEFAULT_TAIL_TOL * 0.1) + 1)
     cutoff = 1
     while cutoff < needed:
         cutoff *= 2
@@ -371,16 +366,12 @@ def concentrate(zeta: complex, noise: float, n: int) -> ConcentrationResult:
     modes = ((np.sqrt(n) * zeta, noise),) + tuple((0.0 + 0.0j, noise) for _ in range(n - 1))
     stages = [complex(zeta)]
     if n > 1 and (n & (n - 1)) == 0:
-        amplitudes = [complex(zeta)] * n
-        while len(amplitudes) > 1:
-            nxt = []
-            for i in range(0, len(amplitudes), 2):
-                top, bottom = half_mirror(amplitudes[i], amplitudes[i + 1])
-                nxt.append(top)
-            amplitudes = nxt
-            stages.append(amplitudes[0])
-    else:
-        stages = [complex(zeta), complex(np.sqrt(n) * zeta)] if n > 1 else [complex(zeta)]
+        # every carrier of a stage holds the same amplitude, so one mirror of
+        # an equal pair gives the next stage's amplitude
+        for _ in range(int(n).bit_length() - 1):
+            stages.append(half_mirror(stages[-1], stages[-1])[0])
+    elif n > 1:
+        stages.append(complex(np.sqrt(n) * zeta))
     return ConcentrationResult(modes=modes, stage_amplitudes=tuple(stages))
 
 

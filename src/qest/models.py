@@ -19,6 +19,8 @@ from .errors import ValidationError
 from .qcore import DensityOperator, density_stack
 
 FD_STEP = 1e-5
+# radius of the gauss1 domain disk |theta| <= GAUSS1_THETA_MAX
+GAUSS1_THETA_MAX = 3.0
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -196,9 +198,7 @@ def diagonal_family(dim: int = 2) -> ParametricModel:
     )
 
 
-def gaussian_displacement_family(
-    noise: float, cutoff: int | None = None, theta_max: float = 3.0
-) -> ParametricModel:
+def gaussian_displacement_family(noise: float, cutoff: int | None = None) -> ParametricModel:
     """One-mode Gaussian displacement family on a truncated Fock space.
 
     Parameters are the quadrature means theta = (sqrt2 Re zeta, sqrt2 Im zeta)
@@ -209,8 +209,8 @@ def gaussian_displacement_family(
     if not 0 <= noise < np.inf:
         raise ValidationError("noise must be finite and nonnegative")
     if cutoff is None:
-        # |zeta| = |theta|/sqrt2 <= theta_max/sqrt2 over the domain disk
-        cutoff = gaussian.auto_cutoff(theta_max / np.sqrt(2.0), noise)
+        # |zeta| = |theta|/sqrt2 <= GAUSS1_THETA_MAX/sqrt2 over the domain disk
+        cutoff = gaussian.auto_cutoff(GAUSS1_THETA_MAX / np.sqrt(2.0), noise)
     q_op, p_op = gaussian.quadrature_operators(cutoff)
 
     def states(t):
@@ -228,8 +228,8 @@ def gaussian_displacement_family(
         param_dim=2,
         hilbert_dim=cutoff,
         states=states,
-        domain_check=lambda t: np.hypot(t[..., 0], t[..., 1]) <= theta_max,
-        domain_box=((-theta_max, theta_max),) * 2,
+        domain_check=lambda t: np.hypot(t[..., 0], t[..., 1]) <= GAUSS1_THETA_MAX,
+        domain_box=((-GAUSS1_THETA_MAX, GAUSS1_THETA_MAX),) * 2,
         derivatives=derivatives,
         meta={"noise": noise, "cutoff": cutoff},
     )

@@ -1,10 +1,11 @@
 """Finite-dimensional quantum primitives.
 
 Density operators, POVMs, outcome statistics from the trace rule, probabilistic
-mixtures, tensor powers, and reproducible outcome sampling.  All hard numerical
-tolerances used by the validators live in this module as constants so tests and
-downstream code agree on one set of numbers.
-Builders of n-fold arrays call ``check_array_bytes`` before they allocate.
+mixtures, tensor powers, and reproducible outcome sampling.  The tolerances of
+the validators in this module are its constants below; ``fisher``, ``bounds``,
+``clt``, ``collective`` and ``gaussian`` keep their own next to the code that
+uses them.  Builders of n-fold arrays call ``check_array_bytes`` before they
+allocate.
 """
 
 from __future__ import annotations

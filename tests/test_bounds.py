@@ -456,3 +456,9 @@ class TestGaussianShiftBound:
     def test_psd_pair_required(self):
         with pytest.raises(ValidationError):
             gaussian_shift_bound(0.1 * np.eye(2), ONE_MODE_S, np.eye(2))
+
+    def test_symmetric_v_and_antisymmetric_s_required(self):
+        with pytest.raises(ValidationError, match="v must be symmetric"):
+            gaussian_shift_bound(np.array([[1.0, 0.1], [0.0, 1.0]]), ONE_MODE_S, np.eye(2))
+        with pytest.raises(ValidationError, match="s must be antisymmetric"):
+            gaussian_shift_bound(np.eye(2), np.array([[0.0, 0.5], [0.5, 0.0]]), np.eye(2))

@@ -321,6 +321,18 @@ class TestEstimateCommand:
         assert lines[0].startswith("numerical failure: the smearing operators would take")
         assert lines[0].endswith("GiB, over the 1 GiB limit")
 
+    def test_narrow_kernel_names_the_dropped_dimensions(self):
+        # at eps = 0.02 the spin-1 block of S falls under the support
+        # threshold, so the outcome means cannot follow the state
+        argv = ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0,0", "--n", "2", "--eps", "0.02"]
+        result = run_cli(argv)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numerical failure: response matrix A_n is singular at n = 2: S keeps 1 of 4 dimensions "
+            "(3 dropped); v' is too narrow for these operators\n"
+        )
+
     @pytest.mark.parametrize("eps", ["1e308", "1e-300"])
     def test_extreme_eps_exits_3_with_one_line(self, eps):
         argv = ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0,0", "--n", "2", "--eps", eps]
@@ -360,6 +372,13 @@ class TestRunConfig:
         config.write_text("{not json")
         result = run_cli(["run", "--config", str(config)])
         assert result.exit_code == 2
+
+    def test_run_is_not_an_experiment(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"experiment": "run"}))
+        result = run_cli(["run", "--config", str(config)])
+        assert result.exit_code == 2
+        assert result.output == "validation error: unknown experiment 'run'\n"
 
     def test_dispatch_and_determinism(self, tmp_path):
         config = tmp_path / "bounds.json"

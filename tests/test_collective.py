@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qest import collective
 from qest.bounds import holevo_bound, qubit_c1
 from qest.clt import CollectiveSpec, _dense_sectors, build_collective_ops
 from qest.collective import (
     _estimator_rows,
     _grid_starts,
+    _kernel_and_grid,
     _mle_rows,
     _optimal_qubit_povms,
     _povm_on_sectors,
@@ -170,6 +172,23 @@ class TestBuildCollectivePovm:
             tracemalloc.stop()
         assert peak < 100e6
 
+    def test_dense_sums_over_the_byte_limit_are_not_built(self):
+        # gauss1:0.3:16 at n = 3: the smearing stack of the 4096 x 4096 block
+        # is refused before the two 256 MiB collective sums are built
+        model = model_from_name("gauss1:0.3:16")
+        theta = np.array([0.3, 0.2])
+        solution = holevo_bound(model, theta, np.eye(2))
+        spec = CollectiveSpec(model.state_at(theta), solution.x_ops)
+        v_prime = default_v_prime(solution.s_matrix, np.eye(2), 0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="smearing operators would take 199.25 GiB"):
+                build_collective_povm(spec, v_prime, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
     def test_ball_grid_masks(self):
         pts = ball_grid(2, 1.0, 0.5)
         assert all(p @ p <= 1.0 + 1e-12 for p in pts)
@@ -282,7 +301,7 @@ class TestSectorsAgainstDense:
 
 def _dense_povm(spec, v_prime, n, radius=None, grid_step=None):
     """``build_collective_povm`` of the spec's operators on the dense layout."""
-    return _povm_on_sectors(_dense_sectors(spec.x_ops, n), spec, n, v_prime, radius, grid_step)
+    return _povm_on_sectors(_dense_sectors(spec.x_ops, n), n, *_kernel_and_grid(spec, v_prime, radius, grid_step))
 
 
 def _point_interior(model, t, margin):
@@ -298,15 +317,15 @@ def _point_interior(model, t, margin):
     return True
 
 
-def _pointwise_mle_rows(model, povms, counts, points_per_axis=41):
+def _pointwise_mle_rows(model, povms, counts, per_axis):
     """The batched MLE with its domain tests, projection and derivatives made
     one row at a time: the reference for the stacked kernel."""
     rows_total = len(counts)
     elements, weights, sum_tol, counts = _stack_povms(model, povms, counts)
     axes = []
     for lo, hi in model.domain_box:
-        pad = (hi - lo) / (points_per_axis + 1)
-        axes.append(np.linspace(lo + pad, hi - pad, points_per_axis))
+        pad = (hi - lo) / (per_axis + 1)
+        axes.append(np.linspace(lo + pad, hi - pad, per_axis))
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     grid = pts[np.array([_point_interior(model, p, 1e-6) for p in pts])]
     theta = grid[_grid_starts(model, grid, elements, weights, counts)]
@@ -368,7 +387,7 @@ def _pointwise_mle_rows(model, povms, counts, points_per_axis=41):
 
 class TestMle:
     @pytest.mark.parametrize("kind,bases,per_axis", [("z0", "zx", 41), ("full", "zxy", 21)])
-    def test_stacked_kernel_matches_pointwise_reference(self, kind, bases, per_axis, rng):
+    def test_stacked_kernel_matches_pointwise_reference(self, kind, bases, per_axis, rng, monkeypatch):
         # 50 count rows of 40 copies at random states, half of them near the
         # surface of the ball, so some ascents end on the domain boundary
         model = qubit_family(kind)
@@ -378,7 +397,8 @@ class TestMle:
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         truths = u * np.concatenate([rng.uniform(0, 0.9, 25), rng.uniform(0.95, 1.0, 25)])[:, None]
         counts = [rng.multinomial(40, measure_distribution(model.state_at(t), povm).probs) for t in truths]
-        theta, boundary = _mle_rows(model, [povm], counts, per_axis)
+        monkeypatch.setattr(collective, "MLE_GRID_POINTS", per_axis)
+        theta, boundary = _mle_rows(model, [povm], counts)
         ref_theta, ref_boundary = _pointwise_mle_rows(model, [povm], counts, per_axis)
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(boundary, ref_boundary)

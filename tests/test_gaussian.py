@@ -15,6 +15,7 @@ from qest.gaussian import (
     fock_density,
     gaussian_moment,
     gaussian_protocol_mse,
+    half_mirror,
     heterodyne_povm,
     heterodyne_sample,
     number_distribution,
@@ -23,6 +24,7 @@ from qest.gaussian import (
     quadrature_operators,
     smearing_kernel,
     t_density,
+    thermal_probabilities,
 )
 
 
@@ -217,6 +219,12 @@ class TestFockDensity:
         with pytest.raises(NumericalError):
             fock_density(0j, 2.0, 8)
 
+    def test_thermal_probabilities_at_zero_noise(self):
+        # the geometric law itself gives the vacuum, with no special case
+        expected = np.zeros(12)
+        expected[0] = 1.0
+        assert np.array_equal(thermal_probabilities(0.0, 12), expected)
+
     def test_auto_cutoff_power_of_two(self):
         c = auto_cutoff(1.0, 1.0)
         assert c & (c - 1) == 0
@@ -335,6 +343,22 @@ class TestConcentrate:
         assert np.allclose(res.stage_amplitudes, [zeta, np.sqrt(2) * zeta, 2 * zeta])
         assert res.modes[0] == (2 * zeta, 2.0)
         assert all(m == (0j, 2.0) for m in res.modes[1:])
+
+    def test_stages_match_pairwise_cascade(self):
+        # oracle: mirror every pair of every stage and keep the first output
+        def cascade(zeta, n):
+            stages = [complex(zeta)]
+            if n & (n - 1):
+                return [complex(zeta), complex(np.sqrt(n) * zeta)]
+            amplitudes = [complex(zeta)] * n
+            while len(amplitudes) > 1:
+                amplitudes = [half_mirror(a, b)[0] for a, b in zip(amplitudes[::2], amplitudes[1::2])]
+                stages.append(amplitudes[0])
+            return stages
+
+        zeta = 0.37 - 1.21j
+        for n in range(2, 1025):
+            assert list(concentrate(zeta, 0.5, n).stage_amplitudes) == cascade(zeta, n)
 
     def test_energy_conservation(self):
         zeta = 1.1 + 0.4j
