@@ -28,7 +28,7 @@ from .errors import NumericalError, ValidationError
 from .fisher import SUPPORT_TOL, FisherMatrix, sld_fisher
 from .gaussian import GaussianSpec
 from .models import ParametricModel, model_derivatives
-from .qcore import _sym_isqrt, _sym_sqrt, trace_products
+from .qcore import _sym_isqrt, _sym_sqrt, pair_moments, trace_products
 
 CONSTRAINT_TOL = 1e-7
 PSD_PAIR_TOL = 1e-8
@@ -115,26 +115,6 @@ def gaussian_shift_bound(v: np.ndarray, s: np.ndarray, g) -> float:
     g = check_weight_matrix(g, v.shape[0])
     GaussianSpec(np.zeros(v.shape[0]), v, s)
     return _shift_value(v, s, g)
-
-
-def pair_moments(rho_matrix: np.ndarray, x_ops) -> tuple[np.ndarray, np.ndarray]:
-    """Centered second moments of an operator tuple under a state.
-
-    Returns (v, s) with v[k,j] = Tr rho (Xc_k o Xc_j) and
-    s[k,j] = -i/2 Tr rho [Xc_k, Xc_j] where Xc = X - Tr(rho X) I.
-    """
-    x = np.asarray(x_ops, dtype=complex)
-    d, dim = len(x), rho_matrix.shape[0]
-    # contiguous diagonals, summed along their own axis as a single trace is
-    means = np.real(np.diagonal(rho_matrix @ x, axis1=-2, axis2=-1).copy().sum(axis=-1))
-    centered = x - means[:, None, None] * np.eye(dim)
-    prods = (rho_matrix @ centered)[:, None] @ centered[None]
-    tr = np.diagonal(prods, axis1=-2, axis2=-1).copy().sum(axis=-1)
-    v = 0.5 * np.real(tr + tr.T)
-    half = np.real(-0.5j * (tr - tr.T))
-    # s[a, b] for a < b, negated into s[b, a] and onto the diagonal
-    s = np.where(np.triu(np.ones((d, d), dtype=bool), 1), half, -half.T)
-    return v, s
 
 
 def holevo_objective(model: ParametricModel, theta, x_ops, g) -> tuple[float, np.ndarray, np.ndarray]:

@@ -31,42 +31,40 @@ exits 2 on an unknown or missing key; ``run --out`` overrides ``out``.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (running out
 of memory included).
+
+Import rule: the front end (the ``main`` group, the option types, the
+experiment registry, config reading, ``run``'s dispatch and the exit-code
+guard) imports only click, the standard library and ``qest.errors``.  Each
+experiment imports its compute modules, and the report helpers NumPy and
+``qcore``, inside the function, so ``--help``, ``--version`` and usage or
+config errors answer without loading NumPy, and a command loads only the
+modules it runs.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
-from .bounds import cr_value, holevo_bound, qubit_c1
-from .clt import CollectiveSpec, collective_moment
-from .collective import (
-    collective_estimator_check,
-    default_v_prime,
-    mixed_basis_povm,
-    two_stage_estimate,
-)
 from .errors import NumericalError, ValidationError
-from .fisher import classical_fisher, rld_fisher, sld_fisher
-from .gaussian import gaussian_moment, gaussian_protocol_mse
-from .models import PAULIS, model_from_name
-from .qcore import Povm, matrix_from_json, matrix_to_json
 
 
 def _config_hash(config: dict) -> str:
+    import hashlib
+
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _jsonable(obj):
     # complex values reach reports only through matrix_to_json or explicit re/im
+    import numpy as np
+
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -88,6 +86,8 @@ def _csv_blocks(header, columns):
     gives the bytes ``csv.writer`` writes for the same rows of floats and
     ints; blocks of ``CSV_BLOCK_ROWS`` rows keep the text's memory bounded.
     """
+    import numpy as np
+
     columns = [np.asarray(col) for col in columns]
     yield ",".join(header) + "\n"
     for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK_ROWS):
@@ -125,7 +125,11 @@ def _read_json_file(path: str, option: str):
         raise ValidationError(f"cannot read {option} file {path!r}: {exc}") from exc
 
 
-def _load_weight(spec, dim: int) -> np.ndarray:
+def _load_weight(spec, dim: int):
+    import numpy as np
+
+    from .qcore import matrix_from_json
+
     if spec == "identity":
         return np.eye(dim)
     if isinstance(spec, list) or str(spec).lstrip().startswith("["):
@@ -137,7 +141,9 @@ def _load_weight(spec, dim: int) -> np.ndarray:
     return np.real(matrix_from_json(_read_json_file(str(spec), "--g")))
 
 
-def _load_povm(path: str) -> Povm:
+def _load_povm(path: str):
+    from .qcore import Povm, matrix_from_json
+
     data = _read_json_file(path, "--povm")
     if not isinstance(data, dict) or "elements" not in data:
         raise ValidationError("POVM file must be a JSON object with an 'elements' list")
@@ -286,6 +292,10 @@ def _config_values(command: click.Command, config: dict) -> dict:
 @_SEED
 def fisher_experiment(values: dict) -> None:
     """Fisher information matrix of a model at a point."""
+    from .fisher import classical_fisher, rld_fisher, sld_fisher
+    from .models import model_from_name
+    from .qcore import matrix_to_json
+
     model = model_from_name(values["model"])
     theta, kind = values["theta"], values["kind"]
     config = _report_config("fisher", values)
@@ -321,6 +331,10 @@ def fisher_experiment(values: dict) -> None:
 @click.option("--seed", type=INT, default=0, help="accepted for old configs; has no effect")
 def bounds_experiment(values: dict) -> None:
     """Bound chain: SLD Cramer-Rao, collective bound, qubit single-copy bound."""
+    from .bounds import cr_value, holevo_bound, qubit_c1
+    from .fisher import sld_fisher
+    from .models import model_from_name
+
     model = model_from_name(values["model"])
     theta = values["theta"]
     g = _load_weight(values["g"], model.param_dim)
@@ -357,6 +371,10 @@ def bounds_experiment(values: dict) -> None:
 @_SEED
 def gauss_experiment(values: dict) -> None:
     """Concentration-protocol Monte Carlo for the one-mode Gaussian family."""
+    import numpy as np
+
+    from .gaussian import gaussian_protocol_mse
+
     parts, noise, n_copies = values["zeta"], values["N"], values["n"]
     if len(parts) != 2:
         raise ValidationError("--zeta needs exactly re,im")
@@ -415,6 +433,10 @@ def gauss_experiment(values: dict) -> None:
 @_SEED
 def clt_experiment(values: dict) -> None:
     """Collective moments against the limiting Gaussian moments."""
+    from .clt import CollectiveSpec, collective_moment
+    from .gaussian import gaussian_moment
+    from .models import PAULIS, model_from_name
+
     model = model_from_name(values["model"])
     if model.hilbert_dim != 2:
         raise ValidationError("clt experiment supports qubit models")
@@ -453,6 +475,12 @@ def clt_experiment(values: dict) -> None:
 @_SEED
 def estimate_experiment(values: dict) -> None:
     """Run an estimator: adaptive two-stage Monte Carlo or exact collective check."""
+    import numpy as np
+
+    from .bounds import holevo_bound
+    from .collective import collective_estimator_check, default_v_prime, mixed_basis_povm, two_stage_estimate
+    from .models import model_from_name
+
     model = model_from_name(values["model"])
     theta, seed, out = values["theta"], values["seed"], values["out"]
     n_list = INTS(values["n"])

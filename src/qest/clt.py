@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .gaussian import GaussianSpec, gaussian_moment, smearing_kernel
-from .qcore import DensityOperator, _kron_power, check_array_bytes
+from .qcore import DensityOperator, _kron_power, check_array_bytes, pair_moments
 from .models import PAULIS
-from .bounds import pair_moments
 
 COLLECTIVE_DEGREE_CAP = 8
 CENTERING_TOL = 1e-12

@@ -1,10 +1,11 @@
 """Finite-dimensional quantum primitives.
 
-Density operators, POVMs, outcome statistics from the trace rule, probabilistic
-mixtures, tensor powers, and reproducible outcome sampling.  The tolerances of
-the validators in this module are its constants below; ``fisher``, ``bounds``,
-``clt``, ``collective`` and ``gaussian`` keep their own next to the code that
-uses them.  Builders of n-fold arrays call ``check_array_bytes`` before they
+Density operators, POVMs, outcome statistics from the trace rule, the centered
+pair moments of an operator tuple, probabilistic mixtures, tensor powers, and
+reproducible outcome sampling.  The tolerances of the validators in this
+module are its constants below; ``fisher``, ``bounds``, ``clt``,
+``collective`` and ``gaussian`` keep their own next to the code that uses
+them.  Builders of n-fold arrays call ``check_array_bytes`` before they
 allocate.
 """
 
@@ -288,6 +289,26 @@ def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so it does not depend on how many others are computed with it."""
     prod = (a * np.swapaxes(b, -1, -2)).real
     return prod.reshape(prod.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def pair_moments(rho_matrix: np.ndarray, x_ops) -> tuple[np.ndarray, np.ndarray]:
+    """Centered second moments of an operator tuple under a state.
+
+    Returns (v, s) with v[k,j] = Tr rho (Xc_k o Xc_j) and
+    s[k,j] = -i/2 Tr rho [Xc_k, Xc_j] where Xc = X - Tr(rho X) I.
+    """
+    x = np.asarray(x_ops, dtype=complex)
+    d, dim = len(x), rho_matrix.shape[0]
+    # contiguous diagonals, summed along their own axis as a single trace is
+    means = np.real(np.diagonal(rho_matrix @ x, axis1=-2, axis2=-1).copy().sum(axis=-1))
+    centered = x - means[:, None, None] * np.eye(dim)
+    prods = (rho_matrix @ centered)[:, None] @ centered[None]
+    tr = np.diagonal(prods, axis1=-2, axis2=-1).copy().sum(axis=-1)
+    v = 0.5 * np.real(tr + tr.T)
+    half = np.real(-0.5j * (tr - tr.T))
+    # s[a, b] for a < b, negated into s[b, a] and onto the diagonal
+    s = np.where(np.triu(np.ones((d, d), dtype=bool), 1), half, -half.T)
+    return v, s
 
 
 def measure_distribution(rho: DensityOperator, m: Povm) -> OutcomeDistribution:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qest import cli
 from qest.cli import main
 from qest.collective import mixed_basis_povm, two_stage_estimate
 from qest.gaussian import gaussian_protocol_mse
@@ -293,7 +292,7 @@ class TestEstimateCommand:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 56.8 GiB for an array")
 
-        monkeypatch.setattr(cli, "collective_estimator_check", exhausted)
+        monkeypatch.setattr("qest.collective.collective_estimator_check", exhausted)
         argv = ["estimate", "--mode", "collective", "--model", "diag:3", "--theta", "0.2,0.3", "--n", "7"]
         result = run_cli(argv)
         assert result.exit_code == 3
@@ -564,26 +563,36 @@ class TestCsvColumns:
         assert (tmp_path / "c.csv").read_text() == expected
 
 
-def scipy_modules_after(argv):
-    """SciPy modules loaded by one CLI command run in a fresh interpreter."""
+def modules_after(argv, exit_code=0):
+    """Names of the modules loaded by one CLI command run in a fresh
+    interpreter, which must exit with ``exit_code``."""
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from qest.cli import main\n"
         "try:\n"
         f"    main({argv!r})\n"
         "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-        "print('scipy modules:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"    assert exc.code == {exit_code!r}, exc.code\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def scipy_modules(modules):
+    return sorted(m for m in modules if m.split(".")[0] == "scipy")
+
+
+def assert_front_end_only(modules):
+    assert "numpy" not in modules
+    assert {m for m in modules if m.split(".")[0] == "qest"} == {"qest", "qest.cli", "qest.errors"}
 
 
 class TestImports:
     def test_fock_paths_do_not_import_scipy(self):
         argv = ["fisher", "--kind", "sld", "--model", "gauss1:0.3:16", "--theta", "0.3,0.2"]
-        assert scipy_modules_after(argv) == "scipy modules: []"
+        assert scipy_modules(modules_after(argv)) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -595,4 +604,39 @@ class TestImports:
         ids=["bounds-qubit", "bounds-gauss1", "estimate-collective"],
     )
     def test_bound_commands_do_not_import_scipy(self, argv):
-        assert scipy_modules_after(argv) == "scipy modules: []"
+        assert scipy_modules(modules_after(argv)) == []
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["--help"], 0),
+            *[([name, "--help"], 0) for name in ["fisher", "bounds", "gauss", "clt", "estimate", "run"]],
+            (["--version"], 0),
+            (["fisher", "--theta", "0,0"], 2),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_front_end_loads_no_numpy(self, argv, exit_code):
+        assert_front_end_only(modules_after(argv, exit_code))
+
+    def test_unknown_experiment_loads_no_numpy(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiment": "nope"}))
+        assert_front_end_only(modules_after(["run", "--config", str(config)], 2))
+
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            (
+                ["gauss", "--zeta", "0.5,0", "--N", "1", "--n", "10", "--trials", "1000"],
+                ["qest.collective", "qest.clt", "qest.bounds", "qest.fisher", "qest.models"],
+            ),
+            (
+                ["clt", "--model", "qubit-z0", "--theta", "0.3,0", "--ops", "x", "--word", "1,1", "--n", "2"],
+                ["qest.collective", "qest.bounds", "qest.fisher"],
+            ),
+        ],
+        ids=["gauss", "clt"],
+    )
+    def test_command_loads_only_its_modules(self, argv, unloaded):
+        assert not set(unloaded) & modules_after(argv)
