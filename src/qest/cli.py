@@ -79,23 +79,25 @@ def _jsonable(obj):
 CSV_BLOCK_ROWS = 8192
 
 
-def _csv_blocks(header, columns):
-    """CSV text of a header and equal-length 1-D numeric columns, in blocks.
+def _csv_blocks(header, blocks):
+    """CSV text of a header and blocks of equal-length 1-D numeric columns.
 
-    Each column slice is formatted once (``tolist`` then ``repr``), which
-    gives the bytes ``csv.writer`` writes for the same rows of floats and
-    ints; blocks of ``CSV_BLOCK_ROWS`` rows keep the text's memory bounded.
+    ``blocks`` yields the columns of consecutive row ranges.  Each column
+    slice is formatted once (``tolist`` then ``repr``), which gives the bytes
+    ``csv.writer`` writes for the same rows of floats and ints; slices of at
+    most ``CSV_BLOCK_ROWS`` rows keep the text's memory bounded.
     """
     import numpy as np
 
-    columns = [np.asarray(col) for col in columns]
     yield ",".join(header) + "\n"
-    for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK_ROWS):
-        cells = [map(repr, col[start : start + CSV_BLOCK_ROWS].tolist()) for col in columns]
-        yield "".join(",".join(row) + "\n" for row in zip(*cells))
+    for columns in blocks:
+        columns = [np.asarray(col) for col in columns]
+        for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK_ROWS):
+            cells = [map(repr, col[start : start + CSV_BLOCK_ROWS].tolist()) for col in columns]
+            yield "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _write_report(out_prefix: str | None, config: dict, results: dict, csv_header=None, csv_columns=None) -> dict:
+def _write_report(out_prefix: str | None, config: dict, results: dict, csv_header=None, csv_blocks=None) -> dict:
     report = {
         "config": config,
         "configHash": _config_hash(config),
@@ -110,9 +112,9 @@ def _write_report(out_prefix: str | None, config: dict, results: dict, csv_heade
         path = Path(f"{out_prefix}.json")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
-        if csv_columns is not None:
+        if csv_blocks is not None:
             with open(f"{out_prefix}.csv", "w") as fh:
-                fh.writelines(_csv_blocks(csv_header, csv_columns))
+                fh.writelines(_csv_blocks(csv_header, csv_blocks))
     else:
         click.echo(text)
     return report
@@ -373,16 +375,15 @@ def gauss_experiment(values: dict) -> None:
     """Concentration-protocol Monte Carlo for the one-mode Gaussian family."""
     import numpy as np
 
-    from .gaussian import gaussian_protocol_mse
+    from .gaussian import gaussian_protocol_mse, protocol_trials
 
     parts, noise, n_copies = values["zeta"], values["N"], values["n"]
     if len(parts) != 2:
         raise ValidationError("--zeta needs exactly re,im")
     zeta = complex(parts[0], parts[1])
+    trials, seed = values["trials"], values["seed"]
     config = _report_config("gauss", values)
-    report = gaussian_protocol_mse(
-        zeta, noise, n_copies, values["trials"], values["seed"], keep_trials=values["out"] is not None
-    )
+    report = gaussian_protocol_mse(zeta, noise, n_copies, trials, seed)
     results = {
         "mseTheta": report.mse_theta,
         "seMseTheta": report.se_mse_theta,
@@ -398,19 +399,14 @@ def gauss_experiment(values: dict) -> None:
         "boundNoiseSeparable": report.bound_noise_separable,
         "relativeSeFlag": report.relative_se_flag,
     }
-    columns = None
-    if report.per_trial:
-        zh = report.per_trial["zeta_hat"]
-        zb = report.per_trial["zeta_hat_baseline"]
-        columns = [
-            np.arange(len(zh)),
-            zh.real,
-            zh.imag,
-            report.per_trial["noise_hat"],
-            zb.real,
-            zb.imag,
-            report.per_trial["noise_hat_baseline"],
-        ]
+
+    def csv_blocks():
+        # a second pass over the same draws: the report keeps no per-trial arrays
+        start = 0
+        for zh, nh, zb, nb in protocol_trials(zeta, noise, n_copies, trials, seed):
+            yield [np.arange(start, start + zh.size), zh.real, zh.imag, nh, zb.real, zb.imag, nb]
+            start += zh.size
+
     header = [
         "trial",
         "zeta_hat_re",
@@ -420,7 +416,7 @@ def gauss_experiment(values: dict) -> None:
         "zeta_hat_base_im",
         "noise_hat_base",
     ]
-    _write_report(values["out"], config, results, header, columns)
+    _write_report(values["out"], config, results, header, csv_blocks() if values["out"] else None)
 
 
 @_experiment("clt")
@@ -460,7 +456,7 @@ def clt_experiment(values: dict) -> None:
         config,
         results,
         ["n", "exact_re", "exact_im", "gaussian_re", "gaussian_im", "gap"],
-        list(zip(*rows)),
+        [list(zip(*rows))],
     )
 
 
@@ -509,7 +505,7 @@ def estimate_experiment(values: dict) -> None:
         columns = None
         if "estimates" in report.extras:
             est = report.extras.pop("estimates")
-            columns = [np.arange(len(est)), *est.T]
+            columns = [[np.arange(len(est)), *est.T]]
         header = ["trial"] + [f"theta_hat_{k + 1}" for k in range(model.param_dim)]
         _write_report(out, config, results, header, columns)
         return
@@ -546,7 +542,7 @@ def estimate_experiment(values: dict) -> None:
         config,
         results,
         ["n", "scaled_trace", "a_minus_identity", "completeness_residual"],
-        list(zip(*csv_rows)),
+        [list(zip(*csv_rows))],
     )
 
 

@@ -9,7 +9,7 @@ estimation protocol that exploits it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -396,7 +396,9 @@ class GaussianProtocolReport:
     bound_noise_collective: float  # N (N + 1)
     bound_noise_separable: float  # (N + 1)^2
     relative_se_flag: bool
-    per_trial: dict = field(repr=False, default_factory=dict)
+
+
+TRIAL_BLOCK = 8192  # trials drawn and reduced at a time by the protocol sampler
 
 
 def _mse_and_se(sq_errors: np.ndarray) -> tuple[float, float]:
@@ -405,14 +407,65 @@ def _mse_and_se(sq_errors: np.ndarray) -> tuple[float, float]:
     return mse, se
 
 
-def gaussian_protocol_mse(
-    zeta: complex,
-    noise: float,
-    n: int,
-    trials: int,
-    seed: int,
-    keep_trials: bool = False,
-) -> GaussianProtocolReport:
+def _skip_normals(rng: np.random.Generator, count: int, buf: np.ndarray) -> np.random.Generator:
+    """Advance ``rng`` past ``count`` standard normals, drawn into ``buf``."""
+    for start in range(0, count, buf.size):
+        rng.standard_normal(out=buf[: min(buf.size, count - start)])
+    return rng
+
+
+def protocol_trials(zeta: complex, noise: float, n: int, trials: int, seed: int):
+    """Per-trial estimators of the concentration protocol and its baseline.
+
+    Yields blocks of at most ``TRIAL_BLOCK`` trials, each the arrays
+    ``(zeta_hat, noise_hat, zeta_hat_base, noise_hat_base)``; see
+    ``gaussian_protocol_mse`` for the estimators and their laws.  The draws
+    are those of one whole-trial pass: per child generator, all real parts,
+    then all imaginary parts, then the counts or chi^2 draws.  Each part is
+    read from its own copy of its child generator, advanced past the earlier
+    parts, so a block of a part is the same slice of the same stream.
+    """
+    if n < 2:
+        raise ValidationError("protocol needs n >= 2")
+    if trials < 1000:
+        raise ValidationError("at least 1000 trials required")
+    if not 0 <= noise < np.inf:
+        raise ValidationError("noise must be finite and nonnegative")
+    if not np.isfinite(zeta):
+        raise ValidationError("zeta must be finite")
+    return _protocol_blocks(zeta, noise, n, trials, seed)
+
+
+def _protocol_blocks(zeta, noise, n, trials, seed):
+    root = np.random.default_rng(seed)
+    s_het, s_num, s_base = root.integers(0, 2**63 - 1, 3)
+    buf = np.empty(TRIAL_BLOCK)
+    het_re = np.random.default_rng(s_het)
+    het_im = _skip_normals(np.random.default_rng(s_het), trials, buf)
+    num = np.random.default_rng(s_num)
+    base_re = np.random.default_rng(s_base)
+    base_im = _skip_normals(np.random.default_rng(s_base), trials, buf)
+    base_chi = _skip_normals(np.random.default_rng(s_base), 2 * trials, buf)
+
+    amp = np.sqrt(n) * zeta
+    sigma = np.sqrt((noise + 1.0) / 2.0)
+    for start in range(0, trials, TRIAL_BLOCK):
+        size = min(TRIAL_BLOCK, trials - start)
+        # protocol: heterodyne on rho_{sqrt n zeta, N}
+        alpha = amp + sigma * (het_re.standard_normal(size) + 1j * het_im.standard_normal(size))
+        zeta_hat = alpha / np.sqrt(n)
+        # total photon count on the n-1 thermal modes (all zero at N = 0)
+        noise_hat = num.negative_binomial(n - 1, 1.0 / (noise + 1.0), size=size) / (n - 1)
+        # baseline: sample mean and squared spread of n heterodyne outcomes
+        zeta_hat_base = zeta + sigma / np.sqrt(n) * (
+            base_re.standard_normal(size) + 1j * base_im.standard_normal(size)
+        )
+        # divisor n: makes n * MSE equal (N+1)^2 at every n (bias^2 + variance)
+        noise_hat_base = sigma**2 * base_chi.chisquare(2 * (n - 1), size=size) / n - 1.0
+        yield zeta_hat, noise_hat, zeta_hat_base, noise_hat_base
+
+
+def gaussian_protocol_mse(zeta: complex, noise: float, n: int, trials: int, seed: int) -> GaussianProtocolReport:
     """Simulate the concentration protocol and the per-copy baseline.
 
     Protocol trial: concentrate the n copies, heterodyne the amplified mode
@@ -424,47 +477,30 @@ def gaussian_protocol_mse(
     i.e. 2 |zeta_hat - zeta|^2 per trial.
 
     Each trial draws its estimators from their exact joint law instead of
-    the n per-copy outcomes, so time and memory are O(trials) for every n.
+    the n per-copy outcomes, so time is O(trials) for every n.  The trials
+    come in blocks from ``protocol_trials``; memory is the four squared
+    errors, 32 bytes per trial, and the rest is bounded by the block.
     The summed count of n - 1 geometric thermal modes with mean N is negative
     binomial NB(n - 1, 1/(N + 1)).  For the baseline's n iid complex Gaussians
     (variance sigma^2 = (N + 1)/2 per axis) the sample mean is
     zeta + sigma/sqrt(n) (Z1 + i Z2), and the summed squared spread is
     sigma^2 chi^2_{2(n-1)}, independent of the mean (Cochran's theorem).
     """
-    if n < 2:
-        raise ValidationError("protocol needs n >= 2")
-    if trials < 1000:
-        raise ValidationError("at least 1000 trials required")
-    if not 0 <= noise < np.inf:
-        raise ValidationError("noise must be finite and nonnegative")
-    if not np.isfinite(zeta):
-        raise ValidationError("zeta must be finite")
-    root = np.random.default_rng(seed)
-    s_het, s_num, s_base = (np.random.default_rng(s) for s in root.integers(0, 2**63 - 1, 3))
+    # rows: protocol mean, protocol noise, baseline mean, baseline noise
+    sq = np.empty((4, trials))
+    start = 0
+    for zeta_hat, noise_hat, zeta_hat_base, noise_hat_base in protocol_trials(zeta, noise, n, trials, seed):
+        block = slice(start, start + zeta_hat.size)
+        sq[0, block] = 2.0 * np.abs(zeta_hat - zeta) ** 2
+        sq[1, block] = (noise_hat - noise) ** 2
+        sq[2, block] = 2.0 * np.abs(zeta_hat_base - zeta) ** 2
+        sq[3, block] = (noise_hat_base - noise) ** 2
+        start = block.stop
 
-    # protocol: heterodyne on rho_{sqrt n zeta, N}
-    amp = np.sqrt(n) * zeta
-    sigma = np.sqrt((noise + 1.0) / 2.0)
-    alpha = amp + sigma * (s_het.standard_normal(trials) + 1j * s_het.standard_normal(trials))
-    zeta_hat = alpha / np.sqrt(n)
-    sq_theta = 2.0 * np.abs(zeta_hat - zeta) ** 2
-    # total photon count on the n-1 thermal modes (all zero at N = 0)
-    noise_hat = s_num.negative_binomial(n - 1, 1.0 / (noise + 1.0), size=trials) / (n - 1)
-    sq_noise = (noise_hat - noise) ** 2
-
-    # baseline: sample mean and squared spread of n heterodyne outcomes
-    zeta_hat_base = zeta + sigma / np.sqrt(n) * (
-        s_base.standard_normal(trials) + 1j * s_base.standard_normal(trials)
-    )
-    sq_theta_base = 2.0 * np.abs(zeta_hat_base - zeta) ** 2
-    # divisor n: makes n * MSE equal (N+1)^2 at every n (bias^2 + variance)
-    noise_hat_base = sigma**2 * s_base.chisquare(2 * (n - 1), size=trials) / n - 1.0
-    sq_noise_base = (noise_hat_base - noise) ** 2
-
-    mse_theta, se_theta = _mse_and_se(sq_theta)
-    mse_noise, se_noise = _mse_and_se(sq_noise)
-    mse_theta_b, se_theta_b = _mse_and_se(sq_theta_base)
-    mse_noise_b, se_noise_b = _mse_and_se(sq_noise_base)
+    mse_theta, se_theta = _mse_and_se(sq[0])
+    mse_noise, se_noise = _mse_and_se(sq[1])
+    mse_theta_b, se_theta_b = _mse_and_se(sq[2])
+    mse_noise_b, se_noise_b = _mse_and_se(sq[3])
     rel_flag = any(
         se > 0.05 * mse
         for mse, se in [
@@ -474,14 +510,6 @@ def gaussian_protocol_mse(
         ]
         if mse > 0
     )
-    per_trial = {}
-    if keep_trials:
-        per_trial = {
-            "zeta_hat": zeta_hat,
-            "noise_hat": noise_hat,
-            "zeta_hat_baseline": zeta_hat_base,
-            "noise_hat_baseline": noise_hat_base,
-        }
     return GaussianProtocolReport(
         zeta=complex(zeta),
         noise=float(noise),
@@ -500,5 +528,4 @@ def gaussian_protocol_mse(
         bound_noise_collective=noise * (noise + 1.0),
         bound_noise_separable=(noise + 1.0) ** 2,
         relative_se_flag=rel_flag,
-        per_trial=per_trial,
     )

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from qest.cli import main
 from qest.collective import mixed_basis_povm, two_stage_estimate
-from qest.gaussian import gaussian_protocol_mse
+from qest.gaussian import TRIAL_BLOCK, protocol_trials
 from qest.models import model_from_name
 from qest.qcore import matrix_to_json
 
@@ -523,15 +523,21 @@ class TestCsvColumns:
     # csv.writer over per-row lists of the same seeded data is the oracle
 
     def test_gauss_csv(self, tmp_path):
-        # 10000 trials cross the writer's 8192-row block boundary
-        args = ["--zeta", "0.3,-0.1", "--N", "0.7", "--n", "10", "--trials", "10000", "--seed", "8"]
+        # 2 * 8192 + 3 trials end the sampler's and the writer's blocks unevenly
+        trials = 2 * TRIAL_BLOCK + 3
+        args = ["--zeta", "0.3,-0.1", "--N", "0.7", "--n", "10", "--trials", str(trials), "--seed", "8"]
         assert run_cli(["gauss", *args, "--out", str(tmp_path / "g")]).exit_code == 0
-        per_trial = gaussian_protocol_mse(0.3 - 0.1j, 0.7, 10, 10000, 8, keep_trials=True).per_trial
-        zh, nh = per_trial["zeta_hat"], per_trial["noise_hat"]
-        zb, nb = per_trial["zeta_hat_baseline"], per_trial["noise_hat_baseline"]
+        zh, nh, zb, nb = map(np.concatenate, zip(*protocol_trials(0.3 - 0.1j, 0.7, 10, trials, 8)))
         rows = [[i, zh[i].real, zh[i].imag, nh[i], zb[i].real, zb[i].imag, nb[i]] for i in range(len(zh))]
+        assert len(rows) == trials
         header = ["trial", "zeta_hat_re", "zeta_hat_im", "noise_hat", "zeta_hat_base_re", "zeta_hat_base_im", "noise_hat_base"]
         assert (tmp_path / "g.csv").read_text() == csv_writer_text(header, rows)
+        # the report's config replays to the same JSON and CSV bytes
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads((tmp_path / "g.json").read_text())["config"]))
+        assert run_cli(["run", "--config", str(config), "--out", str(tmp_path / "r")]).exit_code == 0
+        for suffix in (".json", ".csv"):
+            assert (tmp_path / f"r{suffix}").read_bytes() == (tmp_path / f"g{suffix}").read_bytes()
 
     def test_two_stage_csv(self, tmp_path):
         args = ["--model", "qubit-z0", "--theta", "0.5,0.0", "--n", "400", "--trials", "30", "--seed", "5"]

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qest.errors import NumericalError, ValidationError
 from qest.gaussian import (
+    TRIAL_BLOCK,
     GaussianSpec,
     ONE_MODE_S,
     _mse_and_se,
@@ -21,6 +24,7 @@ from qest.gaussian import (
     number_distribution,
     number_povm,
     one_mode_covariance,
+    protocol_trials,
     quadrature_operators,
     smearing_kernel,
     t_density,
@@ -392,13 +396,66 @@ def per_copy_protocol(zeta, noise, n, trials, seed):
     }
 
 
+ESTIMATORS = ("zeta_hat", "noise_hat", "zeta_hat_baseline", "noise_hat_baseline")
+
+
+def all_trials(zeta, noise, n, trials, seed):
+    """The four estimator arrays of ``protocol_trials``, blocks concatenated."""
+    blocks = zip(*protocol_trials(zeta, noise, n, trials, seed))
+    return dict(zip(ESTIMATORS, map(np.concatenate, blocks)))
+
+
+def whole_array_protocol(zeta, noise, n, trials, seed):
+    """Whole-array reference for protocol_trials: every part of every child
+    generator drawn for all trials at once, in the sampler's order."""
+    root = np.random.default_rng(seed)
+    s_het, s_num, s_base = (np.random.default_rng(s) for s in root.integers(0, 2**63 - 1, 3))
+    sigma = np.sqrt((noise + 1.0) / 2.0)
+    alpha = np.sqrt(n) * zeta + sigma * (s_het.standard_normal(trials) + 1j * s_het.standard_normal(trials))
+    noise_hat = s_num.negative_binomial(n - 1, 1.0 / (noise + 1.0), size=trials) / (n - 1)
+    zeta_hat_base = zeta + sigma / np.sqrt(n) * (
+        s_base.standard_normal(trials) + 1j * s_base.standard_normal(trials)
+    )
+    noise_hat_base = sigma**2 * s_base.chisquare(2 * (n - 1), size=trials) / n - 1.0
+    return dict(zip(ESTIMATORS, (alpha / np.sqrt(n), noise_hat, zeta_hat_base, noise_hat_base)))
+
+
+class TestBlocksAgainstWholeArray:
+    @pytest.mark.parametrize("n", [2, 40])
+    @pytest.mark.parametrize("noise", [0.0, 1.5])
+    @pytest.mark.parametrize(
+        "trials", [1000, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5]
+    )
+    def test_same_draws_and_statistics(self, trials, noise, n):
+        zeta, seed = 0.4 - 0.2j, 17
+        ref = whole_array_protocol(zeta, noise, n, trials, seed)
+        blocks = all_trials(zeta, noise, n, trials, seed)
+        for key in ESTIMATORS:
+            assert np.array_equal(blocks[key], ref[key]), key
+        rep = gaussian_protocol_mse(zeta, noise, n, trials, seed)
+        expected = [
+            *_mse_and_se(2.0 * np.abs(ref["zeta_hat"] - zeta) ** 2),
+            *_mse_and_se((ref["noise_hat"] - noise) ** 2),
+            *_mse_and_se(2.0 * np.abs(ref["zeta_hat_baseline"] - zeta) ** 2),
+            *_mse_and_se((ref["noise_hat_baseline"] - noise) ** 2),
+        ]
+        assert [
+            rep.mse_theta, rep.se_mse_theta, rep.mse_noise, rep.se_mse_noise,
+            rep.baseline_mse_theta, rep.se_baseline_mse_theta, rep.baseline_mse_noise, rep.se_baseline_mse_noise,
+        ] == expected
+
+    def test_blocks_are_bounded(self):
+        sizes = [len(block[0]) for block in protocol_trials(0.4j, 1.0, 3, 2 * TRIAL_BLOCK + 3, 0)]
+        assert sizes == [TRIAL_BLOCK, TRIAL_BLOCK, 3]
+
+
 class TestSamplerAgainstPerCopy:
     @pytest.mark.parametrize("zeta, noise, n", [(0.4 - 0.2j, 1.5, 2), (0.6 + 0.4j, 0.0, 40)])
     def test_same_law_as_per_copy_draws(self, zeta, noise, n):
         from scipy.stats import ks_2samp
 
         trials = 20000
-        fast = gaussian_protocol_mse(zeta, noise, n, trials, seed=101, keep_trials=True).per_trial
+        fast = all_trials(zeta, noise, n, trials, seed=101)
         # an independent per-copy run: a different seed, so the samples share no draws
         slow = per_copy_protocol(zeta, noise, n, trials, seed=202)
         for key, part in (
@@ -422,9 +479,9 @@ class TestSamplerAgainstPerCopy:
 
     @pytest.mark.parametrize("zeta, noise, n", [(0.4 - 0.2j, 1.5, 2), (0.6 + 0.4j, 0.0, 40)])
     def test_protocol_mean_bit_identical(self, zeta, noise, n):
-        rep = gaussian_protocol_mse(zeta, noise, n, 5000, seed=303, keep_trials=True)
+        rep = gaussian_protocol_mse(zeta, noise, n, 5000, seed=303)
         ref = per_copy_protocol(zeta, noise, n, 5000, seed=303)
-        assert np.array_equal(rep.per_trial["zeta_hat"], ref["zeta_hat"])
+        assert np.array_equal(all_trials(zeta, noise, n, 5000, seed=303)["zeta_hat"], ref["zeta_hat"])
         mse, se = _mse_and_se(2.0 * np.abs(ref["zeta_hat"] - zeta) ** 2)
         assert rep.mse_theta == mse and rep.se_mse_theta == se
 
@@ -452,3 +509,42 @@ class TestProtocol:
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValidationError):
             gaussian_protocol_mse(0j, 1.0, 10, 10, seed=0)
+        with pytest.raises(ValidationError):
+            protocol_trials(0j, 1.0, 10, 10, seed=0)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestProtocolMemory:
+    # the squared errors take 32 bytes per trial; the blocks and the CSV
+    # writer's slices are bounded whatever the trial count
+    TRIALS = 200_000
+    LIMIT = 36 * TRIALS + 4 * 2**20
+
+    def test_protocol_mse(self):
+        gaussian_protocol_mse(0.6 + 0.4j, 1.0, 100, 1000, seed=1)
+        peak = traced_peak(lambda: gaussian_protocol_mse(0.6 + 0.4j, 1.0, 100, self.TRIALS, seed=1))
+        assert peak <= self.LIMIT
+
+    def test_gauss_command_with_csv(self, tmp_path):
+        from click.testing import CliRunner
+
+        from qest.cli import main
+
+        def gauss(trials, out):
+            argv = ["gauss", "--zeta", "0.6,0.4", "--N", "1", "--n", "100", "--trials", str(trials), "--seed", "1"]
+            assert CliRunner().invoke(main, argv + ["--out", str(out)], catch_exceptions=False).exit_code == 0
+
+        gauss(1000, tmp_path / "warm")
+        peak = traced_peak(lambda: gauss(self.TRIALS, tmp_path / "g"))
+        assert (tmp_path / "g.csv").stat().st_size > 0
+        assert peak <= self.LIMIT
