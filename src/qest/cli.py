@@ -147,7 +147,7 @@ def _load_povm(path: str):
     from .qcore import Povm, matrix_from_json
 
     data = _read_json_file(path, "--povm")
-    if not isinstance(data, dict) or "elements" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
         raise ValidationError("POVM file must be a JSON object with an 'elements' list")
     elements = [matrix_from_json(e) for e in data["elements"]]
     return Povm(

@@ -282,20 +282,20 @@ def _grid_points(model: ParametricModel) -> np.ndarray:
     return pts[model.is_interior(pts, 1e-6)]
 
 
-def _batch_probs(states: np.ndarray, elements: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _batch_probs(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Grid-scan probabilities of ``states`` (G, dim, dim) under POVM elements
-    (..., k, dim, dim) with weights (..., k): shape (..., G, k), clipped at
-    1e-300 so their logarithm is finite."""
-    p = trace_products(states[:, None], elements[..., None, :, :, :]) * weights[..., None, :]
+    (..., k, dim, dim): shape (..., G, k), clipped at 1e-300 so their
+    logarithm is finite."""
+    p = trace_products(states[:, None], elements[..., None, :, :, :])
     return np.clip(p, 1e-300, None)
 
 
 def _stack_povms(model: ParametricModel, povms, counts):
-    """Elements (R, k, dim, dim), weights (R, k), sum windows (R,) and counts
-    (T, k) of one shared POVM (R = 1) or one POVM per count row (R = T).
+    """Elements (R, k, dim, dim), sum windows (R,) and counts (T, k) of one
+    shared POVM (R = 1) or one POVM per count row (R = T).
 
     Each POVM's outcomes, with their counts, are put in a canonical order (by
-    element entries and weight).  The ascent stops at gradient norm 1e-8, so
+    element entries).  The ascent stops at gradient norm 1e-8, so
     two listings of one POVM could otherwise stop up to ~1e-8 apart; in this
     order the estimate does not depend on the listing at all.  A POVM or
     count row with fewer than k outcomes is padded with zero elements and
@@ -306,17 +306,14 @@ def _stack_povms(model: ParametricModel, povms, counts):
     k = max(len(m) for m in povms)
     dim = model.hilbert_dim
     elements = np.zeros((len(povms), k, dim, dim), dtype=complex)
-    weights = np.zeros((len(povms), k))
     orders = []
     for r, m in enumerate(povms):
         if m.dim != dim:
             raise ValidationError(f"dimension mismatch: state {dim}, POVM {m.dim}")
         elems = m.stack
         flat = elems.reshape(len(m), -1)
-        w = np.ones(len(m)) if m.weights is None else m.weights
-        order = np.lexsort(np.column_stack([flat.real, flat.imag, w]).T)
+        order = np.lexsort(np.column_stack([flat.real, flat.imag]).T)
         elements[r, : len(m)] = elems[order]
-        weights[r, : len(m)] = w[order]
         orders.append(order)
     sum_tol = np.array([m.prob_sum_tol for m in povms])
     padded = np.zeros((len(counts), k))
@@ -326,10 +323,10 @@ def _stack_povms(model: ParametricModel, povms, counts):
         if row.shape != order.shape or row.sum() <= 0:
             raise ValidationError("counts must align with POVM outcomes and be nonempty")
         padded[t, : row.size] = row[order]
-    return elements, weights, sum_tol, padded
+    return elements, sum_tol, padded
 
 
-def _grid_starts(model, grid, elements, weights, counts) -> np.ndarray:
+def _grid_starts(model, grid, elements, counts) -> np.ndarray:
     """Index into ``grid`` of each count row's largest log-likelihood (ties
     break to the smallest index).
 
@@ -340,13 +337,13 @@ def _grid_starts(model, grid, elements, weights, counts) -> np.ndarray:
     states = model.state_stack(grid)
     shared = elements.shape[0] == 1
     if shared:
-        logp = np.log(_batch_probs(states, elements[0], weights[0]))
+        logp = np.log(_batch_probs(states, elements[0]))
     entry_bytes = 16 * elements.shape[-1] ** 2
     block = max(1, MLE_SCAN_BYTES // (entry_bytes * len(grid) * counts.shape[1]))
     starts = np.empty(len(counts), dtype=int)
     for lo in range(0, len(counts), block):
         rows = slice(lo, lo + block)
-        table = logp if shared else np.log(_batch_probs(states, elements[rows], weights[rows]))
+        table = logp if shared else np.log(_batch_probs(states, elements[rows]))
         ll = (table * counts[rows, None, :]).sum(axis=-1)
         if not np.isfinite(ll).any(axis=1).all():
             raise NumericalError("likelihood is degenerate on the whole grid")
@@ -372,12 +369,11 @@ def _mle_rows(model: ParametricModel, povms, counts):
     rows_total = len(counts)
     if rows_total == 0:
         return np.empty((0, model.param_dim)), np.empty(0, dtype=bool)
-    elements, weights, sum_tol, counts = _stack_povms(model, povms, counts)
+    elements, sum_tol, counts = _stack_povms(model, povms, counts)
     grid = _grid_points(model)
-    theta = grid[_grid_starts(model, grid, elements, weights, counts)]
+    theta = grid[_grid_starts(model, grid, elements, counts)]
     if elements.shape[0] == 1:
         elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
-        weights = np.broadcast_to(weights, (rows_total,) + weights.shape[1:])
         sum_tol = np.broadcast_to(sum_tol, (rows_total,))
     totals = counts.sum(axis=1)
     lo_box = np.array([lo + 1e-9 for lo, _ in model.domain_box])
@@ -385,12 +381,11 @@ def _mle_rows(model: ParametricModel, povms, counts):
 
     def loglik_and_grad(th, rows):
         elems = elements[rows]
-        probs = trace_products(model.state_stack(th)[:, None], elems) * weights[rows]
+        probs = trace_products(model.state_stack(th)[:, None], elems)
         probs = np.clip(probability_rows(probs, sum_tol[rows]), 1e-300, None)
         value = (counts[rows] * np.log(probs)).sum(axis=1) / totals[rows]
         derivs = model_derivatives(model, th)
         dp = trace_products(derivs[:, :, None], elems[:, None])
-        dp = dp * weights[rows][:, None, :]
         grad = (counts[rows][:, None, :] * dp / probs[:, None, :]).sum(axis=2)
         return value, grad / totals[rows][:, None]
 

@@ -143,8 +143,7 @@ def rld_fisher(model: ParametricModel, theta) -> tuple[LogDerivativeSet, FisherM
 def classical_fisher(model: ParametricModel, theta, m: Povm) -> FisherMatrix:
     """Fisher information of the outcome distribution of measuring ``m``.
 
-    j[k, l] = sum_w (d_k p_w)(d_l p_w) / p_w with p_w = Tr(rho M_w) including
-    quadrature weights.  Outcomes with mass below the floor 1e-12 are dropped
+    j[k, l] = sum_w (d_k p_w)(d_l p_w) / p_w with p_w = Tr(rho M_w).  Outcomes with mass below the floor 1e-12 are dropped
     and the discarded mass recorded on the result.
     """
     t = model.require_domain(theta)
@@ -154,12 +153,11 @@ def classical_fisher(model: ParametricModel, theta, m: Povm) -> FisherMatrix:
     derivs = model_derivatives(model, t)
     d = len(derivs)
     probs = measure_distribution(rho, m).probs
-    weights = m.weights if m.weights is not None else np.ones(len(m))
     keep = probs > PROB_FLOOR
     dropped = float(probs[~keep].sum())
     if not keep.any():
         raise NumericalError("all outcomes fall below the probability floor")
-    dp = trace_products(m.stack, derivs[:, None]) * weights
+    dp = trace_products(m.stack, derivs[:, None])
     j = np.zeros((d, d))
     for a in range(d):
         for b in range(a, d):

@@ -302,11 +302,12 @@ def number_povm(cutoff: int):
 def heterodyne_povm(cutoff: int, radius: float, n_radial: int, n_angle: int, completeness_tol: float = 1e-3):
     """Gridded coherent-state POVM |alpha><alpha|/pi on a polar grid.
 
-    Labels are the complex grid points; weights carry the quadrature measure
-    r dr dphi / pi.  The completeness residual on the truncated space is
-    certified against ``completeness_tol`` and stored on the result; the disc
-    must cover the cutoff (radius of roughly sqrt(cutoff) + 4 or more) or the
-    top Fock levels fail the certificate.
+    Labels are the complex grid points; each element is w |alpha><alpha|,
+    with w = r dr dphi / pi the quadrature weight of its grid point.  The
+    completeness residual on the truncated space is certified against
+    ``completeness_tol`` and stored on the result; the disc must cover the
+    cutoff (radius of roughly sqrt(cutoff) + 4 or more) or the top Fock
+    levels fail the certificate.
     """
     radii = (np.arange(n_radial) + 0.5) * (radius / n_radial)
     angles = 2 * np.pi * np.arange(n_angle) / n_angle

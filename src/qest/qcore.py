@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -164,23 +165,21 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite or gridded family of positive operators summing to identity.
+    """Finite family of positive operators summing to the identity.
 
-    ``weights`` is None for discrete POVMs (elements must sum to the identity
-    within 1e-10) and carries the quadrature weight per element for gridded
-    ones, in which case the completeness residual against the supplied
-    tolerance is recorded instead of demanding exactness.  ``stack`` holds
-    the elements as one frozen (k, dim, dim) array; ``elements`` are views of
-    its rows.
+    ``stack`` holds the elements the Born rule reads, p_k = tr(rho E_k), as
+    one frozen (k, dim, dim) array; ``elements`` are views of its rows.
+    ``weights`` (a gridded POVM's quadrature weights, one per element) are an
+    input format: they are multiplied into the validated elements once.
+    ``completeness_tol`` (default 1e-10; a finite real >= 0) is the threshold
+    on the largest entry of sum_k E_k - I that admits the POVM; that residual
+    is kept and sets ``prob_sum_tol``.
     """
 
     dim: int
     labels: tuple
-    elements: tuple
     stack: np.ndarray
-    weights: np.ndarray | None
     completeness_residual: float
-    completeness_tol: float
 
     def __init__(
         self,
@@ -189,6 +188,9 @@ class Povm:
         weights: Sequence[float] | None = None,
         completeness_tol: float | None = None,
     ):
+        tol = POVM_COMPLETENESS_TOL if completeness_tol is None else completeness_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+            raise ValidationError(f"completeness tolerance must be a finite real >= 0, got {tol!r}")
         stack = _element_stack(elements)
         if not np.isfinite(stack).all():
             raise ValidationError("POVM element entries must be finite")
@@ -203,22 +205,21 @@ class Povm:
             i = int(bad[0])
             problem = "Hermitian" if not_hermitian[i] else "positive semidefinite"
             raise ValidationError(f"POVM element {i} is not {problem}")
-        if labels is None:
-            labels = tuple(range(len(mats)))
-        else:
-            labels = tuple(labels)
+        try:
+            labels = tuple(range(len(mats))) if labels is None else tuple(labels)
+        except TypeError:
+            raise ValidationError(f"POVM labels must be a list, got {labels!r}") from None
         if len(labels) != len(mats):
             raise ValidationError("label/element count mismatch")
         if weights is not None:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != (len(mats),) or not ((w >= 0) & (w < np.inf)).all():
+            try:
+                w = np.asarray(weights, dtype=float)
+            except (TypeError, ValueError):
+                w = None
+            if w is None or w.shape != (len(mats),) or not ((w >= 0) & (w < np.inf)).all():
                 raise ValidationError("weights must be finite and nonnegative, one per element")
-        else:
-            w = None
-        tol = completeness_tol if completeness_tol is not None else POVM_COMPLETENESS_TOL
-        flat = mats.reshape(len(mats), dim * dim)
-        total = (flat.sum(axis=0) if w is None else w @ flat).reshape(dim, dim)
-        residual = float(np.max(np.abs(total - np.eye(dim))))
+            mats *= w[:, None, None]
+        residual = float(np.max(np.abs(mats.sum(axis=0) - np.eye(dim))))
         if residual > tol:
             raise ValidationError(
                 f"POVM completeness violated: residual {residual:.3e} > tol {tol:.1e}"
@@ -226,25 +227,21 @@ class Povm:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stack", _freeze(mats))
-        object.__setattr__(self, "elements", tuple(mats))
-        object.__setattr__(self, "weights", _freeze(w) if w is not None else None)
         object.__setattr__(self, "completeness_residual", residual)
-        object.__setattr__(self, "completeness_tol", tol)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     @property
-    def is_gridded(self) -> bool:
-        return self.weights is not None
+    def elements(self) -> tuple:
+        return tuple(self.stack)
+
+    def __len__(self) -> int:
+        return len(self.stack)
 
     @property
     def prob_sum_tol(self) -> float:
-        """Window on the total outcome probability: 1e-8 for discrete POVMs,
-        scaled by the certified quadrature residual for gridded ones."""
-        if self.is_gridded:
-            return max(PROB_SUM_TOL, self.dim * self.completeness_tol)
-        return PROB_SUM_TOL
+        """Window on the total outcome probability: |sum_k p_k - 1| =
+        |tr(rho (sum_k E_k - I))| <= dim times the completeness residual,
+        and never below 1e-8."""
+        return max(PROB_SUM_TOL, self.dim * self.completeness_residual)
 
 
 @dataclass(frozen=True)
@@ -314,16 +311,12 @@ def pair_moments(rho_matrix: np.ndarray, x_ops) -> tuple[np.ndarray, np.ndarray]
 def measure_distribution(rho: DensityOperator, m: Povm) -> OutcomeDistribution:
     """Outcome distribution of measuring ``m`` on ``rho`` by the trace rule.
 
-    probs[w] = Tr(rho M_w), times the quadrature weight for gridded POVMs.
-    Tiny negatives are clamped; the total is renormalized only while it stays
-    within the acceptance window (1e-8 for discrete POVMs; scaled by the
-    certified quadrature residual for gridded ones).
+    probs[w] = Tr(rho M_w).  Tiny negatives are clamped; the total is
+    renormalized only while it stays within the POVM's ``prob_sum_tol``.
     """
     if rho.dim != m.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim}, POVM {m.dim}")
     probs = trace_products(m.stack, rho.matrix)
-    if m.weights is not None:
-        probs = probs * m.weights
     return OutcomeDistribution(m.labels, probs, sum_tol=m.prob_sum_tol)
 
 
@@ -388,7 +381,7 @@ def matrix_from_json(data: dict) -> np.ndarray:
         dim = int(data["dim"])
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError("matrix JSON shape mismatch")

@@ -15,6 +15,8 @@ from qest.gaussian import TRIAL_BLOCK, protocol_trials
 from qest.models import model_from_name
 from qest.qcore import matrix_to_json
 
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+
 
 def run_cli(args):
     runner = CliRunner()
@@ -69,6 +71,17 @@ class TestFisherCommand:
         assert result.exit_code == 0
         mat = np.array(json.loads(result.output)["results"]["matrix"]["re"])
         assert np.allclose(mat, np.diag([1.0, 0.0, 0.0]), atol=1e-10)
+
+    def test_classical_window_follows_completeness_residual(self, tmp_path):
+        # residual 5e-5, admitted by the file's completenessTol 1e-4: the
+        # total probability may leave 1 by up to dim times the residual
+        povm_file = tmp_path / "short.json"
+        elements = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0 - 5e-5])]
+        povm_file.write_text(json.dumps({"elements": [matrix_to_json(e) for e in elements], "completenessTol": 1e-4}))
+        result = run_cli(["fisher", "--model", "diag:2", "--theta", "0.3", "--kind", "classical", "--povm", str(povm_file)])
+        assert result.exit_code == 0
+        mat = np.array(json.loads(result.output)["results"]["matrix"]["re"])
+        assert abs(mat[0, 0] - 1 / (0.3 * 0.7)) < 1e-3
 
 
 class TestInputFiles:
@@ -188,6 +201,31 @@ class TestNonFiniteInputs:
         povm = {"elements": [matrix_to_json(np.array(e, dtype=complex)) for e in elements]}
         if weights is not None:
             povm["weights"] = weights
+        povm_file.write_text(json.dumps(povm))
+        argv = ["fisher", "--model", "qubit-full", "--theta", "0,0,0", "--kind", "classical", "--povm", str(povm_file)]
+        self.check_exit_2(run_cli(argv))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"elements": 5},
+            {"elements": [{"dim": float("inf"), "re": [[1.0]], "im": [[0.0]]}]},
+            {"weights": [0.5, "x"]},
+            {"weights": "ab"},
+            {"labels": 5},
+            {"completenessTol": "abc"},
+            {"completenessTol": [1]},
+            {"completenessTol": float("nan")},
+            {"completenessTol": float("inf")},
+            {"completenessTol": True},
+            {"completenessTol": -1},
+        ],
+        ids=["elements", "element-dim", "weight-entry", "weight-text", "labels", "tol-text", "tol-list", "tol-nan", "tol-inf",
+             "tol-bool", "tol-negative"],
+    )
+    def test_povm_file_field_exit_2(self, tmp_path, field):
+        povm_file = tmp_path / "povm.json"
+        povm = {"elements": [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))], **field}
         povm_file.write_text(json.dumps(povm))
         argv = ["fisher", "--model", "qubit-full", "--theta", "0,0,0", "--kind", "classical", "--povm", str(povm_file)]
         self.check_exit_2(run_cli(argv))
@@ -466,6 +504,19 @@ class TestRunConfig:
         assert run_cli(args + ["--out", str(tmp_path / "a")]).exit_code == 0
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"experiment": "fisher", "model": "qubit-full", "theta": "0,0,0", "kind": None}))
+        assert run_cli(["run", "--config", str(config), "--out", str(tmp_path / "b")]).exit_code == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_weighted_povm_file_replays(self, tmp_path):
+        # the z, x and y projectors at weight 1/3 each
+        projectors = [(np.eye(2) + sign * pauli) / 2 for pauli in (SIGMA_Z, SIGMA_X, SIGMA_Y) for sign in (1, -1)]
+        povm = {"elements": [matrix_to_json(p) for p in projectors], "weights": [1 / 3] * 6}
+        povm_file = tmp_path / "weighted.json"
+        povm_file.write_text(json.dumps(povm))
+        argv = ["fisher", "--model", "qubit-full", "--theta", "0.1,0.2,0.3", "--kind", "classical"]
+        assert run_cli(argv + ["--povm", str(povm_file), "--out", str(tmp_path / "a")]).exit_code == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads((tmp_path / "a.json").read_text())["config"]))
         assert run_cli(["run", "--config", str(config), "--out", str(tmp_path / "b")]).exit_code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 

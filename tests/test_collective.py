@@ -321,17 +321,16 @@ def _pointwise_mle_rows(model, povms, counts, per_axis):
     """The batched MLE with its domain tests, projection and derivatives made
     one row at a time: the reference for the stacked kernel."""
     rows_total = len(counts)
-    elements, weights, sum_tol, counts = _stack_povms(model, povms, counts)
+    elements, sum_tol, counts = _stack_povms(model, povms, counts)
     axes = []
     for lo, hi in model.domain_box:
         pad = (hi - lo) / (per_axis + 1)
         axes.append(np.linspace(lo + pad, hi - pad, per_axis))
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     grid = pts[np.array([_point_interior(model, p, 1e-6) for p in pts])]
-    theta = grid[_grid_starts(model, grid, elements, weights, counts)]
+    theta = grid[_grid_starts(model, grid, elements, counts)]
     if elements.shape[0] == 1:
         elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
-        weights = np.broadcast_to(weights, (rows_total,) + weights.shape[1:])
         sum_tol = np.broadcast_to(sum_tol, (rows_total,))
     totals = counts.sum(axis=1)
     lo_box = np.array([lo + 1e-9 for lo, _ in model.domain_box])
@@ -344,11 +343,11 @@ def _pointwise_mle_rows(model, povms, counts, per_axis):
     def loglik_and_grad(th, rows):
         elems = elements[rows]
         states = np.array([model.state_at(row).matrix for row in th])
-        probs = trace_products(states[:, None], elems) * weights[rows]
+        probs = trace_products(states[:, None], elems)
         probs = np.clip(probability_rows(probs, sum_tol[rows]), 1e-300, None)
         value = (counts[rows] * np.log(probs)).sum(axis=1) / totals[rows]
         derivs = np.array([derivatives(row) for row in th])
-        dp = trace_products(derivs[:, :, None], elems[:, None]) * weights[rows][:, None, :]
+        dp = trace_products(derivs[:, :, None], elems[:, None])
         grad = (counts[rows][:, None, :] * dp / probs[:, None, :]).sum(axis=2)
         return value, grad / totals[rows][:, None]
 

@@ -217,6 +217,22 @@ class TestClassicalFisher:
             gap_eigs = np.linalg.eigvalsh(j_s.matrix - j_m.matrix)
             assert gap_eigs.min() > -1e-8
 
+    def test_weighted_povm_against_unweighted_loop(self, rng):
+        # oracle: sum_k w_k (tr d_a rho F_k)(tr d_b rho F_k) / tr(rho F_k),
+        # one unweighted element F_k at a time
+        model = qubit_family("full")
+        t = np.array([0.2, -0.3, 0.1])
+        w = rng.uniform(0.1, 10.0, 5)
+        unweighted = random_povm(rng, outcomes=5).stack / w[:, None, None]
+        j = classical_fisher(model, t, Povm(unweighted, weights=w))
+        rho = model.state_at(t).matrix
+        derivs = model.derivatives(t)
+        oracle = np.zeros((3, 3))
+        for wk, f in zip(w, unweighted):
+            dp = np.array([np.trace(d @ f).real for d in derivs])
+            oracle += wk * np.outer(dp, dp) / np.trace(rho @ f).real
+        assert np.max(np.abs(j.matrix - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
     def test_commutative_collapse(self):
         model = diagonal_family(3)
         t = np.array([0.25, 0.35])

@@ -295,17 +295,18 @@ class TestCoherentResolution:
                 vec = coherent_vector(alpha, 8)
                 outer = np.outer(vec, vec.conj())
                 assert povm.labels[i] == complex(alpha)
-                assert povm.weights[i] == r * dr * dphi / np.pi
-                # Povm stores each element Hermitian-symmetrized
-                assert np.array_equal(povm.elements[i], (outer + outer.conj().T) / 2)
+                # Povm stores each element Hermitian-symmetrized, then weighted
+                weight = r * dr * dphi / np.pi
+                assert np.array_equal(povm.elements[i], (outer + outer.conj().T) / 2 * weight)
                 i += 1
         assert i == len(povm)
 
     def test_heterodyne_povm_object(self):
         # a disc large enough for the cutoff is a valid gridded POVM;
-        # the residual is certified on construction and stored
+        # the residual of the weighted stack is certified on construction
+        # and stored
         povm = heterodyne_povm(16, radius=8.5, n_radial=340, n_angle=96, completeness_tol=1e-3)
-        assert povm.is_gridded
+        assert povm.completeness_residual == np.abs(povm.stack.sum(axis=0) - np.eye(16)).max()
         assert povm.completeness_residual < 1e-3
 
     def test_heterodyne_fisher_on_displacement_family(self):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qest.errors import NumericalError, ValidationError
 from qest.gaussian import heterodyne_povm
@@ -95,8 +97,48 @@ class TestPovm:
         # two half-weight copies of a basis measurement
         elems = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])] * 2
         m = Povm(elems, weights=[0.5] * 4, completeness_tol=1e-9)
-        assert m.is_gridded
+        assert np.array_equal(m.stack, 0.5 * np.array(elems, dtype=complex))
         assert m.completeness_residual < 1e-12
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, True, "1e-3", [1e-3]])
+    def test_completeness_tol_finite_nonnegative_real(self, tol):
+        with pytest.raises(ValidationError, match="completeness tolerance"):
+            Povm([np.eye(2)], completeness_tol=tol)
+
+
+class TestProbabilityWindow:
+    # |sum_k p_k - 1| = |tr(rho (sum_k E_k - I))| <= dim times the largest
+    # entry of sum_k E_k - I, so every POVM the constructor admits keeps the
+    # total of every state inside its prob_sum_tol window
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        dim=st.integers(2, 5),
+        outcomes=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.floats(1e-9, 1e-2),
+        shrink=st.floats(0.0, 1.0),
+        grow=st.floats(0.0, 1.0),
+        weighted=st.booleans(),
+    )
+    def test_total_within_window(self, dim, outcomes, seed, tol, shrink, grow, weighted):
+        rng = np.random.default_rng(seed)
+        # residual -shrink*tol/2 I + grow*tol/2 u u^dagger, at most tol/2
+        # per entry
+        elems = random_povm(rng, dim, outcomes).stack * (1 - shrink * tol / 2)
+        u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        u /= np.linalg.norm(u)
+        elems[0] += grow * tol / 2 * np.outer(u, u.conj())
+        if weighted:
+            w = rng.uniform(0.1, 10.0, outcomes)
+            m = Povm(elems / w[:, None, None], weights=w, completeness_tol=tol)
+        else:
+            m = Povm(elems, completeness_tol=tol)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        pure = [np.outer(x, x.conj()) / np.vdot(x, x).real for x in (u, v)]
+        for rho in [random_density(rng, dim), *map(DensityOperator, pure)]:
+            total = trace_products(m.stack, rho.matrix).sum()
+            assert abs(total - 1) <= m.prob_sum_tol
+            measure_distribution(rho, m)
 
 
 class TestMeasureDistribution:
