@@ -13,7 +13,8 @@ All of these operators are block diagonal in the sector layout of
 space, each a (2j + 1)-dimensional block repeated m_j times, so the POVM is
 built and evaluated on blocks of size at most n + 1 instead of 2^n.  Any
 other dimension is one dense block, refused with NumericalError when its
-(G, b, b) smearing stack would pass ``qcore.MAX_ARRAY_BYTES``.
+(G, b, b) smearing stack would pass ``qcore.MAX_ARRAY_BYTES``.  The estimator
+check reads per-sector outcome-moment operators and the SLDs' collective sums.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import check_weight_matrix, qubit_c1
-from .clt import CollectiveSpec, _smearing_blocks, collective_sectors, largest_block, sector_states
+from .clt import CollectiveSpec, _dense_sectors, _smearing_blocks, collective_sectors, largest_block, sector_states
 from .errors import NumericalError, ValidationError
 from .fisher import _sld_stack, classical_fisher, sld_fisher
 from .gaussian import smearing_kernel
 from .models import ParametricModel, model_derivatives
 from .qcore import (
-    DensityOperator,
     Povm,
     _sym_isqrt,
     _sym_sqrt,
@@ -41,8 +41,6 @@ from .qcore import (
 
 SUPPORT_THRESHOLD = 1e-8
 DEFAULT_EPSILON = 0.1
-# central-difference step of the response matrix A_n, in local coordinates
-RESPONSE_FD_STEP = 1e-3
 # bytes of Born-rule products per block of count rows in the MLE grid scan:
 # bounds the scan's memory whatever the number of rows
 MLE_SCAN_BYTES = 1 << 20
@@ -59,7 +57,11 @@ class CollectivePovm:
     ``elements`` holds one stack (G, b, b) per sector: the sandwiched blocks
     of all G grid points, including grid weights, laid out parallel to
     ``outcomes`` (the estimate attached to each grid point, i.e. grid point /
-    sqrt(n)).  ``s_operator`` holds one (b, b) block per sector: the
+    sqrt(n)).  ``moments`` holds one stack (1 + d + d^2, b, b) per sector:
+    sum_x E_x, sum_x x_k E_x and sum_x x_k x_l E_x (row-major in k, l), so
+    the outcome law's mass, mean and second moment under a state are Born
+    rules sum_j m_j tr(rho_j O_j); there is no per-outcome probability
+    method.  ``s_operator`` holds one (b, b) block per sector: the
     accumulated smearing operator, on whose retained eigenspace completeness
     holds.  ``dropped_dimensions`` counts dropped eigenvalues with their
     sector multiplicity.
@@ -69,19 +71,11 @@ class CollectivePovm:
     outcomes: np.ndarray
     sectors: tuple
     elements: tuple
+    moments: tuple
     s_operator: tuple
     support_gap: float
     dropped_dimensions: int
     completeness_residual: float
-
-    def probabilities(self, rho: DensityOperator) -> np.ndarray:
-        """Born-rule probabilities tr(rho^(x)n E_x) of every grid outcome,
-        summed as sum_j m_j tr(pi_j(rho) E_{x,j}) over the sectors."""
-        blocks = sector_states(rho.matrix, self.n_copies, self.sectors)
-        return sum(
-            sec.multiplicity * np.einsum("ab,gba->g", block, stack).real
-            for sec, block, stack in zip(self.sectors, blocks, self.elements)
-        )
 
 
 def ball_grid(d: int, radius: float, step: float) -> np.ndarray:
@@ -160,6 +154,10 @@ def _povm_on_sectors(sectors, n, kernel, grid, cell) -> CollectivePovm:
     dropped = sum(sec.multiplicity * int((~keep).sum()) for sec, keep in zip(sectors, keeps))
     support_gap = float(1.0 - min(w[keep].min() for (w, _), keep in zip(spectra, keeps) if keep.any()))
 
+    outcomes = grid / np.sqrt(n)
+    pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
+    monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
+    moments = []
     residual = 0.0
     for t, (w, u), keep in zip(stacks, spectra, keeps):
         u_keep = u[:, keep]
@@ -172,11 +170,13 @@ def _povm_on_sectors(sectors, n, kernel, grid, cell) -> CollectivePovm:
         # completeness holds against the projector on the retained eigenspace
         defect = t.sum(axis=0) - u_keep @ u_keep.conj().T
         residual = max(residual, float(np.abs(np.linalg.eigvalsh(defect)).max()))
+        moments.append(np.einsum("gm,gab->mab", monomials, t))
     return CollectivePovm(
         n_copies=n,
-        outcomes=grid / np.sqrt(n),
+        outcomes=outcomes,
         sectors=tuple(sectors),
         elements=tuple(stacks),
+        moments=tuple(moments),
         s_operator=tuple(s_blocks),
         support_gap=support_gap,
         dropped_dimensions=dropped,
@@ -205,11 +205,13 @@ def collective_estimator_check(
     """Local-unbiasedness correction trend of the collective POVM.
 
     Works in local coordinates u around theta: the POVM estimates the
-    deviation u, its exact outcome distribution under the n-fold perturbed
-    state gives the response matrix A_n = d e / d u by central differences
-    of step ``RESPONSE_FD_STEP``, and the corrected, rescaled covariance
-    n A^{-1} V A^{-T} is compared against v(X) + v' by the caller.  Probabilities are summed sector by
-    sector (see ``CollectivePovm.probabilities``), so qubit models reach n
+    deviation u, and A_n = d E[x] / d u is the response of its normalized
+    outcome mean.  Mass, mean and second moment are Born rules on the
+    sectors' ``CollectivePovm.moments``.  A_n is exact, with no step: each
+    SLD solves d rho = {rho, L} / 2, so d(rho^(x)n) = {rho^(x)n, sum_k L_(k)} / 2
+    on every sector (a model without SLDs raises NumericalError).  The
+    corrected, rescaled covariance n A^{-1} V A^{-T} is compared against
+    v(X) + v' by the caller.  Qubit models use the spin sectors, so n reaches
     far beyond what the dense 2^n layout holds.
     """
 
@@ -224,35 +226,31 @@ def _estimator_rows(model, theta, x_ops, n_list, povm_at):
     ``povm_at(spec, n)``."""
     t = model.require_domain(theta)
     spec = CollectiveSpec(model.state_at(t), x_ops)
+    slds = sld_fisher(model, t)[0].operators
     d = model.param_dim
     rows = []
     for n in n_list:
         n = int(n)
         povm = povm_at(spec, n)
-        outcomes = povm.outcomes
-
-        def probs(u_vec):
-            return np.clip(povm.probabilities(model.state_at(t + u_vec)), 0.0, None)
-
-        p0 = probs(np.zeros(d))
-        leakage = float(1.0 - p0.sum())
-        p0n = p0 / p0.sum()
-        a_n = np.zeros((d, d))
-        for j in range(d):
-            du = np.zeros(d)
-            du[j] = RESPONSE_FD_STEP
-            pp = probs(du)
-            pm = probs(-du)
-            mean_p = (outcomes * (pp / pp.sum())[:, None]).sum(axis=0)
-            mean_m = (outcomes * (pm / pm.sum())[:, None]).sum(axis=0)
-            a_n[:, j] = (mean_p - mean_m) / (2 * RESPONSE_FD_STEP)
+        # the SLDs' collective sums sum_k L_(k) in the POVM's own layout
+        layout = _dense_sectors if povm.sectors[0].two_j is None else collective_sectors
+        blocks = sector_states(spec.rho.matrix, n, povm.sectors)
+        # row 0: tr(rho^(x)n O); row 1 + a: tr(d_a rho^(x)n O), for O = [O0, O1_k, O2_kl]
+        traces = 0.0
+        for sec, rho_j, l_sec, moments in zip(povm.sectors, blocks, layout(slds, n), povm.moments):
+            l_sum = np.sqrt(n) * l_sec.ops
+            states = np.concatenate([rho_j[None], (rho_j @ l_sum + l_sum @ rho_j) / 2])
+            traces = traces + sec.multiplicity * trace_products(states[:, None], moments[None])
+        mass = traces[0, 0]
+        mean = traces[0, 1 : d + 1] / mass
+        a_n = (traces[1:, 1 : d + 1].T - np.outer(mean, traces[1:, 0])) / mass
         if abs(np.linalg.det(a_n)) < 1e-12:
             total = spec.rho.dim**n
             raise NumericalError(
                 f"response matrix A_n is singular at n = {n}: S keeps {total - povm.dropped_dimensions} "
                 f"of {total} dimensions ({povm.dropped_dimensions} dropped); v' is too narrow for these operators"
             )
-        second = np.einsum("ik,il,i->kl", outcomes, outcomes, p0n)
+        second = traces[0, d + 1 :].reshape(d, d) / mass
         a_inv = np.linalg.inv(a_n)
         scaled = n * a_inv @ second @ a_inv.T
         rows.append(
@@ -261,7 +259,7 @@ def _estimator_rows(model, theta, x_ops, n_list, povm_at):
                 a_matrix=a_n,
                 scaled_covariance=scaled,
                 completeness_residual=povm.completeness_residual,
-                leakage=leakage,
+                leakage=float(1.0 - mass),
             )
         )
     return rows

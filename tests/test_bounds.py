@@ -23,7 +23,7 @@ from qest.models import (
 )
 from qest.qcore import Povm
 
-from conftest import SIGMA_X, SIGMA_Z, random_povm
+from conftest import SIGMA_X, SIGMA_Z, pure_qubit_model, random_povm
 
 ONE_MODE_S = np.array([[0.0, 0.5], [-0.5, 0.0]])
 
@@ -38,31 +38,6 @@ def submodel_xy(z_fixed):
         domain_check=lambda t: t[..., 0] ** 2 + t[..., 1] ** 2 + z_fixed**2 <= 1 + 1e-12,
         domain_box=((-0.8, 0.8),) * 2,
         derivatives=lambda t: derivs,
-    )
-
-
-def pure_qubit_model():
-    """Two-parameter family of pure states (polar, azimuth angles)."""
-
-    def states(t):
-        a, b = t[..., 0], t[..., 1]
-        v = np.stack([np.cos(a / 2) + 0j, np.exp(1j * b) * np.sin(a / 2)], axis=-1)
-        return v[..., :, None] * v[..., None, :].conj()
-
-    def derivatives(t):
-        h = 1e-6
-        steps = np.eye(2) * h
-        dm = (states(t[..., None, :] + steps) - states(t[..., None, :] - steps)) / (2 * h)
-        return (dm + dm.conj().swapaxes(-1, -2)) / 2
-
-    return ParametricModel(
-        name="pure-qubit",
-        param_dim=2,
-        hilbert_dim=2,
-        states=states,
-        domain_check=lambda t: (0.05 < t[..., 0]) & (t[..., 0] < np.pi - 0.05),
-        domain_box=((0.05, np.pi - 0.05), (-np.pi, np.pi)),
-        derivatives=derivatives,
     )
 
 

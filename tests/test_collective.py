@@ -5,8 +5,9 @@ import pytest
 
 from qest import collective
 from qest.bounds import holevo_bound, qubit_c1
-from qest.clt import CollectiveSpec, _dense_sectors, build_collective_ops
+from qest.clt import CollectiveSpec, _dense_sectors, build_collective_ops, sector_states
 from qest.collective import (
+    CollectiveCheckRow,
     _estimator_rows,
     _grid_starts,
     _kernel_and_grid,
@@ -36,7 +37,7 @@ from qest.qcore import (
     trace_products,
 )
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, pure_qubit_model
 
 
 def one_param_model():
@@ -108,7 +109,7 @@ class TestBuildCollectivePovm:
         v_prime = np.array([[0.5]])
         povm = build_collective_povm(spec, v_prime, n, radius=6.0, grid_step=0.1)
         rho_n = tensor_power(rho, n).matrix
-        probs = povm.probabilities(rho)
+        probs = _probabilities(povm, rho)
 
         xs = build_collective_ops(spec.x_ops, n)[0]
         w, u = np.linalg.eigh(xs)
@@ -145,7 +146,7 @@ class TestBuildCollectivePovm:
         (s_op,) = povm.s_operator
         off_identity = s_op - np.trace(s_op) / 2 * np.eye(2)
         assert np.max(np.abs(off_identity)) < 1e-12
-        probs = povm.probabilities(rho)
+        probs = _probabilities(povm, rho)
         probs = probs / probs.sum()
         outs = povm.outcomes
         cov = np.einsum("ik,il,i->kl", outs, outs, probs)
@@ -247,13 +248,12 @@ class TestSectorsAgainstDense:
     """
 
     def cases(self):
-        z0 = qubit_family("z0")
-        theta = np.array([0.5, 0.0])
-        solution = holevo_bound(z0, theta, np.eye(2))
-        z0_v_prime = default_v_prime(solution.s_matrix, np.eye(2), 0.1)
+        z0, z0_theta = qubit_family("z0"), np.array([0.5, 0.0])
+        pure, pure_theta = pure_qubit_model(), np.array([1.1, 0.4])
         return [
-            (z0, theta, solution.x_ops, z0_v_prime),
+            (z0, z0_theta, *_bound_operators(z0, z0_theta)),
             (tangential_model(), np.zeros(2), [SIGMA_X, SIGMA_Y], 0.6 * np.eye(2)),
+            (pure, pure_theta, *_bound_operators(pure, pure_theta)),
         ]
 
     def test_povm_probabilities(self):
@@ -272,7 +272,7 @@ class TestSectorsAgainstDense:
                 for rho in states:
                     rho_n = tensor_power(rho, n).matrix
                     oracle = np.einsum("ab,gba->g", rho_n, dense.elements[0]).real
-                    assert np.max(np.abs(spin.probabilities(rho) - oracle)) < 1e-10
+                    assert np.max(np.abs(_probabilities(spin, rho) - oracle)) < 1e-10
 
     def test_estimator_rows(self):
         for model, theta, x_ops, v_prime in self.cases():
@@ -285,6 +285,35 @@ class TestSectorsAgainstDense:
                 assert np.max(np.abs(r.scaled_covariance - rd.scaled_covariance)) < 1e-10
                 assert abs(r.leakage - rd.leakage) < 1e-10
 
+    def test_moments(self):
+        # sum_j m_j tr(rho_j O_j) of the moment stacks against the total, first
+        # and second moment of the per-outcome probabilities, on both layouts
+        # at a mixed, the maximally mixed and a rank-one state
+        model, theta, x_ops, v_prime = self.cases()[0]
+        spec = CollectiveSpec(model.state_at(theta), x_ops)
+        pure = np.array([np.cos(0.3), np.exp(-0.4j) * np.sin(0.3)])
+        states = [spec.rho, DensityOperator(np.eye(2) / 2), DensityOperator(np.outer(pure, pure.conj()))]
+        n = 5
+        for povm in (build_collective_povm(spec, v_prime, n), _dense_povm(spec, v_prime, n)):
+            x = povm.outcomes
+            for rho in states:
+                blocks = sector_states(rho.matrix, n, povm.sectors)
+                got = sum(
+                    sec.multiplicity * trace_products(block, moments)
+                    for sec, block, moments in zip(povm.sectors, blocks, povm.moments)
+                )
+                p = _probabilities(povm, rho)
+                want = np.concatenate([[p.sum()], x.T @ p, np.einsum("gk,gl,g->kl", x, x, p).ravel()])
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_pure_state_check(self):
+        # at a rank-one rho the SLDs' collective sums still give d(rho^(x)n)
+        # exactly; n tr as the central differences gave it
+        model, theta, x_ops, v_prime = self.cases()[2]
+        rows = collective_estimator_check(model, theta, x_ops, v_prime, [2, 4, 8])
+        traces = [np.trace(r.scaled_covariance) for r in rows]
+        assert np.max(np.abs(np.array(traces) - [5.219953, 4.939644, 4.806672])) < 1e-5
+
     def test_dropped_dimensions(self):
         # a narrow kernel on a small ball drops the outer spectrum of
         # sigma_z^(n); each dropped spin-sector eigenvalue counts m_j times
@@ -296,12 +325,97 @@ class TestSectorsAgainstDense:
                 assert spin.dropped_dimensions > 0
                 assert spin.dropped_dimensions == dense.dropped_dimensions
                 oracle = np.einsum("ab,gba->g", tensor_power(spec.rho, n).matrix, dense.elements[0]).real
-                assert np.max(np.abs(spin.probabilities(spec.rho) - oracle)) < 1e-10
+                assert np.max(np.abs(_probabilities(spin, spec.rho) - oracle)) < 1e-10
 
 
 def _dense_povm(spec, v_prime, n, radius=None, grid_step=None):
     """``build_collective_povm`` of the spec's operators on the dense layout."""
     return _povm_on_sectors(_dense_sectors(spec.x_ops, n), n, *_kernel_and_grid(spec, v_prime, radius, grid_step))
+
+
+def _bound_operators(model, theta):
+    """The collective bound's operator tuple at theta and the default v' for
+    g = I, as ``qest estimate --mode collective`` sets them up."""
+    solution = holevo_bound(model, theta, np.eye(model.param_dim))
+    return solution.x_ops, default_v_prime(solution.s_matrix, np.eye(model.param_dim), 0.1)
+
+
+def _probabilities(povm, rho):
+    """Born-rule probabilities tr(rho^(x)n E_x) of every grid outcome, one
+    einsum per sector weighted by its multiplicity."""
+    blocks = sector_states(rho.matrix, povm.n_copies, povm.sectors)
+    return sum(
+        sec.multiplicity * np.einsum("ab,gba->g", block, stack).real
+        for sec, block, stack in zip(povm.sectors, blocks, povm.elements)
+    )
+
+
+def _finite_difference_rows(model, theta, x_ops, n_list, povm_at):
+    """The check with A_n from central differences of step 1e-3 on the
+    clipped, normalized outcome mean, each from the per-outcome probabilities
+    at 1 + 2d states: the oracle for the exact ``_estimator_rows``."""
+    step = 1e-3
+    t = model.require_domain(theta)
+    spec = CollectiveSpec(model.state_at(t), x_ops)
+    rows = []
+    for n in n_list:
+        povm = povm_at(spec, n)
+        x = povm.outcomes
+
+        def probs(u):
+            return np.clip(_probabilities(povm, model.state_at(t + u)), 0.0, None)
+
+        def mean(p):
+            return (x * (p / p.sum())[:, None]).sum(axis=0)
+
+        p0 = probs(np.zeros(model.param_dim))
+        shifts = step * np.eye(model.param_dim)
+        a_n = np.column_stack([(mean(probs(h)) - mean(probs(-h))) / (2 * step) for h in shifts])
+        second = np.einsum("ik,il,i->kl", x, x, p0 / p0.sum())
+        a_inv = np.linalg.inv(a_n)
+        rows.append(
+            CollectiveCheckRow(n, a_n, n * a_inv @ second @ a_inv.T, povm.completeness_residual, 1.0 - p0.sum())
+        )
+    return rows
+
+
+class TestCheckAgainstFiniteDifferences:
+    """The exact A_n against central differences of the outcome mean: they
+    differ by the differences' O(h^2) error only."""
+
+    def check(self, model, theta, x_ops, n_list, build):
+        povms = {}
+
+        def povm_at(spec, n):
+            if n not in povms:
+                povms[n] = build(spec, n)
+            return povms[n]
+
+        exact = _estimator_rows(model, theta, x_ops, n_list, povm_at)
+        oracle = _finite_difference_rows(model, theta, x_ops, n_list, povm_at)
+        for r, ro in zip(exact, oracle):
+            assert np.max(np.abs(r.a_matrix - ro.a_matrix)) <= 1e-6
+            assert abs(np.trace(r.scaled_covariance) - np.trace(ro.scaled_covariance)) <= 1e-5
+            assert abs(r.leakage - ro.leakage) < 1e-12
+        return exact
+
+    @pytest.mark.parametrize(
+        "name,theta,n_list",
+        [("qubit-z0", (0.5, 0.0), [8, 16, 32]), ("qubit-full", (0.2, 0.1, 0.3), [4, 8]), ("diag:3", (0.2, 0.3), [2, 4])],
+    )
+    def test_exact_response_matches_central_differences(self, name, theta, n_list):
+        model, theta = model_from_name(name), np.array(theta)
+        x_ops, v_prime = _bound_operators(model, theta)
+        self.check(model, theta, x_ops, n_list, lambda spec, n: build_collective_povm(spec, v_prime, n))
+
+    def test_exact_response_with_leakage(self):
+        # a narrow kernel on a small ball drops part of the spectrum, so the
+        # outcome mass moves with theta and A_n needs its -mean d(mass) term
+        rows = self.check(
+            one_param_model(), np.array([0.4]), [SIGMA_Z], [4, 5],
+            lambda spec, n: build_collective_povm(spec, [[0.05]], n, radius=0.6, grid_step=0.05),
+        )
+        assert min(r.leakage for r in rows) > 1e-3
 
 
 def _point_interior(model, t, margin):
