@@ -30,20 +30,22 @@ from .fisher import _sld_stack, classical_fisher, sld_fisher
 from .gaussian import smearing_kernel
 from .models import ParametricModel, model_derivatives
 from .qcore import (
+    PROB_SUM_TOL,
     Povm,
     _sym_isqrt,
     _sym_sqrt,
     check_array_bytes,
     measure_distribution,
+    povm_stack,
     probability_rows,
     trace_products,
 )
 
 SUPPORT_THRESHOLD = 1e-8
 DEFAULT_EPSILON = 0.1
-# bytes of Born-rule products per block of count rows in the MLE grid scan:
-# bounds the scan's memory whatever the number of rows
-MLE_SCAN_BYTES = 1 << 20
+# bytes of log-likelihood terms per block of count rows in the grid scan that
+# starts mle and two-stage stage 1: bounds its memory whatever the row count
+MLE_SCAN_BYTES = 1 << 19
 # points per axis of the MLE start grid over the domain box
 MLE_GRID_POINTS = 41
 
@@ -288,91 +290,64 @@ def _batch_probs(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.clip(p, 1e-300, None)
 
 
-def _stack_povms(model: ParametricModel, povms, counts):
-    """Elements (R, k, dim, dim), sum windows (R,) and counts (T, k) of one
-    shared POVM (R = 1) or one POVM per count row (R = T).
-
-    Each POVM's outcomes, with their counts, are put in a canonical order (by
-    element entries).  The ascent stops at gradient norm 1e-8, so
-    two listings of one POVM could otherwise stop up to ~1e-8 apart; in this
-    order the estimate does not depend on the listing at all.  A POVM or
-    count row with fewer than k outcomes is padded with zero elements and
-    zero counts, which add nothing to the likelihood.
-    """
-    if len(povms) not in (1, len(counts)):
-        raise ValidationError("need one shared POVM or one POVM per count row")
-    k = max(len(m) for m in povms)
-    dim = model.hilbert_dim
-    elements = np.zeros((len(povms), k, dim, dim), dtype=complex)
-    orders = []
-    for r, m in enumerate(povms):
-        if m.dim != dim:
-            raise ValidationError(f"dimension mismatch: state {dim}, POVM {m.dim}")
-        elems = m.stack
-        flat = elems.reshape(len(m), -1)
-        order = np.lexsort(np.column_stack([flat.real, flat.imag]).T)
-        elements[r, : len(m)] = elems[order]
-        orders.append(order)
-    sum_tol = np.array([m.prob_sum_tol for m in povms])
-    padded = np.zeros((len(counts), k))
-    for t, row in enumerate(counts):
-        row = np.asarray(row, dtype=float)
-        order = orders[0] if len(povms) == 1 else orders[t]
-        if row.shape != order.shape or row.sum() <= 0:
-            raise ValidationError("counts must align with POVM outcomes and be nonempty")
-        padded[t, : row.size] = row[order]
-    return elements, sum_tol, padded
+def _stack_povms(model: ParametricModel, m: Povm, counts):
+    """Elements (1, k, dim, dim), sum window (1,) and counts (T, k) of ``m``,
+    shared by all count rows, with outcomes sorted by element entries: the
+    ascent stops at gradient norm 1e-8, so two listings of one POVM could
+    otherwise stop ~1e-8 apart."""
+    if m.dim != model.hilbert_dim:
+        raise ValidationError(f"dimension mismatch: state {model.hilbert_dim}, POVM {m.dim}")
+    flat = m.stack.reshape(len(m), -1)
+    order = np.lexsort(np.column_stack([flat.real, flat.imag]).T)
+    rows = [np.asarray(row, dtype=float) for row in counts]
+    if any(row.shape != order.shape or row.sum() <= 0 for row in rows):
+        raise ValidationError("counts must align with POVM outcomes and be nonempty")
+    return m.stack[order][None], np.array([m.prob_sum_tol]), np.reshape(rows, (-1, len(m)))[:, order]
 
 
 def _grid_starts(model, grid, elements, counts) -> np.ndarray:
-    """Index into ``grid`` of each count row's largest log-likelihood (ties
-    break to the smallest index).
-
-    Rows are scanned in blocks sized so one block's Born-rule products stay
-    near ``MLE_SCAN_BYTES``; with per-row POVMs each block builds its own
-    table, with a shared POVM the one (G, k) table serves every block.
-    """
-    states = model.state_stack(grid)
-    shared = elements.shape[0] == 1
-    if shared:
-        logp = np.log(_batch_probs(states, elements[0]))
-    entry_bytes = 16 * elements.shape[-1] ** 2
-    block = max(1, MLE_SCAN_BYTES // (entry_bytes * len(grid) * counts.shape[1]))
+    """Index into ``grid`` of each count row's largest log-likelihood under
+    the POVM ``elements`` (k, dim, dim), ties to the smallest index.  Rows
+    are scanned in blocks of about ``MLE_SCAN_BYTES`` of terms."""
+    logp = np.log(_batch_probs(model.state_stack(grid), elements))
+    block = max(1, MLE_SCAN_BYTES // (8 * logp.size))
     starts = np.empty(len(counts), dtype=int)
     for lo in range(0, len(counts), block):
         rows = slice(lo, lo + block)
-        table = logp if shared else np.log(_batch_probs(states, elements[rows]))
-        ll = (table * counts[rows, None, :]).sum(axis=-1)
+        ll = (logp * counts[rows, None, :]).sum(axis=-1)
         if not np.isfinite(ll).any(axis=1).all():
             raise NumericalError("likelihood is degenerate on the whole grid")
         starts[rows] = np.argmax(ll, axis=1)
     return starts
 
 
-def _mle_rows(model: ParametricModel, povms, counts):
+def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
     """Maximum likelihood estimates of every count row: the batched kernel
-    behind ``mle``.
+    behind ``mle`` and ``two_stage_estimate``.
 
-    ``povms`` holds one POVM shared by all rows or one POVM per row.  The
-    grid is built once; each row starts at its best grid point and climbs by
-    projected gradient ascent with its own step size, exactly the one-row
-    rules of ``mle``.  Each evaluated point passes the DensityOperator and
-    OutcomeDistribution checks.  The domain tests and model derivatives of
-    the grid, of each ascent step and of the final points are made on the
-    whole stack of rows at once.  Returns estimates (T, d) and boundary flags
-    (T,).
+    ``elements`` (R, k, dim, dim) and sum windows ``sum_tol`` (R,) hold one
+    POVM shared by the rows of ``counts`` (T, k) (R = 1) or one per row
+    (R = T).  A row starts at ``starts`` (T, d) if given, else at its best
+    grid point under the shared POVM, and climbs by projected gradient
+    ascent with its own step size, the one-row rules of ``mle``.  Points
+    pass the DensityOperator and OutcomeDistribution checks; domain tests
+    and derivatives run on the whole stack.  Returns estimates (T, d) and
+    boundary flags (T,).
     """
     if model.param_dim > 3:
         raise ValidationError("grid MLE supports at most 3 parameters")
     rows_total = len(counts)
     if rows_total == 0:
         return np.empty((0, model.param_dim)), np.empty(0, dtype=bool)
-    elements, sum_tol, counts = _stack_povms(model, povms, counts)
-    grid = _grid_points(model)
-    theta = grid[_grid_starts(model, grid, elements, counts)]
-    if elements.shape[0] == 1:
-        elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
-        sum_tol = np.broadcast_to(sum_tol, (rows_total,))
+    if starts is None:
+        if len(elements) != 1:
+            raise ValidationError("a grid start needs one shared POVM")
+        grid = _grid_points(model)
+        theta = grid[_grid_starts(model, grid, elements[0], counts)]
+    else:
+        theta = np.array(starts, dtype=float)
+    elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
+    sum_tol = np.broadcast_to(sum_tol, (rows_total,))
     totals = counts.sum(axis=1)
     lo_box = np.array([lo + 1e-9 for lo, _ in model.domain_box])
     hi_box = np.array([hi - 1e-9 for _, hi in model.domain_box])
@@ -438,7 +413,7 @@ def mle(model: ParametricModel, m: Povm, counts):
     interior by a margin of 1e-6.  This is the one-row call of the batched
     kernel that ``two_stage_estimate`` runs on all its trials at once.
     """
-    theta, boundary = _mle_rows(model, [m], [counts])
+    theta, boundary = _mle_rows(model, *_stack_povms(model, m, [counts]))
     return theta[0], bool(boundary[0])
 
 
@@ -500,15 +475,19 @@ def optimal_qubit_povm(model: ParametricModel, theta, g) -> Povm:
     the spectral decomposition of the matching inverse-SLD-coordinate
     observable, selected with probability proportional to sqrt(eigenvalue).
     The resulting mixture saturates the trace constraint and its classical
-    Fisher matrix attains (tr sqrt(j^{-1/2} g j^{-1/2}))^2.  This is the
-    one-row call of ``_optimal_qubit_povms``.
+    Fisher matrix attains (tr sqrt(j^{-1/2} g j^{-1/2}))^2.  Outcome (i, a)
+    is eigenvector a of observable i; directions below probability 1e-14 are
+    left out.
     """
-    return _optimal_qubit_povms(model, model.require_domain(theta)[None], g)[0]
+    elements = _optimal_qubit_povms(model, model.require_domain(theta)[None], g)[0]
+    kept = np.flatnonzero(elements.any(axis=(-2, -1)))
+    return Povm(elements[kept], labels=[divmod(int(i), 2) for i in kept])
 
 
-def _optimal_qubit_povms(model: ParametricModel, thetas: np.ndarray, g) -> list[Povm]:
-    """``optimal_qubit_povm`` at every row of ``thetas`` (m, d), with the SLDs,
-    Fisher matrices and eigendecompositions of all rows computed as stacks."""
+def _optimal_qubit_povms(model: ParametricModel, thetas: np.ndarray, g) -> np.ndarray:
+    """Elements (m, 2d, 2, 2) of ``optimal_qubit_povm`` at every row of
+    ``thetas``, unvalidated, outcome (i, a) at 2i + a, zero for a dropped
+    direction; every step runs on the whole stack."""
     if model.hilbert_dim != 2:
         raise ValidationError("optimal measurement construction is qubit-only")
     g = check_weight_matrix(g, model.param_dim)
@@ -525,6 +504,7 @@ def _optimal_qubit_povms(model: ParametricModel, thetas: np.ndarray, g) -> list[
     if (total <= 0).any():
         raise ValidationError("weight matrix is zero")
     probs = probs / total
+    probs[probs < 1e-14] = 0.0
     # direction i of row r is j_isqrt[r] @ u[r, :, i], one matrix-vector
     # product per (r, i); observable i is sum_k direction_k L_k
     directions = (j_isqrt[:, None] @ u.swapaxes(-1, -2)[..., None])[..., 0]
@@ -534,13 +514,7 @@ def _optimal_qubit_povms(model: ParametricModel, thetas: np.ndarray, g) -> list[
     vecs = np.linalg.eigh(observables)[1].swapaxes(-1, -2)
     # (m, i, a, 2, 2): probs_i times the projector on eigenvector a of observable i
     elements = probs[..., None, None, None] * (vecs[..., :, None] * vecs[..., None, :].conj())
-    povms = []
-    for row_probs, row_elements in zip(probs, elements):
-        kept = [i for i in range(len(row_probs)) if not row_probs[i] < 1e-14]
-        povms.append(
-            Povm(row_elements[kept].reshape(-1, 2, 2), labels=[(i, a) for i in kept for a in range(2)])
-        )
-    return povms
+    return elements.reshape(len(thetas), 2 * model.param_dim, 2, 2)
 
 
 def mixed_basis_povm(bases: str = "zx") -> Povm:
@@ -588,12 +562,13 @@ def two_stage_estimate(
     estimate is the stage-two MLE.  Trials whose pilot or final MLE lands on
     the domain boundary are discarded and counted.
 
-    Trials run as a batch: every trial's stage-one counts are drawn first
-    from its own generator, one batched MLE localizes them all, one stacked
-    call builds every survivor's optimal POVM, and the stage-two counts come
-    from the same generators before a second batched MLE.  A trial's result therefore does not depend on how many trials run
-    beside it.  The grid scans process trials in blocks (see
-    ``MLE_SCAN_BYTES``), so peak memory does not grow with ``trials``.
+    Trials run as a batch, each drawing from its own generator, so a
+    trial's result does not depend on the others.  Stage one is one
+    grid-started batched MLE, scanned in blocks (``MLE_SCAN_BYTES``) so
+    memory does not grow with ``trials``.  Stage two validates all
+    survivors' POVMs as one stack and climbs from each pilot: with Born
+    probabilities affine in theta, as in every qubit model here, its
+    log-likelihood is concave, so the start does not move the maximum.
     """
     if model.hilbert_dim != 2:
         raise ValidationError("two-stage estimator is qubit-only")
@@ -613,14 +588,19 @@ def two_stage_estimate(
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
     rngs = [np.random.default_rng(trial_seed) for trial_seed in seeds]
     counts1 = [rng.multinomial(n1, p_stage1) for rng in rngs]
-    pilots, boundary = _mle_rows(model, [m_prime], counts1)
+    pilots, boundary = _mle_rows(model, *_stack_povms(model, m_prime, counts1))
     survivors = np.flatnonzero(~boundary)
-    povms = _optimal_qubit_povms(model, pilots[survivors], g)
-    counts2 = [
-        rngs[i].multinomial(n2, measure_distribution(rho, m_opt).probs)
-        for i, m_opt in zip(survivors, povms)
-    ]
-    estimates, boundary = _mle_rows(model, povms, counts2)
+    if survivors.size < 2:
+        raise NumericalError("too few surviving trials for a report")
+    # zero elements (dropped directions) get no draw and no likelihood term
+    elements, residuals = povm_stack(_optimal_qubit_povms(model, pilots[survivors], g))
+    sum_tol = np.maximum(PROB_SUM_TOL, 2 * residuals)
+    probs = probability_rows(trace_products(elements, rho.matrix), sum_tol)
+    kept = elements.any(axis=(-2, -1))
+    counts2 = np.zeros(probs.shape)
+    for r, i in enumerate(survivors):
+        counts2[r, kept[r]] = rngs[i].multinomial(n2, probs[r, kept[r]])
+    estimates, boundary = _mle_rows(model, elements, sum_tol, counts2, starts=pilots[survivors])
     estimates = estimates[~boundary]
     discarded = trials - len(estimates)
     if len(estimates) < 2:

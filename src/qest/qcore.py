@@ -130,6 +130,32 @@ def probability_rows(probs: np.ndarray, sum_tol) -> np.ndarray:
     return p / np.where(total > 0, total, 1.0)[:, None]
 
 
+def povm_stack(stack: np.ndarray, tol: float = POVM_COMPLETENESS_TOL, weights=None):
+    """The Povm rules on every POVM of a stack (..., k, dim, dim): finite,
+    Hermitian to 1e-10, PSD to -1e-10, and, ``weights`` (k,) multiplied in,
+    max |sum_k E_k - I| <= ``tol``.  Returns the symmetrized stack and the
+    residuals (...,)."""
+    if not np.isfinite(stack).all():
+        raise ValidationError("POVM element entries must be finite")
+    adj = stack.conj().swapaxes(-1, -2)
+    not_hermitian = np.abs(stack - adj).max(axis=(-2, -1)) > 1e-10
+    mats = stack + adj
+    mats /= 2
+    not_psd = np.linalg.eigvalsh(mats).min(axis=-1) < -POVM_PSD_TOL
+    bad = np.argwhere(not_hermitian | not_psd)
+    if bad.size:
+        where = tuple(bad[0])
+        problem = "Hermitian" if not_hermitian[where] else "positive semidefinite"
+        raise ValidationError(f"POVM element {where[-1]} is not {problem}")
+    if weights is not None:
+        mats *= weights[:, None, None]
+    residual = np.abs(mats.sum(axis=-3) - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+    if (residual > tol).any():
+        worst = float(residual.max())
+        raise ValidationError(f"POVM completeness violated: residual {worst:.3e} > tol {tol:.1e}")
+    return mats, residual
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Trace-one positive Hermitian matrix on a finite-dimensional space.
@@ -168,9 +194,10 @@ class Povm:
     """Finite family of positive operators summing to the identity.
 
     ``stack`` holds the elements the Born rule reads, p_k = tr(rho E_k), as
-    one frozen (k, dim, dim) array; ``elements`` are views of its rows.
-    ``weights`` (a gridded POVM's quadrature weights, one per element) are an
-    input format: they are multiplied into the validated elements once.
+    one frozen (k, dim, dim) array, validated by ``povm_stack``; ``elements``
+    are views of its rows.  ``weights`` (a gridded POVM's quadrature weights,
+    one per element) are an input format: they are multiplied into the
+    validated elements once.
     ``completeness_tol`` (default 1e-10; a finite real >= 0) is the threshold
     on the largest entry of sum_k E_k - I that admits the POVM; that residual
     is kept and sets ``prob_sum_tol``.
@@ -192,42 +219,24 @@ class Povm:
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
             raise ValidationError(f"completeness tolerance must be a finite real >= 0, got {tol!r}")
         stack = _element_stack(elements)
-        if not np.isfinite(stack).all():
-            raise ValidationError("POVM element entries must be finite")
-        dim = stack.shape[1]
-        adj = stack.conj().swapaxes(-1, -2)
-        not_hermitian = np.abs(stack - adj).max(axis=(-2, -1)) > 1e-10
-        mats = stack + adj
-        mats /= 2
-        not_psd = np.linalg.eigvalsh(mats).min(axis=-1) < -POVM_PSD_TOL
-        bad = np.flatnonzero(not_hermitian | not_psd)
-        if bad.size:
-            i = int(bad[0])
-            problem = "Hermitian" if not_hermitian[i] else "positive semidefinite"
-            raise ValidationError(f"POVM element {i} is not {problem}")
         try:
-            labels = tuple(range(len(mats))) if labels is None else tuple(labels)
+            labels = tuple(range(len(stack))) if labels is None else tuple(labels)
         except TypeError:
             raise ValidationError(f"POVM labels must be a list, got {labels!r}") from None
-        if len(labels) != len(mats):
+        if len(labels) != len(stack):
             raise ValidationError("label/element count mismatch")
         if weights is not None:
             try:
-                w = np.asarray(weights, dtype=float)
+                weights = np.asarray(weights, dtype=float)
             except (TypeError, ValueError):
-                w = None
-            if w is None or w.shape != (len(mats),) or not ((w >= 0) & (w < np.inf)).all():
+                weights = None
+            if weights is None or weights.shape != (len(stack),) or not ((weights >= 0) & (weights < np.inf)).all():
                 raise ValidationError("weights must be finite and nonnegative, one per element")
-            mats *= w[:, None, None]
-        residual = float(np.max(np.abs(mats.sum(axis=0) - np.eye(dim))))
-        if residual > tol:
-            raise ValidationError(
-                f"POVM completeness violated: residual {residual:.3e} > tol {tol:.1e}"
-            )
-        object.__setattr__(self, "dim", dim)
+        mats, residual = povm_stack(stack, tol, weights)
+        object.__setattr__(self, "dim", stack.shape[1])
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stack", _freeze(mats))
-        object.__setattr__(self, "completeness_residual", residual)
+        object.__setattr__(self, "completeness_residual", float(residual))
 
     @property
     def elements(self) -> tuple:

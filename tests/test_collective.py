@@ -32,6 +32,7 @@ from qest.qcore import (
     DensityOperator,
     Povm,
     measure_distribution,
+    povm_stack,
     probability_rows,
     tensor_power,
     trace_products,
@@ -431,21 +432,20 @@ def _point_interior(model, t, margin):
     return True
 
 
-def _pointwise_mle_rows(model, povms, counts, per_axis):
+def _pointwise_mle_rows(model, povm, counts, per_axis):
     """The batched MLE with its domain tests, projection and derivatives made
     one row at a time: the reference for the stacked kernel."""
     rows_total = len(counts)
-    elements, sum_tol, counts = _stack_povms(model, povms, counts)
+    elements, sum_tol, counts = _stack_povms(model, povm, counts)
     axes = []
     for lo, hi in model.domain_box:
         pad = (hi - lo) / (per_axis + 1)
         axes.append(np.linspace(lo + pad, hi - pad, per_axis))
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     grid = pts[np.array([_point_interior(model, p, 1e-6) for p in pts])]
-    theta = grid[_grid_starts(model, grid, elements, counts)]
-    if elements.shape[0] == 1:
-        elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
-        sum_tol = np.broadcast_to(sum_tol, (rows_total,))
+    theta = grid[_grid_starts(model, grid, elements[0], counts)]
+    elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
+    sum_tol = np.broadcast_to(sum_tol, (rows_total,))
     totals = counts.sum(axis=1)
     lo_box = np.array([lo + 1e-9 for lo, _ in model.domain_box])
     hi_box = np.array([hi - 1e-9 for _, hi in model.domain_box])
@@ -511,8 +511,8 @@ class TestMle:
         truths = u * np.concatenate([rng.uniform(0, 0.9, 25), rng.uniform(0.95, 1.0, 25)])[:, None]
         counts = [rng.multinomial(40, measure_distribution(model.state_at(t), povm).probs) for t in truths]
         monkeypatch.setattr(collective, "MLE_GRID_POINTS", per_axis)
-        theta, boundary = _mle_rows(model, [povm], counts)
-        ref_theta, ref_boundary = _pointwise_mle_rows(model, [povm], counts, per_axis)
+        theta, boundary = _mle_rows(model, *_stack_povms(model, povm, counts))
+        ref_theta, ref_boundary = _pointwise_mle_rows(model, povm, counts, per_axis)
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(boundary, ref_boundary)
         assert 0 < boundary.sum() < 50
@@ -558,7 +558,7 @@ class TestMle:
         mixed = mixed_basis_povm()
         truths = [rng.uniform(0.8, 0.99) * np.array([np.cos(a), np.sin(a)])
                   for a in rng.uniform(0, 2 * np.pi, 50)]
-        pilots = [0.8 * t for t in truths[25:]]
+        pilots = np.array([0.8 * t for t in truths[25:]])
         povms = [mixed] * 25 + [optimal_qubit_povm(model, p, np.eye(2)) for p in pilots]
         counts = []
         for t, m in zip(truths, povms):
@@ -567,8 +567,11 @@ class TestMle:
             while (c.reshape(-1, 2).sum(axis=1) == 0).any():
                 c = rng.multinomial(40, probs)
             counts.append(c)
-        shared_est, shared_boundary = _mle_rows(model, [mixed], counts[:25])
-        own_est, own_boundary = _mle_rows(model, povms[25:], counts[25:])
+        # the shared rows start on the grid, the per-row ones at their pilots
+        shared_est, shared_boundary = _mle_rows(model, *_stack_povms(model, mixed, counts[:25]))
+        own = (np.array([m.stack for m in povms[25:]]), np.array([m.prob_sum_tol for m in povms[25:]]),
+               np.array(counts[25:], dtype=float))
+        own_est, own_boundary = _mle_rows(model, *own, starts=pilots)
         estimates = np.vstack([shared_est, own_est])
         boundary = np.concatenate([shared_boundary, own_boundary])
         inside = outside = 0
@@ -586,7 +589,11 @@ class TestMle:
                 outside += 1
                 assert boundary[i]
             # the one-row call is the same kernel
-            one, flag = mle(model, m, c)
+            if i < 25:
+                one, flag = mle(model, m, c)
+            else:
+                row = slice(i - 25, i - 24)
+                one, flag = _mle_rows(model, *(part[row] for part in own), starts=pilots[row])
             assert np.max(np.abs(one - estimates[i])) < 1e-12 and flag == boundary[i]
         assert inside >= 20 and outside >= 5
 
@@ -668,12 +675,17 @@ class TestOptimalQubitPovm:
         gm = rng.standard_normal((d, d))
         g = gm @ gm.T + 0.2 * np.eye(d) if rank == "full" else np.outer(gm[0], gm[0])
         pts = rng.uniform(-0.55, 0.55, (20, d))
-        stacked = _optimal_qubit_povms(model, pts, g)
-        for povm, p in zip(stacked, pts):
+        stacked, _ = povm_stack(_optimal_qubit_povms(model, pts, g))
+        dropped = 0
+        for elements, p in zip(stacked, pts):
             ref = _pointwise_optimal_povm(model, p, g)
-            for got in (povm, optimal_qubit_povm(model, p, g)):
-                assert np.array_equal(got.stack, ref.stack)
-                assert got.labels == ref.labels
+            kept = elements.any(axis=(-2, -1))
+            assert np.array_equal(elements[kept], ref.stack) and not elements[~kept].any()
+            assert [divmod(int(i), 2) for i in np.flatnonzero(kept)] == list(ref.labels)
+            got = optimal_qubit_povm(model, p, g)
+            assert np.array_equal(got.stack, ref.stack) and got.labels == ref.labels
+            dropped += int((~kept).sum())
+        assert (dropped > 0) == (rank == "one")
 
     def test_z0_reference_point(self):
         model = qubit_family("z0")
@@ -698,7 +710,94 @@ class TestMixedBasisPovm:
             mixed_basis_povm(bases)
 
 
+def _record_mle_rows(monkeypatch):
+    """Arguments and results of every ``_mle_rows`` call, in call order."""
+    calls = []
+    kernel = collective._mle_rows
+
+    def recorded(model, elements, sum_tol, counts, starts=None):
+        theta, boundary = kernel(model, elements, sum_tol, counts, starts)
+        calls.append({"elements": elements, "counts": counts, "starts": starts, "theta": theta, "boundary": boundary})
+        return theta, boundary
+
+    monkeypatch.setattr(collective, "_mle_rows", recorded)
+    return calls
+
+
 class TestTwoStage:
+    @pytest.mark.parametrize(
+        "kind,theta,n,trials,seed",
+        [("z0", (0.5, 0.0), 400, 60, 17), ("z0", (0.5, 0.0), 10**4, 60, 17),
+         ("full", (0.3, 0.2, 0.1), 10**4, 20, 17), ("z0", (0.9, 0.2), 400, 100, 14)],
+    )
+    def test_stage_two_matches_grid_started_mle(self, kind, theta, n, trials, seed, monkeypatch):
+        # stage 2 climbs from each pilot on the stacked POVMs; the oracle is the
+        # grid-started one-row mle on each survivor's own Povm.  At (0.9, 0.2)
+        # seed 14 gives four stage-2 boundary rows: their flags must agree, but
+        # their estimates are discarded, and projected ascent stops on the
+        # boundary at a point that depends on the start
+        model = qubit_family(kind)
+        calls = _record_mle_rows(monkeypatch)
+        two_stage_estimate(model, np.array(theta), mixed_basis_povm("zx" if kind == "z0" else "zxy"),
+                           n=n, seed=seed, trials=trials)
+        stage1, stage2 = calls
+        assert stage1["starts"] is None
+        assert np.array_equal(stage2["starts"], stage1["theta"][~stage1["boundary"]])
+        for elements, counts, est, flag in zip(stage2["elements"], stage2["counts"], stage2["theta"],
+                                               stage2["boundary"]):
+            kept = elements.any(axis=(-2, -1))
+            one, one_flag = mle(model, Povm(elements[kept]), counts[kept])
+            assert one_flag == flag
+            assert flag or np.max(np.abs(one - est)) < 1e-6
+        assert stage2["boundary"].sum() == (4 if theta == (0.9, 0.2) else 0)
+
+    @pytest.mark.parametrize("rank", ["full", "one"])
+    def test_pilots_and_counts_match_per_trial_reference(self, rank, monkeypatch):
+        # the reference runs each trial alone: mle, optimal_qubit_povm,
+        # measure_distribution, multinomial, all from the trial's own generator
+        model = qubit_family("z0")
+        truth, m1, n, seed, trials = np.array([0.5, 0.0]), mixed_basis_povm(), 400, 29, 40
+        g = np.eye(2) if rank == "full" else np.outer([1.0, 0.5], [1.0, 0.5])
+        calls = _record_mle_rows(monkeypatch)
+        two_stage_estimate(model, truth, m1, n=n, seed=seed, trials=trials, g=g)
+        stage1, stage2 = calls
+        rho = model.state_at(truth)
+        n1 = int(np.ceil(np.sqrt(n)))
+        r = dropped = 0
+        for t, trial_seed in enumerate(np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)):
+            rng = np.random.default_rng(trial_seed)
+            pilot, flag = mle(model, m1, rng.multinomial(n1, measure_distribution(rho, m1).probs))
+            assert np.array_equal(pilot, stage1["theta"][t]) and flag == stage1["boundary"][t]
+            if flag:
+                continue
+            m_opt = optimal_qubit_povm(model, pilot, g)
+            counts = rng.multinomial(n - n1, measure_distribution(rho, m_opt).probs)
+            kept = stage2["elements"][r].any(axis=(-2, -1))
+            assert np.array_equal(stage2["elements"][r][kept], m_opt.stack)
+            assert np.array_equal(stage2["counts"][r][kept], counts) and not stage2["counts"][r][~kept].any()
+            dropped += int((~kept).any())
+            r += 1
+        assert r == len(stage2["counts"])
+        assert (dropped > 0) == (rank == "one")
+
+    def test_one_grid_scan_and_no_per_trial_povm(self, monkeypatch):
+        calls = {"_grid_starts": 0, "_batch_probs": 0, "Povm": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        m1 = mixed_basis_povm()
+        for name in ("_grid_starts", "_batch_probs"):
+            monkeypatch.setattr(collective, name, counted(name, getattr(collective, name)))
+        monkeypatch.setattr(Povm, "__init__", counted("Povm", Povm.__init__))
+        report = two_stage_estimate(qubit_family("z0"), np.array([0.5, 0.0]), m1, n=10**4, seed=1, trials=200)
+        assert report.trials + report.extras["discarded"] == 200
+        assert calls == {"_grid_starts": 1, "_batch_probs": 1, "Povm": 0}
+
     def test_z0_attainment_light(self):
         model = qubit_family("z0")
         report = two_stage_estimate(

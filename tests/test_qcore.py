@@ -17,6 +17,7 @@ from qest.qcore import (
     matrix_to_json,
     measure_distribution,
     mix,
+    povm_stack,
     sample_outcomes,
     tensor_power,
     trace_products,
@@ -104,6 +105,59 @@ class TestPovm:
     def test_completeness_tol_finite_nonnegative_real(self, tol):
         with pytest.raises(ValidationError, match="completeness tolerance"):
             Povm([np.eye(2)], completeness_tol=tol)
+
+
+class TestPovmStack:
+    # weighted projectors on random bases, so elements have zero eigenvalues
+    # that a small shift pushes past the positivity threshold
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        dim=st.integers(2, 3),
+        bases=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        breaks=st.lists(
+            st.tuples(st.sampled_from(["none", "hermitian", "psd", "completeness"]), st.floats(-13.0, -7.0)),
+            min_size=1, max_size=4,
+        ),
+        tol_exp=st.floats(-12.0, -8.0),
+    )
+    def test_stacked_check_matches_each_povm(self, dim, bases, seed, breaks, tol_exp):
+        rng = np.random.default_rng(seed)
+        tol = 10.0**tol_exp
+        rows = []
+        for kind, eps_exp in breaks:
+            eps = 10.0**eps_exp
+            elems = []
+            for _ in range(bases):
+                q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+                elems += [np.outer(q[:, a], q[:, a].conj()) / bases for a in range(dim)]
+            elems = np.array(elems)
+            if kind == "hermitian":
+                elems[0, 0, 1] += eps
+            elif kind == "psd":
+                # move eps |w><w| from element 0 to element 1, w orthogonal to
+                # element 0's range: completeness holds, element 0 goes negative
+                w = np.linalg.eigh(elems[0])[1][:, 0]
+                elems[0] -= eps * np.outer(w, w.conj())
+                elems[1] += eps * np.outer(w, w.conj())
+            elif kind == "completeness":
+                elems *= 1.0 + eps
+            rows.append(elems)
+        stack = np.array(rows)
+        single = []
+        for row in stack:
+            try:
+                single.append(Povm(row, completeness_tol=tol))
+            except ValidationError:
+                single.append(None)
+        if None in single:
+            with pytest.raises(ValidationError):
+                povm_stack(stack, tol)
+            return
+        mats, residuals = povm_stack(stack, tol)
+        for m, got, res in zip(single, mats, residuals):
+            assert np.array_equal(got, m.stack)
+            assert res == m.completeness_residual
 
 
 class TestProbabilityWindow:
