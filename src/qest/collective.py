@@ -48,6 +48,8 @@ DEFAULT_EPSILON = 0.1
 MLE_SCAN_BYTES = 1 << 19
 # points per axis of the MLE start grid over the domain box
 MLE_GRID_POINTS = 41
+# shrinks by 1 - 1e-3 tested per domain check in the MLE ascent's projection
+MLE_SHRINK_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -293,8 +295,8 @@ def _batch_probs(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
 def _stack_povms(model: ParametricModel, m: Povm, counts):
     """Elements (1, k, dim, dim), sum window (1,) and counts (T, k) of ``m``,
     shared by all count rows, with outcomes sorted by element entries: the
-    ascent stops at gradient norm 1e-8, so two listings of one POVM could
-    otherwise stop ~1e-8 apart."""
+    ascent stops at a rounding-level Newton decrement or at gradient norm
+    1e-8, so two listings of one POVM could otherwise stop apart."""
     if m.dim != model.hilbert_dim:
         raise ValidationError(f"dimension mismatch: state {model.hilbert_dim}, POVM {m.dim}")
     flat = m.stack.reshape(len(m), -1)
@@ -328,10 +330,11 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
     ``elements`` (R, k, dim, dim) and sum windows ``sum_tol`` (R,) hold one
     POVM shared by the rows of ``counts`` (T, k) (R = 1) or one per row
     (R = T).  A row starts at ``starts`` (T, d) if given, else at its best
-    grid point under the shared POVM, and climbs by projected gradient
-    ascent with its own step size, the one-row rules of ``mle``.  Points
-    pass the DensityOperator and OutcomeDistribution checks; domain tests
-    and derivatives run on the whole stack.  Returns estimates (T, d) and
+    grid point under the shared POVM, and climbs by Newton steps with its
+    own step size, falling back to projected gradient ascent once a Newton
+    step would leave the domain: the one-row rules of ``mle``.  Points pass
+    the DensityOperator and OutcomeDistribution checks; domain tests and
+    derivatives run on the whole stack.  Returns estimates (T, d) and
     boundary flags (T,).
     """
     if model.param_dim > 3:
@@ -360,31 +363,75 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
         derivs = model_derivatives(model, th)
         dp = trace_products(derivs[:, :, None], elems[:, None])
         grad = (counts[rows][:, None, :] * dp / probs[:, None, :]).sum(axis=2)
-        return value, grad / totals[rows][:, None]
+        return value, grad / totals[rows][:, None], dp, probs
+
+    def newton(grad, dp, probs, rows):
+        # direction H^-1 grad, with H = sum_k w_k s_k s_k' over the scores
+        # s_k = dp_k / p_k and weights w_k = counts_k / total: the exact
+        # negative Hessian when p is affine in theta, Fisher scoring
+        # otherwise.  Eigen-directions below 1e-12 of the largest carry no
+        # gradient and are left out.  A row is done when its decrement
+        # grad' H^-1 grad is at the rounding of its value: the strict
+        # increase test below could not see what the step promises.
+        weights = counts[rows] / totals[rows][:, None]
+        scores = dp / probs[:, None, :]
+        h = (weights[:, None, None, :] * scores[:, :, None, :] * scores[:, None, :, :]).sum(axis=-1)
+        lam, vec = np.linalg.eigh(h)
+        coef = (vec * grad[:, :, None]).sum(axis=1)
+        inv = np.zeros_like(lam)
+        np.divide(1.0, lam, out=inv, where=lam > 1e-12 * lam[:, -1:])
+        done = (coef * coef * inv).sum(axis=1) < 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(value[rows]))
+        return (vec * (coef * inv)[:, None, :]).sum(axis=2), done
 
     def project(th):
         # shrink each row toward the nearest interior point of the model
         # domain: a row outside is scaled by 1 - 1e-3 until it is interior or
-        # its total scale drops to 1e-12
+        # its total scale drops to 1e-12.  The next ``MLE_SHRINK_BLOCK``
+        # scalings of every row still outside, each rounded from the one
+        # before, are tested in one domain check.
         th = np.clip(th, lo_box, hi_box)
-        scale = np.ones(len(th))
+        d, block, scale = model.param_dim, MLE_SHRINK_BLOCK, 1.0
         shrink = np.flatnonzero(~model.is_interior(th, 1e-9))
         while shrink.size:
-            th[shrink] *= 1.0 - 1e-3
-            scale[shrink] *= 1.0 - 1e-3
-            shrink = shrink[~model.is_interior(th[shrink], 1e-9) & (scale[shrink] > 1e-12)]
+            path = np.full((shrink.size, block + 1, d), 1.0 - 1e-3)
+            path[:, 0] = th[shrink]
+            np.multiply.accumulate(path, axis=1, out=path)
+            scales = np.multiply.accumulate(np.r_[scale, np.full(block, 1.0 - 1e-3)])[1:]
+            stop = model.is_interior(path[:, 1:].reshape(-1, d), 1e-9).reshape(-1, block) | (scales <= 1e-12)
+            done = stop.any(axis=1)
+            th[shrink] = path[np.arange(shrink.size), 1 + np.where(done, stop.argmax(axis=1), block - 1)]
+            shrink, scale = shrink[~done], scales[-1]
         return th
 
-    value, grad = loglik_and_grad(theta, np.arange(rows_total))
-    step = np.full(rows_total, 0.5)
-    active = np.ones(rows_total, dtype=bool)
+    every = np.arange(rows_total)
+    value, grad, dp, probs = loglik_and_grad(theta, every)
+    direction, done = newton(grad, dp, probs, every)
+    on_newton = np.ones(rows_total, dtype=bool)
+    step = np.ones(rows_total)
+    active = ~done
     for _ in range(400):
         active &= np.linalg.norm(grad, axis=1) >= 1e-8
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        candidate = project(theta[rows] + step[rows, None] * grad[rows])
-        cand_value, cand_grad = loglik_and_grad(candidate, rows)
+        candidate = np.empty((rows.size, model.param_dim))
+        newton_rows = on_newton[rows]
+        if newton_rows.any():
+            # a row whose Newton step leaves the domain climbs by projected
+            # gradient from here on
+            climbing = rows[newton_rows]
+            target = theta[climbing] + step[climbing, None] * direction[climbing]
+            inside = (target >= lo_box).all(axis=1) & (target <= hi_box).all(axis=1)
+            if inside.any():
+                inside[inside] = model.is_interior(target[inside], 1e-9)
+            on_newton[climbing[~inside]] = False
+            step[climbing[~inside]] = 0.5
+            newton_rows[newton_rows] = inside
+            candidate[newton_rows] = target[inside]
+        if not newton_rows.all():
+            ascent = rows[~newton_rows]
+            candidate[~newton_rows] = project(theta[ascent] + step[ascent, None] * grad[ascent])
+        cand_value, cand_grad, cand_dp, cand_probs = loglik_and_grad(candidate, rows)
         up = cand_value > value[rows]
         moved = np.linalg.norm(candidate[up] - theta[rows[up]], axis=1)
         accepted, rejected = rows[up], rows[~up]
@@ -393,6 +440,12 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
         grad[accepted] = cand_grad[up]
         step[accepted] *= 1.3
         step[rejected] *= 0.4
+        renew = up & newton_rows
+        if renew.any():
+            stepped = rows[renew]
+            direction[stepped], done = newton(cand_grad[renew], cand_dp[renew], cand_probs[renew], stepped)
+            step[stepped] = np.minimum(step[stepped], 1.0)
+            active[stepped[done]] = False
         # a rounding-level accepted move is convergence, not a boundary hit
         active[accepted[moved < 1e-14]] = False
         active[rejected[step[rejected] < 1e-14]] = False
@@ -405,12 +458,21 @@ def mle(model: ParametricModel, m: Povm, counts):
 
     ``counts`` is a vector aligned with the POVM labels.  A coarse grid scan
     over the domain box, ``MLE_GRID_POINTS`` per axis, picks the start (ties
-    break to the smallest flat index), followed by projected gradient ascent
-    on the mean log-likelihood: step 0.5, times 1.3 on an accepted step and
-    0.4 on a rejected one, until the gradient norm drops below 1e-8, an
-    accepted move below 1e-14, the step below 1e-14, or after 400
-    iterations.  The estimate is flagged as a boundary maximum when it is not
-    interior by a margin of 1e-6.  This is the one-row call of the batched
+    break to the smallest flat index).  The mean log-likelihood then climbs
+    by Newton steps H^-1 grad, with H = sum_k w_k s_k s_k^T over the scores
+    s_k = dp_k / p_k and count weights w_k (the exact negative Hessian when
+    the Born probabilities are affine in theta, as in the qubit families;
+    Fisher scoring otherwise): step 1, times 0.4 on a rejected step and
+    times 1.3 capped at 1 on an accepted one, a step accepted only if the
+    value increases.  The ascent stops when the Newton decrement
+    grad' H^-1 grad drops below 8 eps max(1, |value|), the gradient norm
+    below 1e-8, an accepted move below 1e-14, the step below 1e-14, or after
+    400 iterations.  Once a Newton step would leave the domain, the row
+    climbs by projected gradient instead: step 0.5, times 1.3 / 0.4, each
+    point outside shrunk toward the origin by factors 1 - 1e-3.  The
+    estimate is flagged as a boundary maximum when it is not interior by a
+    margin of 1e-6; such an estimate is where the projected ascent stopped,
+    not a constrained maximum.  This is the one-row call of the batched
     kernel that ``two_stage_estimate`` runs on all its trials at once.
     """
     theta, boundary = _mle_rows(model, *_stack_povms(model, m, [counts]))
@@ -568,7 +630,9 @@ def two_stage_estimate(
     memory does not grow with ``trials``.  Stage two validates all
     survivors' POVMs as one stack and climbs from each pilot: with Born
     probabilities affine in theta, as in every qubit model here, its
-    log-likelihood is concave, so the start does not move the maximum.
+    log-likelihood is concave, so the start does not move the maximum.  Both
+    stages climb by the Newton steps of ``mle``, with its decrement stop and
+    its projected-gradient fallback near the boundary.
     """
     if model.hilbert_dim != 2:
         raise ValidationError("two-stage estimator is qubit-only")

@@ -120,7 +120,7 @@ def probability_rows(probs: np.ndarray, sum_tol) -> np.ndarray:
     is renormalized to sum to one.  Returns a new array.
     """
     p = np.array(probs, dtype=float)
-    if p.min() < PROB_CLAMP:
+    if p.size and p.min() < PROB_CLAMP:
         raise ValidationError(f"negative probability {p.min():.3e}")
     p[p < 0] = 0.0
     total = p.sum(axis=-1)
@@ -294,7 +294,7 @@ def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Hermitian pair.  Each value is summed over its own contiguous products,
     so it does not depend on how many others are computed with it."""
     prod = (a * np.swapaxes(b, -1, -2)).real
-    return prod.reshape(prod.shape[:-2] + (-1,)).sum(axis=-1)
+    return prod.reshape(prod.shape[:-2] + (prod.shape[-2] * prod.shape[-1],)).sum(axis=-1)
 
 
 def pair_moments(rho_matrix: np.ndarray, x_ops) -> tuple[np.ndarray, np.ndarray]:

@@ -432,10 +432,11 @@ def _point_interior(model, t, margin):
     return True
 
 
-def _pointwise_mle_rows(model, povm, counts, per_axis):
-    """The batched MLE with its domain tests, projection and derivatives made
-    one row at a time: the reference for the stacked kernel."""
-    rows_total = len(counts)
+def _pointwise_mle_rows(model, povm, counts, per_axis, newton=True):
+    """The batched MLE run one count row at a time, with its domain tests,
+    projection and derivatives made one point at a time: the reference for
+    the stacked kernel.  ``newton=False`` climbs by projected gradient from
+    the start (step 0.5): the earlier ascent, the oracle for boundary flags."""
     elements, sum_tol, counts = _stack_povms(model, povm, counts)
     axes = []
     for lo, hi in model.domain_box:
@@ -443,59 +444,108 @@ def _pointwise_mle_rows(model, povm, counts, per_axis):
         axes.append(np.linspace(lo + pad, hi - pad, per_axis))
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     grid = pts[np.array([_point_interior(model, p, 1e-6) for p in pts])]
-    theta = grid[_grid_starts(model, grid, elements[0], counts)]
-    elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
-    sum_tol = np.broadcast_to(sum_tol, (rows_total,))
-    totals = counts.sum(axis=1)
+    starts = grid[_grid_starts(model, grid, elements[0], counts)]
+    rows = [_one_row_mle(model, elements[0], sum_tol[0], row, start, newton) for row, start in zip(counts, starts)]
+    return np.array([theta for theta, _ in rows]), np.array([flag for _, flag in rows])
+
+
+def _one_row_mle(model, elements, sum_tol, counts, theta, newton):
+    total = counts.sum()
     lo_box = np.array([lo + 1e-9 for lo, _ in model.domain_box])
     hi_box = np.array([hi - 1e-9 for _, hi in model.domain_box])
 
-    def derivatives(row):
-        mats = np.asarray(model.derivatives(row), dtype=complex)
-        return [(m + m.conj().T) / 2 for m in mats]
+    def loglik_and_grad(th):
+        probs = trace_products(model.state_at(th).matrix, elements)
+        probs = np.clip(probability_rows(probs[None], sum_tol)[0], 1e-300, None)
+        value = (counts * np.log(probs)).sum() / total
+        derivs = np.array([(m + m.conj().T) / 2 for m in np.asarray(model.derivatives(th), dtype=complex)])
+        dp = trace_products(derivs[:, None], elements)
+        return value, (counts * dp / probs).sum(axis=1) / total, dp, probs
 
-    def loglik_and_grad(th, rows):
-        elems = elements[rows]
-        states = np.array([model.state_at(row).matrix for row in th])
-        probs = trace_products(states[:, None], elems)
-        probs = np.clip(probability_rows(probs, sum_tol[rows]), 1e-300, None)
-        value = (counts[rows] * np.log(probs)).sum(axis=1) / totals[rows]
-        derivs = np.array([derivatives(row) for row in th])
-        dp = trace_products(derivs[:, :, None], elems[:, None])
-        grad = (counts[rows][:, None, :] * dp / probs[:, None, :]).sum(axis=2)
-        return value, grad / totals[rows][:, None]
+    def newton_step(grad, dp, probs):
+        scores = dp / probs
+        h = (counts / total * scores[:, None, :] * scores[None, :, :]).sum(axis=-1)
+        lam, vec = np.linalg.eigh(h)
+        coef = (vec * grad[:, None]).sum(axis=0)
+        inv = np.array([1.0 / v if v > 1e-12 * lam[-1] else 0.0 for v in lam])
+        return (vec * (coef * inv)).sum(axis=1), (coef * coef * inv).sum()
+
+    def converged(value, decrement):
+        return decrement < 8 * np.finfo(float).eps * max(1.0, abs(value))
 
     def project(th):
         th = np.clip(th, lo_box, hi_box)
-        for row in th:
-            scale = 1.0
-            while not _point_interior(model, row, 1e-9) and scale > 1e-12:
-                row *= 1.0 - 1e-3
-                scale *= 1.0 - 1e-3
+        scale = 1.0
+        while not _point_interior(model, th, 1e-9) and scale > 1e-12:
+            th *= 1.0 - 1e-3
+            scale *= 1.0 - 1e-3
         return th
 
-    value, grad = loglik_and_grad(theta, np.arange(rows_total))
-    step = np.full(rows_total, 0.5)
-    active = np.ones(rows_total, dtype=bool)
+    value, grad, dp, probs = loglik_and_grad(theta)
+    direction, decrement = newton_step(grad, dp, probs)
+    step = 1.0 if newton else 0.5
     for _ in range(400):
-        active &= np.linalg.norm(grad, axis=1) >= 1e-8
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
+        if (newton and converged(value, decrement)) or np.linalg.norm(grad) < 1e-8:
             break
-        candidate = project(theta[rows] + step[rows, None] * grad[rows])
-        cand_value, cand_grad = loglik_and_grad(candidate, rows)
-        up = cand_value > value[rows]
-        moved = np.linalg.norm(candidate[up] - theta[rows[up]], axis=1)
-        accepted, rejected = rows[up], rows[~up]
-        theta[accepted] = candidate[up]
-        value[accepted] = cand_value[up]
-        grad[accepted] = cand_grad[up]
-        step[accepted] *= 1.3
-        step[rejected] *= 0.4
-        active[accepted[moved < 1e-14]] = False
-        active[rejected[step[rejected] < 1e-14]] = False
-    boundary = np.array([not _point_interior(model, th, 1e-6) for th in theta])
-    return theta, boundary
+        if newton:
+            candidate = theta + step * direction
+            in_box = (lo_box <= candidate).all() and (candidate <= hi_box).all()
+            newton = in_box and _point_interior(model, candidate, 1e-9)
+            step = step if newton else 0.5
+        if not newton:
+            candidate = project(theta + step * grad)
+        cand_value, cand_grad, cand_dp, cand_probs = loglik_and_grad(candidate)
+        if cand_value > value:
+            moved = np.linalg.norm(candidate - theta)
+            theta, value, grad = candidate, cand_value, cand_grad
+            step *= 1.3
+            if newton:
+                direction, decrement = newton_step(grad, cand_dp, cand_probs)
+                step = min(step, 1.0)
+            if moved < 1e-14:
+                break
+        else:
+            step *= 0.4
+            if step < 1e-14:
+                break
+    return theta, not _point_interior(model, theta, 1e-6)
+
+
+def _mle_draws(kind, bases, rng):
+    """The draws of ``test_stacked_kernel_matches_pointwise_reference``: 50
+    count rows of 40 copies at random states, half near the surface of the
+    ball."""
+    model = qubit_family(kind)
+    povm = mixed_basis_povm(bases)
+    u = rng.standard_normal((50, model.param_dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    truths = u * np.concatenate([rng.uniform(0, 0.9, 25), rng.uniform(0.95, 1.0, 25)])[:, None]
+    return model, povm, [rng.multinomial(40, measure_distribution(model.state_at(t), povm).probs) for t in truths]
+
+
+def _scipy_mle(model, povm, counts):
+    """Interior MLE by SLSQP on the mean log-likelihood, constrained to the
+    unit ball, with plain traces of the unvalidated state matrices and of
+    the qubit families' constant derivatives: the independent oracle for the
+    Newton kernel.  Returns the maximizer and the mean log-likelihood."""
+    from scipy.optimize import minimize
+
+    w = np.asarray(counts, dtype=float) / np.sum(counts)
+    derivs = model.derivatives(np.zeros(model.param_dim))
+
+    def probs(t):
+        return np.array([np.trace(model.states(t) @ e).real for e in povm.elements])
+
+    def loglik(t):
+        return (w * np.log(np.clip(probs(t), 1e-300, None))).sum()
+
+    def grad(t):
+        return np.array([(w * [np.trace(d @ e).real for e in povm.elements] / probs(t)).sum() for d in derivs])
+
+    ball = {"type": "ineq", "fun": lambda t: 1.0 - t @ t, "jac": lambda t: -2.0 * t}
+    res = minimize(lambda t: -loglik(t), np.zeros(model.param_dim), jac=lambda t: -grad(t), method="SLSQP",
+                   constraints=[ball], options={"ftol": 1e-15, "maxiter": 500})
+    return res.x, loglik
 
 
 class TestMle:
@@ -516,6 +566,27 @@ class TestMle:
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(boundary, ref_boundary)
         assert 0 < boundary.sum() < 50
+
+    @pytest.mark.parametrize("kind,bases,per_axis", [("z0", "zx", 41), ("full", "zxy", 21)])
+    def test_boundary_flags_match_gradient_ascent(self, kind, bases, per_axis, rng, monkeypatch):
+        # Newton steps move interior estimates by rounding-level amounts only,
+        # and leave every boundary flag of the earlier gradient ascent as it was
+        model, povm, counts = _mle_draws(kind, bases, rng)
+        monkeypatch.setattr(collective, "MLE_GRID_POINTS", per_axis)
+        theta, boundary = _mle_rows(model, *_stack_povms(model, povm, counts))
+        ref_theta, ref_boundary = _pointwise_mle_rows(model, povm, counts, per_axis, newton=False)
+        assert np.array_equal(boundary, ref_boundary)
+        assert np.max(np.abs(theta - ref_theta)[~boundary]) <= 1e-6
+
+    @pytest.mark.parametrize("kind,bases", [("z0", "zx"), ("full", "zxy")])
+    def test_interior_rows_against_scipy(self, kind, bases, rng):
+        model, povm, counts = _mle_draws(kind, bases, rng)
+        theta, boundary = _mle_rows(model, *_stack_povms(model, povm, counts))
+        assert (~boundary).sum() >= 25
+        for t, row in zip(theta[~boundary], np.array(counts)[~boundary]):
+            oracle, loglik = _scipy_mle(model, povm, row)
+            assert np.max(np.abs(t - oracle)) <= 1e-6
+            assert loglik(t) >= loglik(oracle) - 1e-12
 
     def test_bernoulli_closed_form(self):
         model = one_param_model()
@@ -797,6 +868,17 @@ class TestTwoStage:
         report = two_stage_estimate(qubit_family("z0"), np.array([0.5, 0.0]), m1, n=10**4, seed=1, trials=200)
         assert report.trials + report.extras["discarded"] == 200
         assert calls == {"_grid_starts": 1, "_batch_probs": 1, "Povm": 0}
+
+    def test_newton_ascent_work_count(self, monkeypatch):
+        # the benchmark's two-stage case: the gradient ascent made 109
+        # derivative calls over both stages, Newton steps make about a tenth
+        calls = []
+        derivatives = collective.model_derivatives
+        monkeypatch.setattr(collective, "model_derivatives", lambda *args: calls.append(1) or derivatives(*args))
+        report = two_stage_estimate(qubit_family("z0"), np.array([0.5, 0.0]), mixed_basis_povm(),
+                                    n=10**4, seed=1, trials=200)
+        assert report.trials + report.extras["discarded"] == 200
+        assert len(calls) <= 30
 
     def test_z0_attainment_light(self):
         model = qubit_family("z0")

@@ -18,6 +18,7 @@ from qest.qcore import (
     measure_distribution,
     mix,
     povm_stack,
+    probability_rows,
     sample_outcomes,
     tensor_power,
     trace_products,
@@ -249,6 +250,26 @@ class TestTraceProducts:
         a = random_hermitian(rng, 3)
         whole = trace_products(m.stack, a)
         assert all(trace_products(m.stack[i], a) == whole[i] for i in range(len(m)))
+
+    def test_empty_stack(self, rng):
+        # no products to sum: an empty result of the broadcast shape
+        a = random_hermitian(rng, 3)
+        assert trace_products(np.empty((0, 3, 3)), a).shape == (0,)
+        assert trace_products(np.empty((4, 0, 3, 3)), a).shape == (4, 0)
+
+
+class TestProbabilityRows:
+    def test_empty_stack(self):
+        assert probability_rows(np.empty((0, 4)), 1e-9).shape == (0, 4)
+        assert probability_rows(np.empty((0, 4)), np.empty(0)).shape == (0, 4)
+
+    def test_rules_per_row(self):
+        p = probability_rows([[0.5, 0.5 + 1e-10], [1.0, -1e-13]], 1e-9)
+        assert np.array_equal(p[1], [1.0, 0.0]) and abs(p[0].sum() - 1) < 1e-15
+        with pytest.raises(ValidationError, match="negative"):
+            probability_rows([[1.1, -0.1]], 1e-9)
+        with pytest.raises(ValidationError, match="sum to"):
+            probability_rows([[0.5, 0.5], [0.5, 0.6]], [1e-9, 1e-3])
 
 
 class TestMix:
