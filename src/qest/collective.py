@@ -4,9 +4,10 @@ mean-square-error reporting.
 
 The collective POVM follows the recipe: integrate the Gaussian-smearing
 operators of the collective sums over a ball to get S, then sandwich each
-smearing operator between copies of S^{-1/2}.  On the quadrature grid used
-here completeness is exact on the retained support of S by construction, so
-the reported residual isolates the support truncation.
+smearing operator between copies of S^{-1/2}; the sandwich is linear, so
+only the outcome-moment sums of the smearing operators are sandwiched.  On the
+quadrature grid used here completeness is exact on the retained support of S
+by construction, so the reported residual isolates the support truncation.
 
 All of these operators are block diagonal in the sector layout of
 ``clt.collective_sectors``: for qubits the total-spin sectors j of the n-fold
@@ -20,6 +21,7 @@ check reads per-sector outcome-moment operators and the SLDs' collective sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +44,8 @@ from .qcore import (
 )
 
 SUPPORT_THRESHOLD = 1e-8
+# relative tolerance of the conditions that select the per-radius smearing sums
+ROTATION_TOL = 1e-12
 DEFAULT_EPSILON = 0.1
 # bytes of log-likelihood terms per block of count rows in the grid scan that
 # starts mle and two-stage stage 1: bounds its memory whatever the row count
@@ -58,28 +62,38 @@ class CollectivePovm:
     layout of ``sectors`` (see ``clt.collective_sectors``).
 
     Every operator is block diagonal, sum over sectors of B (x) I_m.
-    ``elements`` holds one stack (G, b, b) per sector: the sandwiched blocks
-    of all G grid points, including grid weights, laid out parallel to
-    ``outcomes`` (the estimate attached to each grid point, i.e. grid point /
+    ``outcomes`` holds the estimate attached to each grid point (grid point /
     sqrt(n)).  ``moments`` holds one stack (1 + d + d^2, b, b) per sector:
     sum_x E_x, sum_x x_k E_x and sum_x x_k x_l E_x (row-major in k, l), so
     the outcome law's mass, mean and second moment under a state are Born
-    rules sum_j m_j tr(rho_j O_j); there is no per-outcome probability
-    method.  ``s_operator`` holds one (b, b) block per sector: the
-    accumulated smearing operator, on whose retained eigenspace completeness
-    holds.  ``dropped_dimensions`` counts dropped eigenvalues with their
-    sector multiplicity.
+    rules sum_j m_j tr(rho_j O_j).  ``s_operator`` holds one (b, b) block per
+    sector: the accumulated smearing operator, on whose retained eigenspace
+    completeness holds; ``s_isqrt`` its inverse square root there.
+    ``dropped_dimensions`` counts dropped eigenvalues with their sector
+    multiplicity.  ``elements`` (a (G, b, b) stack per sector) is built
+    point by point from ``kernel`` (A, Z) and ``cell`` on first access.
     """
 
     n_copies: int
     outcomes: np.ndarray
     sectors: tuple
-    elements: tuple
     moments: tuple
     s_operator: tuple
+    s_isqrt: tuple
+    kernel: tuple
+    cell: float
     support_gap: float
     dropped_dimensions: int
     completeness_residual: float
+
+    @cached_property
+    def elements(self) -> tuple:
+        grid = self.outcomes * np.sqrt(self.n_copies)
+        stacks = []
+        for sec, s_isqrt in zip(self.sectors, self.s_isqrt):
+            t = s_isqrt @ _smearing_blocks(sec.ops, *self.kernel, grid) @ s_isqrt * self.cell
+            stacks.append((t + t.conj().swapaxes(-1, -2)) / 2)
+        return tuple(stacks)
 
 
 def ball_grid(d: int, radius: float, step: float) -> np.ndarray:
@@ -114,43 +128,113 @@ def build_collective_povm(
     The kernel's commutator matrix s and the default radius come from the
     spec's pair moments.  S accumulates the smearing operators over the ball
     grid; elements are S^{-1/2} T_x S^{-1/2} dx with outcome x / sqrt(n).
-    Everything is built sector by sector (total-spin sectors of size
-    <= n + 1 for qubit operators, one dense block otherwise), one stacked
-    eigh per sector for the whole grid.  The inverse square root lives on the
-    eigenspace of S above ``SUPPORT_THRESHOLD`` times its largest eigenvalue
-    over all sectors; dropped dimensions (with multiplicity) and the
-    completeness residual, the operator norm of sum_x E_x - P on the
-    support, are recorded.  Defaults: radius 4 sqrt(lmax(v + v')), step
-    radius / 16.  The smearing stack of the largest block is checked against
+    Each sector (total-spin blocks of size <= n + 1 for qubit operators, one
+    dense block otherwise) sandwiches only its sums of ``_smearing_sums``.
+    The inverse square root lives on the eigenspace of S above
+    ``SUPPORT_THRESHOLD`` times its largest eigenvalue over all sectors;
+    dropped dimensions (with multiplicity) and the completeness residual,
+    the operator norm of sum_x E_x - P on the support, are recorded.
+    Defaults: radius 4 sqrt(lmax(v + v')), step radius / 16.  The largest
+    arrays of the chosen path, for the largest block, are checked against
     ``qcore.MAX_ARRAY_BYTES`` before any block is built.
     """
-    kernel, grid, cell = _kernel_and_grid(spec, v_prime, radius, grid_step)
+    kernel, grid, step = _kernel_and_grid(spec, v_prime, radius, grid_step)
     b = largest_block(spec.x_ops, n)
-    check_array_bytes((len(grid), b, b), "the smearing operators")
-    return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, cell)
+    radii = _lattice_radii(spec.x_ops, kernel[0], n, grid, step)
+    if radii is None:
+        check_array_bytes((len(grid), b, b), "the smearing operators")
+    else:
+        check_array_bytes((len(radii[2]), b, b), "the smearing operators")
+        # the phases (G, 2b - 1) and their sums (R, 1 + d + d^2, 2b - 1)
+        check_array_bytes((max(len(grid), 7 * len(radii[2])), 2 * b - 1), "the radius phase sums")
+    return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, step, radii)
 
 
 def _kernel_and_grid(spec: CollectiveSpec, v_prime, radius, grid_step):
-    """Smearing kernel (A, Z), ball grid and grid cell volume of
+    """Smearing kernel (A, Z), ball grid and grid step of
     ``build_collective_povm``, with the defaults filled in."""
     kernel = smearing_kernel(v_prime, spec.s)
     if radius is None:
         radius = 4.0 * float(np.sqrt(np.linalg.eigvalsh(spec.v + v_prime).max()))
     if grid_step is None:
         grid_step = radius / 16.0
-    return kernel, ball_grid(spec.n_ops, radius, grid_step), grid_step**spec.n_ops
+    return kernel, ball_grid(spec.n_ops, radius, grid_step), grid_step
 
 
-def _povm_on_sectors(sectors, n, kernel, grid, cell) -> CollectivePovm:
+def _lattice_radii(x_ops, a_mat, n, grid, step):
+    """Grid order by lattice radius, each radius's first position in that
+    order, the radii and each point's angle; None unless, to relative
+    ``ROTATION_TOL``, the two qubit operators' traceless parts are orthogonal
+    with equal norms, A = a I, and the sums' centre c = sqrt(n) tr(X) / 2 is
+    on the grid's lattice.  Then on spin sector j, Y_k = mu n_k . J,
+    [Y_0, Y_1] = i mu^2 K with K = (n_0 x n_1) . J, and T_x =
+    R T_(r, 0) R^dagger with R = exp(-i phi K), x - c = r (cos phi, sin phi)
+    (Kahn and Guta, CMP 289, 2009).  Radii are keyed by the integer i^2 + j^2.
+    """
+    if np.shape(x_ops) != (2, 2, 2):
+        return None
+    trace = np.real(np.trace(x_ops, axis1=1, axis2=2))
+    y = x_ops - trace[:, None, None] * np.eye(2) / 2
+    gram = np.real(np.einsum("kab,lba->kl", y, y))
+    offsets = (grid - np.sqrt(n) * trace / 2) / step
+    lattice = np.rint(offsets)
+    if (
+        np.abs(a_mat - np.trace(a_mat) / 2 * np.eye(2)).max() > ROTATION_TOL * np.trace(a_mat)
+        or np.abs(gram - np.trace(gram) / 2 * np.eye(2)).max() > ROTATION_TOL * np.trace(gram)
+        or np.abs(offsets - lattice).max() > ROTATION_TOL * max(1.0, np.abs(offsets).max())
+    ):
+        return None
+    keys = (lattice**2).sum(axis=1).astype(int)
+    order = np.argsort(keys, kind="stable")
+    first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    return order, first, step * np.sqrt(keys[order][first]), np.arctan2(lattice[:, 1], lattice[:, 0])
+
+
+def _rotation_sums(ops, a_mat, z_norm, radii, sums):
+    """sum_x mono(x) T_x on one spin sector from T at x - c = (r, 0) per
+    radius and the per-radius sums (R, M, 2w + 1) of mono(x) exp(-i phi_x
+    delta), delta = -w..w: in K's eigenbasis (m_a = -j..j) the rotation by
+    phi multiplies entry (a, b) by exp(-i phi (m_a - m_b))."""
+    b = ops.shape[-1]
+    centre = np.real(np.trace(ops, axis1=1, axis2=2)) / b
+    y = ops - centre[:, None, None] * np.eye(b)
+    # K = -i [Y_0, Y_1] / mu^2, mu^2 = |Y_0|^2 / tr J_z^2, tr J_z^2 = (b - 1) b (b + 1) / 12
+    scale = (b - 1) * b * (b + 1) / 12 / max(np.vdot(y[0], y[0]).real, np.finfo(float).tiny)
+    _, u = np.linalg.eigh(-1j * scale * (y[0] @ y[1] - y[1] @ y[0]))
+    t = _smearing_blocks(u.conj().T @ ops @ u, a_mat, z_norm, centre + radii[:, None] * [1.0, 0.0])
+    width = sums.shape[-1] // 2
+    raw = np.empty((sums.shape[1], b, b), dtype=complex)
+    for delta in range(1 - b, b):
+        rows = np.arange(max(delta, 0), b + min(delta, 0))
+        raw[:, rows, rows - delta] = sums[:, :, width + delta].T @ t[:, rows, rows - delta]
+    return u @ raw @ u.conj().T
+
+
+def _smearing_sums(sectors, n, kernel, grid, radii=None) -> list:
+    """sum_x [1, x_k, x_k x_l] T_x per sector as one stack (1 + d + d^2, b,
+    b), x the outcome: from one T per lattice radius given ``radii`` of
+    ``_lattice_radii``, else one per grid point.  Entry 0 is S / dx."""
     a_mat, z_norm = kernel
-    stacks = [_smearing_blocks(sec.ops, a_mat, z_norm, grid) for sec in sectors]
-    s_blocks = []
-    spectra = []
-    for t in stacks:
-        s_op = t.sum(axis=0) * cell
-        s_op = (s_op + s_op.conj().T) / 2
-        s_blocks.append(s_op)
-        spectra.append(np.linalg.eigh(s_op))
+    outcomes = grid / np.sqrt(n)
+    pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
+    monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
+    if radii is None:
+        return [np.tensordot(monomials.T, _smearing_blocks(sec.ops, a_mat, z_norm, grid), axes=1) for sec in sectors]
+    order, first, lengths, phi = radii
+    width = max(sec.ops.shape[-1] for sec in sectors) - 1
+    phases = np.exp(-1j * np.outer(phi[order], np.arange(-width, width + 1)))
+    sums = np.stack([np.add.reduceat(mono[:, None] * phases, first) for mono in monomials[order].T], axis=1)
+    del phases
+    return [_rotation_sums(sec.ops, a_mat, z_norm, lengths, sums) for sec in sectors]
+
+
+def _povm_on_sectors(sectors, n, kernel, grid, step, radii=None) -> CollectivePovm:
+    """``build_collective_povm`` on the given sectors, with the sums of
+    ``_smearing_sums``."""
+    cell = step ** grid.shape[1]
+    raws = [raw * cell for raw in _smearing_sums(sectors, n, kernel, grid, radii)]
+    s_blocks = [(raw[0] + raw[0].conj().T) / 2 for raw in raws]
+    spectra = [np.linalg.eigh(s_op) for s_op in s_blocks]
     top = max(w.max() for w, _ in spectra)
     keeps = [w > SUPPORT_THRESHOLD * top for w, _ in spectra]
     if not any(keep.any() for keep in keeps):
@@ -158,30 +242,27 @@ def _povm_on_sectors(sectors, n, kernel, grid, cell) -> CollectivePovm:
     dropped = sum(sec.multiplicity * int((~keep).sum()) for sec, keep in zip(sectors, keeps))
     support_gap = float(1.0 - min(w[keep].min() for (w, _), keep in zip(spectra, keeps) if keep.any()))
 
-    outcomes = grid / np.sqrt(n)
-    pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
-    monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
     moments = []
+    isqrts = []
     residual = 0.0
-    for t, (w, u), keep in zip(stacks, spectra, keeps):
+    for raw, (w, u), keep in zip(raws, spectra, keeps):
         u_keep = u[:, keep]
         s_isqrt = (u_keep * (w[keep] ** -0.5)) @ u_keep.conj().T
-        # the sandwich overwrites the smearing stack in place
-        np.matmul(s_isqrt @ t, s_isqrt, out=t)
-        t *= cell
-        t += t.conj().swapaxes(-1, -2)
-        t /= 2
+        o = s_isqrt @ raw @ s_isqrt
+        o = (o + o.conj().swapaxes(-1, -2)) / 2
         # completeness holds against the projector on the retained eigenspace
-        defect = t.sum(axis=0) - u_keep @ u_keep.conj().T
-        residual = max(residual, float(np.abs(np.linalg.eigvalsh(defect)).max()))
-        moments.append(np.einsum("gm,gab->mab", monomials, t))
+        residual = max(residual, float(np.abs(np.linalg.eigvalsh(o[0] - u_keep @ u_keep.conj().T)).max()))
+        moments.append(o)
+        isqrts.append(s_isqrt)
     return CollectivePovm(
         n_copies=n,
-        outcomes=outcomes,
+        outcomes=grid / np.sqrt(n),
         sectors=tuple(sectors),
-        elements=tuple(stacks),
         moments=tuple(moments),
         s_operator=tuple(s_blocks),
+        s_isqrt=tuple(isqrts),
+        kernel=kernel,
+        cell=cell,
         support_gap=support_gap,
         dropped_dimensions=dropped,
         completeness_residual=residual,

@@ -2,18 +2,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qest import collective
+from qest import collective, qcore
 from qest.bounds import holevo_bound, qubit_c1
-from qest.clt import CollectiveSpec, _dense_sectors, build_collective_ops, sector_states
+from qest.clt import CollectiveSpec, _dense_sectors, build_collective_ops, collective_sectors, sector_states
 from qest.collective import (
     CollectiveCheckRow,
     _estimator_rows,
     _grid_starts,
     _kernel_and_grid,
+    _lattice_radii,
     _mle_rows,
     _optimal_qubit_povms,
     _povm_on_sectors,
+    _smearing_sums,
     _stack_povms,
     ball_grid,
     build_collective_povm,
@@ -194,6 +198,99 @@ class TestBuildCollectivePovm:
     def test_ball_grid_masks(self):
         pts = ball_grid(2, 1.0, 0.5)
         assert all(p @ p <= 1.0 + 1e-12 for p in pts)
+
+    def test_elements_derived_on_first_access(self):
+        povms = []
+
+        def povm_at(spec, n):
+            povms.append(build_collective_povm(spec, 0.6 * np.eye(2), n))
+            return povms[-1]
+
+        _estimator_rows(tangential_model(), np.zeros(2), [SIGMA_X, SIGMA_Y], [3], povm_at)
+        (povm,) = povms
+        assert "elements" not in povm.__dict__
+        # the per-point elements fold into the moments the build made without them
+        x = povm.outcomes
+        monomials = np.column_stack([np.ones(len(x)), x, (x[:, :, None] * x[:, None, :]).reshape(len(x), -1)])
+        for stack, moments in zip(povm.elements, povm.moments):
+            assert np.max(np.abs(np.tensordot(monomials.T, stack, axes=1) - moments)) < 1e-12
+        assert "elements" in povm.__dict__
+
+    def test_byte_guard_checks_the_chosen_path(self, monkeypatch):
+        # with the limit between the (R, b, b) stack of the per-radius path
+        # and the (G, b, b) stack of the per-point path, the symmetric build
+        # runs and a kernel with A not proportional to I is refused before
+        # any sector is built
+        spec = CollectiveSpec(tangential_model().state_at(np.zeros(2)), [SIGMA_X, SIGMA_Y])
+        n, b = 8, 9
+        kernel, grid, step = _kernel_and_grid(spec, 0.6 * np.eye(2), None, None)
+        radii = _lattice_radii(spec.x_ops, kernel[0], n, grid, step)
+        per_radius, per_point = 16 * len(radii[2]) * b * b, 16 * len(grid) * b * b
+        assert per_radius < per_point // 4
+        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", (per_radius + per_point) // 2)
+        assert build_collective_povm(spec, 0.6 * np.eye(2), n).completeness_residual < 1e-10
+
+        def no_sectors(*args):
+            raise AssertionError("a sector was built")
+
+        monkeypatch.setattr(collective, "collective_sectors", no_sectors)
+        with pytest.raises(NumericalError, match="smearing operators would take"):
+            build_collective_povm(spec, np.diag([0.6, 0.7]), n)
+
+
+class TestRotationSums:
+    """The per-radius smearing sums against the per-point fold (the oracle)."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 8),
+        euler=st.tuples(st.floats(0.0, 6.2), st.floats(0.1, 3.0), st.floats(0.0, 6.2)),
+        length=st.floats(0.2, 2.0),
+        a=st.floats(0.2, 5.0),
+        step=st.floats(0.1, 0.6),
+        cells=st.integers(4, 12),
+        centre=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    def test_per_radius_sums_match_per_point_fold(self, n, euler, length, a, step, cells, centre):
+        # two orthogonal Bloch vectors of equal length whose rotation axis
+        # n_0 x n_1 is tilted from z by the middle Euler angle, and the
+        # sums' centre sqrt(n) tr(X) / 2 on the grid's lattice
+        alpha, beta, gamma = euler
+        frame = _rotation_z(alpha) @ _rotation_y(beta) @ _rotation_z(gamma)
+        paulis = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
+        c0 = step * np.array(centre) / np.sqrt(n)
+        x_ops = np.array([c0[k] * np.eye(2) + length * np.tensordot(frame[:, k], paulis, axes=1) for k in range(2)])
+        grid = ball_grid(2, cells * step, step)
+        kernel = (a * np.eye(2), 1.0)
+        radii = _lattice_radii(x_ops, kernel[0], n, grid, step)
+        assert radii is not None
+        sectors = collective_sectors(x_ops, n)
+        per_radius = _smearing_sums(sectors, n, kernel, grid, radii)
+        for got, want in zip(per_radius, _smearing_sums(sectors, n, kernel, grid)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # A not proportional to I, unequal norms, non-orthogonal parts and an
+        # off-lattice centre each take the per-point path
+        assert _lattice_radii(x_ops, a * np.diag([1.0, 1.0 + 1e-6]), n, grid, step) is None
+        traceless = x_ops - c0[:, None, None] * np.eye(2)
+        for broken in (x_ops[1] + 1e-6 * traceless[1], x_ops[1] + 1e-6 * traceless[0]):
+            assert _lattice_radii(np.array([x_ops[0], broken]), kernel[0], n, grid, step) is None
+        off = x_ops + (step / 3 / np.sqrt(n)) * np.eye(2)
+        assert _lattice_radii(off, kernel[0], n, grid, step) is None
+
+    def test_dense_layout_takes_the_per_point_path(self):
+        x_ops = [np.diag([1.0, 0.0, -1.0]), np.diag([0.0, 1.0, -1.0])]
+        grid = ball_grid(2, 1.0, 0.25)
+        assert _lattice_radii(x_ops, np.eye(2), 2, grid, 0.25) is None
+
+
+def _rotation_z(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _rotation_y(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 class TestCollectiveEstimatorCheck:
