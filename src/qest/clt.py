@@ -289,17 +289,19 @@ def _smearing_blocks(ops: np.ndarray, a_mat: np.ndarray, z_norm: float, points: 
     Each operator is formed as V V^dagger, V = U exp(-w / 2), so it is
     Hermitian positive semidefinite by construction.
     """
-    b = ops.shape[-1]
     base = (ops @ np.tensordot(a_mat, ops, axes=1)).sum(axis=0)
     quad = np.tensordot(-2.0 * points @ a_mat.T, ops, axes=1)
     quad += base
-    diag = np.arange(b)
+    diag = np.arange(ops.shape[-1])
     quad[:, diag, diag] += ((points @ a_mat) * points).sum(axis=1)[:, None]
-    quad = (quad + quad.conj().swapaxes(-1, -2)) / 2
+    quad += quad.conj().swapaxes(-1, -2)
+    quad /= 2
     w, u = np.linalg.eigh(quad)
-    del quad
     u *= np.exp(-w / 2)[:, None, :]
-    return u @ u.conj().swapaxes(-1, -2) / z_norm
+    # V V^dagger into quad's storage in 64 slices, so at most two (G, b, b) stacks are live
+    for v, out in zip(np.array_split(u, 64), np.array_split(quad, 64)):
+        np.matmul(v, v.conj().swapaxes(-1, -2), out=out)
+    return np.divide(quad, z_norm, out=quad)
 
 
 def t_operator_on_sums(spec: CollectiveSpec, n: int, theta_prime, v_prime) -> np.ndarray:

@@ -96,11 +96,15 @@ class CollectivePovm:
         return tuple(stacks)
 
 
-def ball_grid(d: int, radius: float, step: float) -> np.ndarray:
-    """Cubic lattice clipped to the closed ball of the given radius."""
-    axis = np.arange(-radius, radius + step * 1e-9, step)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+def ball_grid(radius: float, step: float, centre: np.ndarray) -> np.ndarray:
+    """Cubic lattice through ``centre`` (d,) clipped to the closed ball of
+    the given radius around 0: the lattice through -radius, one node past
+    +radius, shifted by at most step / 2 per axis (by exactly 0 at centre 0
+    for the default step radius / 16 of ``build_collective_povm``)."""
+    axis = np.arange(-radius, radius + step * (1 + 1e-9), step)
+    shift = np.asarray(centre, dtype=float) + radius
+    shift -= step * np.round(shift / step)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*(axis + s for s in shift), indexing="ij")], axis=1)
     return pts[np.einsum("ij,ij->i", pts, pts) <= radius**2 + 1e-12]
 
 
@@ -127,9 +131,10 @@ def build_collective_povm(
 
     The kernel's commutator matrix s and the default radius come from the
     spec's pair moments.  S accumulates the smearing operators over the ball
-    grid; elements are S^{-1/2} T_x S^{-1/2} dx with outcome x / sqrt(n).
-    Each sector (total-spin blocks of size <= n + 1 for qubit operators, one
-    dense block otherwise) sandwiches only its sums of ``_smearing_sums``.
+    grid through the sums' centre c = sqrt(n) tr(X) / dim (``ball_grid``);
+    elements are S^{-1/2} T_x S^{-1/2} dx with outcome x / sqrt(n).  Each
+    sector (total-spin blocks of size <= n + 1 for qubit operators, one dense
+    block otherwise) sandwiches only its sums of ``_smearing_sums``.
     The inverse square root lives on the eigenspace of S above
     ``SUPPORT_THRESHOLD`` times its largest eigenvalue over all sectors;
     dropped dimensions (with multiplicity) and the completeness residual,
@@ -138,52 +143,45 @@ def build_collective_povm(
     arrays of the chosen path, for the largest block, are checked against
     ``qcore.MAX_ARRAY_BYTES`` before any block is built.
     """
-    kernel, grid, step = _kernel_and_grid(spec, v_prime, radius, grid_step)
+    kernel, grid, step, centre = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
     b = largest_block(spec.x_ops, n)
-    radii = _lattice_radii(spec.x_ops, kernel[0], n, grid, step)
-    if radii is None:
-        check_array_bytes((len(grid), b, b), "the smearing operators")
-    else:
-        check_array_bytes((len(radii[2]), b, b), "the smearing operators")
+    radii = _lattice_radii(spec.x_ops, kernel[0], grid, centre, step)
+    check_array_bytes((len(grid) if radii is None else len(radii[2]), b, b), "the smearing operators")
+    if radii is not None:
         # the phases (G, 2b - 1) and their sums (R, 1 + d + d^2, 2b - 1)
         check_array_bytes((max(len(grid), 7 * len(radii[2])), 2 * b - 1), "the radius phase sums")
     return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, step, radii)
 
 
-def _kernel_and_grid(spec: CollectiveSpec, v_prime, radius, grid_step):
-    """Smearing kernel (A, Z), ball grid and grid step of
+def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
+    """Smearing kernel (A, Z), ball grid, grid step and sums' centre of
     ``build_collective_povm``, with the defaults filled in."""
     kernel = smearing_kernel(v_prime, spec.s)
     if radius is None:
         radius = 4.0 * float(np.sqrt(np.linalg.eigvalsh(spec.v + v_prime).max()))
     if grid_step is None:
         grid_step = radius / 16.0
-    return kernel, ball_grid(spec.n_ops, radius, grid_step), grid_step
+    centre = np.sqrt(n) * np.real(np.trace(spec.x_ops, axis1=1, axis2=2)) / spec.rho.dim
+    return kernel, ball_grid(radius, grid_step, centre), grid_step, centre
 
 
-def _lattice_radii(x_ops, a_mat, n, grid, step):
+def _lattice_radii(x_ops, a_mat, grid, centre, step):
     """Grid order by lattice radius, each radius's first position in that
     order, the radii and each point's angle; None unless, to relative
-    ``ROTATION_TOL``, the two qubit operators' traceless parts are orthogonal
-    with equal norms, A = a I, and the sums' centre c = sqrt(n) tr(X) / 2 is
-    on the grid's lattice.  Then on spin sector j, Y_k = mu n_k . J,
-    [Y_0, Y_1] = i mu^2 K with K = (n_0 x n_1) . J, and T_x =
-    R T_(r, 0) R^dagger with R = exp(-i phi K), x - c = r (cos phi, sin phi)
-    (Kahn and Guta, CMP 289, 2009).  Radii are keyed by the integer i^2 + j^2.
+    ``ROTATION_TOL``, A and the Gram matrix of the two qubit operators'
+    traceless parts are proportional to I.  Then on spin sector j, Y_k = mu
+    n_k . J, [Y_0, Y_1] = i mu^2 K with K = (n_0 x n_1) . J, and T_x = R
+    T_(r, 0) R^dagger with R = exp(-i phi K), x - c = r (cos phi, sin phi)
+    (Kahn and Guta, CMP 289, 2009).  Radii are keyed by i^2 + j^2 from the
+    offsets (i, j) = (x - c) / step, integers on the grid through c.
     """
     if np.shape(x_ops) != (2, 2, 2):
         return None
-    trace = np.real(np.trace(x_ops, axis1=1, axis2=2))
-    y = x_ops - trace[:, None, None] * np.eye(2) / 2
+    y = x_ops - np.real(np.trace(x_ops, axis1=1, axis2=2))[:, None, None] * np.eye(2) / 2
     gram = np.real(np.einsum("kab,lba->kl", y, y))
-    offsets = (grid - np.sqrt(n) * trace / 2) / step
-    lattice = np.rint(offsets)
-    if (
-        np.abs(a_mat - np.trace(a_mat) / 2 * np.eye(2)).max() > ROTATION_TOL * np.trace(a_mat)
-        or np.abs(gram - np.trace(gram) / 2 * np.eye(2)).max() > ROTATION_TOL * np.trace(gram)
-        or np.abs(offsets - lattice).max() > ROTATION_TOL * max(1.0, np.abs(offsets).max())
-    ):
+    if any(np.abs(m - np.trace(m) / 2 * np.eye(2)).max() > ROTATION_TOL * np.trace(m) for m in (a_mat, gram)):
         return None
+    lattice = np.rint((grid - centre) / step)
     keys = (lattice**2).sum(axis=1).astype(int)
     order = np.argsort(keys, kind="stable")
     first = np.flatnonzero(np.diff(keys[order], prepend=-1))
@@ -196,6 +194,7 @@ def _rotation_sums(ops, a_mat, z_norm, radii, sums):
     delta), delta = -w..w: in K's eigenbasis (m_a = -j..j) the rotation by
     phi multiplies entry (a, b) by exp(-i phi (m_a - m_b))."""
     b = ops.shape[-1]
+    # the sector's own trace gives c to rounding; it keeps Y traceless there
     centre = np.real(np.trace(ops, axis1=1, axis2=2)) / b
     y = ops - centre[:, None, None] * np.eye(b)
     # K = -i [Y_0, Y_1] / mu^2, mu^2 = |Y_0|^2 / tr J_z^2, tr J_z^2 = (b - 1) b (b + 1) / 12
@@ -214,18 +213,17 @@ def _smearing_sums(sectors, n, kernel, grid, radii=None) -> list:
     """sum_x [1, x_k, x_k x_l] T_x per sector as one stack (1 + d + d^2, b,
     b), x the outcome: from one T per lattice radius given ``radii`` of
     ``_lattice_radii``, else one per grid point.  Entry 0 is S / dx."""
-    a_mat, z_norm = kernel
     outcomes = grid / np.sqrt(n)
     pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
     monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
     if radii is None:
-        return [np.tensordot(monomials.T, _smearing_blocks(sec.ops, a_mat, z_norm, grid), axes=1) for sec in sectors]
+        return [np.tensordot(monomials.T, _smearing_blocks(sec.ops, *kernel, grid), axes=1) for sec in sectors]
     order, first, lengths, phi = radii
     width = max(sec.ops.shape[-1] for sec in sectors) - 1
     phases = np.exp(-1j * np.outer(phi[order], np.arange(-width, width + 1)))
     sums = np.stack([np.add.reduceat(mono[:, None] * phases, first) for mono in monomials[order].T], axis=1)
     del phases
-    return [_rotation_sums(sec.ops, a_mat, z_norm, lengths, sums) for sec in sectors]
+    return [_rotation_sums(sec.ops, *kernel, lengths, sums) for sec in sectors]
 
 
 def _povm_on_sectors(sectors, n, kernel, grid, step, radii=None) -> CollectivePovm:

@@ -340,7 +340,7 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("n", ["6", "7"])
     def test_byte_limit_exits_3_with_one_line(self, n):
-        # the dense diag:3 smearing stack is 6.31 GiB at n = 6 and 56.8 GiB
+        # the dense diag:3 smearing stack is 6.37 GiB at n = 6 and 57.3 GiB
         # at n = 7; the address-space limit turns a check placed after the
         # allocation into a MemoryError instead of exhausting the host
         code = (

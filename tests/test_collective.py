@@ -162,8 +162,8 @@ class TestBuildCollectivePovm:
         assert np.max(np.abs(cov - 2.0 * np.eye(2))) < 0.25
 
     def test_dense_stack_over_the_byte_limit_is_refused(self):
-        # diag:3 at n = 6: the 797 smearing operators of the 729 x 729 block
-        # would take 6.31 GiB; the build stops before allocating them
+        # diag:3 at n = 6: the 804 smearing operators of the 729 x 729 block
+        # would take 6.37 GiB; the build stops before allocating them
         model = model_from_name("diag:3")
         theta = np.array([0.2, 0.3])
         solution = holevo_bound(model, theta, np.eye(2))
@@ -171,7 +171,7 @@ class TestBuildCollectivePovm:
         v_prime = default_v_prime(solution.s_matrix, np.eye(2), 0.1)
         tracemalloc.start()
         try:
-            with pytest.raises(NumericalError, match="smearing operators would take 6.31 GiB"):
+            with pytest.raises(NumericalError, match="smearing operators would take 6.37 GiB"):
                 build_collective_povm(spec, v_prime, 6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -196,7 +196,7 @@ class TestBuildCollectivePovm:
         assert peak < 100e6
 
     def test_ball_grid_masks(self):
-        pts = ball_grid(2, 1.0, 0.5)
+        pts = ball_grid(1.0, 0.5, np.zeros(2))
         assert all(p @ p <= 1.0 + 1e-12 for p in pts)
 
     def test_elements_derived_on_first_access(self):
@@ -223,8 +223,8 @@ class TestBuildCollectivePovm:
         # any sector is built
         spec = CollectiveSpec(tangential_model().state_at(np.zeros(2)), [SIGMA_X, SIGMA_Y])
         n, b = 8, 9
-        kernel, grid, step = _kernel_and_grid(spec, 0.6 * np.eye(2), None, None)
-        radii = _lattice_radii(spec.x_ops, kernel[0], n, grid, step)
+        kernel, grid, step, centre = _kernel_and_grid(spec, 0.6 * np.eye(2), n, None, None)
+        radii = _lattice_radii(spec.x_ops, kernel[0], grid, centre, step)
         per_radius, per_point = 16 * len(radii[2]) * b * b, 16 * len(grid) * b * b
         assert per_radius < per_point // 4
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", (per_radius + per_point) // 2)
@@ -238,6 +238,58 @@ class TestBuildCollectivePovm:
             build_collective_povm(spec, np.diag([0.6, 0.7]), n)
 
 
+class TestBallGrid:
+    """The ball grid: the cubic lattice through the sums' centre, clipped to
+    the ball around 0."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        d=st.integers(1, 3),
+        radius=st.floats(0.2, 5.0),
+        cells=st.floats(2.0, 10.0),
+        centre=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    )
+    def test_every_lattice_node_in_the_ball_once(self, d, radius, cells, centre):
+        step = radius / cells
+        c = radius * np.array(centre[:d])
+        grid = ball_grid(radius, step, c)
+        assert (np.einsum("ij,ij->i", grid, grid) <= radius**2 + 1e-12).all()
+        offsets = (grid - c) / step
+        lattice = np.rint(offsets)
+        assert np.abs(offsets - lattice).max() < 1e-9
+        # the nodes c + step k of a box around the ball, enumerated directly
+        span = np.arange(np.floor((-radius - c.max()) / step) - 1, np.ceil((radius - c.min()) / step) + 2)
+        ks = np.stack([m.ravel() for m in np.meshgrid(*([span] * d), indexing="ij")], axis=1)
+        nodes = c + step * ks
+        squared = np.einsum("ij,ij->i", nodes, nodes)
+        got = {tuple(k) for k in lattice}
+        assert len(got) == len(grid)
+        assert {tuple(k) for k in ks[squared <= radius**2 - 1e-9]} <= got
+        assert got <= {tuple(k) for k in ks[squared <= radius**2 + 1e-9]}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unshifted_at_the_origin(self, d):
+        # the default step radius / 16 puts 0 on the lattice through -radius:
+        # the grid is that lattice clipped to the ball, bit for bit
+        for radius in (1.0, np.pi, 16 * 0.2622022120425379):
+            step = radius / 16
+            axis = np.arange(-radius, radius + step * 1e-9, step)
+            pts = np.stack([m.ravel() for m in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
+            unshifted = pts[np.einsum("ij,ij->i", pts, pts) <= radius**2 + 1e-12]
+            assert ball_grid(radius, step, np.zeros(d)).tobytes() == unshifted.tobytes()
+
+    def test_off_origin_build_keeps_the_cell(self):
+        model, theta = qubit_family("z0"), np.array([0.3, -0.4])
+        x_ops, v_prime = _bound_operators(model, theta)
+        spec = CollectiveSpec(model.state_at(theta), x_ops)
+        _, grid, step, centre = _kernel_and_grid(spec, v_prime, 9, None, None)
+        povm = build_collective_povm(spec, v_prime, 9)
+        assert povm.cell == step**2
+        assert np.array_equal(povm.outcomes, grid / 3)
+        assert np.min(np.abs(grid - centre).max(axis=1)) < 1e-12
+        assert povm.completeness_residual < 1e-10
+
+
 class TestRotationSums:
     """The per-radius smearing sums against the per-point fold (the oracle)."""
 
@@ -249,38 +301,55 @@ class TestRotationSums:
         a=st.floats(0.2, 5.0),
         step=st.floats(0.1, 0.6),
         cells=st.integers(4, 12),
-        centre=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        centre=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
     )
     def test_per_radius_sums_match_per_point_fold(self, n, euler, length, a, step, cells, centre):
         # two orthogonal Bloch vectors of equal length whose rotation axis
-        # n_0 x n_1 is tilted from z by the middle Euler angle, and the
-        # sums' centre sqrt(n) tr(X) / 2 on the grid's lattice
+        # n_0 x n_1 is tilted from z by the middle Euler angle, and the grid
+        # through the sums' centre c = sqrt(n) tr(X) / 2, anywhere within
+        # three steps of the origin
         alpha, beta, gamma = euler
         frame = _rotation_z(alpha) @ _rotation_y(beta) @ _rotation_z(gamma)
         paulis = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
         c0 = step * np.array(centre) / np.sqrt(n)
         x_ops = np.array([c0[k] * np.eye(2) + length * np.tensordot(frame[:, k], paulis, axes=1) for k in range(2)])
-        grid = ball_grid(2, cells * step, step)
+        c = np.sqrt(n) * np.real(np.trace(x_ops, axis1=1, axis2=2)) / 2
+        grid = ball_grid(cells * step, step, c)
         kernel = (a * np.eye(2), 1.0)
-        radii = _lattice_radii(x_ops, kernel[0], n, grid, step)
+        radii = _lattice_radii(x_ops, kernel[0], grid, c, step)
         assert radii is not None
         sectors = collective_sectors(x_ops, n)
         per_radius = _smearing_sums(sectors, n, kernel, grid, radii)
         for got, want in zip(per_radius, _smearing_sums(sectors, n, kernel, grid)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        # A not proportional to I, unequal norms, non-orthogonal parts and an
-        # off-lattice centre each take the per-point path
-        assert _lattice_radii(x_ops, a * np.diag([1.0, 1.0 + 1e-6]), n, grid, step) is None
+        # A not proportional to I, unequal norms and non-orthogonal parts
+        # each take the per-point path
+        assert _lattice_radii(x_ops, a * np.diag([1.0, 1.0 + 1e-6]), grid, c, step) is None
         traceless = x_ops - c0[:, None, None] * np.eye(2)
         for broken in (x_ops[1] + 1e-6 * traceless[1], x_ops[1] + 1e-6 * traceless[0]):
-            assert _lattice_radii(np.array([x_ops[0], broken]), kernel[0], n, grid, step) is None
-        off = x_ops + (step / 3 / np.sqrt(n)) * np.eye(2)
-        assert _lattice_radii(off, kernel[0], n, grid, step) is None
+            assert _lattice_radii(np.array([x_ops[0], broken]), kernel[0], grid, c, step) is None
 
     def test_dense_layout_takes_the_per_point_path(self):
         x_ops = [np.diag([1.0, 0.0, -1.0]), np.diag([0.0, 1.0, -1.0])]
-        grid = ball_grid(2, 1.0, 0.25)
-        assert _lattice_radii(x_ops, np.eye(2), 2, grid, 0.25) is None
+        grid = ball_grid(1.0, 0.25, np.zeros(2))
+        assert _lattice_radii(x_ops, np.eye(2), grid, np.zeros(2), 0.25) is None
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_off_origin_qubit_z0_builds_take_the_radius_path(self, n, monkeypatch):
+        # g = I and the default v': the sums' centre is off the origin's
+        # lattice at each point, and the grid through it keeps the symmetry
+        built = []
+        monkeypatch.setattr(collective, "_povm_on_sectors", lambda *args: built.append(args))
+        model = qubit_family("z0")
+        for theta in [(0.5, 0.0), (0.3, -0.4), (-0.7, 0.2), (0.1, 0.9), (0.95, 0.1)]:
+            theta = np.array(theta)
+            x_ops, v_prime = _bound_operators(model, theta)
+            spec = CollectiveSpec(model.state_at(theta), x_ops)
+            _, _, step, centre = _kernel_and_grid(spec, v_prime, n, None, None)
+            assert np.abs(centre / step - np.rint(centre / step)).max() > 1e-3
+            build_collective_povm(spec, v_prime, n)
+            _, _, _, grid, _, radii = built.pop()
+            assert radii is not None and len(radii[2]) < len(grid)
 
 
 def _rotation_z(angle):
@@ -428,7 +497,8 @@ class TestSectorsAgainstDense:
 
 def _dense_povm(spec, v_prime, n, radius=None, grid_step=None):
     """``build_collective_povm`` of the spec's operators on the dense layout."""
-    return _povm_on_sectors(_dense_sectors(spec.x_ops, n), n, *_kernel_and_grid(spec, v_prime, radius, grid_step))
+    kernel, grid, step, _ = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
+    return _povm_on_sectors(_dense_sectors(spec.x_ops, n), n, kernel, grid, step)
 
 
 def _bound_operators(model, theta):
