@@ -54,6 +54,9 @@ MLE_SCAN_BYTES = 1 << 19
 MLE_GRID_POINTS = 41
 # shrinks by 1 - 1e-3 tested per domain check in the MLE ascent's projection
 MLE_SHRINK_BLOCK = 32
+# interior margin of the MLE ascent; it clips to the domain box at twice it,
+# so that a row clipped onto a box face passes the interior test
+MLE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,8 @@ def build_collective_povm(
 def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
     """Smearing kernel (A, Z), ball grid, grid step and sums' centre of
     ``build_collective_povm``, with the defaults filled in."""
+    if n < 1:
+        raise ValidationError("n must be positive")
     kernel = smearing_kernel(v_prime, spec.s)
     if radius is None:
         radius = 4.0 * float(np.sqrt(np.linalg.eigvalsh(spec.v + v_prime).max()))
@@ -431,8 +436,8 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
     elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
     sum_tol = np.broadcast_to(sum_tol, (rows_total,))
     totals = counts.sum(axis=1)
-    lo_box = np.array([lo + 1e-9 for lo, _ in model.domain_box])
-    hi_box = np.array([hi - 1e-9 for _, hi in model.domain_box])
+    lo_box = np.array([lo + 2 * MLE_MARGIN for lo, _ in model.domain_box])
+    hi_box = np.array([hi - 2 * MLE_MARGIN for _, hi in model.domain_box])
 
     def loglik_and_grad(th, rows):
         elems = elements[rows]
@@ -463,20 +468,20 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
         return (vec * (coef * inv)[:, None, :]).sum(axis=2), done
 
     def project(th):
-        # shrink each row toward the nearest interior point of the model
-        # domain: a row outside is scaled by 1 - 1e-3 until it is interior or
-        # its total scale drops to 1e-12.  The next ``MLE_SHRINK_BLOCK``
+        # clip into the domain box, then scale each row still not interior
+        # toward the origin by 1 - 1e-3 until it is interior or its total
+        # scale drops to 1e-12.  The next ``MLE_SHRINK_BLOCK``
         # scalings of every row still outside, each rounded from the one
         # before, are tested in one domain check.
         th = np.clip(th, lo_box, hi_box)
         d, block, scale = model.param_dim, MLE_SHRINK_BLOCK, 1.0
-        shrink = np.flatnonzero(~model.is_interior(th, 1e-9))
+        shrink = np.flatnonzero(~model.is_interior(th, MLE_MARGIN))
         while shrink.size:
             path = np.full((shrink.size, block + 1, d), 1.0 - 1e-3)
             path[:, 0] = th[shrink]
             np.multiply.accumulate(path, axis=1, out=path)
             scales = np.multiply.accumulate(np.r_[scale, np.full(block, 1.0 - 1e-3)])[1:]
-            stop = model.is_interior(path[:, 1:].reshape(-1, d), 1e-9).reshape(-1, block) | (scales <= 1e-12)
+            stop = model.is_interior(path[:, 1:].reshape(-1, d), MLE_MARGIN).reshape(-1, block) | (scales <= 1e-12)
             done = stop.any(axis=1)
             th[shrink] = path[np.arange(shrink.size), 1 + np.where(done, stop.argmax(axis=1), block - 1)]
             shrink, scale = shrink[~done], scales[-1]
@@ -502,7 +507,7 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
             target = theta[climbing] + step[climbing, None] * direction[climbing]
             inside = (target >= lo_box).all(axis=1) & (target <= hi_box).all(axis=1)
             if inside.any():
-                inside[inside] = model.is_interior(target[inside], 1e-9)
+                inside[inside] = model.is_interior(target[inside], MLE_MARGIN)
             on_newton[climbing[~inside]] = False
             step[climbing[~inside]] = 0.5
             newton_rows[newton_rows] = inside
@@ -548,7 +553,8 @@ def mle(model: ParametricModel, m: Povm, counts):
     below 1e-8, an accepted move below 1e-14, the step below 1e-14, or after
     400 iterations.  Once a Newton step would leave the domain, the row
     climbs by projected gradient instead: step 0.5, times 1.3 / 0.4, each
-    point outside shrunk toward the origin by factors 1 - 1e-3.  The
+    point clipped into the domain box and, if not interior, scaled toward
+    the origin by factors 1 - 1e-3 (a point left outside raises).  The
     estimate is flagged as a boundary maximum when it is not interior by a
     margin of 1e-6; such an estimate is where the projected ascent stopped,
     not a constrained maximum.  This is the one-row call of the batched
@@ -562,11 +568,9 @@ def mle(model: ParametricModel, m: Povm, counts):
 class EstimationReport:
     """Empirical estimation summary against a theoretical bound."""
 
-    theta_true: np.ndarray
     empirical_mean: np.ndarray
     mse_matrix: np.ndarray
     trials: int
-    seed: int
     bound_value: float
     bound_kind: str
     standard_errors: np.ndarray
@@ -576,7 +580,7 @@ class EstimationReport:
         return float(np.trace(np.asarray(g) @ self.mse_matrix))
 
 
-def mse_report(estimates, theta_true, bound_value: float, bound_kind: str = "", seed: int = 0, extras=None) -> EstimationReport:
+def mse_report(estimates, theta_true, bound_value: float, bound_kind: str = "", extras=None) -> EstimationReport:
     """Empirical mean, MSE matrix, and delete-one jackknife standard errors."""
     est = np.asarray(estimates, dtype=float)
     if est.ndim == 1:
@@ -592,11 +596,9 @@ def mse_report(estimates, theta_true, bound_value: float, bound_kind: str = "", 
     loo = (trials * mse[None, :, :] - per_trial) / (trials - 1)
     se = np.sqrt((trials - 1) / trials * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
     return EstimationReport(
-        theta_true=theta_true,
         empirical_mean=est.mean(axis=0),
         mse_matrix=mse,
         trials=trials,
-        seed=seed,
         bound_value=float(bound_value),
         bound_kind=bound_kind,
         standard_errors=se,
@@ -712,6 +714,9 @@ def two_stage_estimate(
     log-likelihood is concave, so the start does not move the maximum.  Both
     stages climb by the Newton steps of ``mle``, with its decrement stop and
     its projected-gradient fallback near the boundary.
+
+    ``extras`` holds ``discarded``, ``weighted_trace_scaled`` = n tr(g MSE)
+    and, with ``keep_estimates``, the surviving ``estimates``.
     """
     if model.hilbert_dim != 2:
         raise ValidationError("two-stage estimator is qubit-only")
@@ -750,22 +755,9 @@ def two_stage_estimate(
         raise NumericalError("too few surviving trials for a report")
     _, j_s = sld_fisher(model, t)
     bound = qubit_c1(j_s, g)
-    extras = {
-        "discarded": discarded,
-        "stage1_copies": n1,
-        "stage2_copies": n2,
-        "n": n,
-        "weighted_trace_scaled": None,
-    }
+    extras = {"discarded": discarded}
     if keep_estimates:
-        extras["estimates"] = np.array(estimates)
-    report = mse_report(
-        np.array(estimates),
-        t,
-        bound_value=bound,
-        bound_kind="qubit-c1",
-        seed=seed,
-        extras=extras,
-    )
+        extras["estimates"] = estimates
+    report = mse_report(estimates, t, bound_value=bound, bound_kind="qubit-c1", extras=extras)
     report.extras["weighted_trace_scaled"] = n * report.weighted_trace(g)
     return report

@@ -23,15 +23,14 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """A d x d Fisher information matrix with its flavor tag.
+    """A d x d Fisher information matrix, Hermitian PSD.
 
-    ``sld`` and ``classical`` matrices are real symmetric PSD; ``rld`` is
-    complex Hermitian PSD.  ``dropped_mass`` records outcome probability
-    discarded below the floor when the matrix came from a measurement.
+    SLD and classical matrices are real symmetric; RLD ones complex
+    Hermitian.  ``dropped_mass`` records outcome probability discarded below
+    the floor when the matrix came from a measurement.
     """
 
     matrix: np.ndarray
-    kind: str
     dropped_mass: float = 0.0
 
     def __post_init__(self):
@@ -40,8 +39,6 @@ class FisherMatrix:
             raise ValidationError("Fisher matrix must be Hermitian")
         if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -1e-8:
             raise ValidationError("Fisher matrix must be positive semidefinite")
-        if self.kind not in ("sld", "rld", "classical"):
-            raise ValidationError(f"unknown Fisher kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,6 @@ class LogDerivativeSet:
 
     operators: tuple
     residuals: tuple
-    kind: str
 
 
 def _frobenius(m: np.ndarray) -> float:
@@ -70,10 +66,7 @@ def sld_fisher(model: ParametricModel, theta) -> tuple[LogDerivativeSet, FisherM
     t = model.require_domain(theta)
     rho = model.state_at(t)
     ops, residuals, j = _sld_stack(rho.matrix[None], model_derivatives(model, t)[None])
-    return (
-        LogDerivativeSet(tuple(ops[0]), tuple(residuals[0].tolist()), "sld"),
-        FisherMatrix(j[0], "sld"),
-    )
+    return LogDerivativeSet(tuple(ops[0]), tuple(residuals[0].tolist())), FisherMatrix(j[0])
 
 
 def _sld_stack(rhos: np.ndarray, derivs: np.ndarray):
@@ -134,10 +127,7 @@ def rld_fisher(model: ParametricModel, theta) -> tuple[LogDerivativeSet, FisherM
     # contiguous diagonals, summed along their own axis as a single trace is
     j = np.diagonal(prods, axis1=-2, axis2=-1).copy().sum(axis=-1)
     j = (j + j.conj().T) / 2
-    return (
-        LogDerivativeSet(tuple(ops), tuple(residuals), "rld"),
-        FisherMatrix(j, "rld"),
-    )
+    return LogDerivativeSet(tuple(ops), tuple(residuals)), FisherMatrix(j)
 
 
 def classical_fisher(model: ParametricModel, theta, m: Povm) -> FisherMatrix:
@@ -164,7 +154,7 @@ def classical_fisher(model: ParametricModel, theta, m: Povm) -> FisherMatrix:
             val = float(np.sum(dp[a, keep] * dp[b, keep] / probs[keep]))
             j[a, b] = val
             j[b, a] = val
-    return FisherMatrix(j, "classical", dropped_mass=dropped)
+    return FisherMatrix(j, dropped_mass=dropped)
 
 
 def d_map(rho: DensityOperator, x: np.ndarray) -> np.ndarray:

@@ -380,11 +380,6 @@ def concentrate(zeta: complex, noise: float, n: int) -> ConcentrationResult:
 class GaussianProtocolReport:
     """Monte Carlo error report for the concentration protocol and its baseline."""
 
-    zeta: complex
-    noise: float
-    n_copies: int
-    trials: int
-    seed: int
     mse_theta: float  # protocol: sum over both quadrature-mean axes
     se_mse_theta: float
     mse_noise: float
@@ -424,7 +419,8 @@ def protocol_trials(zeta: complex, noise: float, n: int, trials: int, seed: int)
     are those of one whole-trial pass: per child generator, all real parts,
     then all imaginary parts, then the counts or chi^2 draws.  Each part is
     read from its own copy of its child generator, advanced past the earlier
-    parts, so a block of a part is the same slice of the same stream.
+    parts, so a block of a part is the same slice of the same stream.  Counts
+    NumPy cannot draw (mean N (n - 1) near 1e18) raise NumericalError.
     """
     if n < 2:
         raise ValidationError("protocol needs n >= 2")
@@ -456,7 +452,10 @@ def _protocol_blocks(zeta, noise, n, trials, seed):
         alpha = amp + sigma * (het_re.standard_normal(size) + 1j * het_im.standard_normal(size))
         zeta_hat = alpha / np.sqrt(n)
         # total photon count on the n-1 thermal modes (all zero at N = 0)
-        noise_hat = num.negative_binomial(n - 1, 1.0 / (noise + 1.0), size=size) / (n - 1)
+        try:
+            noise_hat = num.negative_binomial(n - 1, 1.0 / (noise + 1.0), size=size) / (n - 1)
+        except ValueError as exc:
+            raise NumericalError(f"photon counts out of the sampler's range at N = {noise:g}, n = {n}") from exc
         # baseline: sample mean and squared spread of n heterodyne outcomes
         zeta_hat_base = zeta + sigma / np.sqrt(n) * (
             base_re.standard_normal(size) + 1j * base_im.standard_normal(size)
@@ -512,11 +511,6 @@ def gaussian_protocol_mse(zeta: complex, noise: float, n: int, trials: int, seed
         if mse > 0
     )
     return GaussianProtocolReport(
-        zeta=complex(zeta),
-        noise=float(noise),
-        n_copies=n,
-        trials=trials,
-        seed=seed,
         mse_theta=mse_theta,
         se_mse_theta=se_theta,
         mse_noise=mse_noise,

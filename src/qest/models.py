@@ -47,7 +47,7 @@ class ParametricModel:
     - ``domain_box`` bounds the domain per axis for grid searches.
 
     ``state_stack``, ``is_interior`` and ``model_derivatives`` take one point
-    or a stack alike.
+    or a stack alike; ``require_domain`` is their one-point case.
     """
 
     name: str
@@ -59,19 +59,12 @@ class ParametricModel:
     derivatives: Callable[[np.ndarray], np.ndarray] | None = None
     meta: dict = field(default_factory=dict)
 
-    def theta(self, theta) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(theta, dtype=float))
-        if t.shape != (self.param_dim,):
-            raise ValidationError(
-                f"model {self.name!r} expects {self.param_dim} parameters, got shape {t.shape}"
-            )
-        return t
-
     def require_domain(self, theta) -> np.ndarray:
-        t = self.theta(theta)
-        if not self.domain_check(t):
-            raise ValidationError(f"theta {t.tolist()} outside domain of {self.name!r}")
-        return t
+        """One point (d,) checked to lie in the domain."""
+        t = self._points(theta)
+        if t.ndim != 1:
+            raise ValidationError(f"model {self.name!r} expects {self.param_dim} parameters, got shape {t.shape}")
+        return self._inside(t)
 
     def state_at(self, theta) -> DensityOperator:
         """The state at one point (d,)."""
@@ -94,9 +87,7 @@ class ParametricModel:
         """``theta`` as one point (d,) or a stack of points (m, d)."""
         t = np.atleast_1d(np.asarray(theta, dtype=float))
         if t.ndim > 2 or t.shape[-1] != self.param_dim:
-            raise ValidationError(
-                f"model {self.name!r} expects {self.param_dim} parameters per point, got shape {t.shape}"
-            )
+            raise ValidationError(f"model {self.name!r} expects {self.param_dim} parameters, got shape {t.shape}")
         return t
 
     def _in_domain(self, points: np.ndarray) -> np.ndarray:
@@ -108,6 +99,14 @@ class ParametricModel:
                 f"got shape {ok.shape} for points {points.shape}"
             )
         return ok
+
+    def _inside(self, t: np.ndarray) -> np.ndarray:
+        """The points, if all lie in the domain; else the first outside raises."""
+        outside = ~self._in_domain(t)
+        if outside.any():
+            bad = t if t.ndim == 1 else t[np.flatnonzero(outside)[0]]
+            raise ValidationError(f"theta {bad.tolist()} outside domain of {self.name!r}")
+        return t
 
     def is_interior(self, theta, margin: float = FD_STEP):
         """True when a point and every +-margin perturbation along each axis
@@ -245,11 +244,7 @@ def model_derivatives(model: ParametricModel, theta) -> np.ndarray:
     inside the domain.  Every returned matrix is symmetrized to exact
     Hermitian; the trace must vanish within 10*h^2.
     """
-    t = model._points(theta)
-    outside = ~model._in_domain(t)
-    if outside.any():
-        bad = t if t.ndim == 1 else t[np.flatnonzero(outside)[0]]
-        raise ValidationError(f"theta {bad.tolist()} outside domain of {model.name!r}")
+    t = model._inside(model._points(theta))
     dim = model.hilbert_dim
     shape = t.shape[:-1] + (model.param_dim, dim, dim)
     if model.derivatives is not None:

@@ -166,6 +166,15 @@ class TestGaussCommand:
         assert csv_text[0].startswith("trial,")
         assert len(csv_text) == 1001
 
+    def test_count_beyond_sampler_range_exits_3_with_one_line(self):
+        # NumPy's negative_binomial refuses this summed photon count
+        result = run_cli(["gauss", "--zeta", "0.6,0.4", "--N", "1e20", "--n", "10", "--trials", "1000"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "numerical failure: photon counts out of the sampler's range at N = 1e+20, n = 10"
+        ]
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
@@ -378,6 +387,15 @@ class TestEstimateCommand:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: smearing kernel out of range")
+
+    def test_negative_n_exits_2_with_one_line(self):
+        # a subprocess, so that a NumPy warning reaches stderr as it would on
+        # the command line instead of pytest's warning capture
+        argv = ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0,0", "--n", "-1"]
+        proc = subprocess.run([sys.executable, "-m", "qest.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["validation error: n must be positive"]
 
     def test_two_stage_writes_trial_csv(self, tmp_path):
         prefix = tmp_path / "ts"

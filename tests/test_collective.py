@@ -618,8 +618,8 @@ def _pointwise_mle_rows(model, povm, counts, per_axis, newton=True):
 
 def _one_row_mle(model, elements, sum_tol, counts, theta, newton):
     total = counts.sum()
-    lo_box = np.array([lo + 1e-9 for lo, _ in model.domain_box])
-    hi_box = np.array([hi - 1e-9 for _, hi in model.domain_box])
+    lo_box = np.array([lo + 2e-9 for lo, _ in model.domain_box])
+    hi_box = np.array([hi - 2e-9 for _, hi in model.domain_box])
 
     def loglik_and_grad(th):
         probs = trace_products(model.state_at(th).matrix, elements)
@@ -834,6 +834,15 @@ class TestMle:
                 one, flag = _mle_rows(model, *(part[row] for part in own), starts=pilots[row])
             assert np.max(np.abs(one - estimates[i])) < 1e-12 and flag == boundary[i]
         assert inside >= 20 and outside >= 5
+
+    def test_row_clipped_onto_a_box_face_stays_in_the_domain(self):
+        # the maximum lies past the polar face 0.05 of a domain whose origin
+        # is outside it: a row clipped at the interior margin itself failed
+        # the interior test by rounding and was shrunk out of the domain
+        theta, boundary = mle(pure_qubit_model(), mixed_basis_povm("zxy"), [200, 0, 100, 100, 100, 100])
+        assert boundary
+        assert 0.05 < theta[0] < 0.05 + 1e-8
+        assert abs(theta[1] - np.pi / 4) < 1e-3
 
     def test_too_many_parameters(self):
         model = qubit_family("full")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,29 @@ class TestStackedFiniteDifferences:
         )
         with pytest.raises(ValidationError, match="domain_check"):
             scalar.is_interior(np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("call", ["require_domain", "sld_fisher", "holevo_bound"])
+    def test_per_coordinate_domain_check_rejected_at_one_point(self, call):
+        # one flag per coordinate: the one-point check takes the stacked
+        # checks' shape test instead of asking NumPy for an array's truth value
+        from qest.bounds import holevo_bound
+        from qest.fisher import sld_fisher
+
+        model = dataclasses.replace(qubit_family("z0"), domain_check=lambda t: np.abs(t) < 0.9)
+        run = {
+            "require_domain": lambda: model.require_domain([0.1, 0.2]),
+            "sld_fisher": lambda: sld_fisher(model, [0.1, 0.2]),
+            "holevo_bound": lambda: holevo_bound(model, [0.1, 0.2], np.eye(2)),
+        }[call]
+        with pytest.raises(ValidationError, match="domain_check"):
+            run()
+
+    @pytest.mark.parametrize("theta", [[0.1, 0.2, 0.3], [[0.1, 0.2]], 0.1])
+    def test_require_domain_takes_one_point(self, theta):
+        model = qubit_family("z0")
+        with pytest.raises(ValidationError, match="expects 2 parameters, got shape"):
+            model.require_domain(theta)
+        assert model.require_domain((0.1, 0.2)).tolist() == [0.1, 0.2]
 
     def test_point_only_states_rejected(self):
         base = qubit_family("z0")
