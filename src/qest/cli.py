@@ -491,7 +491,6 @@ def estimate_experiment(values: dict) -> None:
             n_list[0],
             seed,
             trials=values["trials"],
-            keep_estimates=out is not None,
         )
         results = {
             "empiricalMean": report.empirical_mean,
@@ -502,10 +501,8 @@ def estimate_experiment(values: dict) -> None:
             "bound": {"kind": report.bound_kind, "value": report.bound_value},
             "scaledWeightedTrace": report.extras["weighted_trace_scaled"],
         }
-        columns = None
-        if "estimates" in report.extras:
-            est = report.extras.pop("estimates")
-            columns = [[np.arange(len(est)), *est.T]]
+        est = report.extras.pop("estimates")
+        columns = [[np.arange(len(est)), *est.T]]
         header = ["trial"] + [f"theta_hat_{k + 1}" for k in range(model.param_dim)]
         _write_report(out, config, results, header, columns)
         return

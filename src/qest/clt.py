@@ -118,8 +118,6 @@ def collective_moment(spec: CollectiveSpec, n: int, word) -> complex:
         raise ValidationError("n must be positive")
     idx = _check_word(spec, word)
     m = len(idx)
-    if m == 0:
-        return 1.0 + 0.0j
     cache: dict = {}
 
     def block_trace(positions) -> complex:

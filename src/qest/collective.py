@@ -695,7 +695,6 @@ def two_stage_estimate(
     seed: int,
     trials: int = 1000,
     g=None,
-    keep_estimates: bool = False,
 ) -> EstimationReport:
     """Two-stage adaptive estimation on a qubit model.
 
@@ -716,7 +715,7 @@ def two_stage_estimate(
     its projected-gradient fallback near the boundary.
 
     ``extras`` holds ``discarded``, ``weighted_trace_scaled`` = n tr(g MSE)
-    and, with ``keep_estimates``, the surviving ``estimates``.
+    and the surviving ``estimates`` (survivors, d).
     """
     if model.hilbert_dim != 2:
         raise ValidationError("two-stage estimator is qubit-only")
@@ -755,9 +754,7 @@ def two_stage_estimate(
         raise NumericalError("too few surviving trials for a report")
     _, j_s = sld_fisher(model, t)
     bound = qubit_c1(j_s, g)
-    extras = {"discarded": discarded}
-    if keep_estimates:
-        extras["estimates"] = estimates
+    extras = {"discarded": discarded, "estimates": estimates}
     report = mse_report(estimates, t, bound_value=bound, bound_kind="qubit-c1", extras=extras)
     report.extras["weighted_trace_scaled"] = n * report.weighted_trace(g)
     return report

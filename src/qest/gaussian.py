@@ -78,19 +78,16 @@ def _pairings(positions: tuple):
 def gaussian_moment(spec: GaussianSpec, indices) -> complex:
     """Centered moment of the Gaussian state for an index word.
 
-    Odd length gives zero; even length 2n enumerates all (2n-1)!! pairings of
-    the word positions, each contributing the product of pair factors
-    v[k, j] + i s[k, j] taken in position order.
+    Sums over all (2n-1)!! pairings of the 2n word positions, each
+    contributing the product of pair factors v[k, j] + i s[k, j] taken in
+    position order; an odd word has no pairing and gives zero, the empty
+    word its one empty pairing and one.
     """
     word = [int(k) - 1 for k in indices]
     if any(k < 0 or k >= spec.dim for k in word):
         raise ValidationError("moment index out of range (indices are 1-based)")
     if len(word) > MOMENT_DEGREE_CAP:
         raise ValidationError(f"moment degree {len(word)} exceeds cap {MOMENT_DEGREE_CAP}")
-    if len(word) % 2 == 1:
-        return 0.0 + 0.0j
-    if len(word) == 0:
-        return 1.0 + 0.0j
     m2 = spec.v + 1j * spec.s
     total = 0.0 + 0.0j
     for pairing in _pairings(tuple(range(len(word)))):
@@ -222,6 +219,14 @@ def thermal_probabilities(noise: float, dim: int) -> np.ndarray:
     return (noise / (noise + 1.0)) ** k / (noise + 1.0)
 
 
+def _displaced_thermal(zeta: complex, noise: float, work: int) -> np.ndarray:
+    """D(zeta) rho_thermal D(zeta)^dagger on ``work`` Fock levels."""
+    a = annihilation_operator(work)
+    # D(zeta) = exp(zeta a^dagger - zeta* a) = exp(-i h), h = i (zeta a^dagger - zeta* a)
+    disp = _unitary_exp(1j * (zeta * a.conj().T - np.conj(zeta) * a))
+    return (disp * thermal_probabilities(noise, work)) @ disp.conj().T
+
+
 def fock_density(zeta: complex, noise: float, cutoff: int) -> FockState:
     """Displaced thermal state in the Fock basis.
 
@@ -235,16 +240,7 @@ def fock_density(zeta: complex, noise: float, cutoff: int) -> FockState:
     if cutoff < 1:
         raise ValidationError("cutoff must be positive")
     margin = max(FOCK_MARGIN, int(8 * abs(zeta) ** 2))
-    work = cutoff + margin
-    therm = thermal_probabilities(noise, work)
-    if zeta == 0:
-        mat = np.diag(therm.astype(complex))
-    else:
-        a = annihilation_operator(work)
-        # D(zeta) = exp(zeta a^dagger - zeta* a) = exp(-i h), h = i (zeta a^dagger - zeta* a)
-        disp = _unitary_exp(1j * (zeta * a.conj().T - np.conj(zeta) * a))
-        mat = (disp * therm) @ disp.conj().T
-    cropped = mat[:cutoff, :cutoff]
+    cropped = _displaced_thermal(zeta, noise, cutoff + margin)[:cutoff, :cutoff]
     tail = float(1.0 - np.real(np.trace(cropped)))
     if tail >= DEFAULT_TAIL_TOL:
         raise NumericalError(
@@ -259,14 +255,7 @@ def auto_cutoff(zeta_mag: float, noise: float) -> int:
     """Smallest power-of-two Fock cutoff keeping the truncation tail below
     ``DEFAULT_TAIL_TOL``."""
     work = 512
-    therm = thermal_probabilities(noise, work)
-    if zeta_mag == 0:
-        diag = therm
-    else:
-        a = annihilation_operator(work)
-        disp = _unitary_exp(1j * zeta_mag * (a.conj().T - a))
-        diag = np.real(np.diag((disp * therm) @ disp.conj().T))
-    cum = np.cumsum(diag)
+    cum = np.cumsum(np.real(np.diag(_displaced_thermal(zeta_mag, noise, work))))
     needed = int(np.searchsorted(cum, 1.0 - DEFAULT_TAIL_TOL * 0.1) + 1)
     cutoff = 1
     while cutoff < needed:
@@ -291,12 +280,10 @@ def number_distribution(state: FockState) -> OutcomeDistribution:
 
 def number_povm(cutoff: int):
     """Projective number measurement on the truncated space."""
-    elements = []
-    for k in range(cutoff):
-        m = np.zeros((cutoff, cutoff), dtype=complex)
-        m[k, k] = 1.0
-        elements.append(m)
-    return Povm(elements, labels=tuple(range(cutoff)))
+    k = np.arange(cutoff)
+    elements = np.zeros((cutoff, cutoff, cutoff), dtype=complex)
+    elements[k, k, k] = 1.0
+    return Povm(elements)
 
 
 def heterodyne_povm(cutoff: int, radius: float, n_radial: int, n_angle: int, completeness_tol: float = 1e-3):

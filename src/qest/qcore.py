@@ -103,11 +103,11 @@ def density_stack(matrices: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"matrix is not positive semidefinite (min eigenvalue {low.min():.3e})"
         )
-    for i in np.flatnonzero(low < 0):
-        w, u = np.linalg.eigh(arr[i])
-        w = np.clip(w, 0.0, None)
-        fixed = (u * w) @ u.conj().T
-        arr[i] = (fixed + fixed.conj().T) / 2
+    neg = low < 0
+    if neg.any():
+        w, u = np.linalg.eigh(arr[neg])
+        fixed = (u * np.clip(w, 0.0, None)[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        arr[neg] = (fixed + fixed.conj().swapaxes(-1, -2)) / 2
     return (arr / np.real(np.trace(arr, axis1=-2, axis2=-1))[:, None, None]).reshape(shape)
 
 

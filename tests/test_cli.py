@@ -4,14 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qest.cli import main
 from qest.collective import mixed_basis_povm, two_stage_estimate
-from qest.gaussian import TRIAL_BLOCK, protocol_trials
+from qest.gaussian import TRIAL_BLOCK, number_povm, protocol_trials
 from qest.models import model_from_name
 from qest.qcore import matrix_to_json
 
@@ -571,6 +575,70 @@ class TestRunConfig:
         assert report["results"]["boundNoiseCollective"] == 2.0
 
 
+NOISES = st.sampled_from([0.0, 0.3, 1.0])
+# every model-name form the README documents, with its parameter count
+MODEL_FORMS = {
+    "qubit-full": (st.just("qubit-full"), lambda name: 3),
+    "qubit-z0": (st.just("qubit-z0"), lambda name: 2),
+    "diag:<dim>": (st.integers(2, 4).map("diag:{}".format), lambda name: int(name[5:]) - 1),
+    "gauss1:<N>": (NOISES.map("gauss1:{:g}".format), lambda name: 2),
+    "gauss1:<N>:<cutoff>": (
+        st.tuples(NOISES, st.sampled_from([4, 8, 16])).map(lambda p: "gauss1:{:g}:{}".format(*p)),
+        lambda name: 2,
+    ),
+}
+# every subcommand that takes a model, at sizes that keep each run near or
+# below 100 MB: collective sums over two copies only on two-level spaces
+# (diag:4 at n = 2 peaks near 180 MB, gauss1 at cutoff 16 near 1.7 GB)
+COMMANDS = {
+    "fisher-sld": lambda dim: ["fisher", "--kind", "sld"],
+    "fisher-rld": lambda dim: ["fisher", "--kind", "rld"],
+    "fisher-classical": lambda dim: ["fisher", "--kind", "classical", "--povm", "POVM"],
+    "bounds": lambda dim: ["bounds"],
+    "clt": lambda dim: ["clt", "--ops", "x,z", "--word", "1,2,1,2", "--n", "2,4"],
+    "two-stage": lambda dim: ["estimate", "--mode", "two-stage", "--n", "100", "--trials", "20"],
+    "collective": lambda dim: ["estimate", "--mode", "collective", "--n", "1,2" if dim == 2 else "1"],
+}
+
+
+class TestDocumentedInputs:
+    """Every documented model-name form with every command that takes a model:
+    the run succeeds, or exits 2 or 3 with one stderr line and no traceback,
+    and a written report replays through ``run`` byte for byte."""
+
+    @pytest.mark.parametrize("form", list(MODEL_FORMS))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @settings(max_examples=2, deadline=None, database=None)
+    @given(data=st.data())
+    def test_exit_code_and_replay(self, form, command, data):
+        names, param_dim = MODEL_FORMS[form]
+        name = data.draw(names, label="model")
+        theta = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+                                   min_size=param_dim(name), max_size=param_dim(name)), label="theta")
+        dim = model_from_name(name).hilbert_dim
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            povm = mixed_basis_povm("zxy") if dim == 2 else number_povm(dim)
+            (tmp / "povm.json").write_text(json.dumps({"elements": [matrix_to_json(m) for m in povm.elements]}))
+            argv = [str(tmp / "povm.json") if arg == "POVM" else arg for arg in COMMANDS[command](dim)]
+            argv += ["--model", name, "--theta", ",".join(map(str, theta)), "--seed", "1"]
+            result = run_cli(argv + ["--out", str(tmp / "a")])
+            if result.exit_code != 0:
+                assert result.exit_code in (2, 3)
+                lines = result.stderr.splitlines()
+                prefix = "validation error:" if result.exit_code == 2 else "numerical failure:"
+                assert len(lines) == 1 and lines[0].startswith(prefix), result.stderr
+                assert not (tmp / "a.json").exists()
+                return
+            config = tmp / "config.json"
+            config.write_text(json.dumps(json.loads((tmp / "a.json").read_text())["config"]))
+            assert run_cli(["run", "--config", str(config), "--out", str(tmp / "b")]).exit_code == 0
+            for suffix in (".json", ".csv"):
+                a, b = tmp / f"a{suffix}", tmp / f"b{suffix}"
+                assert a.exists() == b.exists()
+                assert not a.exists() or a.read_bytes() == b.read_bytes()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -614,7 +682,7 @@ class TestCsvColumns:
         assert result.exit_code == 0
         report = two_stage_estimate(
             model_from_name("qubit-z0"), [0.5, 0.0], mixed_basis_povm("zx"), 400, 5,
-            trials=30, keep_estimates=True,
+            trials=30,
         )
         rows = [[i] + list(row) for i, row in enumerate(report.extras["estimates"])]
         expected = csv_writer_text(["trial", "theta_hat_1", "theta_hat_2"], rows)

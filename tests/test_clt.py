@@ -68,6 +68,12 @@ class TestCollectiveMoment:
         spec = spec_sigma_z()
         assert collective_moment(spec, 6, (1, 1, 1)) == 0
 
+    def test_empty_word_is_one(self):
+        # the one partition of no positions, with no blocks
+        spec = CollectiveSpec(DensityOperator(np.diag([0.75, 0.25])), [SIGMA_X, SIGMA_Y])
+        for n in (1, 3, 8):
+            assert collective_moment(spec, n, ()) == 1
+
     def test_against_bruteforce(self, rng):
         for _ in range(3):
             rho = random_density(rng)

@@ -1093,8 +1093,7 @@ class TestTwoStage:
         model = qubit_family("z0")
         truth = np.array([0.5, 0.0])
         runs = {
-            t: two_stage_estimate(model, truth, mixed_basis_povm(), n=400, seed=3, trials=t,
-                                  keep_estimates=True)
+            t: two_stage_estimate(model, truth, mixed_basis_povm(), n=400, seed=3, trials=t)
             for t in (50, 200)
         }
         short, long = runs[50].extras, runs[200].extras

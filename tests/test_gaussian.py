@@ -5,6 +5,8 @@ import pytest
 
 from qest.errors import NumericalError, ValidationError
 from qest.gaussian import (
+    DEFAULT_TAIL_TOL,
+    FOCK_MARGIN,
     TRIAL_BLOCK,
     GaussianSpec,
     ONE_MODE_S,
@@ -69,6 +71,14 @@ class TestGaussianMoment:
     def test_odd_vanishes(self):
         spec = one_mode_spec(noise=0.7)
         assert gaussian_moment(spec, (1, 2, 1)) == 0
+        # an odd word has no pairing: exactly zero at every odd degree
+        for word in [(1,), (2,), (1, 2, 2, 1, 2), (1,) * 9]:
+            assert gaussian_moment(spec, word) == 0
+
+    def test_empty_word_is_one(self):
+        # the one empty pairing, whatever the spec
+        for spec in (one_mode_spec(0.3 + 0.1j, 0.7), GaussianSpec([0.0], [[0.8]], [[0.0]])):
+            assert gaussian_moment(spec, ()) == 1
 
     def test_classical_kurtosis(self):
         spec = GaussianSpec([0.0], [[0.8]], [[0.0]])
@@ -223,6 +233,21 @@ class TestFockDensity:
         with pytest.raises(NumericalError):
             fock_density(0j, 2.0, 8)
 
+    @pytest.mark.parametrize("cutoff", [1, 16, 64])
+    @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+    def test_zero_displacement_is_the_thermal_diagonal(self, cutoff, noise):
+        # the displacement builder at zeta = 0 gives the cropped, normalized
+        # thermal diagonal bit for bit, or the same truncation-tail raise
+        diag = np.diag(thermal_probabilities(noise, cutoff + FOCK_MARGIN)[:cutoff].astype(complex))
+        tail = float(1.0 - np.real(np.trace(diag)))
+        if tail >= DEFAULT_TAIL_TOL:
+            with pytest.raises(NumericalError, match="truncation tail"):
+                fock_density(0j, noise, cutoff)
+            return
+        state = fock_density(0j, noise, cutoff)
+        assert state.tail_mass == tail
+        assert state.matrix.tobytes() == (diag / np.real(np.trace(diag))).tobytes()
+
     def test_thermal_probabilities_at_zero_noise(self):
         # the geometric law itself gives the vacuum, with no special case
         expected = np.zeros(12)
@@ -233,6 +258,12 @@ class TestFockDensity:
         c = auto_cutoff(1.0, 1.0)
         assert c & (c - 1) == 0
         assert fock_density(1.0 + 0j, 1.0, c).tail_mass < 1e-8
+
+    def test_auto_cutoff_at_zero_displacement(self):
+        # the smallest power of two, at least 8, whose thermal head holds all
+        # but DEFAULT_TAIL_TOL / 10 of the mass
+        for noise, cutoff in ((0.0, 8), (0.3, 16), (1.0, 32), (5.0, 128)):
+            assert auto_cutoff(0.0, noise) == cutoff
 
 
 class TestNumberDistribution:
@@ -253,6 +284,14 @@ class TestNumberDistribution:
     def test_number_povm_complete(self):
         m = number_povm(12)
         assert m.completeness_residual < 1e-15
+
+    def test_number_povm_elements(self):
+        m = number_povm(12)
+        assert m.labels == tuple(range(12))
+        for k, element in enumerate(m.stack):
+            expected = np.zeros((12, 12), dtype=complex)
+            expected[k, k] = 1.0
+            assert np.array_equal(element, expected)
 
 
 class TestCoherentResolution:

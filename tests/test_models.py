@@ -16,6 +16,8 @@ from qest.models import (
     qubit_family,
 )
 
+from conftest import pure_qubit_model
+
 
 class TestQubitFamily:
     def test_center_of_ball(self):
@@ -71,6 +73,33 @@ class TestDerivatives:
         model = qubit_family("z0")
         for d in model_derivatives(model, np.array([0.3, -0.2])):
             assert abs(np.trace(d)) < 1e-9
+
+    def test_difference_quotient_derivatives_pass(self):
+        # central differences at h = 1e-6 leave traces of about 1e-10 from
+        # rounding, far inside 1e-8 of the derivatives' norm
+        from qest.collective import mixed_basis_povm, mle
+
+        est, boundary = mle(pure_qubit_model(), mixed_basis_povm("zxy"), [30, 10, 25, 15, 20, 20])
+        assert not boundary
+        assert np.max(np.abs(est - [0.6645, 0.0])) < 1e-4
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_trace_check_relative_to_norm(self, scale):
+        # each derivative's trace is held to 1e-8 of its own Frobenius norm:
+        # 1e-9 of it passes at every scale, 1e-6 of it raises
+        base = qubit_family("z0")
+        pauli = scale * np.array([SIGMA_Z, [[0, 1], [1, 0]]]) / 2
+
+        def with_trace(ratio):
+            # t I has trace 2t, and |pauli + t I|^2 = |pauli|^2 + 2 t^2
+            t = ratio * np.linalg.norm(pauli[0]) / np.sqrt(4 - 2 * ratio**2)
+            derivs = pauli + t * np.eye(2)
+            return dataclasses.replace(base, derivatives=lambda th: derivs)
+
+        theta = np.array([0.3, -0.2])
+        assert model_derivatives(with_trace(1e-9), theta).shape == (2, 2, 2)
+        with pytest.raises(ValidationError, match="derivative trace"):
+            model_derivatives(with_trace(1e-6), theta)
 
     def test_boundary_rejected_without_analytic(self):
         base = qubit_family("z0")

@@ -13,6 +13,7 @@ from qest.qcore import (
     OutcomeDistribution,
     Povm,
     check_array_bytes,
+    density_stack,
     matrix_from_json,
     matrix_to_json,
     measure_distribution,
@@ -57,6 +58,33 @@ class TestDensityOperator:
         rho = DensityOperator(np.diag([1.0 + 5e-11, -5e-11]))
         assert rho.eigenvalues().min() >= 0
         assert abs(np.trace(rho.matrix) - 1) < 1e-14
+
+    def test_stack_repair_matches_row_by_row(self, rng):
+        # rows with an eigenvalue of -5e-11 (above the floor) are clamped in
+        # one stacked eigh: bit for bit what repairing each row alone gives
+        def one_row(m):
+            m = (m + m.conj().T) / 2
+            if np.linalg.eigvalsh(m).min() < 0:
+                w, u = np.linalg.eigh(m)
+                fixed = (u * np.clip(w, 0.0, None)) @ u.conj().T
+                m = (fixed + fixed.conj().T) / 2
+            return m / np.real(np.trace(m))
+
+        for dim in (2, 3, 4):
+            rows = []
+            for i in range(7):
+                g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                u = np.linalg.qr(g)[0]
+                p = rng.uniform(0.1, 1.0, dim)
+                p /= p.sum()
+                if i % 3 != 2:
+                    p[0] = -5e-11
+                    p[1:] *= (1 + 5e-11) / p[1:].sum()
+                rows.append((u * p) @ u.conj().T)
+            stack = np.array(rows)
+            assert (np.linalg.eigvalsh(stack).min(axis=-1) < 0).sum() >= 4
+            expected = np.array([one_row(m) for m in stack])
+            assert density_stack(stack).tobytes() == expected.tobytes()
 
     def test_immutable(self):
         rho = qubit(0.3, 0.1, 0.0)
