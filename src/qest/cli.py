@@ -55,10 +55,19 @@ from .errors import NumericalError, ValidationError
 
 
 def _config_hash(config: dict) -> str:
-    import hashlib
+    # the interpreter's own SHA-256 first, as ``random`` does for SHA-512:
+    # hashlib maps OpenSSL's libcrypto (about 3 MB of RSS), which a command
+    # that draws no random numbers never needs otherwise
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _jsonable(obj):

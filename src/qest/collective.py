@@ -21,7 +21,7 @@ check reads per-sector outcome-moment operators and the SLDs' collective sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -50,6 +50,9 @@ DEFAULT_EPSILON = 0.1
 # bytes of log-likelihood terms per block of count rows in the grid scan that
 # starts mle and two-stage stage 1: bounds its memory whatever the row count
 MLE_SCAN_BYTES = 1 << 19
+# bytes of one block's (rows, b, b) smearing stack in the per-point sums,
+# which run over blocks of grid rows: bounds their memory whatever the grid
+SMEARING_BLOCK_BYTES = 1 << 26
 # points per axis of the MLE start grid over the domain box
 MLE_GRID_POINTS = 41
 # shrinks by 1 - 1e-3 tested per domain check in the MLE ascent's projection
@@ -144,7 +147,8 @@ def build_collective_povm(
     the operator norm of sum_x E_x - P on the support, are recorded.
     Defaults: radius 4 sqrt(lmax(v + v')), step radius / 16.  The largest
     arrays of the chosen path, for the largest block, are checked against
-    ``qcore.MAX_ARRAY_BYTES`` before any block is built.
+    ``qcore.MAX_ARRAY_BYTES`` before any block is built: per point, the
+    (G, b, b) stack that ``elements`` builds whole and the sums in blocks.
     """
     kernel, grid, step, centre = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
     b = largest_block(spec.x_ops, n)
@@ -217,12 +221,21 @@ def _rotation_sums(ops, a_mat, z_norm, radii, sums):
 def _smearing_sums(sectors, n, kernel, grid, radii=None) -> list:
     """sum_x [1, x_k, x_k x_l] T_x per sector as one stack (1 + d + d^2, b,
     b), x the outcome: from one T per lattice radius given ``radii`` of
-    ``_lattice_radii``, else one per grid point.  Entry 0 is S / dx."""
+    ``_lattice_radii``, else one per grid point, summed over blocks of
+    about ``SMEARING_BLOCK_BYTES`` of T stack.  Entry 0 is S / dx."""
     outcomes = grid / np.sqrt(n)
     pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
     monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
     if radii is None:
-        return [np.tensordot(monomials.T, _smearing_blocks(sec.ops, *kernel, grid), axes=1) for sec in sectors]
+        raws = []
+        for sec in sectors:
+            rows = max(1, SMEARING_BLOCK_BYTES // (16 * sec.ops.shape[-1] ** 2))
+            parts = (
+                np.tensordot(monomials[lo : lo + rows].T, _smearing_blocks(sec.ops, *kernel, grid[lo : lo + rows]), axes=1)
+                for lo in range(0, len(grid), rows)
+            )
+            raws.append(reduce(np.add, parts))
+        return raws
     order, first, lengths, phi = radii
     width = max(sec.ops.shape[-1] for sec in sectors) - 1
     phases = np.exp(-1j * np.outer(phi[order], np.arange(-width, width + 1)))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qest.cli import main
+from qest.cli import _config_hash, main
 from qest.collective import mixed_basis_povm, two_stage_estimate
 from qest.gaussian import TRIAL_BLOCK, number_povm, protocol_trials
 from qest.models import model_from_name
@@ -23,8 +24,17 @@ from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 def run_cli(args):
-    runner = CliRunner()
-    return runner.invoke(main, args, catch_exceptions=False)
+    """Invoke the CLI.  A report it writes, to stdout or to ``--out``, must
+    carry the SHA-256 of its canonical config; hashlib is the oracle."""
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    if result.exit_code == 0:
+        out = args[args.index("--out") + 1] if "--out" in args else None
+        text = Path(f"{out}.json").read_text() if out else result.stdout
+        if text.startswith("{"):
+            report = json.loads(text)
+            canonical = json.dumps(report["config"], sort_keys=True, separators=(",", ":"))
+            assert report["configHash"] == hashlib.sha256(canonical.encode()).hexdigest()
+    return result
 
 
 class TestFisherCommand:
@@ -783,3 +793,31 @@ class TestImports:
     )
     def test_command_loads_only_its_modules(self, argv, unloaded):
         assert not set(unloaded) & modules_after(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fisher", "--model", "qubit-full", "--theta", "0,0,0", "--kind", "sld"],
+            ["bounds", "--model", "qubit-z0", "--theta", "0.5,0"],
+            ["clt", "--model", "qubit-z0", "--theta", "0.3,0", "--ops", "x", "--word", "1,1", "--n", "2"],
+            ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0,0", "--n", "2"],
+        ],
+        ids=["fisher", "bounds", "clt", "estimate-collective"],
+    )
+    def test_commands_without_random_draws_load_no_openssl(self, argv):
+        # the config hash takes the interpreter's own SHA-256, not hashlib's
+        # OpenSSL one.  gauss and two-stage estimate are exempt: NumPy's random
+        # module loads OpenSSL itself (secrets -> hmac -> _hashlib)
+        assert "_hashlib" not in modules_after(argv)
+
+
+class TestConfigHash:
+    def test_hashlib_fallback_gives_the_same_digest(self, monkeypatch):
+        # an interpreter built without the built-in SHA-256 modules
+        config = {"experiment": "bounds", "model": "qubit-z0", "theta": [0.5, 0.0], "g": "identity"}
+        built_in = _config_hash(config)
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+        assert _config_hash(config) == built_in
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        assert built_in == hashlib.sha256(canonical.encode()).hexdigest()

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from qest import collective, qcore
 from qest.bounds import holevo_bound, qubit_c1
-from qest.clt import CollectiveSpec, _dense_sectors, build_collective_ops, collective_sectors, sector_states
+from qest.clt import (
+    CollectiveSpec,
+    _dense_sectors,
+    _smearing_blocks,
+    build_collective_ops,
+    collective_sectors,
+    sector_states,
+)
 from qest.collective import (
     CollectiveCheckRow,
     _estimator_rows,
@@ -350,6 +357,32 @@ class TestRotationSums:
             build_collective_povm(spec, v_prime, n)
             _, _, _, grid, _, radii = built.pop()
             assert radii is not None and len(radii[2]) < len(grid)
+
+
+class TestPerPointSums:
+    def test_blocked_sums_match_one_whole_grid_fold(self, monkeypatch):
+        # A not proportional to I takes the per-point path; a budget of 7 rows
+        # of the 4 x 4 sector runs every sector in at least 3 blocks
+        x_ops = np.array([SIGMA_X, 0.5 * SIGMA_Y + 0.2 * SIGMA_Z + 0.1 * np.eye(2)])
+        n, kernel = 3, (np.array([[0.7, 0.1], [0.1, 0.5]]), 1.3)
+        grid = ball_grid(2.0, 0.25, np.zeros(2))
+        sectors = collective_sectors(x_ops, n)
+        outcomes = grid / np.sqrt(n)
+        pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
+        monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
+        wants = [np.tensordot(monomials.T, _smearing_blocks(sec.ops, *kernel, grid), axes=1) for sec in sectors]
+        sizes = []
+
+        def recorded(ops, *args):
+            sizes.append(ops.shape[-1])
+            return _smearing_blocks(ops, *args)
+
+        monkeypatch.setattr(collective, "SMEARING_BLOCK_BYTES", 16 * 4 * 4 * 7)
+        monkeypatch.setattr(collective, "_smearing_blocks", recorded)
+        gots = _smearing_sums(sectors, n, kernel, grid)
+        assert min(sizes.count(sec.ops.shape[-1]) for sec in sectors) >= 3
+        for got, want in zip(gots, wants):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _rotation_z(angle):
