@@ -39,12 +39,23 @@ experiment imports its compute modules, and the report helpers NumPy and
 ``qcore``, inside the function, so ``--help``, ``--version`` and usage or
 config errors answer without loading NumPy, and a command loads only the
 modules it runs.
+
+Process policy: before any command runs, the ``main`` group callback pins
+OpenBLAS, OpenMP and MKL to one thread each, overriding the environment, so
+a report does not depend on the core count.  Where the interpreter has its
+own SHA-256 module it also masks ``_hashlib``, so ``hashlib`` and ``hmac``
+(imported by NumPy's random module through ``secrets``) fall back to the
+built-in hashes and no command maps OpenSSL's libcrypto.  The pin is set only
+where NumPy is not yet imported, and the mask takes hold only where
+``hashlib`` is not: a caller of ``main`` that has imported them keeps its
+thread count, its environment and its hashes.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -55,19 +66,10 @@ from .errors import NumericalError, ValidationError
 
 
 def _config_hash(config: dict) -> str:
-    # the interpreter's own SHA-256 first, as ``random`` does for SHA-512:
-    # hashlib maps OpenSSL's libcrypto (about 3 MB of RSS), which a command
-    # that draws no random numbers never needs otherwise
-    try:
-        from _sha2 import sha256  # Python >= 3.12
-    except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
+    import hashlib  # here, not at module import: after ``main`` masks ``_hashlib``
 
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _jsonable(obj):
@@ -240,6 +242,18 @@ _SEED = click.option("--seed", type=INT, default=0)
 @click.version_option(__version__)
 def main():
     """Quantum estimation experiments: states, bounds, Gaussian protocols."""
+    # the process policy of the module docstring; once NumPy is loaded the
+    # pin would reach only child processes
+    if "numpy" not in sys.modules:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
+    for name in ("_sha2", "_sha256"):  # Python >= 3.12; 3.10 and 3.11
+        try:
+            __import__(name)
+        except ImportError:
+            continue
+        sys.modules.setdefault("_hashlib", None)
+        break
 
 
 def _experiment(name: str):

@@ -47,7 +47,7 @@ SUPPORT_THRESHOLD = 1e-8
 # relative tolerance of the conditions that select the per-radius smearing sums
 ROTATION_TOL = 1e-12
 DEFAULT_EPSILON = 0.1
-# bytes of log-likelihood terms per block of count rows in the grid scan that
+# bytes of log-likelihoods per block of count rows in the grid scan that
 # starts mle and two-stage stage 1: bounds its memory whatever the row count
 MLE_SCAN_BYTES = 1 << 19
 # bytes of one block's (rows, b, b) smearing stack in the per-point sums,
@@ -407,13 +407,16 @@ def _stack_povms(model: ParametricModel, m: Povm, counts):
 def _grid_starts(model, grid, elements, counts) -> np.ndarray:
     """Index into ``grid`` of each count row's largest log-likelihood under
     the POVM ``elements`` (k, dim, dim), ties to the smallest index.  Rows
-    are scanned in blocks of about ``MLE_SCAN_BYTES`` of terms."""
-    logp = np.log(_batch_probs(model.state_stack(grid), elements))
-    block = max(1, MLE_SCAN_BYTES // (8 * logp.size))
+    are scanned by one matrix product per block of about ``MLE_SCAN_BYTES``
+    of log-likelihoods."""
+    # (k, G) in C order: a block's product then reads each outcome's row
+    # whole, about twice as fast as through the transposed (G, k) array
+    logp_t = np.ascontiguousarray(np.log(_batch_probs(model.state_stack(grid), elements)).T)
+    block = max(1, MLE_SCAN_BYTES // (8 * len(grid)))
     starts = np.empty(len(counts), dtype=int)
     for lo in range(0, len(counts), block):
         rows = slice(lo, lo + block)
-        ll = (logp * counts[rows, None, :]).sum(axis=-1)
+        ll = counts[rows] @ logp_t
         if not np.isfinite(ll).any(axis=1).all():
             raise NumericalError("likelihood is degenerate on the whole grid")
         starts[rows] = np.argmax(ll, axis=1)

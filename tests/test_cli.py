@@ -427,6 +427,38 @@ class TestEstimateCommand:
         assert len(lines) == report["results"]["trials"] + 1
 
 
+class TestBlasThreads:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--model", "qubit-full", "--theta", "0.2,0.1,0.3", "--n", "4,8"],
+            ["--model", "diag:3", "--theta", "0.2,0.3", "--n", "2,4"],
+        ],
+        ids=["qubit-full", "diag3"],
+    )
+    def test_collective_reports_do_not_depend_on_the_thread_count(self, args, tmp_path):
+        # the CLI pins BLAS to one thread whatever the environment asks for;
+        # unpinned, 1 and 2 threads gave qubit-full reports 23 numbers apart
+        pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in pins}
+        for threads in (None, "1", "2"):
+            run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+            argv = ["estimate", "--mode", "collective", *args, "--out", str(tmp_path / f"threads-{threads}")]
+            subprocess.run([sys.executable, "-m", "qest.cli", *argv], env=run_env, check=True)
+        for suffix in (".json", ".csv"):
+            reports = {(tmp_path / f"threads-{t}{suffix}").read_bytes() for t in (None, "1", "2")}
+            assert len(reports) == 1
+
+    def test_a_caller_with_numpy_keeps_its_environment(self, monkeypatch):
+        # this process loaded NumPy with its own BLAS threads; main sets no pin
+        # that would reach only the processes it starts
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert run_cli(["bounds", "--model", "qubit-z0", "--theta", "0.5,0"]).exit_code == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert "OMP_NUM_THREADS" not in os.environ
+
+
 class TestRunConfig:
     def test_malformed_config_exits_2_no_files(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -716,17 +748,20 @@ class TestCsvColumns:
         assert (tmp_path / "c.csv").read_text() == expected
 
 
-def modules_after(argv, exit_code=0):
+def modules_after(argv, exit_code=0, prelude=""):
     """Names of the modules loaded by one CLI command run in a fresh
-    interpreter, which must exit with ``exit_code``."""
+    interpreter, which must exit with ``exit_code``.  ``prelude`` runs before
+    ``qest.cli`` is imported.  A name masked in ``sys.modules`` with None is
+    not a loaded module and is left out."""
     code = (
         "import json, sys\n"
+        f"{prelude}"
         "from qest.cli import main\n"
         "try:\n"
         f"    main({argv!r})\n"
         "except SystemExit as exc:\n"
         f"    assert exc.code == {exit_code!r}, exc.code\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
+        "print(json.dumps(sorted(name for name, module in sys.modules.items() if module is not None)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -740,6 +775,32 @@ def scipy_modules(modules):
 def assert_front_end_only(modules):
     assert "numpy" not in modules
     assert {m for m in modules if m.split(".")[0] == "qest"} == {"qest", "qest.cli", "qest.errors"}
+
+
+# one command of every experiment and of each estimate mode, with a report
+# under --out; "run" reads the gauss config that reporting_argv writes
+REPORTING_COMMANDS = {
+    "fisher": ["fisher", "--model", "qubit-full", "--theta", "0,0,0", "--kind", "sld"],
+    "bounds": ["bounds", "--model", "qubit-z0", "--theta", "0.5,0"],
+    "clt": ["clt", "--model", "qubit-z0", "--theta", "0.3,0", "--ops", "x", "--word", "1,1", "--n", "2"],
+    "estimate-collective": ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0,0", "--n", "2"],
+    "estimate-two-stage": [
+        "estimate", "--mode", "two-stage", "--model", "qubit-z0", "--theta", "0.5,0", "--n", "400", "--trials", "20",
+    ],
+    "gauss": ["gauss", "--zeta", "0.5,0", "--N", "1", "--n", "10", "--trials", "1000", "--seed", "3"],
+    "run-gauss": ["run", "--config"],
+}
+
+
+def reporting_argv(name, directory):
+    """``REPORTING_COMMANDS[name]`` writing ``directory/report.*``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    argv = list(REPORTING_COMMANDS[name])
+    if name == "run-gauss":
+        config = {"experiment": "gauss", "zeta": [0.5, 0], "N": 1, "n": 10, "trials": 1000, "seed": 3}
+        (directory.parent / "gauss.json").write_text(json.dumps(config))
+        argv.append(str(directory.parent / "gauss.json"))
+    return argv + ["--out", str(directory / "report")]
 
 
 class TestImports:
@@ -794,30 +855,36 @@ class TestImports:
     def test_command_loads_only_its_modules(self, argv, unloaded):
         assert not set(unloaded) & modules_after(argv)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["fisher", "--model", "qubit-full", "--theta", "0,0,0", "--kind", "sld"],
-            ["bounds", "--model", "qubit-z0", "--theta", "0.5,0"],
-            ["clt", "--model", "qubit-z0", "--theta", "0.3,0", "--ops", "x", "--word", "1,1", "--n", "2"],
-            ["estimate", "--mode", "collective", "--model", "qubit-z0", "--theta", "0,0", "--n", "2"],
-        ],
-        ids=["fisher", "bounds", "clt", "estimate-collective"],
-    )
-    def test_commands_without_random_draws_load_no_openssl(self, argv):
-        # the config hash takes the interpreter's own SHA-256, not hashlib's
-        # OpenSSL one.  gauss and two-stage estimate are exempt: NumPy's random
-        # module loads OpenSSL itself (secrets -> hmac -> _hashlib)
-        assert "_hashlib" not in modules_after(argv)
+    @pytest.mark.parametrize("name", list(REPORTING_COMMANDS))
+    def test_no_command_loads_openssl(self, name, tmp_path):
+        # hashlib and hmac, imported by the config hash and by NumPy's random
+        # module (through secrets), take the interpreter's built-in hashes
+        assert "_hashlib" not in modules_after(reporting_argv(name, tmp_path / "reports"))
+
+    @pytest.mark.parametrize("name", list(REPORTING_COMMANDS))
+    def test_reports_match_a_process_that_loaded_openssl(self, name, tmp_path):
+        # this process imported hashlib with OpenSSL before main ran, so the
+        # callback's mask leaves it be; the reports are the same bytes
+        assert sys.modules["_hashlib"] is not None
+        subprocess_run = tmp_path / "subprocess"
+        modules_after(reporting_argv(name, subprocess_run))
+        assert run_cli(reporting_argv(name, tmp_path / "in_process")).exit_code == 0
+        written = sorted(p.name for p in subprocess_run.iterdir())
+        assert "report.json" in written
+        assert written == sorted(p.name for p in (tmp_path / "in_process").iterdir())
+        for file in written:
+            assert (subprocess_run / file).read_bytes() == (tmp_path / "in_process" / file).read_bytes()
 
 
 class TestConfigHash:
-    def test_hashlib_fallback_gives_the_same_digest(self, monkeypatch):
-        # an interpreter built without the built-in SHA-256 modules
-        config = {"experiment": "bounds", "model": "qubit-z0", "theta": [0.5, 0.0], "g": "identity"}
-        built_in = _config_hash(config)
-        for name in ("_sha2", "_sha256"):
-            monkeypatch.setitem(sys.modules, name, None)
-        assert _config_hash(config) == built_in
-        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-        assert built_in == hashlib.sha256(canonical.encode()).hexdigest()
+    def test_hashlib_fallback_gives_the_same_digest(self, tmp_path):
+        # an interpreter without its own SHA-256 module: the CLI leaves
+        # _hashlib unmasked, hashlib hashes with OpenSSL, and the digest is
+        # hashlib's SHA-256 of the canonical config
+        prelude = "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        argv = ["bounds", "--model", "qubit-z0", "--theta", "0.5,0", "--out", str(tmp_path / "b")]
+        assert "_hashlib" in modules_after(argv, prelude=prelude)
+        report = json.loads((tmp_path / "b.json").read_text())
+        canonical = json.dumps(report["config"], sort_keys=True, separators=(",", ":"))
+        assert report["configHash"] == hashlib.sha256(canonical.encode()).hexdigest()
+        assert report["configHash"] == _config_hash(report["config"])

@@ -748,6 +748,36 @@ def _scipy_mle(model, povm, counts):
     return res.x, loglik
 
 
+def _broadcast_grid_starts(model, grid, elements, counts):
+    """The grid scan as the broadcast sum of log-likelihood terms, one count
+    row at a time: the oracle for the blocked matrix products."""
+    logp = np.log(collective._batch_probs(model.state_stack(grid), elements))
+    return np.array([np.argmax((logp * row).sum(axis=-1)) for row in counts])
+
+
+class TestGridStarts:
+    @pytest.mark.parametrize("kind,bases", [("z0", "zx"), ("full", "zxy")])
+    def test_random_count_rows_match_broadcast_sum(self, kind, bases, rng):
+        model = qubit_family(kind)
+        elements = mixed_basis_povm(bases).stack
+        grid = collective._grid_points(model)
+        counts = rng.integers(0, 40, size=(50, len(elements))).astype(float)
+        expected = _broadcast_grid_starts(model, grid, elements, counts)
+        assert np.array_equal(_grid_starts(model, grid, elements, counts), expected)
+
+    @pytest.mark.parametrize("seed", [1, 5, 7])
+    @pytest.mark.parametrize("kind,theta", [("z0", (0.5, 0.0)), ("full", (0.3, 0.2, 0.1))])
+    def test_two_stage_pilot_rows_match_broadcast_sum(self, kind, theta, seed, monkeypatch):
+        # the benchmark's two-stage case and the README's three-parameter one
+        scans = []
+        scan = collective._grid_starts
+        monkeypatch.setattr(collective, "_grid_starts", lambda *args: scans.append(args) or scan(*args))
+        m1 = mixed_basis_povm("zxy" if kind == "full" else "zx")
+        two_stage_estimate(qubit_family(kind), np.array(theta), m1, n=10**4, seed=seed, trials=200)
+        (args,) = scans
+        assert np.array_equal(scan(*args), _broadcast_grid_starts(*args))
+
+
 class TestMle:
     @pytest.mark.parametrize("kind,bases,per_axis", [("z0", "zx", 41), ("full", "zxy", 21)])
     def test_stacked_kernel_matches_pointwise_reference(self, kind, bases, per_axis, rng, monkeypatch):
