@@ -415,7 +415,9 @@ def gauss_experiment(values: dict) -> None:
         "seMseNoise": report.se_mse_noise,
         "scaledMseNoise": (n_copies - 1) * report.mse_noise,
         "baselineMseTheta": report.baseline_mse_theta,
+        "seBaselineMseTheta": report.se_baseline_mse_theta,
         "baselineMseNoise": report.baseline_mse_noise,
+        "seBaselineMseNoise": report.se_baseline_mse_noise,
         "scaledBaselineMseNoise": n_copies * report.baseline_mse_noise,
         "boundTheta": report.bound_theta,
         "boundNoiseCollective": report.bound_noise_collective,

@@ -235,10 +235,10 @@ def _spin_layout(x_ops) -> bool:
     return np.shape(x_ops[0]) == (2, 2)
 
 
-def largest_block(x_ops, n: int) -> int:
-    """Size b of the largest block of ``collective_sectors(x_ops, n)``, known
-    before any block is built: n + 1 for spin sectors, dim^n for a dense one."""
-    return n + 1 if _spin_layout(x_ops) else np.shape(x_ops[0])[0] ** n
+def block_sizes(x_ops, n: int) -> list[int]:
+    """Size b of each block of ``collective_sectors(x_ops, n)``, known before
+    any block is built: n + 1, n - 1, ... for spin sectors, dim^n for a dense one."""
+    return list(range(n + 1, 0, -2)) if _spin_layout(x_ops) else [np.shape(x_ops[0])[0] ** n]
 
 
 def collective_sectors(x_ops, n: int) -> list[Sector]:
@@ -321,11 +321,11 @@ def t_operator_on_sums(spec: CollectiveSpec, n: int, theta_prime, v_prime) -> np
     d = points.shape[1]
     if d > spec.n_ops:
         raise ValidationError("theta' longer than the operator tuple")
-    v_prime = np.asarray(v_prime, dtype=float)
     a_mat, z_norm = smearing_kernel(v_prime, spec.s[:d, :d])
     size = spec.rho.dim**n
-    check_array_bytes((len(points), size, size), "the smearing operators")
+    check_array_bytes((2, len(points), size, size), "two stacks of smearing operators")
     (whole,) = _dense_sectors(spec.x_ops[:d], n)
     t_mats = _smearing_blocks(whole.ops, a_mat, z_norm, points)
-    t_mats = (t_mats + t_mats.conj().swapaxes(-1, -2)) / 2
+    t_mats += t_mats.conj().swapaxes(-1, -2)
+    t_mats /= 2
     return t_mats[0] if single else t_mats

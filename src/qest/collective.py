@@ -12,10 +12,9 @@ by construction, so the reported residual isolates the support truncation.
 All of these operators are block diagonal in the sector layout of
 ``clt.collective_sectors``: for qubits the total-spin sectors j of the n-fold
 space, each a (2j + 1)-dimensional block repeated m_j times, so the POVM is
-built and evaluated on blocks of size at most n + 1 instead of 2^n.  Any
-other dimension is one dense block, refused with NumericalError when its
-(G, b, b) smearing stack would pass ``qcore.MAX_ARRAY_BYTES``.  The estimator
-check reads per-sector outcome-moment operators and the SLDs' collective sums.
+built and evaluated on blocks of size at most n + 1 instead of 2^n; any
+other dimension is one dense block.  A build that would hold
+``qcore.MAX_ARRAY_BYTES`` at once is refused before any sector is built.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from . import qcore
 from .bounds import check_weight_matrix, qubit_c1
-from .clt import CollectiveSpec, _dense_sectors, _smearing_blocks, collective_sectors, largest_block, sector_states
+from .clt import CollectiveSpec, _dense_sectors, _smearing_blocks, block_sizes, collective_sectors, sector_states
 from .errors import NumericalError, ValidationError
 from .fisher import _sld_stack, classical_fisher, sld_fisher
 from .gaussian import smearing_kernel
@@ -36,7 +36,6 @@ from .qcore import (
     Povm,
     _sym_isqrt,
     _sym_sqrt,
-    check_array_bytes,
     measure_distribution,
     povm_stack,
     probability_rows,
@@ -50,9 +49,6 @@ DEFAULT_EPSILON = 0.1
 # bytes of log-likelihoods per block of count rows in the grid scan that
 # starts mle and two-stage stage 1: bounds its memory whatever the row count
 MLE_SCAN_BYTES = 1 << 19
-# bytes of one block's (rows, b, b) smearing stack in the per-point sums,
-# which run over blocks of grid rows: bounds their memory whatever the grid
-SMEARING_BLOCK_BYTES = 1 << 26
 # points per axis of the MLE start grid over the domain box
 MLE_GRID_POINTS = 41
 # shrinks by 1 - 1e-3 tested per domain check in the MLE ascent's projection
@@ -76,8 +72,8 @@ class CollectivePovm:
     sector: the accumulated smearing operator, on whose retained eigenspace
     completeness holds; ``s_isqrt`` its inverse square root there.
     ``dropped_dimensions`` counts dropped eigenvalues with their sector
-    multiplicity.  ``elements`` (a (G, b, b) stack per sector) is built
-    point by point from ``kernel`` (A, Z) and ``cell`` on first access.
+    multiplicity.  ``elements`` (a (G, b, b) stack per sector, checked) is
+    built point by point from ``kernel`` (A, Z) and ``cell`` when read.
     """
 
     n_copies: int
@@ -95,6 +91,7 @@ class CollectivePovm:
     @cached_property
     def elements(self) -> tuple:
         grid = self.outcomes * np.sqrt(self.n_copies)
+        qcore.check_array_bytes((len(grid),) + max(self.s_operator, key=len).shape, "the smearing operators")
         stacks = []
         for sec, s_isqrt in zip(self.sectors, self.s_isqrt):
             t = s_isqrt @ _smearing_blocks(sec.ops, *self.kernel, grid) @ s_isqrt * self.cell
@@ -138,26 +135,35 @@ def build_collective_povm(
     The kernel's commutator matrix s and the default radius come from the
     spec's pair moments.  S accumulates the smearing operators over the ball
     grid through the sums' centre c = sqrt(n) tr(X) / dim (``ball_grid``);
-    elements are S^{-1/2} T_x S^{-1/2} dx with outcome x / sqrt(n).  Each
-    sector (total-spin blocks of size <= n + 1 for qubit operators, one dense
-    block otherwise) sandwiches only its sums of ``_smearing_sums``.
-    The inverse square root lives on the eigenspace of S above
-    ``SUPPORT_THRESHOLD`` times its largest eigenvalue over all sectors;
-    dropped dimensions (with multiplicity) and the completeness residual,
-    the operator norm of sum_x E_x - P on the support, are recorded.
-    Defaults: radius 4 sqrt(lmax(v + v')), step radius / 16.  The largest
-    arrays of the chosen path, for the largest block, are checked against
-    ``qcore.MAX_ARRAY_BYTES`` before any block is built: per point, the
-    (G, b, b) stack that ``elements`` builds whole and the sums in blocks.
+    elements are S^{-1/2} T_x S^{-1/2} dx with outcome x / sqrt(n), and each
+    sector sandwiches only its sums of ``_smearing_sums``.  The inverse
+    square root lives on the eigenspace of S above ``SUPPORT_THRESHOLD``
+    times its largest eigenvalue over all sectors; dropped dimensions (with
+    multiplicity) and the completeness residual, the operator norm of
+    sum_x E_x - P on the support, are recorded.  Defaults: radius
+    4 sqrt(lmax(v + v')), step radius / 16.  Before any sector is built, the
+    complex entries held at once are checked against ``qcore.MAX_ARRAY_BYTES``:
+    each sector's operators, m = 1 + d + d^2 sums, S, its eigenvectors and
+    S^-1/2; two (m, b, b) sandwich temporaries; the grid and its monomials;
+    per point, two ``_block_rows`` stacks with their eigenvalues; per radius,
+    two (R, b, b) stacks and twice the (G, 2b - 1) phases and their sums.
     """
     kernel, grid, step, centre = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
-    b = largest_block(spec.x_ops, n)
     radii = _lattice_radii(spec.x_ops, kernel[0], grid, centre, step)
-    check_array_bytes((len(grid) if radii is None else len(radii[2]), b, b), "the smearing operators")
-    if radii is not None:
-        # the phases (G, 2b - 1) and their sums (R, 1 + d + d^2, 2b - 1)
-        check_array_bytes((max(len(grid), 7 * len(radii[2])), 2 * b - 1), "the radius phase sums")
+    sizes, d = block_sizes(spec.x_ops, n), spec.n_ops
+    m, b = 1 + d + d * d, max(sizes)
+    held = (d + m + 3) * sum(s * s for s in sizes) + 2 * m * b * b + (d + m) * len(grid)
+    if radii is None:
+        held += 2 * max(_block_rows(s, len(grid)) * s * (s + 1) for s in sizes)
+    else:
+        held += 2 * len(radii[2]) * b * b + 2 * (len(grid) + m * len(radii[2])) * (2 * b - 1)
+    qcore.check_array_bytes((held,), "the collective build")
     return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, step, radii)
+
+
+def _block_rows(b, points) -> int:
+    """Grid rows per (rows, b, b) block of the per-point sums: ``qcore.MAX_ARRAY_BYTES`` / 16 bytes or one row."""
+    return min(points, max(1, qcore.MAX_ARRAY_BYTES // 16 // (16 * b * b)))
 
 
 def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
@@ -222,14 +228,14 @@ def _smearing_sums(sectors, n, kernel, grid, radii=None) -> list:
     """sum_x [1, x_k, x_k x_l] T_x per sector as one stack (1 + d + d^2, b,
     b), x the outcome: from one T per lattice radius given ``radii`` of
     ``_lattice_radii``, else one per grid point, summed over blocks of
-    about ``SMEARING_BLOCK_BYTES`` of T stack.  Entry 0 is S / dx."""
+    ``_block_rows`` points.  Entry 0 is S / dx."""
     outcomes = grid / np.sqrt(n)
     pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
     monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
     if radii is None:
         raws = []
         for sec in sectors:
-            rows = max(1, SMEARING_BLOCK_BYTES // (16 * sec.ops.shape[-1] ** 2))
+            rows = _block_rows(sec.ops.shape[-1], len(grid))
             parts = (
                 np.tensordot(monomials[lo : lo + rows].T, _smearing_blocks(sec.ops, *kernel, grid[lo : lo + rows]), axes=1)
                 for lo in range(0, len(grid), rows)
@@ -246,9 +252,9 @@ def _smearing_sums(sectors, n, kernel, grid, radii=None) -> list:
 
 def _povm_on_sectors(sectors, n, kernel, grid, step, radii=None) -> CollectivePovm:
     """``build_collective_povm`` on the given sectors, with the sums of
-    ``_smearing_sums``."""
+    ``_smearing_sums`` scaled in place; the moments are written over them."""
     cell = step ** grid.shape[1]
-    raws = [raw * cell for raw in _smearing_sums(sectors, n, kernel, grid, radii)]
+    raws = [np.multiply(raw, cell, out=raw) for raw in _smearing_sums(sectors, n, kernel, grid, radii)]
     s_blocks = [(raw[0] + raw[0].conj().T) / 2 for raw in raws]
     spectra = [np.linalg.eigh(s_op) for s_op in s_blocks]
     top = max(w.max() for w, _ in spectra)
@@ -258,23 +264,19 @@ def _povm_on_sectors(sectors, n, kernel, grid, step, radii=None) -> CollectivePo
     dropped = sum(sec.multiplicity * int((~keep).sum()) for sec, keep in zip(sectors, keeps))
     support_gap = float(1.0 - min(w[keep].min() for (w, _), keep in zip(spectra, keeps) if keep.any()))
 
-    moments = []
-    isqrts = []
+    isqrts = [(u[:, keep] * (w[keep] ** -0.5)) @ u[:, keep].conj().T for (w, u), keep in zip(spectra, keeps)]
     residual = 0.0
-    for raw, (w, u), keep in zip(raws, spectra, keeps):
-        u_keep = u[:, keep]
-        s_isqrt = (u_keep * (w[keep] ** -0.5)) @ u_keep.conj().T
+    for raw, s_isqrt, (_, u), keep in zip(raws, isqrts, spectra, keeps):
         o = s_isqrt @ raw @ s_isqrt
-        o = (o + o.conj().swapaxes(-1, -2)) / 2
+        np.add(o, o.conj().swapaxes(-1, -2), out=raw)
+        raw /= 2
         # completeness holds against the projector on the retained eigenspace
-        residual = max(residual, float(np.abs(np.linalg.eigvalsh(o[0] - u_keep @ u_keep.conj().T)).max()))
-        moments.append(o)
-        isqrts.append(s_isqrt)
+        residual = max(residual, float(np.abs(np.linalg.eigvalsh(raw[0] - u[:, keep] @ u[:, keep].conj().T)).max()))
     return CollectivePovm(
         n_copies=n,
         outcomes=grid / np.sqrt(n),
         sectors=tuple(sectors),
-        moments=tuple(moments),
+        moments=tuple(raws),
         s_operator=tuple(s_blocks),
         s_isqrt=tuple(isqrts),
         kernel=kernel,

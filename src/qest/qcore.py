@@ -6,7 +6,8 @@ reproducible outcome sampling.  The tolerances of the validators in this
 module are its constants below; ``fisher``, ``bounds``, ``clt``,
 ``collective`` and ``gaussian`` keep their own next to the code that uses
 them.  Builders of n-fold arrays call ``check_array_bytes`` before they
-allocate.
+allocate: a standalone builder on each array it holds, a collective build
+(``collective.build_collective_povm``) once on all it holds at once.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qest.cli import _config_hash, main
 from qest.collective import mixed_basis_povm, two_stage_estimate
-from qest.gaussian import TRIAL_BLOCK, number_povm, protocol_trials
+from qest.gaussian import TRIAL_BLOCK, gaussian_protocol_mse, number_povm, protocol_trials
 from qest.models import model_from_name
 from qest.qcore import matrix_to_json
 
@@ -165,6 +165,17 @@ class TestGaussCommand:
         assert res["boundTheta"] == 4.0
         assert res["boundNoiseSeparable"] == 4.0
         assert abs(res["scaledMseTheta"] - 4.0) < 1.0
+
+    def test_report_carries_the_baseline_standard_errors(self):
+        argv = ["gauss", "--zeta", "0.6,0.4", "--N", "1.0", "--n", "100", "--trials", "20000", "--seed", "1"]
+        result = run_cli(argv)
+        assert result.exit_code == 0
+        res = json.loads(result.output)["results"]
+        rep = gaussian_protocol_mse(0.6 + 0.4j, 1.0, 100, 20000, 1)
+        assert res["seBaselineMseTheta"] == rep.se_baseline_mse_theta
+        assert res["seBaselineMseNoise"] == rep.se_baseline_mse_noise
+        # the baseline's (N + 1)^2 = 4 within 3 SE, from the report alone
+        assert abs(100 * res["baselineMseNoise"] - 4.0) < 3 * 100 * res["seBaselineMseNoise"]
 
     def test_writes_files(self, tmp_path):
         prefix = tmp_path / "gauss_run"
@@ -361,10 +372,10 @@ class TestEstimateCommand:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: out of memory")
 
-    @pytest.mark.parametrize("n", ["6", "7"])
+    @pytest.mark.parametrize("n", ["7", "8"])
     def test_byte_limit_exits_3_with_one_line(self, n):
-        # the dense diag:3 smearing stack is 6.37 GiB at n = 6 and 57.3 GiB
-        # at n = 7; the address-space limit turns a check placed after the
+        # the dense diag:3 build would hold 2.00 GiB at n = 7 and 18.0 GiB
+        # at n = 8; the address-space limit turns a check placed after the
         # allocation into a MemoryError instead of exhausting the host
         code = (
             "import resource\n"
@@ -378,7 +389,7 @@ class TestEstimateCommand:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("numerical failure: the smearing operators would take")
+        assert lines[0].startswith("numerical failure: the collective build would take")
         assert lines[0].endswith("GiB, over the 1 GiB limit")
 
     def test_narrow_kernel_names_the_dropped_dimensions(self):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from qest import qcore
 from qest.clt import (
     CollectiveSpec,
+    _dense_sectors,
+    _smearing_blocks,
     build_collective_ops,
     clt_gap,
     collective_moment,
@@ -12,7 +15,7 @@ from qest.clt import (
     t_operator_on_sums,
 )
 from qest.errors import NumericalError, ValidationError
-from qest.gaussian import t_density
+from qest.gaussian import smearing_kernel, t_density
 from qest.qcore import DensityOperator, tensor_power
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_density, random_hermitian
@@ -283,3 +286,17 @@ class TestTOperatorOnSums:
         spec = spec_sigma_z()
         with pytest.raises(NumericalError, match="smearing operators"):
             t_operator_on_sums(spec, 8, np.zeros((1024, 1)), [[1.0]])
+
+    def test_symmetrized_in_place(self, rng, monkeypatch):
+        # the output is (T + T^dagger) / 2 of the smearing builder bit for bit,
+        # and the check counts the builder's two stacks: a limit between one
+        # stack and two refuses
+        spec = CollectiveSpec(random_density(rng), [random_hermitian(rng), random_hermitian(rng)])
+        v_prime = spec.v + np.abs(spec.s[0, 1]) * np.eye(2) + 0.1 * np.eye(2)
+        points = rng.normal(size=(5, 2))
+        (whole,) = _dense_sectors(spec.x_ops, 3)
+        t = _smearing_blocks(whole.ops, *smearing_kernel(v_prime, spec.s), points)
+        assert np.array_equal(t_operator_on_sums(spec, 3, points, v_prime), (t + t.conj().swapaxes(-1, -2)) / 2)
+        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * 5 * 8 * 8 * 3 // 2)
+        with pytest.raises(NumericalError, match="two stacks of smearing operators"):
+            t_operator_on_sums(spec, 3, points, v_prime)

@@ -85,6 +85,48 @@ def pair_inversion(model, povm, counts):
     return np.linalg.solve(np.array(rows), np.array(rhs))
 
 
+def _holevo_spec(name, theta):
+    """Spec and default v' (eps = 0.1) of ``estimate --mode collective`` at
+    a point of a named model."""
+    model = model_from_name(name)
+    theta = np.array(theta)
+    solution = holevo_bound(model, theta, np.eye(len(theta)))
+    spec = CollectiveSpec(model.state_at(theta), solution.x_ops)
+    return spec, default_v_prime(solution.s_matrix, np.eye(len(theta)), 0.1)
+
+
+def _no_sectors(*args):
+    raise AssertionError("a sector was built")
+
+
+def _traced_peak(call, limit=None):
+    """Peak bytes ``tracemalloc`` sees while ``call()`` runs, checked against
+    ``limit`` also when the call raises."""
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert limit is None or peak < limit
+    return peak
+
+
+def _counted_bytes(monkeypatch, call) -> list:
+    """Bytes of every ``qcore.check_array_bytes`` call while ``call()`` runs."""
+    counted = []
+    check = qcore.check_array_bytes
+
+    def recorded(shape, what):
+        counted.append(16 * int(np.prod(shape, dtype=object)))
+        check(shape, what)
+
+    monkeypatch.setattr(qcore, "check_array_bytes", recorded)
+    call()
+    monkeypatch.setattr(qcore, "check_array_bytes", check)
+    return counted
+
+
 def tangential_model():
     """(x, y) parameters orthogonal to a Bloch vector of length 1/2."""
     return ParametricModel(
@@ -168,39 +210,22 @@ class TestBuildCollectivePovm:
         assert np.max(np.abs(cov - exact * np.eye(2))) < 2e-3
         assert np.max(np.abs(cov - 2.0 * np.eye(2))) < 0.25
 
-    def test_dense_stack_over_the_byte_limit_is_refused(self):
-        # diag:3 at n = 6: the 804 smearing operators of the 729 x 729 block
-        # would take 6.37 GiB; the build stops before allocating them
-        model = model_from_name("diag:3")
-        theta = np.array([0.2, 0.3])
-        solution = holevo_bound(model, theta, np.eye(2))
-        spec = CollectiveSpec(model.state_at(theta), solution.x_ops)
-        v_prime = default_v_prime(solution.s_matrix, np.eye(2), 0.1)
-        tracemalloc.start()
-        try:
-            with pytest.raises(NumericalError, match="smearing operators would take 6.37 GiB"):
-                build_collective_povm(spec, v_prime, 6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 100e6
+    def test_dense_stack_over_the_byte_limit_is_refused(self, monkeypatch):
+        # diag:3 at n = 7: the 2187 x 2187 block's operators, sums and
+        # sandwich temporaries come to 2.00 GiB; the build stops before any
+        # sector is built
+        spec, v_prime = _holevo_spec("diag:3", (0.2, 0.3))
+        monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
+        with pytest.raises(NumericalError, match="the collective build would take 2.00 GiB"):
+            _traced_peak(lambda: build_collective_povm(spec, v_prime, 7), limit=100e6)
 
-    def test_dense_sums_over_the_byte_limit_are_not_built(self):
-        # gauss1:0.3:16 at n = 3: the smearing stack of the 4096 x 4096 block
-        # is refused before the two 256 MiB collective sums are built
-        model = model_from_name("gauss1:0.3:16")
-        theta = np.array([0.3, 0.2])
-        solution = holevo_bound(model, theta, np.eye(2))
-        spec = CollectiveSpec(model.state_at(theta), solution.x_ops)
-        v_prime = default_v_prime(solution.s_matrix, np.eye(2), 0.1)
-        tracemalloc.start()
-        try:
-            with pytest.raises(NumericalError, match="smearing operators would take 199.25 GiB"):
-                build_collective_povm(spec, v_prime, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 100e6
+    def test_dense_sums_over_the_byte_limit_are_not_built(self, monkeypatch):
+        # gauss1:0.3:16 at n = 3: the 4096 x 4096 block is refused before
+        # its two 256 MiB collective sums are built
+        spec, v_prime = _holevo_spec("gauss1:0.3:16", (0.3, 0.2))
+        monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
+        with pytest.raises(NumericalError, match="the collective build would take 7.00 GiB"):
+            _traced_peak(lambda: build_collective_povm(spec, v_prime, 3), limit=100e6)
 
     def test_ball_grid_masks(self):
         pts = ball_grid(1.0, 0.5, np.zeros(2))
@@ -224,25 +249,71 @@ class TestBuildCollectivePovm:
         assert "elements" in povm.__dict__
 
     def test_byte_guard_checks_the_chosen_path(self, monkeypatch):
-        # with the limit between the (R, b, b) stack of the per-radius path
-        # and the (G, b, b) stack of the per-point path, the symmetric build
-        # runs and a kernel with A not proportional to I is refused before
-        # any sector is built
+        # the per-point blocks are sized from the same budget, so a limit at
+        # the per-radius count admits a kernel with A not proportional to I,
+        # while the symmetric build is refused before any sector is built
         spec = CollectiveSpec(tangential_model().state_at(np.zeros(2)), [SIGMA_X, SIGMA_Y])
+        n = 8
+        (per_radius,) = _counted_bytes(monkeypatch, lambda: build_collective_povm(spec, 0.6 * np.eye(2), n))
+        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", per_radius)
+        (per_point,) = _counted_bytes(monkeypatch, lambda: build_collective_povm(spec, np.diag([0.6, 0.7]), n))
+        assert per_point < per_radius // 2
+        monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
+        with pytest.raises(NumericalError, match="the collective build would take"):
+            build_collective_povm(spec, 0.6 * np.eye(2), n)
+
+    def test_budget_counts_blocks_not_the_whole_grid(self, monkeypatch):
+        # with the limit at the whole-grid (G, b, b) stack, the per-point
+        # build, which holds two blocks of grid rows, runs; only reading the
+        # elements builds that stack, and it is refused
+        spec, v_prime = _holevo_spec("qubit-full", (0.2, 0.1, 0.3))
         n, b = 8, 9
-        kernel, grid, step, centre = _kernel_and_grid(spec, 0.6 * np.eye(2), n, None, None)
+        kernel, grid, step, centre = _kernel_and_grid(spec, v_prime, n, None, None)
+        assert _lattice_radii(spec.x_ops, kernel[0], grid, centre, step) is None
+        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * len(grid) * b * b)
+        povm = build_collective_povm(spec, v_prime, n)
+        assert povm.completeness_residual < 1e-12
+        with pytest.raises(NumericalError, match="the smearing operators would take"):
+            povm.elements
+
+    @pytest.mark.parametrize(
+        "name, theta, n",
+        [("criterion-7", None, 128), ("qubit-full", (0.2, 0.1, 0.3), 32), ("diag:3", (0.2, 0.3), 4)],
+        ids=["per-radius", "per-point", "dense"],
+    )
+    def test_traced_peak_within_the_count(self, monkeypatch, name, theta, n):
+        # tracemalloc sees the NumPy arrays the build holds; the count bounds
+        # their peak and is not more than twice it
+        if theta is None:
+            spec, v_prime = CollectiveSpec(tangential_model().state_at(np.zeros(2)), [SIGMA_X, SIGMA_Y]), 0.6 * np.eye(2)
+        else:
+            spec, v_prime = _holevo_spec(name, theta)
+        peaks = []
+        (count,) = _counted_bytes(monkeypatch, lambda: peaks.append(_traced_peak(lambda: build_collective_povm(spec, v_prime, n))))
+        assert count / 2 <= peaks[0] <= count
+
+    @pytest.mark.parametrize(
+        "name, theta, n",
+        [("qubit-z0", (0.5, 0.0), 6), ("qubit-full", (0.2, 0.1, 0.3), 3), ("diag:3", (0.2, 0.3), 2)],
+        ids=["spin-per-radius", "spin-per-point", "dense"],
+    )
+    def test_moments_written_over_the_sums_match_the_sandwich(self, name, theta, n):
+        # S, S^-1/2 and the moments, built in place over the sums, equal the
+        # out-of-place sandwich of the scaled sums bit for bit
+        spec, v_prime = _holevo_spec(name, theta)
+        kernel, grid, step, centre = _kernel_and_grid(spec, v_prime, n, None, None)
         radii = _lattice_radii(spec.x_ops, kernel[0], grid, centre, step)
-        per_radius, per_point = 16 * len(radii[2]) * b * b, 16 * len(grid) * b * b
-        assert per_radius < per_point // 4
-        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", (per_radius + per_point) // 2)
-        assert build_collective_povm(spec, 0.6 * np.eye(2), n).completeness_residual < 1e-10
-
-        def no_sectors(*args):
-            raise AssertionError("a sector was built")
-
-        monkeypatch.setattr(collective, "collective_sectors", no_sectors)
-        with pytest.raises(NumericalError, match="smearing operators would take"):
-            build_collective_povm(spec, np.diag([0.6, 0.7]), n)
+        sectors = collective_sectors(spec.x_ops, n)
+        povm = _povm_on_sectors(sectors, n, kernel, grid, step, radii)
+        raws = [raw * step ** grid.shape[1] for raw in _smearing_sums(sectors, n, kernel, grid, radii)]
+        spectra = [np.linalg.eigh((raw[0] + raw[0].conj().T) / 2) for raw in raws]
+        top = max(w.max() for w, _ in spectra)
+        for raw, (w, u), s_op, s_isqrt, moments in zip(raws, spectra, povm.s_operator, povm.s_isqrt, povm.moments):
+            assert np.array_equal(s_op, (raw[0] + raw[0].conj().T) / 2)
+            keep = w > collective.SUPPORT_THRESHOLD * top
+            assert np.array_equal(s_isqrt, (u[:, keep] * (w[keep] ** -0.5)) @ u[:, keep].conj().T)
+            o = s_isqrt @ raw @ s_isqrt
+            assert np.array_equal(moments, (o + o.conj().swapaxes(-1, -2)) / 2)
 
 
 class TestBallGrid:
@@ -361,8 +432,9 @@ class TestRotationSums:
 
 class TestPerPointSums:
     def test_blocked_sums_match_one_whole_grid_fold(self, monkeypatch):
-        # A not proportional to I takes the per-point path; a budget of 7 rows
-        # of the 4 x 4 sector runs every sector in at least 3 blocks
+        # A not proportional to I takes the per-point path; a block of 7 rows
+        # of the 4 x 4 sector, a 16th of the limit, runs every sector in at
+        # least 3 blocks
         x_ops = np.array([SIGMA_X, 0.5 * SIGMA_Y + 0.2 * SIGMA_Z + 0.1 * np.eye(2)])
         n, kernel = 3, (np.array([[0.7, 0.1], [0.1, 0.5]]), 1.3)
         grid = ball_grid(2.0, 0.25, np.zeros(2))
@@ -377,7 +449,7 @@ class TestPerPointSums:
             sizes.append(ops.shape[-1])
             return _smearing_blocks(ops, *args)
 
-        monkeypatch.setattr(collective, "SMEARING_BLOCK_BYTES", 16 * 4 * 4 * 7)
+        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * 16 * 4 * 4 * 7)
         monkeypatch.setattr(collective, "_smearing_blocks", recorded)
         gots = _smearing_sums(sectors, n, kernel, grid)
         assert min(sizes.count(sec.ops.shape[-1]) for sec in sectors) >= 3
