@@ -72,8 +72,9 @@ class CollectivePovm:
     sector: the accumulated smearing operator, on whose retained eigenspace
     completeness holds; ``s_isqrt`` its inverse square root there.
     ``dropped_dimensions`` counts dropped eigenvalues with their sector
-    multiplicity.  ``elements`` (a (G, b, b) stack per sector, checked) is
-    built point by point from ``kernel`` (A, Z) and ``cell`` when read.
+    multiplicity.  ``elements`` (a (G, b, b) stack per sector, checked with
+    one sector's working stacks) is built point by point from ``kernel``
+    (A, Z) and ``cell`` when read.
     """
 
     n_copies: int
@@ -91,11 +92,18 @@ class CollectivePovm:
     @cached_property
     def elements(self) -> tuple:
         grid = self.outcomes * np.sqrt(self.n_copies)
-        qcore.check_array_bytes((len(grid),) + max(self.s_operator, key=len).shape, "the smearing operators")
+        sizes = [len(s_op) for s_op in self.s_operator]
+        b = max(sizes)
+        # every sector's stack, two working stacks with their eigenvalues, the grid and its (G, d) temporaries
+        held = sum(s * s for s in sizes) + 2 * b * (b + 1) + 2 * grid.shape[1]
+        qcore.check_array_bytes((len(grid), held), "the smearing operators")
         stacks = []
         for sec, s_isqrt in zip(self.sectors, self.s_isqrt):
-            t = s_isqrt @ _smearing_blocks(sec.ops, *self.kernel, grid) @ s_isqrt * self.cell
-            stacks.append((t + t.conj().swapaxes(-1, -2)) / 2)
+            t = s_isqrt @ _smearing_blocks(sec.ops, *self.kernel, grid) @ s_isqrt
+            t *= self.cell
+            t += t.conj().swapaxes(-1, -2)
+            t /= 2
+            stacks.append(t)
         return tuple(stacks)
 
 
@@ -145,18 +153,22 @@ def build_collective_povm(
     complex entries held at once are checked against ``qcore.MAX_ARRAY_BYTES``:
     each sector's operators, m = 1 + d + d^2 sums, S, its eigenvectors and
     S^-1/2; two (m, b, b) sandwich temporaries; the grid and its monomials;
-    per point, two ``_block_rows`` stacks with their eigenvalues; per radius,
-    two (R, b, b) stacks and twice the (G, 2b - 1) phases and their sums.
+    ``ball_grid``'s lattice cube; per point, two ``_block_rows`` stacks with
+    their eigenvalues and one block of monomials; per radius, two (R, b, b)
+    stacks, twice the (G, 2b - 1) phases and their sums, and the grid order,
+    angles and reordered monomials.
     """
-    kernel, grid, step, centre = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
+    kernel, grid, step, centre, radius = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
     radii = _lattice_radii(spec.x_ops, kernel[0], grid, centre, step)
     sizes, d = block_sizes(spec.x_ops, n), spec.n_ops
     m, b = 1 + d + d * d, max(sizes)
     held = (d + m + 3) * sum(s * s for s in sizes) + 2 * m * b * b + (d + m) * len(grid)
+    # ball_grid's cube: at most (2 radius / step + 2)^d nodes, their coordinates and squared norms
+    held += (d + 1) * int(2 * radius / step + 2) ** d
     if radii is None:
-        held += 2 * max(_block_rows(s, len(grid)) * s * (s + 1) for s in sizes)
+        held += max(_block_rows(s, len(grid)) * (2 * s * (s + 1) + m) for s in sizes)
     else:
-        held += 2 * len(radii[2]) * b * b + 2 * (len(grid) + m * len(radii[2])) * (2 * b - 1)
+        held += 2 * len(radii[2]) * b * b + 2 * (len(grid) + m * len(radii[2])) * (2 * b - 1) + (m + 2) * len(grid)
     qcore.check_array_bytes((held,), "the collective build")
     return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, step, radii)
 
@@ -167,8 +179,8 @@ def _block_rows(b, points) -> int:
 
 
 def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
-    """Smearing kernel (A, Z), ball grid, grid step and sums' centre of
-    ``build_collective_povm``, with the defaults filled in."""
+    """Smearing kernel (A, Z), ball grid, grid step, sums' centre and radius
+    of ``build_collective_povm``, with the defaults filled in."""
     if n < 1:
         raise ValidationError("n must be positive")
     kernel = smearing_kernel(v_prime, spec.s)
@@ -177,7 +189,7 @@ def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
     if grid_step is None:
         grid_step = radius / 16.0
     centre = np.sqrt(n) * np.real(np.trace(spec.x_ops, axis1=1, axis2=2)) / spec.rho.dim
-    return kernel, ball_grid(radius, grid_step, centre), grid_step, centre
+    return kernel, ball_grid(radius, grid_step, centre), grid_step, centre, radius
 
 
 def _lattice_radii(x_ops, a_mat, grid, centre, step):

@@ -390,23 +390,16 @@ def _mse_and_se(sq_errors: np.ndarray) -> tuple[float, float]:
     return mse, se
 
 
-def _skip_normals(rng: np.random.Generator, count: int, buf: np.ndarray) -> np.random.Generator:
-    """Advance ``rng`` past ``count`` standard normals, drawn into ``buf``."""
-    for start in range(0, count, buf.size):
-        rng.standard_normal(out=buf[: min(buf.size, count - start)])
-    return rng
-
-
 def protocol_trials(zeta: complex, noise: float, n: int, trials: int, seed: int):
     """Per-trial estimators of the concentration protocol and its baseline.
 
     Yields blocks of at most ``TRIAL_BLOCK`` trials, each the arrays
     ``(zeta_hat, noise_hat, zeta_hat_base, noise_hat_base)``; see
-    ``gaussian_protocol_mse`` for the estimators and their laws.  The draws
-    are those of one whole-trial pass: per child generator, all real parts,
-    then all imaginary parts, then the counts or chi^2 draws.  Each part is
-    read from its own copy of its child generator, advanced past the earlier
-    parts, so a block of a part is the same slice of the same stream.  Counts
+    ``gaussian_protocol_mse`` for the estimators and their laws.  Each drawn
+    quantity has its own stream, seeded from ``seed``'s generator in this
+    order: heterodyne real and imaginary parts, photon counts, baseline real
+    and imaginary parts, baseline chi^2.  A block takes the next slice of
+    every stream, so the draws do not depend on the block size.  Counts
     NumPy cannot draw (mean N (n - 1) near 1e18) raise NumericalError.
     """
     if n < 2:
@@ -422,14 +415,7 @@ def protocol_trials(zeta: complex, noise: float, n: int, trials: int, seed: int)
 
 def _protocol_blocks(zeta, noise, n, trials, seed):
     root = np.random.default_rng(seed)
-    s_het, s_num, s_base = root.integers(0, 2**63 - 1, 3)
-    buf = np.empty(TRIAL_BLOCK)
-    het_re = np.random.default_rng(s_het)
-    het_im = _skip_normals(np.random.default_rng(s_het), trials, buf)
-    num = np.random.default_rng(s_num)
-    base_re = np.random.default_rng(s_base)
-    base_im = _skip_normals(np.random.default_rng(s_base), trials, buf)
-    base_chi = _skip_normals(np.random.default_rng(s_base), 2 * trials, buf)
+    het_re, het_im, num, base_re, base_im, base_chi = map(np.random.default_rng, root.integers(0, 2**63 - 1, 6))
 
     amp = np.sqrt(n) * zeta
     sigma = np.sqrt((noise + 1.0) / 2.0)

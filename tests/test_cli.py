@@ -691,6 +691,28 @@ class TestDocumentedInputs:
                 assert a.exists() == b.exists()
                 assert not a.exists() or a.read_bytes() == b.read_bytes()
 
+    @settings(max_examples=4, deadline=None, database=None)
+    @given(
+        zeta=st.tuples(st.sampled_from([0.0, 0.3, -0.6]), st.sampled_from([0.0, 0.4])),
+        noise=NOISES,
+        n=st.sampled_from([2, 3, 100]),
+        trials=st.sampled_from([1000, TRIAL_BLOCK + 1]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_gauss_replay(self, zeta, noise, n, trials, seed):
+        # gauss takes no model; its report replays through ``run`` to the
+        # same JSON and CSV bytes
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            argv = ["gauss", "--zeta", "{},{}".format(*zeta), "--N", str(noise), "--n", str(n),
+                    "--trials", str(trials), "--seed", str(seed), "--out", str(tmp / "a")]
+            assert run_cli(argv).exit_code == 0
+            config = tmp / "config.json"
+            config.write_text(json.dumps(json.loads((tmp / "a.json").read_text())["config"]))
+            assert run_cli(["run", "--config", str(config), "--out", str(tmp / "b")]).exit_code == 0
+            for suffix in (".json", ".csv"):
+                assert (tmp / f"a{suffix}").read_bytes() == (tmp / f"b{suffix}").read_bytes()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

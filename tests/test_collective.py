@@ -268,7 +268,7 @@ class TestBuildCollectivePovm:
         # elements builds that stack, and it is refused
         spec, v_prime = _holevo_spec("qubit-full", (0.2, 0.1, 0.3))
         n, b = 8, 9
-        kernel, grid, step, centre = _kernel_and_grid(spec, v_prime, n, None, None)
+        kernel, grid, step, centre, _ = _kernel_and_grid(spec, v_prime, n, None, None)
         assert _lattice_radii(spec.x_ops, kernel[0], grid, centre, step) is None
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * len(grid) * b * b)
         povm = build_collective_povm(spec, v_prime, n)
@@ -278,18 +278,40 @@ class TestBuildCollectivePovm:
 
     @pytest.mark.parametrize(
         "name, theta, n",
-        [("criterion-7", None, 128), ("qubit-full", (0.2, 0.1, 0.3), 32), ("diag:3", (0.2, 0.3), 4)],
-        ids=["per-radius", "per-point", "dense"],
+        [
+            ("criterion-7", None, 128),
+            ("qubit-full", (0.2, 0.1, 0.3), 32),
+            ("diag:3", (0.2, 0.3), 4),
+            ("qubit-z0", (0.0, 0.0), 1),
+            ("qubit-z0", (0.0, 0.0), 2),
+            ("qubit-full", (0.2, 0.1, 0.3), 1),
+        ],
+        ids=["per-radius", "per-point", "dense", "per-radius-n1", "per-radius-n2", "per-point-n1"],
     )
     def test_traced_peak_within_the_count(self, monkeypatch, name, theta, n):
         # tracemalloc sees the NumPy arrays the build holds; the count bounds
-        # their peak and is not more than twice it
+        # their peak and is not more than twice it, also at the smallest
+        # builds, where the grid's index arrays outweigh the sectors
         if theta is None:
             spec, v_prime = CollectiveSpec(tangential_model().state_at(np.zeros(2)), [SIGMA_X, SIGMA_Y]), 0.6 * np.eye(2)
         else:
             spec, v_prime = _holevo_spec(name, theta)
         peaks = []
         (count,) = _counted_bytes(monkeypatch, lambda: peaks.append(_traced_peak(lambda: build_collective_povm(spec, v_prime, n))))
+        assert count / 2 <= peaks[0] <= count
+
+    @pytest.mark.parametrize(
+        "name, theta, n",
+        [("qubit-full", (0.2, 0.1, 0.3), 8), ("qubit-z0", (0.0, 0.0), 1), ("diag:3", (0.2, 0.3), 3)],
+        ids=["spin", "spin-n1", "dense"],
+    )
+    def test_elements_traced_peak_within_their_count(self, monkeypatch, name, theta, n):
+        # reading the elements holds every sector's (G, b, b) stack and the
+        # working stacks of one sector; their check counts all of it
+        spec, v_prime = _holevo_spec(name, theta)
+        povm = build_collective_povm(spec, v_prime, n)
+        peaks = []
+        (count,) = _counted_bytes(monkeypatch, lambda: peaks.append(_traced_peak(lambda: povm.elements)))
         assert count / 2 <= peaks[0] <= count
 
     @pytest.mark.parametrize(
@@ -301,7 +323,7 @@ class TestBuildCollectivePovm:
         # S, S^-1/2 and the moments, built in place over the sums, equal the
         # out-of-place sandwich of the scaled sums bit for bit
         spec, v_prime = _holevo_spec(name, theta)
-        kernel, grid, step, centre = _kernel_and_grid(spec, v_prime, n, None, None)
+        kernel, grid, step, centre, _ = _kernel_and_grid(spec, v_prime, n, None, None)
         radii = _lattice_radii(spec.x_ops, kernel[0], grid, centre, step)
         sectors = collective_sectors(spec.x_ops, n)
         povm = _povm_on_sectors(sectors, n, kernel, grid, step, radii)
@@ -360,7 +382,7 @@ class TestBallGrid:
         model, theta = qubit_family("z0"), np.array([0.3, -0.4])
         x_ops, v_prime = _bound_operators(model, theta)
         spec = CollectiveSpec(model.state_at(theta), x_ops)
-        _, grid, step, centre = _kernel_and_grid(spec, v_prime, 9, None, None)
+        _, grid, step, centre, _ = _kernel_and_grid(spec, v_prime, 9, None, None)
         povm = build_collective_povm(spec, v_prime, 9)
         assert povm.cell == step**2
         assert np.array_equal(povm.outcomes, grid / 3)
@@ -423,7 +445,7 @@ class TestRotationSums:
             theta = np.array(theta)
             x_ops, v_prime = _bound_operators(model, theta)
             spec = CollectiveSpec(model.state_at(theta), x_ops)
-            _, _, step, centre = _kernel_and_grid(spec, v_prime, n, None, None)
+            _, _, step, centre, _ = _kernel_and_grid(spec, v_prime, n, None, None)
             assert np.abs(centre / step - np.rint(centre / step)).max() > 1e-3
             build_collective_povm(spec, v_prime, n)
             _, _, _, grid, _, radii = built.pop()
@@ -602,7 +624,7 @@ class TestSectorsAgainstDense:
 
 def _dense_povm(spec, v_prime, n, radius=None, grid_step=None):
     """``build_collective_povm`` of the spec's operators on the dense layout."""
-    kernel, grid, step, _ = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
+    kernel, grid, step, _, _ = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
     return _povm_on_sectors(_dense_sectors(spec.x_ops, n), n, kernel, grid, step)
 
 

@@ -1,8 +1,10 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qest import gaussian
 from qest.errors import NumericalError, ValidationError
 from qest.gaussian import (
     DEFAULT_TAIL_TOL,
@@ -412,20 +414,22 @@ class TestConcentrate:
             assert abs(total - n * abs(zeta) ** 2) < 1e-12
 
 
+def child_streams(seed):
+    """The sampler's six streams: heterodyne real and imaginary parts, photon
+    counts, baseline real and imaginary parts, baseline chi^2."""
+    root = np.random.default_rng(seed)
+    return [np.random.default_rng(s) for s in root.integers(0, 2**63 - 1, 6)]
+
+
 def per_copy_protocol(zeta, noise, n, trials, seed):
     """Per-copy reference for gaussian_protocol_mse: n - 1 geometric photon
-    counts and n heterodyne outcomes per trial, drawn from the same child
-    generators as the sampler."""
-    root = np.random.default_rng(seed)
-    s_het, s_num, s_base = (np.random.default_rng(s) for s in root.integers(0, 2**63 - 1, 3))
+    counts and n heterodyne outcomes per trial, drawn from the sampler's
+    streams (the chi^2 stream unused)."""
+    het_re, het_im, num, base_re, base_im, _ = child_streams(seed)
     sigma = np.sqrt((noise + 1.0) / 2.0)
-    alpha = np.sqrt(n) * zeta + sigma * (
-        s_het.standard_normal(trials) + 1j * s_het.standard_normal(trials)
-    )
-    counts = s_num.geometric(p=1.0 / (noise + 1.0), size=(trials, n - 1)) - 1
-    base = zeta + sigma * (
-        s_base.standard_normal((trials, n)) + 1j * s_base.standard_normal((trials, n))
-    )
+    alpha = np.sqrt(n) * zeta + sigma * (het_re.standard_normal(trials) + 1j * het_im.standard_normal(trials))
+    counts = num.geometric(p=1.0 / (noise + 1.0), size=(trials, n - 1)) - 1
+    base = zeta + sigma * (base_re.standard_normal((trials, n)) + 1j * base_im.standard_normal((trials, n)))
     zeta_hat_base = base.mean(axis=1)
     spread = np.abs(base - zeta_hat_base[:, None]) ** 2
     return {
@@ -446,27 +450,30 @@ def all_trials(zeta, noise, n, trials, seed):
 
 
 def whole_array_protocol(zeta, noise, n, trials, seed):
-    """Whole-array reference for protocol_trials: every part of every child
-    generator drawn for all trials at once, in the sampler's order."""
-    root = np.random.default_rng(seed)
-    s_het, s_num, s_base = (np.random.default_rng(s) for s in root.integers(0, 2**63 - 1, 3))
+    """Whole-array reference for protocol_trials: every stream drawn for all
+    trials at once."""
+    het_re, het_im, num, base_re, base_im, base_chi = child_streams(seed)
     sigma = np.sqrt((noise + 1.0) / 2.0)
-    alpha = np.sqrt(n) * zeta + sigma * (s_het.standard_normal(trials) + 1j * s_het.standard_normal(trials))
-    noise_hat = s_num.negative_binomial(n - 1, 1.0 / (noise + 1.0), size=trials) / (n - 1)
-    zeta_hat_base = zeta + sigma / np.sqrt(n) * (
-        s_base.standard_normal(trials) + 1j * s_base.standard_normal(trials)
-    )
-    noise_hat_base = sigma**2 * s_base.chisquare(2 * (n - 1), size=trials) / n - 1.0
+    alpha = np.sqrt(n) * zeta + sigma * (het_re.standard_normal(trials) + 1j * het_im.standard_normal(trials))
+    noise_hat = num.negative_binomial(n - 1, 1.0 / (noise + 1.0), size=trials) / (n - 1)
+    zeta_hat_base = zeta + sigma / np.sqrt(n) * (base_re.standard_normal(trials) + 1j * base_im.standard_normal(trials))
+    noise_hat_base = sigma**2 * base_chi.chisquare(2 * (n - 1), size=trials) / n - 1.0
     return dict(zip(ESTIMATORS, (alpha / np.sqrt(n), noise_hat, zeta_hat_base, noise_hat_base)))
 
 
+def block_cases():
+    """(trials, noise, n, block) at the sampler's block size and at 1000;
+    the trial counts end blocks of ``TRIAL_BLOCK`` evenly and unevenly."""
+    trial_counts = (1000, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5)
+    for block, trials, noise, n in itertools.product((TRIAL_BLOCK, 1000), trial_counts, (0.0, 1.5), (2, 40)):
+        suffix = "" if block == TRIAL_BLOCK else f"-block{block}"
+        yield pytest.param(trials, noise, n, block, id=f"{trials}-{noise}-{n}{suffix}")
+
+
 class TestBlocksAgainstWholeArray:
-    @pytest.mark.parametrize("n", [2, 40])
-    @pytest.mark.parametrize("noise", [0.0, 1.5])
-    @pytest.mark.parametrize(
-        "trials", [1000, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1, 3 * TRIAL_BLOCK + 5]
-    )
-    def test_same_draws_and_statistics(self, trials, noise, n):
+    @pytest.mark.parametrize("trials, noise, n, block", block_cases())
+    def test_same_draws_and_statistics(self, trials, noise, n, block, monkeypatch):
+        monkeypatch.setattr(gaussian, "TRIAL_BLOCK", block)
         zeta, seed = 0.4 - 0.2j, 17
         ref = whole_array_protocol(zeta, noise, n, trials, seed)
         blocks = all_trials(zeta, noise, n, trials, seed)
