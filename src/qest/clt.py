@@ -206,23 +206,22 @@ def _spin_matrices(two_j: int) -> np.ndarray:
     )
 
 
-def _spin_sectors(x_ops, n: int) -> list[Sector]:
-    """Total-spin sectors of qubit collective sums, j = n/2 down to 0 or 1/2.
+def _spin_sectors(x_ops, n: int):
+    """Total-spin sectors of qubit collective sums, j = n/2 down to 0 or 1/2,
+    yielded one at a time.
 
     A qubit operator X = c0 I + c . sigma sums to (n c0 I + 2 c . J^(j)) /
     sqrt(n) on sector j, whose multiplicity is C(n, n/2 - j) - C(n, n/2 - j - 1).
     """
     paulis = np.array([PAULIS["x"], PAULIS["y"], PAULIS["z"]])
     coeffs = [(np.trace(x) / 2, np.einsum("kab,ba->k", paulis, x) / 2) for x in x_ops]
-    sectors = []
     for k in range(n // 2 + 1):
         two_j = n - 2 * k
         spin = _spin_matrices(two_j)
         eye = np.eye(two_j + 1)
         ops = np.array([(n * c0 * eye + 2 * np.einsum("k,kab->ab", c, spin)) for c0, c in coeffs])
         multiplicity = comb(n, k) - (comb(n, k - 1) if k else 0)
-        sectors.append(Sector(ops / np.sqrt(n), multiplicity, two_j))
-    return sectors
+        yield Sector(ops / np.sqrt(n), multiplicity, two_j)
 
 
 def _dense_sectors(x_ops, n: int) -> list[Sector]:
@@ -248,7 +247,7 @@ def collective_sectors(x_ops, n: int) -> list[Sector]:
         raise ValidationError("n must be positive")
     x_ops = [np.asarray(x, dtype=complex) for x in x_ops]
     if _spin_layout(x_ops):
-        return _spin_sectors(x_ops, n)
+        return list(_spin_sectors(x_ops, n))
     return _dense_sectors(x_ops, n)
 
 

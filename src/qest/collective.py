@@ -26,7 +26,7 @@ import numpy as np
 
 from . import qcore
 from .bounds import check_weight_matrix, qubit_c1
-from .clt import CollectiveSpec, _dense_sectors, _smearing_blocks, block_sizes, collective_sectors, sector_states
+from .clt import CollectiveSpec, _dense_sectors, _smearing_blocks, _spin_sectors, block_sizes, collective_sectors, sector_states
 from .errors import NumericalError, ValidationError
 from .fisher import _sld_stack, classical_fisher, sld_fisher
 from .gaussian import smearing_kernel
@@ -36,6 +36,7 @@ from .qcore import (
     Povm,
     _sym_isqrt,
     _sym_sqrt,
+    check_draws,
     measure_distribution,
     povm_stack,
     probability_rows,
@@ -64,55 +65,55 @@ class CollectivePovm:
     layout of ``sectors`` (see ``clt.collective_sectors``).
 
     Every operator is block diagonal, sum over sectors of B (x) I_m.
-    ``outcomes`` holds the estimate attached to each grid point (grid point /
-    sqrt(n)).  ``moments`` holds one stack (1 + d + d^2, b, b) per sector:
-    sum_x E_x, sum_x x_k E_x and sum_x x_k x_l E_x (row-major in k, l), so
-    the outcome law's mass, mean and second moment under a state are Born
-    rules sum_j m_j tr(rho_j O_j).  ``s_operator`` holds one (b, b) block per
-    sector: the accumulated smearing operator, on whose retained eigenspace
-    completeness holds; ``s_isqrt`` its inverse square root there.
-    ``dropped_dimensions`` counts dropped eigenvalues with their sector
-    multiplicity.  ``elements`` (a (G, b, b) stack per sector, checked with
-    one sector's working stacks) is built point by point from ``kernel``
-    (A, Z) and ``cell`` when read.
+    ``grid`` holds the build's quadrature nodes and ``outcomes`` the
+    estimate attached to each (node / sqrt(n)).  ``moments`` holds one stack
+    (1 + d + d^2, b, b) per sector: sum_x E_x, sum_x x_k E_x and
+    sum_x x_k x_l E_x (row-major in k, l), so the outcome law's mass, mean
+    and second moment under a state are Born rules sum_j m_j tr(rho_j O_j).
+    ``s_operator`` holds one (b, b) block per sector: the accumulated
+    smearing operator, on whose retained eigenspace (``_sandwiched``)
+    completeness holds.  ``dropped_dimensions`` counts dropped eigenvalues
+    with their sector multiplicity.  ``elements`` (a (G, b, b) stack per
+    sector, checked with one sector's working stacks) is built point by
+    point on ``grid`` from ``kernel`` (A, Z) and ``cell`` when read, each
+    sector sandwiched between the S^-1/2 that ``s_operator`` gives.
     """
 
     n_copies: int
-    outcomes: np.ndarray
+    grid: np.ndarray
     sectors: tuple
     moments: tuple
     s_operator: tuple
-    s_isqrt: tuple
     kernel: tuple
     cell: float
     support_gap: float
     dropped_dimensions: int
     completeness_residual: float
 
+    @property
+    def outcomes(self) -> np.ndarray:
+        return self.grid / np.sqrt(self.n_copies)
+
     @cached_property
     def elements(self) -> tuple:
-        grid = self.outcomes * np.sqrt(self.n_copies)
         sizes = [len(s_op) for s_op in self.s_operator]
         b = max(sizes)
-        # every sector's stack, two working stacks with their eigenvalues, the grid and its (G, d) temporaries
-        held = sum(s * s for s in sizes) + 2 * b * (b + 1) + 2 * grid.shape[1]
-        qcore.check_array_bytes((len(grid), held), "the smearing operators")
-        stacks = []
-        for sec, s_isqrt in zip(self.sectors, self.s_isqrt):
-            t = s_isqrt @ _smearing_blocks(sec.ops, *self.kernel, grid) @ s_isqrt
-            t *= self.cell
-            t += t.conj().swapaxes(-1, -2)
-            t /= 2
-            stacks.append(t)
-        return tuple(stacks)
+        # every sector's stack, two working stacks with their eigenvalues and the grid's (G, d) temporaries
+        held = sum(s * s for s in sizes) + 2 * b * (b + 1) + 2 * self.grid.shape[1]
+        qcore.check_array_bytes((len(self.grid), held), "the smearing operators")
+        blocks = (_smearing_blocks(sec.ops, *self.kernel, self.grid) * self.cell for sec in self.sectors)
+        return tuple(stack for stack, _, _ in _sandwiched(self.s_operator, blocks))
 
 
 def ball_grid(radius: float, step: float, centre: np.ndarray) -> np.ndarray:
     """Cubic lattice through ``centre`` (d,) clipped to the closed ball of
     the given radius around 0: the lattice through -radius, one node past
     +radius, shifted by at most step / 2 per axis (by exactly 0 at centre 0
-    for the default step radius / 16 of ``build_collective_povm``)."""
+    for the default step radius / 16 of ``build_collective_povm``).  The
+    lattice cube's 2d + 1 float arrays are checked against
+    ``qcore.MAX_ARRAY_BYTES`` before they are built."""
     axis = np.arange(-radius, radius + step * (1 + 1e-9), step)
+    qcore.check_array_bytes((len(centre) + 1, len(axis) ** len(centre)), "the ball grid's lattice cube")
     shift = np.asarray(centre, dtype=float) + radius
     shift -= step * np.round(shift / step)
     pts = np.stack([m.ravel() for m in np.meshgrid(*(axis + s for s in shift), indexing="ij")], axis=1)
@@ -151,18 +152,18 @@ def build_collective_povm(
     sum_x E_x - P on the support, are recorded.  Defaults: radius
     4 sqrt(lmax(v + v')), step radius / 16.  Before any sector is built, the
     complex entries held at once are checked against ``qcore.MAX_ARRAY_BYTES``:
-    each sector's operators, m = 1 + d + d^2 sums, S, its eigenvectors and
-    S^-1/2; two (m, b, b) sandwich temporaries; the grid and its monomials;
-    ``ball_grid``'s lattice cube; per point, two ``_block_rows`` stacks with
-    their eigenvalues and one block of monomials; per radius, two (R, b, b)
-    stacks, twice the (G, 2b - 1) phases and their sums, and the grid order,
-    angles and reordered monomials.
+    each sector's operators, m = 1 + d + d^2 sums and S; the largest sector's
+    eigenvectors, S^-1/2 and two (m, b, b) sandwich temporaries; the grid and
+    its monomials; ``ball_grid``'s lattice cube; per point, two ``_block_rows``
+    stacks with their eigenvalues and one block of monomials; per radius, two
+    (R, b, b) stacks, twice the (G, 2b - 1) phases and their sums, and the
+    grid order, angles and reordered monomials.
     """
     kernel, grid, step, centre, radius = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
     radii = _lattice_radii(spec.x_ops, kernel[0], grid, centre, step)
     sizes, d = block_sizes(spec.x_ops, n), spec.n_ops
     m, b = 1 + d + d * d, max(sizes)
-    held = (d + m + 3) * sum(s * s for s in sizes) + 2 * m * b * b + (d + m) * len(grid)
+    held = (d + m + 1) * sum(s * s for s in sizes) + 2 * (m + 1) * b * b + (d + m) * len(grid)
     # ball_grid's cube: at most (2 radius / step + 2)^d nodes, their coordinates and squared norms
     held += (d + 1) * int(2 * radius / step + 2) ** d
     if radii is None:
@@ -262,38 +263,46 @@ def _smearing_sums(sectors, n, kernel, grid, radii=None) -> list:
     return [_rotation_sums(sec.ops, *kernel, lengths, sums) for sec in sectors]
 
 
+def _sandwiched(s_blocks, stacks):
+    """Each of ``stacks`` (..., b, b) with every O in it replaced in place by
+    S^-1/2 O S^-1/2 symmetrized, one sector at a time, and S's retained
+    eigenpairs: above ``SUPPORT_THRESHOLD`` times the largest eigenvalue over
+    all sectors, taken by ``eigh`` (so with the same bits) in a first pass."""
+    top = max(np.linalg.eigh(s_op)[0].max() for s_op in s_blocks)
+    if not top > 0:
+        raise NumericalError("accumulated smearing operator is numerically zero")
+    for s_op, stack in zip(s_blocks, stacks):
+        w, u = np.linalg.eigh(s_op)
+        keep = w > SUPPORT_THRESHOLD * top
+        w, u = w[keep], u[:, keep]
+        s_isqrt = (u * (w**-0.5)) @ u.conj().T
+        np.matmul(s_isqrt @ stack, s_isqrt, out=stack)
+        stack += stack.conj().swapaxes(-1, -2)
+        stack /= 2
+        yield stack, w, u
+
+
 def _povm_on_sectors(sectors, n, kernel, grid, step, radii=None) -> CollectivePovm:
     """``build_collective_povm`` on the given sectors, with the sums of
     ``_smearing_sums`` scaled in place; the moments are written over them."""
     cell = step ** grid.shape[1]
     raws = [np.multiply(raw, cell, out=raw) for raw in _smearing_sums(sectors, n, kernel, grid, radii)]
     s_blocks = [(raw[0] + raw[0].conj().T) / 2 for raw in raws]
-    spectra = [np.linalg.eigh(s_op) for s_op in s_blocks]
-    top = max(w.max() for w, _ in spectra)
-    keeps = [w > SUPPORT_THRESHOLD * top for w, _ in spectra]
-    if not any(keep.any() for keep in keeps):
-        raise NumericalError("accumulated smearing operator is numerically zero")
-    dropped = sum(sec.multiplicity * int((~keep).sum()) for sec, keep in zip(sectors, keeps))
-    support_gap = float(1.0 - min(w[keep].min() for (w, _), keep in zip(spectra, keeps) if keep.any()))
-
-    isqrts = [(u[:, keep] * (w[keep] ** -0.5)) @ u[:, keep].conj().T for (w, u), keep in zip(spectra, keeps)]
-    residual = 0.0
-    for raw, s_isqrt, (_, u), keep in zip(raws, isqrts, spectra, keeps):
-        o = s_isqrt @ raw @ s_isqrt
-        np.add(o, o.conj().swapaxes(-1, -2), out=raw)
-        raw /= 2
+    dropped, residual, low = 0, 0.0, np.inf
+    for sec, (moments, w, u) in zip(sectors, _sandwiched(s_blocks, raws)):
+        dropped += sec.multiplicity * (len(moments[0]) - len(w))
+        low = min(low, w.min(initial=np.inf))
         # completeness holds against the projector on the retained eigenspace
-        residual = max(residual, float(np.abs(np.linalg.eigvalsh(raw[0] - u[:, keep] @ u[:, keep].conj().T)).max()))
+        residual = max(residual, float(np.abs(np.linalg.eigvalsh(moments[0] - u @ u.conj().T)).max()))
     return CollectivePovm(
         n_copies=n,
-        outcomes=grid / np.sqrt(n),
+        grid=grid,
         sectors=tuple(sectors),
         moments=tuple(raws),
         s_operator=tuple(s_blocks),
-        s_isqrt=tuple(isqrts),
         kernel=kernel,
         cell=cell,
-        support_gap=support_gap,
+        support_gap=float(1.0 - low),
         dropped_dimensions=dropped,
         completeness_residual=residual,
     )
@@ -347,12 +356,12 @@ def _estimator_rows(model, theta, x_ops, n_list, povm_at):
     for n in n_list:
         n = int(n)
         povm = povm_at(spec, n)
-        # the SLDs' collective sums sum_k L_(k) in the POVM's own layout
-        layout = _dense_sectors if povm.sectors[0].two_j is None else collective_sectors
-        blocks = sector_states(spec.rho.matrix, n, povm.sectors)
+        # the SLDs' collective sums sum_k L_(k) in the POVM's own layout, one sector at a time
+        layout = _dense_sectors if povm.sectors[0].two_j is None else _spin_sectors
         # row 0: tr(rho^(x)n O); row 1 + a: tr(d_a rho^(x)n O), for O = [O0, O1_k, O2_kl]
         traces = 0.0
-        for sec, rho_j, l_sec, moments in zip(povm.sectors, blocks, layout(slds, n), povm.moments):
+        for sec, l_sec, moments in zip(povm.sectors, layout(slds, n), povm.moments):
+            (rho_j,) = sector_states(spec.rho.matrix, n, [sec])
             l_sum = np.sqrt(n) * l_sec.ops
             states = np.concatenate([rho_j[None], (rho_j @ l_sum + l_sum @ rho_j) / 2])
             traces = traces + sec.multiplicity * trace_products(states[:, None], moments[None])
@@ -751,6 +760,7 @@ def two_stage_estimate(
         raise ValidationError("two-stage estimator is qubit-only")
     if trials < 2:
         raise ValidationError("two-stage estimation needs at least 2 trials")
+    check_draws(seed, n=n, trials=trials)
     t = model.require_domain(theta_true)
     g = np.eye(model.param_dim) if g is None else check_weight_matrix(g, model.param_dim)
     n1 = int(np.ceil(np.sqrt(n)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .qcore import OutcomeDistribution, Povm, _sym_sqrt
+from .qcore import OutcomeDistribution, Povm, _sym_sqrt, check_draws
 
 MOMENT_DEGREE_CAP = 10
 DEFAULT_TAIL_TOL = 1e-8
@@ -410,6 +410,7 @@ def protocol_trials(zeta: complex, noise: float, n: int, trials: int, seed: int)
         raise ValidationError("noise must be finite and nonnegative")
     if not np.isfinite(zeta):
         raise ValidationError("zeta must be finite")
+    check_draws(seed, n=n, trials=trials)
     return _protocol_blocks(zeta, noise, n, trials, seed)
 
 
@@ -459,10 +460,11 @@ def gaussian_protocol_mse(zeta: complex, noise: float, n: int, trials: int, seed
     zeta + sigma/sqrt(n) (Z1 + i Z2), and the summed squared spread is
     sigma^2 chi^2_{2(n-1)}, independent of the mean (Cochran's theorem).
     """
+    blocks = protocol_trials(zeta, noise, n, trials, seed)  # validates before sq is allocated
     # rows: protocol mean, protocol noise, baseline mean, baseline noise
     sq = np.empty((4, trials))
     start = 0
-    for zeta_hat, noise_hat, zeta_hat_base, noise_hat_base in protocol_trials(zeta, noise, n, trials, seed):
+    for zeta_hat, noise_hat, zeta_hat_base, noise_hat_base in blocks:
         block = slice(start, start + zeta_hat.size)
         sq[0, block] = 2.0 * np.abs(zeta_hat - zeta) ** 2
         sq[1, block] = (noise_hat - noise) ** 2

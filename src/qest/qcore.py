@@ -7,7 +7,8 @@ module are its constants below; ``fisher``, ``bounds``, ``clt``,
 ``collective`` and ``gaussian`` keep their own next to the code that uses
 them.  Builders of n-fold arrays call ``check_array_bytes`` before they
 allocate: a standalone builder on each array it holds, a collective build
-(``collective.build_collective_povm``) once on all it holds at once.
+(``collective.build_collective_povm``) once on all it holds at once, after
+``collective.ball_grid`` has checked its lattice cube.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def check_array_bytes(shape, what: str) -> None:
     nbytes = 16 * math.prod(shape)
     if nbytes >= MAX_ARRAY_BYTES:
         raise NumericalError(f"{what} would take {nbytes / 2**30:.2f} GiB, over the {MAX_ARRAY_BYTES >> 30} GiB limit")
+
+
+def check_draws(seed: int, **counts: int) -> None:
+    """Raise ValidationError unless ``seed`` is nonnegative, as NumPy's
+    generators need, and every named count fits in their 64-bit integers."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    for name, count in counts.items():
+        if count > np.iinfo(np.int64).max:
+            raise ValidationError(f"{name} must be at most 2^63 - 1, got {count}")
 
 
 def _sym_sqrt(g: np.ndarray) -> np.ndarray:

@@ -272,6 +272,38 @@ class TestNonFiniteInputs:
         assert len(lines) == 1 and lines[0].startswith("validation error:")
 
 
+class TestOutOfRangeIntegers:
+    """Seeds NumPy's generators refuse and counts beyond their 64-bit
+    integers exit 2 with one line, not a traceback."""
+
+    TWO_STAGE = ["estimate", "--mode", "two-stage", "--model", "qubit-z0", "--theta", "0.5,0"]
+    GAUSS = ["gauss", "--zeta", "0.6,0.4", "--N", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            GAUSS + ["--n", "2", "--trials", "1000", "--seed", "-5"],
+            TWO_STAGE + ["--n", "100", "--trials", "5", "--seed", "-1"],
+            TWO_STAGE + ["--n", "10000000000000000000", "--trials", "5"],
+            GAUSS + ["--n", "2", "--trials", "100000000000000000000"],
+            TWO_STAGE + ["--n", "100", "--trials", "100000000000000000000"],
+        ],
+        ids=["gauss-seed", "two-stage-seed", "two-stage-n", "gauss-trials", "two-stage-trials"],
+    )
+    def test_exit_2_with_one_line(self, argv):
+        result = run_cli(argv)
+        assert "Traceback" not in result.stderr
+        TestNonFiniteInputs.check_exit_2(result)
+
+    def test_negative_seed_in_a_config(self, tmp_path):
+        config = tmp_path / "gauss.json"
+        config.write_text(json.dumps({"experiment": "gauss", "zeta": [0.6, 0.4], "N": 1, "n": 2, "trials": 1000, "seed": -3}))
+        result = run_cli(["run", "--config", str(config), "--out", str(tmp_path / "g")])
+        assert "Traceback" not in result.stderr
+        TestNonFiniteInputs.check_exit_2(result)
+        assert not (tmp_path / "g.json").exists()
+
+
 class TestCltCommand:
     def test_fourth_moment_rows(self):
         result = run_cli(

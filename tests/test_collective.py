@@ -95,6 +95,10 @@ def _holevo_spec(name, theta):
     return spec, default_v_prime(solution.s_matrix, np.eye(len(theta)), 0.1)
 
 
+# what the build's one memory check names; ``ball_grid`` checks its lattice cube before it
+BUILD = "the collective build"
+
+
 def _no_sectors(*args):
     raise AssertionError("a sector was built")
 
@@ -112,13 +116,15 @@ def _traced_peak(call, limit=None):
     return peak
 
 
-def _counted_bytes(monkeypatch, call) -> list:
-    """Bytes of every ``qcore.check_array_bytes`` call while ``call()`` runs."""
-    counted = []
+def _counted_bytes(monkeypatch, call) -> dict:
+    """Bytes of every ``qcore.check_array_bytes`` call while ``call()`` runs,
+    keyed by the name of what it checks."""
+    counted = {}
     check = qcore.check_array_bytes
 
     def recorded(shape, what):
-        counted.append(16 * int(np.prod(shape, dtype=object)))
+        assert what not in counted
+        counted[what] = 16 * int(np.prod(shape, dtype=object))
         check(shape, what)
 
     monkeypatch.setattr(qcore, "check_array_bytes", recorded)
@@ -254,9 +260,9 @@ class TestBuildCollectivePovm:
         # while the symmetric build is refused before any sector is built
         spec = CollectiveSpec(tangential_model().state_at(np.zeros(2)), [SIGMA_X, SIGMA_Y])
         n = 8
-        (per_radius,) = _counted_bytes(monkeypatch, lambda: build_collective_povm(spec, 0.6 * np.eye(2), n))
+        per_radius = _counted_bytes(monkeypatch, lambda: build_collective_povm(spec, 0.6 * np.eye(2), n))[BUILD]
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", per_radius)
-        (per_point,) = _counted_bytes(monkeypatch, lambda: build_collective_povm(spec, np.diag([0.6, 0.7]), n))
+        per_point = _counted_bytes(monkeypatch, lambda: build_collective_povm(spec, np.diag([0.6, 0.7]), n))[BUILD]
         assert per_point < per_radius // 2
         monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
         with pytest.raises(NumericalError, match="the collective build would take"):
@@ -297,7 +303,7 @@ class TestBuildCollectivePovm:
         else:
             spec, v_prime = _holevo_spec(name, theta)
         peaks = []
-        (count,) = _counted_bytes(monkeypatch, lambda: peaks.append(_traced_peak(lambda: build_collective_povm(spec, v_prime, n))))
+        count = _counted_bytes(monkeypatch, lambda: peaks.append(_traced_peak(lambda: build_collective_povm(spec, v_prime, n))))[BUILD]
         assert count / 2 <= peaks[0] <= count
 
     @pytest.mark.parametrize(
@@ -311,8 +317,52 @@ class TestBuildCollectivePovm:
         spec, v_prime = _holevo_spec(name, theta)
         povm = build_collective_povm(spec, v_prime, n)
         peaks = []
-        (count,) = _counted_bytes(monkeypatch, lambda: peaks.append(_traced_peak(lambda: povm.elements)))
+        (count,) = _counted_bytes(monkeypatch, lambda: peaks.append(_traced_peak(lambda: povm.elements))).values()
         assert count / 2 <= peaks[0] <= count
+
+    @pytest.mark.parametrize(
+        "name, theta, n",
+        [("qubit-z0", (0.5, 0.0), 6), ("qubit-full", (0.2, 0.1, 0.3), 3), ("qubit-z0", (0.0, 0.0), 7)],
+        ids=["spin-per-radius", "spin-per-point", "origin"],
+    )
+    def test_elements_read_on_the_build_grid(self, monkeypatch, name, theta, n):
+        # the elements' smearing operators sit on the build's own nodes, bit
+        # for bit, not on outcomes * sqrt(n) (which misses some in the last bit)
+        spec, v_prime = _holevo_spec(name, theta)
+        _, grid, _, _, _ = _kernel_and_grid(spec, v_prime, n, None, None)
+        povm = build_collective_povm(spec, v_prime, n)
+        points = []
+
+        def recorded(ops, a_mat, z_norm, at):
+            points.append(at)
+            return _smearing_blocks(ops, a_mat, z_norm, at)
+
+        monkeypatch.setattr(collective, "_smearing_blocks", recorded)
+        povm.elements
+        assert len(points) == len(povm.sectors)
+        assert all(at.tobytes() == grid.tobytes() for at in points)
+        assert np.array_equal(povm.outcomes, grid / np.sqrt(n))
+
+    def test_numerically_zero_s_is_refused(self, monkeypatch):
+        # sums that give S = 0 on every sector leave no support to sandwich on
+        spec = CollectiveSpec(tangential_model().state_at(np.zeros(2)), [SIGMA_X, SIGMA_Y])
+        monkeypatch.setattr(
+            collective, "_smearing_sums", lambda sectors, *args: [np.zeros((7,) + sec.ops.shape[1:], complex) for sec in sectors]
+        )
+        with pytest.raises(NumericalError, match="accumulated smearing operator is numerically zero"):
+            build_collective_povm(spec, 0.6 * np.eye(2), 4)
+
+    def test_lattice_cube_checked_before_it_is_built(self, monkeypatch):
+        # at d = 3 and step radius / 48 the lattice cube's float arrays take
+        # about 45 MB for an 11 MB grid; ball_grid refuses them under a
+        # 16 MiB limit before it builds them
+        spec, v_prime = _holevo_spec("qubit-full", (0.2, 0.1, 0.3))
+        radius = _kernel_and_grid(spec, v_prime, 2, None, None)[4]
+        limit = 16 << 20
+        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", limit)
+        monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
+        with pytest.raises(NumericalError, match="the ball grid's lattice cube would take"):
+            _traced_peak(lambda: build_collective_povm(spec, v_prime, 2, grid_step=radius / 48), limit=limit)
 
     @pytest.mark.parametrize(
         "name, theta, n",
@@ -320,8 +370,9 @@ class TestBuildCollectivePovm:
         ids=["spin-per-radius", "spin-per-point", "dense"],
     )
     def test_moments_written_over_the_sums_match_the_sandwich(self, name, theta, n):
-        # S, S^-1/2 and the moments, built in place over the sums, equal the
-        # out-of-place sandwich of the scaled sums bit for bit
+        # S and the moments, built in place over the sums one sector at a
+        # time, equal the out-of-place sandwich of the scaled sums, with
+        # S^-1/2 from the spectra of all S blocks at once, bit for bit
         spec, v_prime = _holevo_spec(name, theta)
         kernel, grid, step, centre, _ = _kernel_and_grid(spec, v_prime, n, None, None)
         radii = _lattice_radii(spec.x_ops, kernel[0], grid, centre, step)
@@ -330,10 +381,10 @@ class TestBuildCollectivePovm:
         raws = [raw * step ** grid.shape[1] for raw in _smearing_sums(sectors, n, kernel, grid, radii)]
         spectra = [np.linalg.eigh((raw[0] + raw[0].conj().T) / 2) for raw in raws]
         top = max(w.max() for w, _ in spectra)
-        for raw, (w, u), s_op, s_isqrt, moments in zip(raws, spectra, povm.s_operator, povm.s_isqrt, povm.moments):
+        for raw, (w, u), s_op, moments in zip(raws, spectra, povm.s_operator, povm.moments):
             assert np.array_equal(s_op, (raw[0] + raw[0].conj().T) / 2)
             keep = w > collective.SUPPORT_THRESHOLD * top
-            assert np.array_equal(s_isqrt, (u[:, keep] * (w[keep] ** -0.5)) @ u[:, keep].conj().T)
+            s_isqrt = (u[:, keep] * (w[keep] ** -0.5)) @ u[:, keep].conj().T
             o = s_isqrt @ raw @ s_isqrt
             assert np.array_equal(moments, (o + o.conj().swapaxes(-1, -2)) / 2)
 
@@ -533,6 +584,19 @@ class TestCollectiveEstimatorCheck:
         for r in rows:
             assert abs(float(r.scaled_covariance[0, 0]) - target) < 1e-4 * target
             assert abs(float(r.a_matrix[0, 0]) - 1.0) < 1e-4
+
+    def test_holds_one_sector_at_a_time(self):
+        # above the built POVM the check holds the working set of one sector,
+        # its 1 + d states and their (1 + d) m trace products (twice that
+        # bounds the peak), not every sector's states and SLD sums, which
+        # take 16.8 MiB at criterion-7, n = 128
+        model, n, d = tangential_model(), 128, 2
+        spec = CollectiveSpec(model.state_at(np.zeros(2)), [SIGMA_X, SIGMA_Y])
+        povm = build_collective_povm(spec, 0.6 * np.eye(2), n)
+        m, b = 1 + d + d * d, n + 1
+        working = 16 * (1 + d) * (1 + m) * b * b
+        assert 2 * working < 16 * (1 + d) * sum(s * s for s in range(b, 0, -2))
+        _traced_peak(lambda: _estimator_rows(model, np.zeros(2), spec.x_ops, [n], lambda spec, n: povm), limit=2 * working)
 
 
 class TestSectorsAgainstDense:
