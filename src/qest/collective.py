@@ -421,10 +421,11 @@ def _stack_povms(model: ParametricModel, m: Povm, counts):
         raise ValidationError(f"dimension mismatch: state {model.hilbert_dim}, POVM {m.dim}")
     flat = m.stack.reshape(len(m), -1)
     order = np.lexsort(np.column_stack([flat.real, flat.imag]).T)
-    rows = [np.asarray(row, dtype=float) for row in counts]
-    if any(row.shape != order.shape or row.sum() <= 0 for row in rows):
-        raise ValidationError("counts must align with POVM outcomes and be nonempty")
-    return m.stack[order][None], np.array([m.prob_sum_tol]), np.reshape(rows, (-1, len(m)))[:, order]
+    counts = np.asarray(counts, dtype=float)
+    valid = counts.shape[1:] == order.shape and (np.isfinite(counts) & (counts >= 0)).all()
+    if not valid or (counts.sum(axis=1) <= 0).any():
+        raise ValidationError("counts must align with POVM outcomes, be finite and nonnegative, and not all be zero")
+    return m.stack[order][None], np.array([m.prob_sum_tol]), counts[:, order]
 
 
 def _grid_starts(model, grid, elements, counts) -> np.ndarray:
@@ -579,7 +580,8 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
 def mle(model: ParametricModel, m: Povm, counts):
     """Maximum likelihood estimate from an outcome histogram.
 
-    ``counts`` is a vector aligned with the POVM labels.  A coarse grid scan
+    ``counts`` is a vector aligned with the POVM labels, finite, nonnegative
+    (not necessarily whole) and not all zero.  A coarse grid scan
     over the domain box, ``MLE_GRID_POINTS`` per axis, picks the start (ties
     break to the smallest flat index).  The mean log-likelihood then climbs
     by Newton steps H^-1 grad, with H = sum_k w_k s_k s_k^T over the scores
@@ -620,7 +622,9 @@ class EstimationReport:
 
 
 def mse_report(estimates, theta_true, bound_value: float, bound_kind: str = "", extras=None) -> EstimationReport:
-    """Empirical mean, MSE matrix, and delete-one jackknife standard errors."""
+    """Empirical mean, MSE matrix, and the standard errors of its entries as
+    sample means (sample standard deviation over sqrt(trials)), to which the
+    delete-one jackknife of a mean reduces exactly."""
     est = np.asarray(estimates, dtype=float)
     if est.ndim == 1:
         est = est[:, None]
@@ -630,17 +634,13 @@ def mse_report(estimates, theta_true, bound_value: float, bound_kind: str = "", 
     trials = est.shape[0]
     diff = est - theta_true[None, :]
     per_trial = np.einsum("ik,il->ikl", diff, diff)
-    mse = per_trial.mean(axis=0)
-    # delete-one jackknife of a sample mean
-    loo = (trials * mse[None, :, :] - per_trial) / (trials - 1)
-    se = np.sqrt((trials - 1) / trials * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
     return EstimationReport(
         empirical_mean=est.mean(axis=0),
-        mse_matrix=mse,
+        mse_matrix=per_trial.mean(axis=0),
         trials=trials,
         bound_value=float(bound_value),
         bound_kind=bound_kind,
-        standard_errors=se,
+        standard_errors=per_trial.std(axis=0, ddof=1) / np.sqrt(trials),
         extras=extras or {},
     )
 
@@ -743,8 +743,10 @@ def two_stage_estimate(
     estimate is the stage-two MLE.  Trials whose pilot or final MLE lands on
     the domain boundary are discarded and counted.
 
-    Trials run as a batch, each drawing from its own generator, so a
-    trial's result does not depend on the others.  Stage one is one
+    Trials run as a batch.  Stage one's stream draws every trial's counts in
+    one call and stage two's every survivor's; both are seeded from
+    ``seed``'s generator and read in trial order, so a run's first trials
+    come out the same whatever follows them.  Stage one is one
     grid-started batched MLE, scanned in blocks (``MLE_SCAN_BYTES``) so
     memory does not grow with ``trials``.  Stage two validates all
     survivors' POVMs as one stack and climbs from each pilot: with Born
@@ -772,21 +774,18 @@ def two_stage_estimate(
         raise ValidationError("pilot measurement has singular Fisher information")
     rho = model.state_at(t)
     p_stage1 = measure_distribution(rho, m_prime).probs
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
-    rngs = [np.random.default_rng(trial_seed) for trial_seed in seeds]
-    counts1 = [rng.multinomial(n1, p_stage1) for rng in rngs]
+    stage1, stage2 = map(np.random.default_rng, np.random.default_rng(seed).integers(0, 2**63 - 1, 2))
+    counts1 = stage1.multinomial(n1, p_stage1, size=trials)
     pilots, boundary = _mle_rows(model, *_stack_povms(model, m_prime, counts1))
     survivors = np.flatnonzero(~boundary)
     if survivors.size < 2:
         raise NumericalError("too few surviving trials for a report")
-    # zero elements (dropped directions) get no draw and no likelihood term
+    # a dropped direction (zero elements) has probability 0 and, having the
+    # smallest eigenvalue, comes first: it draws 0, takes no randomness and
+    # adds no likelihood term (a zero last outcome could take the remainder)
     elements, residuals = povm_stack(_optimal_qubit_povms(model, pilots[survivors], g))
     sum_tol = np.maximum(PROB_SUM_TOL, 2 * residuals)
-    probs = probability_rows(trace_products(elements, rho.matrix), sum_tol)
-    kept = elements.any(axis=(-2, -1))
-    counts2 = np.zeros(probs.shape)
-    for r, i in enumerate(survivors):
-        counts2[r, kept[r]] = rngs[i].multinomial(n2, probs[r, kept[r]])
+    counts2 = stage2.multinomial(n2, probability_rows(trace_products(elements, rho.matrix), sum_tol))
     estimates, boundary = _mle_rows(model, elements, sum_tol, counts2, starts=pilots[survivors])
     estimates = estimates[~boundary]
     discarded = trials - len(estimates)

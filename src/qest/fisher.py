@@ -49,10 +49,6 @@ class LogDerivativeSet:
     residuals: tuple
 
 
-def _frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
-
-
 def sld_fisher(model: ParametricModel, theta) -> tuple[LogDerivativeSet, FisherMatrix]:
     """Symmetric logarithmic derivatives L_k and their Fisher matrix.
 
@@ -73,6 +69,7 @@ def _sld_stack(rhos: np.ndarray, derivs: np.ndarray):
     """SLDs (m, d, dim, dim), their residuals (m, d) and Fisher matrices
     (m, d, d) of the states ``rhos`` (m, dim, dim) with derivatives
     ``derivs`` (m, d, dim, dim), every row with the checks of ``sld_fisher``.
+    A residual is the Frobenius norm of (L rho + rho L)/2 - d rho, and
     j[a, b] = tr(rho (L_a L_b + L_b L_a)) / 2."""
     lam, u = np.linalg.eigh(rhos)
     u = u[:, None]
@@ -91,8 +88,7 @@ def _sld_stack(rhos: np.ndarray, derivs: np.ndarray):
     l_op = (l_op + l_op.conj().swapaxes(-1, -2)) / 2
     rho_rows = rhos[:, None]
     defects = (l_op @ rho_rows + rho_rows @ l_op) / 2 - derivs
-    # one norm per matrix: a stacked norm sums in another order, and reports carry residuals
-    residuals = np.array([[_frobenius(m) for m in row] for row in defects])
+    residuals = np.linalg.norm(defects, axis=(-2, -1))
     if (residuals > RESIDUAL_TOL).any():
         raise NumericalError(f"SLD residual {residuals.max():.3e} exceeds {RESIDUAL_TOL}")
     prods = l_op[:, :, None] @ l_op[:, None, :]
@@ -119,15 +115,14 @@ def rld_fisher(model: ParametricModel, theta) -> tuple[LogDerivativeSet, FisherM
         )
     derivs = model_derivatives(model, t)
     ops = np.linalg.inv(rho.matrix) @ derivs
-    # one norm per matrix: a stacked norm sums in another order, and reports carry residuals
-    residuals = [_frobenius(m) for m in rho.matrix @ ops - derivs]
-    if max(residuals) > RESIDUAL_TOL:
-        raise NumericalError(f"RLD residual {max(residuals):.3e} exceeds {RESIDUAL_TOL}")
+    residuals = np.linalg.norm(rho.matrix @ ops - derivs, axis=(-2, -1))
+    if residuals.max() > RESIDUAL_TOL:
+        raise NumericalError(f"RLD residual {residuals.max():.3e} exceeds {RESIDUAL_TOL}")
     prods = (rho.matrix @ ops)[:, None] @ ops.conj().swapaxes(-1, -2)[None]
     # contiguous diagonals, summed along their own axis as a single trace is
     j = np.diagonal(prods, axis1=-2, axis2=-1).copy().sum(axis=-1)
     j = (j + j.conj().T) / 2
-    return LogDerivativeSet(tuple(ops), tuple(residuals)), FisherMatrix(j)
+    return LogDerivativeSet(tuple(ops), tuple(residuals.tolist())), FisherMatrix(j)
 
 
 def classical_fisher(model: ParametricModel, theta, m: Povm) -> FisherMatrix:

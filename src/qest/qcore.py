@@ -39,14 +39,19 @@ def check_array_bytes(shape, what: str) -> None:
     ``MAX_ARRAY_BYTES`` or more; ``what`` names the array in the message."""
     nbytes = 16 * math.prod(shape)
     if nbytes >= MAX_ARRAY_BYTES:
-        raise NumericalError(f"{what} would take {nbytes / 2**30:.2f} GiB, over the {MAX_ARRAY_BYTES >> 30} GiB limit")
+        limit = f"{MAX_ARRAY_BYTES / 2**30:g} GiB" if MAX_ARRAY_BYTES >= 2**30 else f"{MAX_ARRAY_BYTES / 2**20:g} MiB"
+        raise NumericalError(f"{what} would take {nbytes / 2**30:.2f} GiB, over the {limit} limit")
 
 
-def check_draws(seed: int, **counts: int) -> None:
+def check_draws(seed: int, trials: int, **counts: int) -> None:
     """Raise ValidationError unless ``seed`` is nonnegative, as NumPy's
-    generators need, and every named count fits in their 64-bit integers."""
+    generators need, every named count fits in their 64-bit integers, and
+    NumPy can address ``trials`` rows of 64 bytes (more than the samplers'
+    first per-trial arrays hold), so a count too large ends in MemoryError."""
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
+    if trials > np.iinfo(np.intp).max // 64:
+        raise ValidationError(f"trials must be at most 2^57 - 1, got {trials}")
     for name, count in counts.items():
         if count > np.iinfo(np.int64).max:
             raise ValidationError(f"{name} must be at most 2^63 - 1, got {count}")

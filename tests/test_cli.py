@@ -273,8 +273,9 @@ class TestNonFiniteInputs:
 
 
 class TestOutOfRangeIntegers:
-    """Seeds NumPy's generators refuse and counts beyond their 64-bit
-    integers exit 2 with one line, not a traceback."""
+    """Seeds NumPy's generators refuse, counts beyond their 64-bit integers
+    and trial counts beyond NumPy's address range exit 2 with one line, not
+    a traceback."""
 
     TWO_STAGE = ["estimate", "--mode", "two-stage", "--model", "qubit-z0", "--theta", "0.5,0"]
     GAUSS = ["gauss", "--zeta", "0.6,0.4", "--N", "1"]
@@ -287,8 +288,12 @@ class TestOutOfRangeIntegers:
             TWO_STAGE + ["--n", "10000000000000000000", "--trials", "5"],
             GAUSS + ["--n", "2", "--trials", "100000000000000000000"],
             TWO_STAGE + ["--n", "100", "--trials", "100000000000000000000"],
+            # within int64, but past what NumPy can address as (trials, k) rows
+            GAUSS + ["--n", "2", "--trials", "4611686018427387904"],
+            TWO_STAGE + ["--n", "100", "--trials", "4611686018427387904"],
         ],
-        ids=["gauss-seed", "two-stage-seed", "two-stage-n", "gauss-trials", "two-stage-trials"],
+        ids=["gauss-seed", "two-stage-seed", "two-stage-n", "gauss-trials", "two-stage-trials",
+             "gauss-trials-2^62", "two-stage-trials-2^62"],
     )
     def test_exit_2_with_one_line(self, argv):
         result = run_cli(argv)

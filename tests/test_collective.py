@@ -1065,6 +1065,15 @@ class TestMle:
         assert 0.05 < theta[0] < 0.05 + 1e-8
         assert abs(theta[1] - np.pi / 4) < 1e-3
 
+    @pytest.mark.parametrize("counts", [[-3, 10, 5, 5], [np.nan, 10, 5, 5], [np.inf, 1, 1, 1]])
+    def test_impossible_histograms_rejected(self, counts):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            mle(qubit_family("z0"), mixed_basis_povm(), counts)
+
+    def test_fractional_counts_accepted(self):
+        theta, boundary = mle(qubit_family("z0"), mixed_basis_povm(), [7.5, 2.5, 5, 5])
+        assert not boundary and np.allclose(theta, [0.5, 0.0], atol=1e-6)
+
     def test_too_many_parameters(self):
         model = qubit_family("full")
         object.__setattr__(model, "param_dim", 4)
@@ -1095,6 +1104,17 @@ class TestMseReport:
     def test_needs_two(self):
         with pytest.raises(ValidationError):
             mse_report(np.array([[1.0]]), [0.0], bound_value=0.0)
+
+    def test_errors_match_the_delete_one_jackknife(self, rng):
+        est = rng.standard_normal((500, 3)) * [1.0, 0.3, 2.0] + [0.1, -0.2, 0.0]
+        truth = np.array([0.0, -0.1, 0.2])
+        report = mse_report(est, truth, bound_value=0.0)
+        diff = est - truth
+        per_trial = np.einsum("ik,il->ikl", diff, diff)
+        trials = len(est)
+        loo = (per_trial.sum(axis=0) - per_trial) / (trials - 1)
+        jackknife = np.sqrt((trials - 1) / trials * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+        assert np.allclose(report.standard_errors, jackknife, rtol=1e-12, atol=0)
 
 
 def _pointwise_optimal_povm(model, t, g):
@@ -1201,8 +1221,8 @@ class TestTwoStage:
     def test_stage_two_matches_grid_started_mle(self, kind, theta, n, trials, seed, monkeypatch):
         # stage 2 climbs from each pilot on the stacked POVMs; the oracle is the
         # grid-started one-row mle on each survivor's own Povm.  At (0.9, 0.2)
-        # seed 14 gives four stage-2 boundary rows: their flags must agree, but
-        # their estimates are discarded, and projected ascent stops on the
+        # seed 14 gives a stage-2 boundary row: the flags must agree, but
+        # boundary estimates are discarded, and projected ascent stops on the
         # boundary at a point that depends on the start
         model = qubit_family(kind)
         calls = _record_mle_rows(monkeypatch)
@@ -1217,12 +1237,15 @@ class TestTwoStage:
             one, one_flag = mle(model, Povm(elements[kept]), counts[kept])
             assert one_flag == flag
             assert flag or np.max(np.abs(one - est)) < 1e-6
-        assert stage2["boundary"].sum() == (4 if theta == (0.9, 0.2) else 0)
+        assert stage2["boundary"].sum() == (1 if theta == (0.9, 0.2) else 0)
+        assert theta != (0.9, 0.2) or stage2["boundary"].sum() >= 1
 
     @pytest.mark.parametrize("rank", ["full", "one"])
     def test_pilots_and_counts_match_per_trial_reference(self, rank, monkeypatch):
         # the reference runs each trial alone: mle, optimal_qubit_povm,
-        # measure_distribution, multinomial, all from the trial's own generator
+        # measure_distribution, multinomial.  Stage-1 counts come trial by
+        # trial from the stage-1 stream, and each survivor's stage-2 counts,
+        # over its kept elements, in survivor order from the stage-2 stream
         model = qubit_family("z0")
         truth, m1, n, seed, trials = np.array([0.5, 0.0]), mixed_basis_povm(), 400, 29, 40
         g = np.eye(2) if rank == "full" else np.outer([1.0, 0.5], [1.0, 0.5])
@@ -1231,15 +1254,15 @@ class TestTwoStage:
         stage1, stage2 = calls
         rho = model.state_at(truth)
         n1 = int(np.ceil(np.sqrt(n)))
+        rng1, rng2 = (np.random.default_rng(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, 2))
         r = dropped = 0
-        for t, trial_seed in enumerate(np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)):
-            rng = np.random.default_rng(trial_seed)
-            pilot, flag = mle(model, m1, rng.multinomial(n1, measure_distribution(rho, m1).probs))
+        for t in range(trials):
+            pilot, flag = mle(model, m1, rng1.multinomial(n1, measure_distribution(rho, m1).probs))
             assert np.array_equal(pilot, stage1["theta"][t]) and flag == stage1["boundary"][t]
             if flag:
                 continue
             m_opt = optimal_qubit_povm(model, pilot, g)
-            counts = rng.multinomial(n - n1, measure_distribution(rho, m_opt).probs)
+            counts = rng2.multinomial(n - n1, measure_distribution(rho, m_opt).probs)
             kept = stage2["elements"][r].any(axis=(-2, -1))
             assert np.array_equal(stage2["elements"][r][kept], m_opt.stack)
             assert np.array_equal(stage2["counts"][r][kept], counts) and not stage2["counts"][r][~kept].any()
@@ -1249,8 +1272,7 @@ class TestTwoStage:
         assert (dropped > 0) == (rank == "one")
 
     def test_one_grid_scan_and_no_per_trial_povm(self, monkeypatch):
-        calls = {"_grid_starts": 0, "_batch_probs": 0, "Povm": 0}
-
+        # and no per-trial generator: as many generators at 20 trials as at 2000
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -1262,9 +1284,15 @@ class TestTwoStage:
         for name in ("_grid_starts", "_batch_probs"):
             monkeypatch.setattr(collective, name, counted(name, getattr(collective, name)))
         monkeypatch.setattr(Povm, "__init__", counted("Povm", Povm.__init__))
-        report = two_stage_estimate(qubit_family("z0"), np.array([0.5, 0.0]), m1, n=10**4, seed=1, trials=200)
-        assert report.trials + report.extras["discarded"] == 200
-        assert calls == {"_grid_starts": 1, "_batch_probs": 1, "Povm": 0}
+        monkeypatch.setattr(np.random, "default_rng", counted("default_rng", np.random.default_rng))
+        generators = {}
+        for trials in (20, 2000):
+            calls = {"_grid_starts": 0, "_batch_probs": 0, "Povm": 0, "default_rng": 0}
+            report = two_stage_estimate(qubit_family("z0"), np.array([0.5, 0.0]), m1, n=10**4, seed=1, trials=trials)
+            assert report.trials + report.extras["discarded"] == trials
+            generators[trials] = calls.pop("default_rng")
+            assert calls == {"_grid_starts": 1, "_batch_probs": 1, "Povm": 0}
+        assert generators[20] == generators[2000] > 0
 
     def test_newton_ascent_work_count(self, monkeypatch):
         # the benchmark's two-stage case: the gradient ascent made 109

@@ -52,7 +52,7 @@ def pointwise_sld(rho, derivs):
         l_op = u @ l_eig @ u.conj().T
         l_op = (l_op + l_op.conj().T) / 2
         ops.append(l_op)
-        residuals.append(float(np.linalg.norm((l_op @ rho + rho @ l_op) / 2 - dr)))
+        residuals.append(float(np.linalg.norm((l_op @ rho + rho @ l_op) / 2 - dr, axis=(-2, -1))))
     d = len(ops)
     j = np.zeros((d, d))
     for a in range(d):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qest import qcore
 from qest.errors import NumericalError, ValidationError
 from qest.gaussian import heterodyne_povm
 from qest.qcore import (
@@ -360,6 +361,11 @@ class TestArrayBytes:
         check_array_bytes((2**26 - 1,), "an array")  # 2^30 - 16 bytes
         with pytest.raises(NumericalError, match="an array would take 1.00 GiB, over the 1 GiB limit"):
             check_array_bytes((2**26,), "an array")
+
+    def test_sub_gib_limit_is_stated(self, monkeypatch):
+        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * 2**20)
+        with pytest.raises(NumericalError, match="an array would take 0.03 GiB, over the 16 MiB limit"):
+            check_array_bytes((2**21,), "an array")
 
     def test_no_integer_overflow(self):
         # 16^20 entries overflow int64; the size must still be refused
