@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fisher import SUPPORT_TOL, FisherMatrix, sld_fisher
-from .gaussian import GaussianSpec
 from .models import ParametricModel, model_derivatives
 from .qcore import _sym_isqrt, _sym_sqrt, pair_moments, trace_products
 
@@ -110,6 +109,8 @@ def gaussian_shift_bound(v: np.ndarray, s: np.ndarray, g) -> float:
     matrix; v + i s must be positive semidefinite.  ``GaussianSpec`` checks
     all three; the value is computed on ``v`` and ``s`` as given.
     """
+    from .gaussian import GaussianSpec  # here, so importing bounds loads no gaussian
+
     v = np.asarray(v, dtype=float)
     s = np.asarray(s, dtype=float)
     g = check_weight_matrix(g, v.shape[0])

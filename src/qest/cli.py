@@ -49,11 +49,23 @@ built-in hashes and no command maps OpenSSL's libcrypto.  The pin is set only
 where NumPy is not yet imported, and the mask takes hold only where
 ``hashlib`` is not: a caller of ``main`` that has imported them keeps its
 thread count, its environment and its hashes.
+
+Where it sets the pin, the callback also registers ``gc.freeze`` to run at
+exit.  ``atexit`` handlers run before the interpreter's last collections, so
+every object alive at exit (some 24,000 made at import by NumPy, click and
+qest) moves to the permanent generation and those collections skip it; that
+takes about a tenth off the wall time of a short command.  Collections
+during the run are unchanged.  Objects alive at exit get no last collection,
+so finalizers of those in reference cycles do not run, which Python does not
+promise anyway.  A caller that has imported NumPy owns its process, and its
+exit is left be.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
+import gc
 import json
 import os
 import sys
@@ -243,10 +255,11 @@ _SEED = click.option("--seed", type=INT, default=0)
 def main():
     """Quantum estimation experiments: states, bounds, Gaussian protocols."""
     # the process policy of the module docstring; once NumPy is loaded the
-    # pin would reach only child processes
+    # pin would reach only child processes, and the process is the caller's
     if "numpy" not in sys.modules:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = "1"
+        atexit.register(gc.freeze)
     for name in ("_sha2", "_sha256"):  # Python >= 3.12; 3.10 and 3.11
         try:
             __import__(name)

@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import gaussian
 from .errors import ValidationError
 from .qcore import DensityOperator, density_stack
 
@@ -205,6 +204,8 @@ def gaussian_displacement_family(noise: float, cutoff: int | None = None) -> Par
     domain radius unless given.  Derivatives are the exact displacement
     generators d rho/d theta1 = -i[P, rho], d rho/d theta2 = i[Q, rho].
     """
+    from . import gaussian  # here, so the qubit and diag models do not load it
+
     if not 0 <= noise < np.inf:
         raise ValidationError("noise must be finite and nonnegative")
     if cutoff is None:

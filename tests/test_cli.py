@@ -1,4 +1,6 @@
+import atexit
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -499,12 +501,16 @@ class TestBlasThreads:
 
     def test_a_caller_with_numpy_keeps_its_environment(self, monkeypatch):
         # this process loaded NumPy with its own BLAS threads; main sets no pin
-        # that would reach only the processes it starts
+        # that would reach only the processes it starts, and leaves its exit be
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        registered = []
+        monkeypatch.setattr(atexit, "register", registered.append)
         assert run_cli(["bounds", "--model", "qubit-z0", "--theta", "0.5,0"]).exit_code == 0
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
         assert "OMP_NUM_THREADS" not in os.environ
+        assert gc.freeze not in registered
+        assert gc.get_freeze_count() == 0
 
 
 class TestRunConfig:
@@ -919,10 +925,21 @@ class TestImports:
                 ["clt", "--model", "qubit-z0", "--theta", "0.3,0", "--ops", "x", "--word", "1,1", "--n", "2"],
                 ["qest.collective", "qest.bounds", "qest.fisher"],
             ),
+            (
+                ["fisher", "--kind", "classical", "--model", "qubit-full", "--theta", "0,0,0", "--povm", "POVM"],
+                ["qest.gaussian", "qest.clt", "qest.collective"],
+            ),
+            (
+                ["bounds", "--model", "qubit-z0", "--theta", "0.5,0"],
+                ["qest.gaussian", "qest.clt", "qest.collective"],
+            ),
         ],
-        ids=["gauss", "clt"],
+        ids=["gauss", "clt", "fisher-qubit", "bounds-qubit"],
     )
-    def test_command_loads_only_its_modules(self, argv, unloaded):
+    def test_command_loads_only_its_modules(self, argv, unloaded, tmp_path):
+        povm = tmp_path / "basis.json"
+        povm.write_text(json.dumps({"elements": [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))]}))
+        argv = [str(povm) if arg == "POVM" else arg for arg in argv]
         assert not set(unloaded) & modules_after(argv)
 
     @pytest.mark.parametrize("name", list(REPORTING_COMMANDS))
@@ -944,6 +961,38 @@ class TestImports:
         assert written == sorted(p.name for p in (tmp_path / "in_process").iterdir())
         for file in written:
             assert (subprocess_run / file).read_bytes() == (tmp_path / "in_process" / file).read_bytes()
+
+
+def freeze_count_at_exit(argv, exit_code, prelude=""):
+    """``gc.get_freeze_count()`` as read at exit by an ``atexit`` probe that a
+    fresh interpreter registers before ``prelude`` and the import of
+    ``qest.cli``, so that it runs after every handler the CLI registers."""
+    code = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+        f"{prelude}"
+        "from qest.cli import main\n"
+        f"main({argv!r})\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == exit_code, proc.stderr
+    return int(proc.stdout.splitlines()[-1])
+
+
+class TestExitFreeze:
+    """A CLI process moves the objects alive at exit to the permanent
+    generation, so the interpreter's last collections do not walk them."""
+
+    def test_a_reporting_command_freezes_the_heap(self, tmp_path):
+        assert freeze_count_at_exit(reporting_argv("estimate-two-stage", tmp_path / "reports"), 0) > 0
+
+    def test_an_exit_2_in_the_subcommand_freezes_the_heap(self):
+        argv = ["fisher", "--model", "qubit-full", "--theta", "0,0,0", "--kind", "classical"]
+        assert freeze_count_at_exit(argv, 2) > 0
+
+    def test_a_caller_with_numpy_is_not_frozen(self, tmp_path):
+        argv = reporting_argv("estimate-two-stage", tmp_path / "reports")
+        assert freeze_count_at_exit(argv, 0, prelude="import numpy\n") == 0
 
 
 class TestConfigHash:
