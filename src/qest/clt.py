@@ -295,9 +295,10 @@ def _smearing_blocks(ops: np.ndarray, a_mat: np.ndarray, z_norm: float, points: 
     quad /= 2
     w, u = np.linalg.eigh(quad)
     u *= np.exp(-w / 2)[:, None, :]
-    # V V^dagger into quad's storage in 64 slices, so at most two (G, b, b) stacks are live
-    for v, out in zip(np.array_split(u, 64), np.array_split(quad, 64)):
-        np.matmul(v, v.conj().swapaxes(-1, -2), out=out)
+    # V V^dagger into quad's storage in at most 64 slices, so at most two (G, b, b) stacks are live
+    rows = len(u) // 64 + 1
+    for lo in range(0, len(u), rows):
+        np.matmul(u[lo : lo + rows], u[lo : lo + rows].conj().swapaxes(-1, -2), out=quad[lo : lo + rows])
     return np.divide(quad, z_norm, out=quad)
 
 

@@ -3,11 +3,11 @@ correction, the two-stage adaptive qubit estimator, maximum likelihood, and
 mean-square-error reporting.
 
 The collective POVM follows the recipe: integrate the Gaussian-smearing
-operators of the collective sums over a ball to get S, then sandwich each
-smearing operator between copies of S^{-1/2}; the sandwich is linear, so
-only the outcome-moment sums of the smearing operators are sandwiched.  On the
-quadrature grid used here completeness is exact on the retained support of S
-by construction, so the reported residual isolates the support truncation.
+operators of the collective sums over a quadrature rule (``_kernel_and_grid``)
+to get S, then sandwich each smearing operator between copies of S^{-1/2};
+the sandwich is linear, so only the outcome-moment sums of the smearing
+operators are sandwiched.  Completeness is exact on the retained support of
+S by construction, so the reported residual isolates the support truncation.
 
 All of these operators are block diagonal in the sector layout of
 ``clt.collective_sectors``: for qubits the total-spin sectors j of the n-fold
@@ -44,7 +44,7 @@ from .qcore import (
 )
 
 SUPPORT_THRESHOLD = 1e-8
-# relative tolerance of the conditions that select the per-radius smearing sums
+# relative tolerance of the conditions that select the rotation path (``_rotates``)
 ROTATION_TOL = 1e-12
 DEFAULT_EPSILON = 0.1
 # bytes of log-likelihoods per block of count rows in the grid scan that
@@ -65,27 +65,25 @@ class CollectivePovm:
     layout of ``sectors`` (see ``clt.collective_sectors``).
 
     Every operator is block diagonal, sum over sectors of B (x) I_m.
-    ``grid`` holds the build's quadrature nodes and ``outcomes`` the
-    estimate attached to each (node / sqrt(n)).  ``moments`` holds one stack
-    (1 + d + d^2, b, b) per sector: sum_x E_x, sum_x x_k E_x and
-    sum_x x_k x_l E_x (row-major in k, l), so the outcome law's mass, mean
-    and second moment under a state are Born rules sum_j m_j tr(rho_j O_j).
+    ``grid`` holds the quadrature nodes, ``weights`` their weights and
+    ``outcomes`` the estimate attached to each (node / sqrt(n)).  ``moments``
+    holds one stack (1 + d + d^2, b, b) per sector: sum_x E_x, sum_x x_k E_x
+    and sum_x x_k x_l E_x (row-major in k, l), so the outcome law's mass,
+    mean and second moment under a state are Born rules sum_j m_j tr(rho_j O_j).
     ``s_operator`` holds one (b, b) block per sector: the accumulated
     smearing operator, on whose retained eigenspace (``_sandwiched``)
     completeness holds.  ``dropped_dimensions`` counts dropped eigenvalues
-    with their sector multiplicity.  ``elements`` (a (G, b, b) stack per
-    sector, checked with one sector's working stacks) is built point by
-    point on ``grid`` from ``kernel`` (A, Z) and ``cell`` when read, each
-    sector sandwiched between the S^-1/2 that ``s_operator`` gives.
-    """
+    with their sector multiplicity.  ``elements`` is the same POVM point by
+    point, a (G, b, b) stack per sector (checked with one sector's working
+    stacks) built when read from ``kernel`` (A, Z) and ``weights``."""
 
     n_copies: int
     grid: np.ndarray
+    weights: np.ndarray
     sectors: tuple
     moments: tuple
     s_operator: tuple
     kernel: tuple
-    cell: float
     support_gap: float
     dropped_dimensions: int
     completeness_residual: float
@@ -101,23 +99,34 @@ class CollectivePovm:
         # every sector's stack, two working stacks with their eigenvalues and the grid's (G, d) temporaries
         held = sum(s * s for s in sizes) + 2 * b * (b + 1) + 2 * self.grid.shape[1]
         qcore.check_array_bytes((len(self.grid), held), "the smearing operators")
-        blocks = (_smearing_blocks(sec.ops, *self.kernel, self.grid) * self.cell for sec in self.sectors)
+        weights = self.weights[:, None, None]
+        blocks = (_smearing_blocks(sec.ops, *self.kernel, self.grid) * weights for sec in self.sectors)
         return tuple(stack for stack, _, _ in _sandwiched(self.s_operator, blocks))
 
 
-def ball_grid(radius: float, step: float, centre: np.ndarray) -> np.ndarray:
-    """Cubic lattice through ``centre`` (d,) clipped to the closed ball of
-    the given radius around 0: the lattice through -radius, one node past
-    +radius, shifted by at most step / 2 per axis (by exactly 0 at centre 0
-    for the default step radius / 16 of ``build_collective_povm``).  The
-    lattice cube's 2d + 1 float arrays are checked against
-    ``qcore.MAX_ARRAY_BYTES`` before they are built."""
-    axis = np.arange(-radius, radius + step * (1 + 1e-9), step)
-    qcore.check_array_bytes((len(centre) + 1, len(axis) ** len(centre)), "the ball grid's lattice cube")
-    shift = np.asarray(centre, dtype=float) + radius
-    shift -= step * np.round(shift / step)
-    pts = np.stack([m.ravel() for m in np.meshgrid(*(axis + s for s in shift), indexing="ij")], axis=1)
+def ball_grid(radius: float, step: float, d: int) -> np.ndarray:
+    """Cubic lattice through -radius, clipped to the closed ball of that radius
+    around 0 in d dimensions; the d + 1 float arrays of its cube are checked
+    against ``qcore.MAX_ARRAY_BYTES`` before they are built."""
+    axis = np.arange(-radius, radius + step * 1e-9, step)
+    qcore.check_array_bytes((d + 1, len(axis) ** d), "the ball grid's lattice cube")
+    pts = np.stack([m.ravel() for m in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
     return pts[np.einsum("ij,ij->i", pts, pts) <= radius**2 + 1e-12]
+
+
+def polar_grid(radius: float, step: float, centre: np.ndarray, azimuths: int):
+    """Nodes (G, 2), weights r w_r 2 pi / azimuths, radii and angles of the
+    rule on the disk of the given radius about ``centre``: ceil(2 radius /
+    step) Gauss-Legendre radii (Golub-Welsch, from the Jacobi matrix, checked
+    against ``qcore.MAX_ARRAY_BYTES``) times ``azimuths`` equispaced angles."""
+    k = np.arange(1.0, np.ceil(2 * radius / step))
+    qcore.check_array_bytes((len(k) + 1, len(k) + 1), "the radial Gauss rule")
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
+    radii = radius * (nodes + 1) / 2
+    phi = 2 * np.pi * np.arange(azimuths) / azimuths
+    grid = (centre + radii[:, None, None] * np.column_stack([np.cos(phi), np.sin(phi)])).reshape(-1, 2)
+    weights = np.repeat(radii * vectors[0] ** 2 * (2 * np.pi * radius / azimuths), azimuths)
+    return grid, weights, radii, phi
 
 
 def default_v_prime(s_matrix: np.ndarray, g: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
@@ -142,36 +151,30 @@ def build_collective_povm(
     """Construct the collective POVM of the spec's operators on n copies.
 
     The kernel's commutator matrix s and the default radius come from the
-    spec's pair moments.  S accumulates the smearing operators over the ball
-    grid through the sums' centre c = sqrt(n) tr(X) / dim (``ball_grid``);
-    elements are S^{-1/2} T_x S^{-1/2} dx with outcome x / sqrt(n), and each
-    sector sandwiches only its sums of ``_smearing_sums``.  The inverse
-    square root lives on the eigenspace of S above ``SUPPORT_THRESHOLD``
-    times its largest eigenvalue over all sectors; dropped dimensions (with
-    multiplicity) and the completeness residual, the operator norm of
-    sum_x E_x - P on the support, are recorded.  Defaults: radius
-    4 sqrt(lmax(v + v')), step radius / 16.  Before any sector is built, the
-    complex entries held at once are checked against ``qcore.MAX_ARRAY_BYTES``:
-    each sector's operators, m = 1 + d + d^2 sums and S; the largest sector's
-    eigenvectors, S^-1/2 and two (m, b, b) sandwich temporaries; the grid and
-    its monomials; ``ball_grid``'s lattice cube; per point, two ``_block_rows``
-    stacks with their eigenvalues and one block of monomials; per radius, two
-    (R, b, b) stacks, twice the (G, 2b - 1) phases and their sums, and the
-    grid order, angles and reordered monomials.
-    """
-    kernel, grid, step, centre, radius = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
-    radii = _lattice_radii(spec.x_ops, kernel[0], grid, centre, step)
+    spec's pair moments.  S integrates the smearing operators over the rule
+    of ``_kernel_and_grid``; elements are S^{-1/2} T_x S^{-1/2} w_x with
+    outcome x / sqrt(n), and each sector sandwiches only its sums of
+    ``_smearing_sums``.  S^{-1/2} lives on the eigenspace of S above
+    ``SUPPORT_THRESHOLD`` times its largest eigenvalue over all sectors;
+    dropped dimensions (with multiplicity) and the completeness residual,
+    the operator norm of sum_x E_x - P on the support, are recorded.
+    Defaults: radius 4 sqrt(lmax(v + v')), step radius / 16.  Before any
+    sector is built, the complex entries held at once are checked against
+    ``qcore.MAX_ARRAY_BYTES``: each sector's operators, m = 1 + d + d^2 sums
+    and S; the largest sector's eigenvectors, S^-1/2 and two (m, b, b)
+    temporaries; the grid, weights and monomials; per point, two
+    ``_block_rows`` stacks with their eigenvalues and a block of monomials,
+    or per radius, two (R, b, b) stacks, complex monomials and their sums."""
+    kernel, grid, weights, polar = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
     sizes, d = block_sizes(spec.x_ops, n), spec.n_ops
     m, b = 1 + d + d * d, max(sizes)
-    held = (d + m + 1) * sum(s * s for s in sizes) + 2 * (m + 1) * b * b + (d + m) * len(grid)
-    # ball_grid's cube: at most (2 radius / step + 2)^d nodes, their coordinates and squared norms
-    held += (d + 1) * int(2 * radius / step + 2) ** d
-    if radii is None:
+    held = (d + m + 1) * sum(s * s for s in sizes) + 2 * (m + 1) * b * b + (d + m + 1) * len(grid)
+    if polar is None:
         held += max(_block_rows(s, len(grid)) * (2 * s * (s + 1) + m) for s in sizes)
     else:
-        held += 2 * len(radii[2]) * b * b + 2 * (len(grid) + m * len(radii[2])) * (2 * b - 1) + (m + 2) * len(grid)
+        held += 2 * len(polar[0]) * b * b + m * len(grid) + 5 * m * len(polar[0])
     qcore.check_array_bytes((held,), "the collective build")
-    return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, step, radii)
+    return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, weights, polar)
 
 
 def _block_rows(b, points) -> int:
@@ -180,8 +183,12 @@ def _block_rows(b, points) -> int:
 
 
 def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
-    """Smearing kernel (A, Z), ball grid, grid step, sums' centre and radius
-    of ``build_collective_povm``, with the defaults filled in."""
+    """Smearing kernel (A, Z), nodes, weights and polar radii and angles
+    (None on ``ball_grid``, cell ``grid_step``^d) of ``build_collective_povm``,
+    defaults filled in.  Where ``_rotates`` holds, the rule is ``polar_grid``
+    about the sums' centre c = sqrt(n) tr(X) / dim, of radius ``radius`` + |c|
+    (so it holds the ball of ``radius`` about 0), with n + 3 >= b + 2 azimuths:
+    exact for every band of every sector."""
     if n < 1:
         raise ValidationError("n must be positive")
     kernel = smearing_kernel(v_prime, spec.s)
@@ -189,38 +196,35 @@ def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
         radius = 4.0 * float(np.sqrt(np.linalg.eigvalsh(spec.v + v_prime).max()))
     if grid_step is None:
         grid_step = radius / 16.0
+    if not (0 < radius < np.inf and 0 < grid_step < np.inf):
+        raise ValidationError(f"radius and grid step must be positive and finite, got {radius} and {grid_step}")
+    if not _rotates(spec.x_ops, kernel[0]):
+        grid = ball_grid(radius, grid_step, spec.n_ops)
+        return kernel, grid, np.full(len(grid), float(grid_step) ** spec.n_ops), None
     centre = np.sqrt(n) * np.real(np.trace(spec.x_ops, axis1=1, axis2=2)) / spec.rho.dim
-    return kernel, ball_grid(radius, grid_step, centre), grid_step, centre, radius
+    grid, weights, *polar = polar_grid(radius + float(np.linalg.norm(centre)), grid_step, centre, n + 3)
+    return kernel, grid, weights, polar
 
 
-def _lattice_radii(x_ops, a_mat, grid, centre, step):
-    """Grid order by lattice radius, each radius's first position in that
-    order, the radii and each point's angle; None unless, to relative
-    ``ROTATION_TOL``, A and the Gram matrix of the two qubit operators'
-    traceless parts are proportional to I.  Then on spin sector j, Y_k = mu
-    n_k . J, [Y_0, Y_1] = i mu^2 K with K = (n_0 x n_1) . J, and T_x = R
-    T_(r, 0) R^dagger with R = exp(-i phi K), x - c = r (cos phi, sin phi)
-    (Kahn and Guta, CMP 289, 2009).  Radii are keyed by i^2 + j^2 from the
-    offsets (i, j) = (x - c) / step, integers on the grid through c.
-    """
+def _rotates(x_ops, a_mat) -> bool:
+    """Whether, to relative ``ROTATION_TOL``, A and the Gram matrix of the
+    two qubit operators' traceless parts are proportional to I.  Then on
+    spin sector j, Y_k = mu n_k . J, [Y_0, Y_1] = i mu^2 K with
+    K = (n_0 x n_1) . J, and T_x = R T_(r, 0) R^dagger with R = exp(-i phi K),
+    x - c = r (cos phi, sin phi) (Kahn and Guta, CMP 289, 2009)."""
     if np.shape(x_ops) != (2, 2, 2):
-        return None
+        return False
     y = x_ops - np.real(np.trace(x_ops, axis1=1, axis2=2))[:, None, None] * np.eye(2) / 2
     gram = np.real(np.einsum("kab,lba->kl", y, y))
-    if any(np.abs(m - np.trace(m) / 2 * np.eye(2)).max() > ROTATION_TOL * np.trace(m) for m in (a_mat, gram)):
-        return None
-    lattice = np.rint((grid - centre) / step)
-    keys = (lattice**2).sum(axis=1).astype(int)
-    order = np.argsort(keys, kind="stable")
-    first = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    return order, first, step * np.sqrt(keys[order][first]), np.arctan2(lattice[:, 1], lattice[:, 0])
+    return all(np.abs(m - np.trace(m) / 2 * np.eye(2)).max() <= ROTATION_TOL * np.trace(m) for m in (a_mat, gram))
 
 
 def _rotation_sums(ops, a_mat, z_norm, radii, sums):
     """sum_x mono(x) T_x on one spin sector from T at x - c = (r, 0) per
-    radius and the per-radius sums (R, M, 2w + 1) of mono(x) exp(-i phi_x
-    delta), delta = -w..w: in K's eigenbasis (m_a = -j..j) the rotation by
-    phi multiplies entry (a, b) by exp(-i phi (m_a - m_b))."""
+    radius and the sums (R, 5, M) of w_x mono(x) exp(-i phi_x delta), delta =
+    -2..2: in K's eigenbasis (m_a = -j..j) rotating by phi multiplies entry
+    (a, b) by exp(-i phi (m_a - m_b)), and mono has azimuthal modes |k| <= 2,
+    so every other band integrates to 0."""
     b = ops.shape[-1]
     # the sector's own trace gives c to rounding; it keeps Y traceless there
     centre = np.real(np.trace(ops, axis1=1, axis2=2)) / b
@@ -229,23 +233,22 @@ def _rotation_sums(ops, a_mat, z_norm, radii, sums):
     scale = (b - 1) * b * (b + 1) / 12 / max(np.vdot(y[0], y[0]).real, np.finfo(float).tiny)
     _, u = np.linalg.eigh(-1j * scale * (y[0] @ y[1] - y[1] @ y[0]))
     t = _smearing_blocks(u.conj().T @ ops @ u, a_mat, z_norm, centre + radii[:, None] * [1.0, 0.0])
-    width = sums.shape[-1] // 2
-    raw = np.empty((sums.shape[1], b, b), dtype=complex)
-    for delta in range(1 - b, b):
+    raw = np.zeros((sums.shape[-1], b, b), dtype=complex)
+    for delta in range(max(-2, 1 - b), min(2, b - 1) + 1):
         rows = np.arange(max(delta, 0), b + min(delta, 0))
-        raw[:, rows, rows - delta] = sums[:, :, width + delta].T @ t[:, rows, rows - delta]
+        raw[:, rows, rows - delta] = sums[:, 2 + delta].T @ t[:, rows, rows - delta]
     return u @ raw @ u.conj().T
 
 
-def _smearing_sums(sectors, n, kernel, grid, radii=None) -> list:
-    """sum_x [1, x_k, x_k x_l] T_x per sector as one stack (1 + d + d^2, b,
-    b), x the outcome: from one T per lattice radius given ``radii`` of
-    ``_lattice_radii``, else one per grid point, summed over blocks of
-    ``_block_rows`` points.  Entry 0 is S / dx."""
+def _smearing_sums(sectors, n, kernel, grid, weights, polar=None) -> list:
+    """sum_x w_x [1, x_k, x_k x_l] T_x per sector as one stack (1 + d + d^2,
+    b, b), x the outcome: from one T per radius given ``polar`` (radii,
+    angles), else per grid point over blocks of ``_block_rows``.  Entry 0 is S."""
     outcomes = grid / np.sqrt(n)
     pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
     monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
-    if radii is None:
+    monomials *= weights[:, None]
+    if polar is None:
         raws = []
         for sec in sectors:
             rows = _block_rows(sec.ops.shape[-1], len(grid))
@@ -255,12 +258,10 @@ def _smearing_sums(sectors, n, kernel, grid, radii=None) -> list:
             )
             raws.append(reduce(np.add, parts))
         return raws
-    order, first, lengths, phi = radii
-    width = max(sec.ops.shape[-1] for sec in sectors) - 1
-    phases = np.exp(-1j * np.outer(phi[order], np.arange(-width, width + 1)))
-    sums = np.stack([np.add.reduceat(mono[:, None] * phases, first) for mono in monomials[order].T], axis=1)
-    del phases
-    return [_rotation_sums(sec.ops, *kernel, lengths, sums) for sec in sectors]
+    radii, phi = polar
+    sums = np.exp(-1j * np.outer(np.arange(-2, 3), phi)) @ monomials.reshape(len(radii), len(phi), -1)
+    del outcomes, pairs, monomials
+    return [_rotation_sums(sec.ops, *kernel, radii, sums) for sec in sectors]
 
 
 def _sandwiched(s_blocks, stacks):
@@ -282,11 +283,9 @@ def _sandwiched(s_blocks, stacks):
         yield stack, w, u
 
 
-def _povm_on_sectors(sectors, n, kernel, grid, step, radii=None) -> CollectivePovm:
-    """``build_collective_povm`` on the given sectors, with the sums of
-    ``_smearing_sums`` scaled in place; the moments are written over them."""
-    cell = step ** grid.shape[1]
-    raws = [np.multiply(raw, cell, out=raw) for raw in _smearing_sums(sectors, n, kernel, grid, radii)]
+def _povm_on_sectors(sectors, n, kernel, grid, weights, polar=None) -> CollectivePovm:
+    """``build_collective_povm`` on the given sectors; the moments are written over the sums."""
+    raws = _smearing_sums(sectors, n, kernel, grid, weights, polar)
     s_blocks = [(raw[0] + raw[0].conj().T) / 2 for raw in raws]
     dropped, residual, low = 0, 0.0, np.inf
     for sec, (moments, w, u) in zip(sectors, _sandwiched(s_blocks, raws)):
@@ -297,11 +296,11 @@ def _povm_on_sectors(sectors, n, kernel, grid, step, radii=None) -> CollectivePo
     return CollectivePovm(
         n_copies=n,
         grid=grid,
+        weights=weights,
         sectors=tuple(sectors),
         moments=tuple(raws),
         s_operator=tuple(s_blocks),
         kernel=kernel,
-        cell=cell,
         support_gap=float(1.0 - low),
         dropped_dimensions=dropped,
         completeness_residual=residual,

@@ -8,7 +8,7 @@ module are its constants below; ``fisher``, ``bounds``, ``clt``,
 them.  Builders of n-fold arrays call ``check_array_bytes`` before they
 allocate: a standalone builder on each array it holds, a collective build
 (``collective.build_collective_povm``) once on all it holds at once, after
-``collective.ball_grid`` has checked its lattice cube.
+its rule (``collective.ball_grid`` or ``polar_grid``) has checked its own.
 """
 
 from __future__ import annotations

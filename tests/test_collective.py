@@ -20,10 +20,10 @@ from qest.collective import (
     _estimator_rows,
     _grid_starts,
     _kernel_and_grid,
-    _lattice_radii,
     _mle_rows,
     _optimal_qubit_povms,
     _povm_on_sectors,
+    _rotates,
     _smearing_sums,
     _stack_povms,
     ball_grid,
@@ -34,6 +34,7 @@ from qest.collective import (
     mle,
     mse_report,
     optimal_qubit_povm,
+    polar_grid,
     two_stage_estimate,
 )
 from qest.errors import NumericalError, ValidationError
@@ -233,8 +234,24 @@ class TestBuildCollectivePovm:
         with pytest.raises(NumericalError, match="the collective build would take 7.00 GiB"):
             _traced_peak(lambda: build_collective_povm(spec, v_prime, 3), limit=100e6)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"radius": -1.0}, {"grid_step": 0.0}, {"radius": 0.0}, {"grid_step": -0.1}, {"radius": np.nan}, {"grid_step": np.inf}],
+        ids=["radius-negative", "step-zero", "radius-zero", "step-negative", "radius-nan", "step-inf"],
+    )
+    def test_bad_radius_or_step_rejected(self, bad):
+        # these built 797 nodes on a negative radius, or raised
+        # ZeroDivisionError or NumPy's reshape and arange errors
+        model, x_ops = tangential_model(), [SIGMA_X, SIGMA_Y]
+        spec = CollectiveSpec(model.state_at(np.zeros(2)), x_ops)
+        message = "radius and grid step must be positive and finite"
+        with pytest.raises(ValidationError, match=message):
+            build_collective_povm(spec, 0.6 * np.eye(2), 4, **bad)
+        with pytest.raises(ValidationError, match=message):
+            collective_estimator_check(model, np.zeros(2), x_ops, 0.6 * np.eye(2), [4], **bad)
+
     def test_ball_grid_masks(self):
-        pts = ball_grid(1.0, 0.5, np.zeros(2))
+        pts = ball_grid(1.0, 0.5, 2)
         assert all(p @ p <= 1.0 + 1e-12 for p in pts)
 
     def test_elements_derived_on_first_access(self):
@@ -255,18 +272,21 @@ class TestBuildCollectivePovm:
         assert "elements" in povm.__dict__
 
     def test_byte_guard_checks_the_chosen_path(self, monkeypatch):
-        # the per-point blocks are sized from the same budget, so a limit at
-        # the per-radius count admits a kernel with A not proportional to I,
-        # while the symmetric build is refused before any sector is built
+        # the rotation path holds one (R, b, b) stack of 32 radii per sector,
+        # the per-point path blocks of lattice rows sized from the same
+        # budget: at a limit just above the rotation count the symmetric
+        # build runs, and a kernel with A not proportional to I is refused
+        # before any sector is built
         spec = CollectiveSpec(tangential_model().state_at(np.zeros(2)), [SIGMA_X, SIGMA_Y])
         n = 8
-        per_radius = _counted_bytes(monkeypatch, lambda: build_collective_povm(spec, 0.6 * np.eye(2), n))[BUILD]
-        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", per_radius)
+        rotation = _counted_bytes(monkeypatch, lambda: build_collective_povm(spec, 0.6 * np.eye(2), n))[BUILD]
         per_point = _counted_bytes(monkeypatch, lambda: build_collective_povm(spec, np.diag([0.6, 0.7]), n))[BUILD]
-        assert per_point < per_radius // 2
+        assert rotation < per_point // 4
+        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", rotation + 16)
+        assert build_collective_povm(spec, 0.6 * np.eye(2), n).completeness_residual < 1e-12
         monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
         with pytest.raises(NumericalError, match="the collective build would take"):
-            build_collective_povm(spec, 0.6 * np.eye(2), n)
+            build_collective_povm(spec, np.diag([0.6, 0.7]), n)
 
     def test_budget_counts_blocks_not_the_whole_grid(self, monkeypatch):
         # with the limit at the whole-grid (G, b, b) stack, the per-point
@@ -274,8 +294,8 @@ class TestBuildCollectivePovm:
         # elements builds that stack, and it is refused
         spec, v_prime = _holevo_spec("qubit-full", (0.2, 0.1, 0.3))
         n, b = 8, 9
-        kernel, grid, step, centre, _ = _kernel_and_grid(spec, v_prime, n, None, None)
-        assert _lattice_radii(spec.x_ops, kernel[0], grid, centre, step) is None
+        kernel, grid, _, polar = _kernel_and_grid(spec, v_prime, n, None, None)
+        assert polar is None and not _rotates(spec.x_ops, kernel[0])
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * len(grid) * b * b)
         povm = build_collective_povm(spec, v_prime, n)
         assert povm.completeness_residual < 1e-12
@@ -329,7 +349,7 @@ class TestBuildCollectivePovm:
         # the elements' smearing operators sit on the build's own nodes, bit
         # for bit, not on outcomes * sqrt(n) (which misses some in the last bit)
         spec, v_prime = _holevo_spec(name, theta)
-        _, grid, _, _, _ = _kernel_and_grid(spec, v_prime, n, None, None)
+        _, grid, _, _ = _kernel_and_grid(spec, v_prime, n, None, None)
         povm = build_collective_povm(spec, v_prime, n)
         points = []
 
@@ -357,7 +377,7 @@ class TestBuildCollectivePovm:
         # about 45 MB for an 11 MB grid; ball_grid refuses them under a
         # 16 MiB limit before it builds them
         spec, v_prime = _holevo_spec("qubit-full", (0.2, 0.1, 0.3))
-        radius = _kernel_and_grid(spec, v_prime, 2, None, None)[4]
+        radius = _default_radius(spec, v_prime)
         limit = 16 << 20
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", limit)
         monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
@@ -371,14 +391,13 @@ class TestBuildCollectivePovm:
     )
     def test_moments_written_over_the_sums_match_the_sandwich(self, name, theta, n):
         # S and the moments, built in place over the sums one sector at a
-        # time, equal the out-of-place sandwich of the scaled sums, with
-        # S^-1/2 from the spectra of all S blocks at once, bit for bit
+        # time, equal the out-of-place sandwich of the sums, with S^-1/2
+        # from the spectra of all S blocks at once, bit for bit
         spec, v_prime = _holevo_spec(name, theta)
-        kernel, grid, step, centre, _ = _kernel_and_grid(spec, v_prime, n, None, None)
-        radii = _lattice_radii(spec.x_ops, kernel[0], grid, centre, step)
+        kernel, grid, weights, polar = _kernel_and_grid(spec, v_prime, n, None, None)
         sectors = collective_sectors(spec.x_ops, n)
-        povm = _povm_on_sectors(sectors, n, kernel, grid, step, radii)
-        raws = [raw * step ** grid.shape[1] for raw in _smearing_sums(sectors, n, kernel, grid, radii)]
+        povm = _povm_on_sectors(sectors, n, kernel, grid, weights, polar)
+        raws = _smearing_sums(sectors, n, kernel, grid, weights, polar)
         spectra = [np.linalg.eigh((raw[0] + raw[0].conj().T) / 2) for raw in raws]
         top = max(w.max() for w, _ in spectra)
         for raw, (w, u), s_op, moments in zip(raws, spectra, povm.s_operator, povm.moments):
@@ -390,28 +409,22 @@ class TestBuildCollectivePovm:
 
 
 class TestBallGrid:
-    """The ball grid: the cubic lattice through the sums' centre, clipped to
-    the ball around 0."""
+    """The ball grid: the cubic lattice through -radius, clipped to the ball
+    around 0."""
 
     @settings(max_examples=60, deadline=None, database=None)
-    @given(
-        d=st.integers(1, 3),
-        radius=st.floats(0.2, 5.0),
-        cells=st.floats(2.0, 10.0),
-        centre=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
-    )
-    def test_every_lattice_node_in_the_ball_once(self, d, radius, cells, centre):
+    @given(d=st.integers(1, 3), radius=st.floats(0.2, 5.0), cells=st.floats(2.0, 10.0))
+    def test_every_lattice_node_in_the_ball_once(self, d, radius, cells):
         step = radius / cells
-        c = radius * np.array(centre[:d])
-        grid = ball_grid(radius, step, c)
+        grid = ball_grid(radius, step, d)
         assert (np.einsum("ij,ij->i", grid, grid) <= radius**2 + 1e-12).all()
-        offsets = (grid - c) / step
+        offsets = (grid + radius) / step
         lattice = np.rint(offsets)
         assert np.abs(offsets - lattice).max() < 1e-9
-        # the nodes c + step k of a box around the ball, enumerated directly
-        span = np.arange(np.floor((-radius - c.max()) / step) - 1, np.ceil((radius - c.min()) / step) + 2)
+        # the nodes -radius + step k of a box around the ball, enumerated directly
+        span = np.arange(-1, np.ceil(2 * cells) + 2)
         ks = np.stack([m.ravel() for m in np.meshgrid(*([span] * d), indexing="ij")], axis=1)
-        nodes = c + step * ks
+        nodes = -radius + step * ks
         squared = np.einsum("ij,ij->i", nodes, nodes)
         got = {tuple(k) for k in lattice}
         assert len(got) == len(grid)
@@ -427,22 +440,25 @@ class TestBallGrid:
             axis = np.arange(-radius, radius + step * 1e-9, step)
             pts = np.stack([m.ravel() for m in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
             unshifted = pts[np.einsum("ij,ij->i", pts, pts) <= radius**2 + 1e-12]
-            assert ball_grid(radius, step, np.zeros(d)).tobytes() == unshifted.tobytes()
+            assert ball_grid(radius, step, d).tobytes() == unshifted.tobytes()
 
     def test_off_origin_build_keeps_the_cell(self):
-        model, theta = qubit_family("z0"), np.array([0.3, -0.4])
-        x_ops, v_prime = _bound_operators(model, theta)
-        spec = CollectiveSpec(model.state_at(theta), x_ops)
-        _, grid, step, centre, _ = _kernel_and_grid(spec, v_prime, 9, None, None)
-        povm = build_collective_povm(spec, v_prime, 9)
-        assert povm.cell == step**2
-        assert np.array_equal(povm.outcomes, grid / 3)
-        assert np.min(np.abs(grid - centre).max(axis=1)) < 1e-12
+        # a per-point build off the origin sums over the lattice through
+        # -radius, whatever the sums' centre, with cell step^d at every node
+        spec, v_prime = _holevo_spec("qubit-full", (0.2, 0.1, 0.3))
+        radius = _default_radius(spec, v_prime)
+        povm = build_collective_povm(spec, v_prime, 3)
+        assert np.abs(np.trace(spec.x_ops, axis1=1, axis2=2)).max() > 1e-3
+        assert np.array_equal(povm.grid, ball_grid(radius, radius / 16, 3))
+        assert (povm.weights == (radius / 16) ** 3).all()
+        assert np.array_equal(povm.outcomes, povm.grid / np.sqrt(3))
         assert povm.completeness_residual < 1e-10
 
 
 class TestRotationSums:
-    """The per-radius smearing sums against the per-point fold (the oracle)."""
+    """The rotation path: five banded sums per radius of a polar rule about
+    the sums' centre, against the per-point fold on the same nodes and
+    against the lattice (the slow oracles)."""
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(
@@ -450,45 +466,43 @@ class TestRotationSums:
         euler=st.tuples(st.floats(0.0, 6.2), st.floats(0.1, 3.0), st.floats(0.0, 6.2)),
         length=st.floats(0.2, 2.0),
         a=st.floats(0.2, 5.0),
-        step=st.floats(0.1, 0.6),
-        cells=st.integers(4, 12),
+        radius=st.floats(0.5, 4.0),
         centre=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
     )
-    def test_per_radius_sums_match_per_point_fold(self, n, euler, length, a, step, cells, centre):
+    def test_per_radius_sums_match_per_point_fold(self, n, euler, length, a, radius, centre):
         # two orthogonal Bloch vectors of equal length whose rotation axis
-        # n_0 x n_1 is tilted from z by the middle Euler angle, and the grid
-        # through the sums' centre c = sqrt(n) tr(X) / 2, anywhere within
-        # three steps of the origin
+        # n_0 x n_1 is tilted from z by the middle Euler angle, and a polar
+        # rule about the sums' centre c = sqrt(n) tr(X) / 2 with n + 3
+        # azimuths: on its nodes the per-point fold equals the five banded
+        # sums to rounding, every other band summing to 0
         alpha, beta, gamma = euler
         frame = _rotation_z(alpha) @ _rotation_y(beta) @ _rotation_z(gamma)
         paulis = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
-        c0 = step * np.array(centre) / np.sqrt(n)
+        c0 = np.array(centre) / np.sqrt(n)
         x_ops = np.array([c0[k] * np.eye(2) + length * np.tensordot(frame[:, k], paulis, axes=1) for k in range(2)])
         c = np.sqrt(n) * np.real(np.trace(x_ops, axis1=1, axis2=2)) / 2
-        grid = ball_grid(cells * step, step, c)
         kernel = (a * np.eye(2), 1.0)
-        radii = _lattice_radii(x_ops, kernel[0], grid, c, step)
-        assert radii is not None
+        assert _rotates(x_ops, kernel[0])
+        grid, weights, *polar = polar_grid(radius, radius / 8, c, n + 3)
         sectors = collective_sectors(x_ops, n)
-        per_radius = _smearing_sums(sectors, n, kernel, grid, radii)
-        for got, want in zip(per_radius, _smearing_sums(sectors, n, kernel, grid)):
+        banded = _smearing_sums(sectors, n, kernel, grid, weights, polar)
+        for got, want in zip(banded, _smearing_sums(sectors, n, kernel, grid, weights)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # A not proportional to I, unequal norms and non-orthogonal parts
         # each take the per-point path
-        assert _lattice_radii(x_ops, a * np.diag([1.0, 1.0 + 1e-6]), grid, c, step) is None
+        assert not _rotates(x_ops, a * np.diag([1.0, 1.0 + 1e-6]))
         traceless = x_ops - c0[:, None, None] * np.eye(2)
         for broken in (x_ops[1] + 1e-6 * traceless[1], x_ops[1] + 1e-6 * traceless[0]):
-            assert _lattice_radii(np.array([x_ops[0], broken]), kernel[0], grid, c, step) is None
+            assert not _rotates(np.array([x_ops[0], broken]), kernel[0])
 
     def test_dense_layout_takes_the_per_point_path(self):
         x_ops = [np.diag([1.0, 0.0, -1.0]), np.diag([0.0, 1.0, -1.0])]
-        grid = ball_grid(1.0, 0.25, np.zeros(2))
-        assert _lattice_radii(x_ops, np.eye(2), grid, np.zeros(2), 0.25) is None
+        assert not _rotates(x_ops, np.eye(2))
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_off_origin_qubit_z0_builds_take_the_radius_path(self, n, monkeypatch):
-        # g = I and the default v': the sums' centre is off the origin's
-        # lattice at each point, and the grid through it keeps the symmetry
+        # g = I and the default v': at each point the rule is polar about the
+        # sums' centre c, one radius per 1/32 of radius + |c|, n + 3 azimuths
         built = []
         monkeypatch.setattr(collective, "_povm_on_sectors", lambda *args: built.append(args))
         model = qubit_family("z0")
@@ -496,11 +510,94 @@ class TestRotationSums:
             theta = np.array(theta)
             x_ops, v_prime = _bound_operators(model, theta)
             spec = CollectiveSpec(model.state_at(theta), x_ops)
-            _, _, step, centre, _ = _kernel_and_grid(spec, v_prime, n, None, None)
-            assert np.abs(centre / step - np.rint(centre / step)).max() > 1e-3
+            centre = np.sqrt(n) * np.real(np.trace(x_ops, axis1=1, axis2=2)) / 2
+            assert np.linalg.norm(centre) > 1e-3
             build_collective_povm(spec, v_prime, n)
-            _, _, _, grid, _, radii = built.pop()
-            assert radii is not None and len(radii[2]) < len(grid)
+            _, _, _, grid, weights, polar = built.pop()
+            radii, phi = polar
+            outer = _default_radius(spec, v_prime) + np.linalg.norm(centre)
+            assert len(radii) == np.ceil(32 * outer / _default_radius(spec, v_prime)) and len(phi) == n + 3
+            assert np.allclose(grid[: n + 3].mean(axis=0), centre)
+            assert abs(weights.sum() - np.pi * outer**2) < 1e-12 * outer**2
+
+    @pytest.mark.parametrize("n", [5, 16])
+    def test_banded_in_the_rotation_eigenbasis(self, n):
+        # in the eigenbasis of K = -i [Y_0, Y_1], S is diagonal and every
+        # moment has entries only on the bands |a - b| <= 2, to rounding
+        # (measured: at most 2e-15 and 9e-15 of the largest entry)
+        spec, v_prime = _holevo_spec("qubit-z0", (0.5, 0.0))
+        povm = build_collective_povm(spec, v_prime, n)
+        for sec, s_op, moments in zip(povm.sectors, povm.s_operator, povm.moments):
+            b = len(s_op)
+            y = sec.ops - np.trace(sec.ops, axis1=1, axis2=2)[:, None, None] / b * np.eye(b)
+            _, u = np.linalg.eigh(-1j * (y[0] @ y[1] - y[1] @ y[0]))
+            rows, cols = np.indices((b, b))
+            s_k = u.conj().T @ s_op @ u
+            assert np.abs(s_k[rows != cols]).max(initial=0.0) <= 1e-13 * np.abs(s_k).max()
+            o_k = u.conj().T @ moments @ u
+            assert np.abs(o_k[:, np.abs(rows - cols) > 2]).max(initial=0.0) <= 1e-13 * np.abs(o_k).max()
+
+    @pytest.mark.parametrize("name", ["criterion-7", "qubit-z0"])
+    def test_default_rule_matches_twice_the_radii(self, name):
+        # n tr on the default rule, 32 Gauss radii per radius + |c|, against 64
+        model, theta, x_ops, v_prime = _rotation_case(name)
+        radius = _default_radius(CollectiveSpec(model.state_at(theta), x_ops), v_prime)
+        for n in (8, 32):
+            (row,) = collective_estimator_check(model, theta, x_ops, v_prime, [n])
+            (fine,) = collective_estimator_check(model, theta, x_ops, v_prime, [n], radius, radius / 32)
+            assert abs(np.trace(row.scaled_covariance) - np.trace(fine.scaled_covariance)) <= 1e-12
+
+    def test_lattice_approaches_the_polar_value_at_the_origin(self):
+        # criterion 7 (c = 0) at n = 8: the per-point path over the lattice
+        # at steps radius / 16 and / 32 closes in on the polar rule's n tr
+        model, theta, x_ops, v_prime = _rotation_case("criterion-7")
+        radius = _default_radius(CollectiveSpec(model.state_at(theta), x_ops), v_prime)
+        (polar,) = collective_estimator_check(model, theta, x_ops, v_prime, [8])
+        errors = [
+            abs(np.trace(_lattice_row(model, theta, x_ops, v_prime, 8, radius, radius / cells).scaled_covariance)
+                - np.trace(polar.scaled_covariance))
+            for cells in (16, 32)
+        ]
+        assert errors[1] < errors[0] < 2e-6
+
+    def test_off_origin_ball_about_zero_of_the_disk_radius(self):
+        # qubit-z0 (0.9, 0.2) at n = 8: the lattice over the ball about 0 of
+        # radius R + |c| matches the polar rule over the disk about c of that
+        # radius; the default ball about 0 of radius R truncates by about 1e-2
+        model, theta, x_ops, v_prime = _rotation_case("qubit-z0-off")
+        spec = CollectiveSpec(model.state_at(theta), x_ops)
+        radius = _default_radius(spec, v_prime)
+        outer = radius + np.sqrt(8) * np.linalg.norm(np.real(np.trace(x_ops, axis1=1, axis2=2))) / 2
+        (polar,) = collective_estimator_check(model, theta, x_ops, v_prime, [8])
+        lattice = _lattice_row(model, theta, x_ops, v_prime, 8, outer, radius / 16)
+        truncated = _lattice_row(model, theta, x_ops, v_prime, 8, radius, radius / 16)
+        assert abs(np.trace(lattice.scaled_covariance) - np.trace(polar.scaled_covariance)) < 1e-6
+        assert abs(np.trace(truncated.scaled_covariance) - np.trace(polar.scaled_covariance)) > 5e-3
+
+
+def _default_radius(spec, v_prime):
+    """``build_collective_povm``'s default radius 4 sqrt(lmax(v + v'))."""
+    return 4.0 * float(np.sqrt(np.linalg.eigvalsh(spec.v + v_prime).max()))
+
+
+def _rotation_case(name):
+    """Model, point, operators and v' of the criterion-7 check (c = 0) or of
+    qubit-z0 at (0.5, 0) or (0.9, 0.2) ("qubit-z0-off")."""
+    if name == "criterion-7":
+        return tangential_model(), np.zeros(2), np.array([SIGMA_X, SIGMA_Y]), 0.6 * np.eye(2)
+    model, theta = qubit_family("z0"), np.array([0.9, 0.2] if name == "qubit-z0-off" else [0.5, 0.0])
+    return (model, theta, *_bound_operators(model, theta))
+
+
+def _lattice_row(model, theta, x_ops, v_prime, n, radius, step):
+    """The check's row at n on the per-point path over ``ball_grid(radius,
+    step, 2)``: the lattice about 0, the slow oracle for the polar rule."""
+
+    def povm_at(spec, n):
+        kernel, grid = _kernel_and_grid(spec, v_prime, n, None, None)[0], ball_grid(radius, step, 2)
+        return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, np.full(len(grid), step**2))
+
+    return _estimator_rows(model, theta, x_ops, [n], povm_at)[0]
 
 
 class TestPerPointSums:
@@ -510,11 +607,12 @@ class TestPerPointSums:
         # least 3 blocks
         x_ops = np.array([SIGMA_X, 0.5 * SIGMA_Y + 0.2 * SIGMA_Z + 0.1 * np.eye(2)])
         n, kernel = 3, (np.array([[0.7, 0.1], [0.1, 0.5]]), 1.3)
-        grid = ball_grid(2.0, 0.25, np.zeros(2))
+        grid = ball_grid(2.0, 0.25, 2)
+        weights = np.full(len(grid), 0.0625)
         sectors = collective_sectors(x_ops, n)
         outcomes = grid / np.sqrt(n)
         pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
-        monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
+        monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs]) * weights[:, None]
         wants = [np.tensordot(monomials.T, _smearing_blocks(sec.ops, *kernel, grid), axes=1) for sec in sectors]
         sizes = []
 
@@ -524,7 +622,7 @@ class TestPerPointSums:
 
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * 16 * 4 * 4 * 7)
         monkeypatch.setattr(collective, "_smearing_blocks", recorded)
-        gots = _smearing_sums(sectors, n, kernel, grid)
+        gots = _smearing_sums(sectors, n, kernel, grid, weights)
         assert min(sizes.count(sec.ops.shape[-1]) for sec in sectors) >= 3
         for got, want in zip(gots, wants):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -688,8 +786,8 @@ class TestSectorsAgainstDense:
 
 def _dense_povm(spec, v_prime, n, radius=None, grid_step=None):
     """``build_collective_povm`` of the spec's operators on the dense layout."""
-    kernel, grid, step, _, _ = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
-    return _povm_on_sectors(_dense_sectors(spec.x_ops, n), n, kernel, grid, step)
+    kernel, grid, weights, _ = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
+    return _povm_on_sectors(_dense_sectors(spec.x_ops, n), n, kernel, grid, weights)
 
 
 def _bound_operators(model, theta):
