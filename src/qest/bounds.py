@@ -121,8 +121,9 @@ def gaussian_shift_bound(v: np.ndarray, s: np.ndarray, g) -> float:
 def holevo_objective(model: ParametricModel, theta, x_ops, g) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective tr(v(X) g) + ||sqrt(g) s(X) sqrt(g)||_1 of an operator tuple.
 
-    The X_k are centered internally; returns (value, v, s) with the pair
-    matrices satisfying v + i s >= 0.
+    The X_k are centered internally, X_k - tr(rho X_k) I, and the pair
+    matrices are ``qcore.pair_moments`` of the centred tuple; returns
+    (value, v, s) with v + i s >= 0.
     """
     t = model.require_domain(theta)
     rho = model.state_at(t).matrix
@@ -131,7 +132,8 @@ def holevo_objective(model: ParametricModel, theta, x_ops, g) -> tuple[float, np
         if np.max(np.abs(x - x.conj().T)) > 1e-10:
             raise ValidationError("holevo_objective requires Hermitian operators")
     g = check_weight_matrix(g, len(x_ops))
-    v, s = pair_moments(rho, x_ops)
+    ops = np.array(x_ops, dtype=complex)
+    v, s = pair_moments(rho, ops - trace_products(rho, ops)[:, None, None] * np.eye(len(rho)))
     if np.linalg.eigvalsh(v + 1j * s).min() < -PSD_PAIR_TOL:
         raise NumericalError("pair-moment matrix v + i s lost positivity")
     return _shift_value(v, s, g), v, s

@@ -24,11 +24,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .gaussian import GaussianSpec, gaussian_moment, smearing_kernel
-from .qcore import DensityOperator, _kron_power, check_array_bytes, pair_moments
+from .qcore import DensityOperator, _kron_power, check_array_bytes, pair_moments, trace_products
 from .models import PAULIS
 
 COLLECTIVE_DEGREE_CAP = 8
 CENTERING_TOL = 1e-12
+_PAULIS_XYZ = np.array([PAULIS[a] for a in "xyz"])
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class CollectiveSpec:
     """A state with a centered Hermitian operator tuple and its pair moments.
 
     Operators are centered on construction (X - Tr(rho X) I); the pair-moment
-    matrices v, s must satisfy v + i s >= 0.
+    matrices v, s are ``qcore.pair_moments`` of the centred tuple and must
+    satisfy v + i s >= 0.
     """
 
     rho: DensityOperator
@@ -52,15 +54,15 @@ class CollectiveSpec:
                 raise ValidationError("operator dimension mismatch")
             if np.max(np.abs(x - x.conj().T)) > 1e-10:
                 raise ValidationError("collective operators must be Hermitian")
-            mean = np.real(np.trace(rho.matrix @ x))
-            xc = x - mean * np.eye(rho.dim)
-            resid = abs(np.trace(rho.matrix @ xc))
-            if resid > CENTERING_TOL:
-                raise ValidationError(f"centering residual {resid:.3e}")
-            xc.setflags(write=False)
-            ops.append(xc)
+            ops.append(x)
         if not ops:
             raise ValidationError("a collective spec needs at least one operator")
+        ops = np.array(ops)
+        ops -= trace_products(rho.matrix, ops)[:, None, None] * np.eye(rho.dim)
+        resid = np.abs(trace_products(rho.matrix, ops)).max()
+        if resid > CENTERING_TOL:
+            raise ValidationError(f"centering residual {resid:.3e}")
+        ops.setflags(write=False)
         v, s = pair_moments(rho.matrix, ops)
         if np.linalg.eigvalsh(v + 1j * s).min() < -1e-10:
             raise ValidationError("pair moments violate v + i s >= 0")
@@ -213,13 +215,13 @@ def _spin_sectors(x_ops, n: int):
     A qubit operator X = c0 I + c . sigma sums to (n c0 I + 2 c . J^(j)) /
     sqrt(n) on sector j, whose multiplicity is C(n, n/2 - j) - C(n, n/2 - j - 1).
     """
-    paulis = np.array([PAULIS["x"], PAULIS["y"], PAULIS["z"]])
-    coeffs = [(np.trace(x) / 2, np.einsum("kab,ba->k", paulis, x) / 2) for x in x_ops]
+    # (c0, c) = tr(X (I, sigma)) / 2 per operator
+    coeffs = trace_products(np.asarray(x_ops)[:, None], np.array([np.eye(2), *_PAULIS_XYZ])) / 2
     for k in range(n // 2 + 1):
         two_j = n - 2 * k
         spin = _spin_matrices(two_j)
         eye = np.eye(two_j + 1)
-        ops = np.array([(n * c0 * eye + 2 * np.einsum("k,kab->ab", c, spin)) for c0, c in coeffs])
+        ops = np.array([(n * c[0] * eye + 2 * np.einsum("k,kab->ab", c[1:], spin)) for c in coeffs])
         multiplicity = comb(n, k) - (comb(n, k - 1) if k else 0)
         yield Sector(ops / np.sqrt(n), multiplicity, two_j)
 
@@ -261,7 +263,7 @@ def sector_states(rho: np.ndarray, n: int, sectors) -> list[np.ndarray]:
     rho = np.asarray(rho, dtype=complex)
     if sectors[0].two_j is None:
         return [_kron_power(rho, n)]
-    bloch = np.real([np.trace(rho @ PAULIS[a]) for a in "xyz"])
+    bloch = trace_products(rho, _PAULIS_XYZ)
     length = float(np.linalg.norm(bloch))
     trace = float(np.real(np.trace(rho)))
     lam_hi, lam_lo = (trace + length) / 2, max((trace - length) / 2, 0.0)

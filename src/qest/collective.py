@@ -215,7 +215,7 @@ def _rotates(x_ops, a_mat) -> bool:
     if np.shape(x_ops) != (2, 2, 2):
         return False
     y = x_ops - np.real(np.trace(x_ops, axis1=1, axis2=2))[:, None, None] * np.eye(2) / 2
-    gram = np.real(np.einsum("kab,lba->kl", y, y))
+    gram = trace_products(y[:, None], y[None])
     return all(np.abs(m - np.trace(m) / 2 * np.eye(2)).max() <= ROTATION_TOL * np.trace(m) for m in (a_mat, gram))
 
 
@@ -357,13 +357,14 @@ def _estimator_rows(model, theta, x_ops, n_list, povm_at):
         povm = povm_at(spec, n)
         # the SLDs' collective sums sum_k L_(k) in the POVM's own layout, one sector at a time
         layout = _dense_sectors if povm.sectors[0].two_j is None else _spin_sectors
-        # row 0: tr(rho^(x)n O); row 1 + a: tr(d_a rho^(x)n O), for O = [O0, O1_k, O2_kl]
+        # row 0: tr(rho^(x)n O); row 1 + a: tr(d_a rho^(x)n O), for O = [O0, O1_k, O2_kl],
+        # one state at a time against the sector's moments
         traces = 0.0
         for sec, l_sec, moments in zip(povm.sectors, layout(slds, n), povm.moments):
             (rho_j,) = sector_states(spec.rho.matrix, n, [sec])
             l_sum = np.sqrt(n) * l_sec.ops
             states = np.concatenate([rho_j[None], (rho_j @ l_sum + l_sum @ rho_j) / 2])
-            traces = traces + sec.multiplicity * trace_products(states[:, None], moments[None])
+            traces = traces + sec.multiplicity * np.array([trace_products(state, moments) for state in states])
         mass = traces[0, 0]
         mean = traces[0, 1 : d + 1] / mass
         a_n = (traces[1:, 1 : d + 1].T - np.outer(mean, traces[1:, 0])) / mass
@@ -484,7 +485,8 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
         probs = np.clip(probability_rows(probs, sum_tol[rows]), 1e-300, None)
         value = (counts[rows] * np.log(probs)).sum(axis=1) / totals[rows]
         derivs = model_derivatives(model, th)
-        dp = trace_products(derivs[:, :, None], elems[:, None])
+        # one derivative at a time: (rows, k) traces from a (rows, k, dim, dim) product
+        dp = np.stack([trace_products(derivs[:, a, None], elems) for a in range(derivs.shape[1])], axis=1)
         grad = (counts[rows][:, None, :] * dp / probs[:, None, :]).sum(axis=2)
         return value, grad / totals[rows][:, None], dp, probs
 

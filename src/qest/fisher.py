@@ -2,7 +2,10 @@
 
 Implements the symmetric and right logarithmic derivatives with their quantum
 Fisher matrices, the classical Fisher matrix of a measured model, and the
-commutator superoperator D used in the bound analysis.
+commutator superoperator D used in the bound analysis.  Both quantum Fisher
+matrices come from ``qcore.pair_moments``: the SLD one is v(L) under rho,
+exactly symmetric, and the RLD one v + i s of the derivatives under rho^-1,
+exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .models import ParametricModel, model_derivatives
-from .qcore import DensityOperator, Povm, measure_distribution, trace_products
+from .qcore import DensityOperator, Povm, measure_distribution, pair_moments, trace_products
 
 SUPPORT_TOL = 1e-10
 OFF_SUPPORT_TOL = 1e-10
@@ -70,7 +73,7 @@ def _sld_stack(rhos: np.ndarray, derivs: np.ndarray):
     (m, d, d) of the states ``rhos`` (m, dim, dim) with derivatives
     ``derivs`` (m, d, dim, dim), every row with the checks of ``sld_fisher``.
     A residual is the Frobenius norm of (L rho + rho L)/2 - d rho, and
-    j[a, b] = tr(rho (L_a L_b + L_b L_a)) / 2."""
+    j[a, b] = tr(rho (L_a L_b + L_b L_a)) / 2, the v of ``pair_moments``."""
     lam, u = np.linalg.eigh(rhos)
     u = u[:, None]
     u_adj = u.conj().swapaxes(-1, -2)
@@ -91,19 +94,17 @@ def _sld_stack(rhos: np.ndarray, derivs: np.ndarray):
     residuals = np.linalg.norm(defects, axis=(-2, -1))
     if (residuals > RESIDUAL_TOL).any():
         raise NumericalError(f"SLD residual {residuals.max():.3e} exceeds {RESIDUAL_TOL}")
-    prods = l_op[:, :, None] @ l_op[:, None, :]
-    anti = prods + prods.swapaxes(1, 2)
-    # contiguous diagonals, summed along their own axis as a single trace is
-    diag = np.diagonal(rhos[:, None, None] @ anti, axis1=-2, axis2=-1).copy()
-    return l_op, residuals, 0.5 * np.real(diag.sum(axis=-1))
+    return l_op, residuals, pair_moments(rhos, l_op)[0]
 
 
 def rld_fisher(model: ParametricModel, theta) -> tuple[LogDerivativeSet, FisherMatrix]:
     """Right logarithmic derivatives L_k = rho^{-1} d rho and their Fisher matrix.
 
     Requires strictly positive rho.  The matrix entries are
-    j[k, l] = Tr(rho L_k L_l^*), which is the Hermitian PSD ordering that
-    reproduces the Gaussian-family identity inverse(j_rld) = v + i s.
+    j[k, l] = Tr(rho L_k L_l^*) = Tr(rho^-1 d_k rho d_l rho), which is the
+    Hermitian PSD ordering that reproduces the Gaussian-family identity
+    inverse(j_rld) = v + i s; they are v + i s of ``pair_moments`` of the
+    derivatives under rho^-1.
     """
     t = model.require_domain(theta)
     rho = model.state_at(t)
@@ -114,42 +115,35 @@ def rld_fisher(model: ParametricModel, theta) -> tuple[LogDerivativeSet, FisherM
             f"(min eigenvalue {lam.min():.3e})"
         )
     derivs = model_derivatives(model, t)
-    ops = np.linalg.inv(rho.matrix) @ derivs
+    rho_inv = np.linalg.inv(rho.matrix)
+    ops = rho_inv @ derivs
     residuals = np.linalg.norm(rho.matrix @ ops - derivs, axis=(-2, -1))
     if residuals.max() > RESIDUAL_TOL:
         raise NumericalError(f"RLD residual {residuals.max():.3e} exceeds {RESIDUAL_TOL}")
-    prods = (rho.matrix @ ops)[:, None] @ ops.conj().swapaxes(-1, -2)[None]
-    # contiguous diagonals, summed along their own axis as a single trace is
-    j = np.diagonal(prods, axis1=-2, axis2=-1).copy().sum(axis=-1)
-    j = (j + j.conj().T) / 2
-    return LogDerivativeSet(tuple(ops), tuple(residuals.tolist())), FisherMatrix(j)
+    v, s = pair_moments(rho_inv, derivs)
+    return LogDerivativeSet(tuple(ops), tuple(residuals.tolist())), FisherMatrix(v + 1j * s)
 
 
 def classical_fisher(model: ParametricModel, theta, m: Povm) -> FisherMatrix:
     """Fisher information of the outcome distribution of measuring ``m``.
 
-    j[k, l] = sum_w (d_k p_w)(d_l p_w) / p_w with p_w = Tr(rho M_w).  Outcomes with mass below the floor 1e-12 are dropped
-    and the discarded mass recorded on the result.
+    j[k, l] = sum_w (d_k p_w)(d_l p_w) / p_w with p_w = Tr(rho M_w), one
+    product of the scaled scores d p_w / sqrt(p_w) with their transpose.
+    Outcomes with mass below the floor 1e-12 are dropped and the discarded
+    mass recorded on the result.
     """
     t = model.require_domain(theta)
     rho = model.state_at(t)
     if rho.dim != m.dim:
         raise ValidationError("model and POVM dimension mismatch")
     derivs = model_derivatives(model, t)
-    d = len(derivs)
     probs = measure_distribution(rho, m).probs
     keep = probs > PROB_FLOOR
     dropped = float(probs[~keep].sum())
     if not keep.any():
         raise NumericalError("all outcomes fall below the probability floor")
-    dp = trace_products(m.stack, derivs[:, None])
-    j = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            val = float(np.sum(dp[a, keep] * dp[b, keep] / probs[keep]))
-            j[a, b] = val
-            j[b, a] = val
-    return FisherMatrix(j, dropped_mass=dropped)
+    scores = trace_products(m.stack[keep], derivs[:, None]) / np.sqrt(probs[keep])
+    return FisherMatrix(scores @ scores.T, dropped_mass=dropped)
 
 
 def d_map(rho: DensityOperator, x: np.ndarray) -> np.ndarray:

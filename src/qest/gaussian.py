@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .qcore import OutcomeDistribution, Povm, _sym_sqrt, check_draws
+from .qcore import OutcomeDistribution, Povm, check_draws
 
 MOMENT_DEGREE_CAP = 10
 DEFAULT_TAIL_TOL = 1e-8
@@ -98,19 +98,16 @@ def gaussian_moment(spec: GaussianSpec, indices) -> complex:
     return total
 
 
-def _f_scalar(x: float) -> float:
-    # f(x) = log((1+x)/(1-x))/(4x), continuously 1/2 at x = 0
-    if x < 1e-6:
-        return 0.5 * (1.0 + x * x / 3.0)
-    return float(np.log((1.0 + x) / (1.0 - x)) / (4.0 * x))
-
-
 def smearing_kernel(v_prime: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
     """Exponent matrix and normalization of the Gaussian-smearing POVM density.
 
     Returns (A, Z) such that the POVM density at displacement theta' is
-    exp(-(X - theta')^T A (X - theta')) / Z.  The eigenvalues of
-    |v'^{-1/2} s v'^{-1/2}| must all be below one or the kernel diverges.
+    exp(-(X - theta')^T A (X - theta')) / Z, from one eigendecomposition
+    i m = U diag(lam) U^dagger of m = v'^{-1/2} s v'^{-1/2}:
+    A = v'^{-1/2} f(|m|) v'^{-1/2} with f(x) = log((1+x)/(1-x))/(4x) and
+    |m| = U diag(|lam|) U^dagger, and
+    Z = (2 pi)^{d/2} det(v')^{1/2} prod(1 - lam^2)^{1/4}.  The eigenvalues of
+    |m| must all be below one or the kernel diverges.
     A v' so large or so small that A is not finite or Z is not in (0, inf)
     raises NumericalError.
     """
@@ -123,21 +120,17 @@ def smearing_kernel(v_prime: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, flo
         if w.min() <= 0:
             raise ValidationError("v' must be positive definite")
         v_isqrt = (u * (w**-0.5)) @ u.T
-        m = v_isqrt @ s @ v_isqrt
-        abs_m = _sym_sqrt(m.T @ m)
-        wa, ua = np.linalg.eigh(abs_m)
+        lam, u = np.linalg.eigh(1j * (v_isqrt @ s @ v_isqrt))
+        wa = np.abs(lam)
         if wa.max() >= 1.0 - 1e-12:
             raise NumericalError(
                 "eigenvalue condition violated: |v'^{-1/2} s v'^{-1/2}| has an "
                 f"eigenvalue {wa.max():.6f} >= 1"
             )
-        f_m = (ua * np.array([_f_scalar(x) for x in wa])) @ ua.T
-        a = v_isqrt @ f_m @ v_isqrt
-        z = (
-            (2 * np.pi) ** (d / 2)
-            * np.sqrt(np.linalg.det(v_prime))
-            * float(np.linalg.det(np.eye(d) - abs_m @ abs_m)) ** 0.25
-        )
+        # f is continuously 1/2 at 0, where its series replaces the 0/0
+        f = np.where(wa < 1e-6, 0.5 * (1.0 + wa * wa / 3.0), np.log((1.0 + wa) / (1.0 - wa)) / (4.0 * wa))
+        a = v_isqrt @ np.real((u * f) @ u.conj().T) @ v_isqrt
+        z = (2 * np.pi) ** (d / 2) * np.sqrt(np.linalg.det(v_prime)) * np.prod(1.0 - lam**2) ** 0.25
     if not (np.isfinite(a).all() and 0 < z < np.inf):
         raise NumericalError(f"smearing kernel out of range (Z = {z:.3e}): v' is too large or too small")
     return a, z

@@ -1,9 +1,10 @@
 """Finite-dimensional quantum primitives.
 
-Density operators, POVMs, outcome statistics from the trace rule, the centered
-pair moments of an operator tuple, probabilistic mixtures, tensor powers, and
-reproducible outcome sampling.  The tolerances of the validators in this
-module are its constants below; ``fisher``, ``bounds``, ``clt``,
+Density operators, POVMs, outcome statistics from the trace rule
+(``trace_products``, Re tr(a b) of Hermitian pairs), the pair moments of an
+operator tuple (uncentred: callers centre), probabilistic mixtures, tensor
+powers, and reproducible outcome sampling.  The tolerances of the validators
+in this module are its constants below; ``fisher``, ``bounds``, ``clt``,
 ``collective`` and ``gaussian`` keep their own next to the code that uses
 them.  Builders of n-fold arrays call ``check_array_bytes`` before they
 allocate: a standalone builder on each array it holds, a collective build
@@ -196,7 +197,7 @@ class DensityOperator:
         return np.linalg.eigvalsh(self.matrix)
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        return float(trace_products(self.matrix, self.matrix))
 
     def to_json_dict(self) -> dict:
         return matrix_to_json(self.matrix)
@@ -314,24 +315,24 @@ def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(prod.shape[:-2] + (prod.shape[-2] * prod.shape[-1],)).sum(axis=-1)
 
 
-def pair_moments(rho_matrix: np.ndarray, x_ops) -> tuple[np.ndarray, np.ndarray]:
-    """Centered second moments of an operator tuple under a state.
+def pair_moments(state: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
+    """Second moments of an operator tuple under a state: the one kernel for
+    pair moments and the SLD and RLD Fisher matrices.
 
-    Returns (v, s) with v[k,j] = Tr rho (Xc_k o Xc_j) and
-    s[k,j] = -i/2 Tr rho [Xc_k, Xc_j] where Xc = X - Tr(rho X) I.
+    ``ops`` (..., d, dim, dim) are Hermitian and ``state`` (..., dim, dim) a
+    Hermitian matrix or stack of them.  Returns (v, s) (..., d, d) with
+    v[k, l] = tr(state (A_k A_l + A_l A_k) / 2) and
+    s[k, l] = tr(state (-i [A_k, A_l] / 2)), so tr(state A_k A_l) = v + i s.
+    Nothing is centred: callers wanting centred moments centre ``ops``.  Both
+    are ``trace_products`` of Hermitian operators whose swap (k, l) -> (l, k)
+    is the same operator or its exact negative, so v is exactly symmetric, s
+    exactly antisymmetric, and no value depends on the stack around it.
     """
-    x = np.asarray(x_ops, dtype=complex)
-    d, dim = len(x), rho_matrix.shape[0]
-    # contiguous diagonals, summed along their own axis as a single trace is
-    means = np.real(np.diagonal(rho_matrix @ x, axis1=-2, axis2=-1).copy().sum(axis=-1))
-    centered = x - means[:, None, None] * np.eye(dim)
-    prods = (rho_matrix @ centered)[:, None] @ centered[None]
-    tr = np.diagonal(prods, axis1=-2, axis2=-1).copy().sum(axis=-1)
-    v = 0.5 * np.real(tr + tr.T)
-    half = np.real(-0.5j * (tr - tr.T))
-    # s[a, b] for a < b, negated into s[b, a] and onto the diagonal
-    s = np.where(np.triu(np.ones((d, d), dtype=bool), 1), half, -half.T)
-    return v, s
+    a = np.asarray(ops, dtype=complex)
+    prods = a[..., :, None, :, :] @ a[..., None, :, :, :]
+    swapped = prods.swapaxes(-3, -4)
+    state = np.asarray(state)[..., None, None, :, :]
+    return trace_products(state, (prods + swapped) / 2), trace_products(state, 0.5j * (swapped - prods))
 
 
 def measure_distribution(rho: DensityOperator, m: Povm) -> OutcomeDistribution:

@@ -11,7 +11,7 @@ from qest.models import (
     qubit_family,
     _qubit_states,
 )
-from qest.qcore import DensityOperator, Povm
+from qest.qcore import DensityOperator, Povm, trace_products
 
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_povm
 
@@ -57,7 +57,7 @@ def pointwise_sld(rho, derivs):
     j = np.zeros((d, d))
     for a in range(d):
         for b in range(a, d):
-            j[a, b] = j[b, a] = 0.5 * np.real(np.trace(rho @ (ops[a] @ ops[b] + ops[b] @ ops[a])))
+            j[a, b] = j[b, a] = trace_products(rho, (ops[a] @ ops[b] + ops[b] @ ops[a]) / 2)
     return np.array(ops), residuals, j
 
 
@@ -90,6 +90,7 @@ class TestSld:
                 assert np.array_equal(np.array(got_ops), ref_ops)
                 assert list(got_residuals) == ref_residuals
                 assert np.array_equal(got_j, ref_j)
+                assert np.array_equal(got_j, got_j.T)
 
     def test_mixed_point_fisher(self):
         # radial parameter gains 1/(1 - r^2); tangential stay at 1
@@ -184,8 +185,56 @@ class TestRld:
         with pytest.raises(NumericalError):
             rld_fisher(model, np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("kind", ["qubit-full", "gauss1", "diag"])
+    def test_matches_rho_l_l_dagger_oracle(self, kind, rng):
+        # j = v + i s of the derivatives under rho^-1, exactly Hermitian,
+        # against the former tr(rho L_k L_l^dagger), re-Hermitized
+        model, pts = {
+            "qubit-full": (qubit_family("full"), rng.uniform(-0.4, 0.4, (5, 3))),
+            # the cutoff-16 state's smallest eigenvalue nears the support
+            # tolerance away from the origin
+            "gauss1": (gaussian_displacement_family(0.3, cutoff=16), [[0.3, 0.2], [0.0, 0.0], [-0.2, 0.1]]),
+            "diag": (diagonal_family(4), rng.uniform(0.1, 0.3, (5, 3))),
+        }[kind]
+        for p in pts:
+            logs, j = rld_fisher(model, p)
+            rho, ops = model.state_at(p).matrix, np.array(logs.operators)
+            oracle = np.array([[np.trace(rho @ a @ b.conj().T) for b in ops] for a in ops])
+            oracle = (oracle + oracle.conj().T) / 2
+            assert np.array_equal(j.matrix, j.matrix.conj().T)
+            assert np.abs(j.matrix - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def classical_loop(model, theta, m):
+    """j[a, b] = sum_w (d_a p_w)(d_b p_w) / p_w over outcomes above the floor,
+    one entry at a time: the former double loop."""
+    probs = np.array([np.trace(model.state_at(theta).matrix @ e).real for e in m.elements])
+    probs /= probs.sum()
+    derivs = model_derivatives(model, theta)
+    dp = np.array([[np.trace(d @ e).real for e in m.elements] for d in derivs])
+    keep = probs > 1e-12
+    j = np.zeros((len(derivs),) * 2)
+    for a in range(len(derivs)):
+        for b in range(a, len(derivs)):
+            j[a, b] = j[b, a] = np.sum(dp[a, keep] * dp[b, keep] / probs[keep])
+    return j
+
 
 class TestClassicalFisher:
+    @pytest.mark.parametrize("kind", ["qubit-full", "diag"])
+    def test_matches_double_loop(self, kind, rng):
+        # one product of the scaled scores, exactly symmetric
+        model, dim, pts = {
+            "qubit-full": (qubit_family("full"), 2, rng.uniform(-0.4, 0.4, (10, 3))),
+            "diag": (diagonal_family(4), 4, rng.uniform(0.1, 0.3, (10, 3))),
+        }[kind]
+        for p in pts:
+            m = random_povm(rng, dim=dim, outcomes=int(rng.integers(2, 7)))
+            j = classical_fisher(model, p, m).matrix
+            oracle = classical_loop(model, p, m)
+            assert np.array_equal(j, j.T)
+            assert np.abs(j - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
     def test_origin_basis_measurement(self):
         model = qubit_family("full")
         j = classical_fisher(model, np.zeros(3), basis_povm())

@@ -122,6 +122,43 @@ class TestSmearingKernel:
         with pytest.raises(NumericalError):
             smearing_kernel(0.4 * np.eye(2), ONE_MODE_S)
 
+    @pytest.mark.parametrize("case", ["scalar", "one-mode", "random-2", "random-3"])
+    def test_matches_two_eigh_construction(self, rng, case):
+        # the kernel takes one eigendecomposition of i m; the oracle forms
+        # |m| = sqrt(m^T m), diagonalizes it again and applies f one
+        # eigenvalue at a time
+        if case == "scalar":
+            v_prime, s = np.array([[0.8]]), np.zeros((1, 1))
+        elif case == "one-mode":
+            v_prime, s = 0.6 * np.eye(2), ONE_MODE_S
+        else:
+            d = int(case[-1])
+            g = rng.standard_normal((d, d))
+            v_prime = g @ g.T + 0.5 * np.eye(d)
+            w = rng.standard_normal((d, d))
+            s = w - w.T
+            v_isqrt = np.linalg.inv(np.linalg.cholesky(v_prime))
+            s *= 0.8 / np.abs(np.linalg.eigvals(v_isqrt @ s @ v_isqrt.T)).max()
+        a, z = smearing_kernel(v_prime, s)
+        a_old, z_old = two_eigh_kernel(v_prime, s)
+        assert np.abs(a - a_old).max() <= 1e-14 * np.abs(a_old).max()
+        assert abs(z - z_old) <= 1e-14 * z_old
+
+
+def two_eigh_kernel(v_prime, s):
+    """(A, Z) of the smearing kernel by the former construction."""
+    d = len(s)
+    w, u = np.linalg.eigh(v_prime)
+    v_isqrt = (u * w**-0.5) @ u.T
+    m = v_isqrt @ s @ v_isqrt
+    w2, u2 = np.linalg.eigh(m.T @ m)
+    abs_m = (u2 * np.sqrt(np.clip(w2, 0.0, None))) @ u2.T
+    wa, ua = np.linalg.eigh(abs_m)
+    f = [0.5 * (1.0 + x * x / 3.0) if x < 1e-6 else np.log((1.0 + x) / (1.0 - x)) / (4.0 * x) for x in wa]
+    a = v_isqrt @ (ua * f) @ ua.T @ v_isqrt
+    z = (2 * np.pi) ** (d / 2) * np.sqrt(np.linalg.det(v_prime)) * np.linalg.det(np.eye(d) - abs_m @ abs_m) ** 0.25
+    return a, z
+
 
 class TestTDensity:
     def test_direct_substitution(self):

@@ -19,6 +19,7 @@ from qest.qcore import (
     matrix_to_json,
     measure_distribution,
     mix,
+    pair_moments,
     povm_stack,
     probability_rows,
     sample_outcomes,
@@ -285,6 +286,58 @@ class TestTraceProducts:
         a = random_hermitian(rng, 3)
         assert trace_products(np.empty((0, 3, 3)), a).shape == (0,)
         assert trace_products(np.empty((4, 0, 3, 3)), a).shape == (4, 0)
+
+
+def diagonal_pair_moments(rho, x):
+    """(v, s) from the diagonals of the (d, d, dim, dim) stack rho X_k X_l:
+    the former kernel, the oracle for the Born-rule one."""
+    tr = np.diagonal((rho @ x)[:, None] @ x[None], axis1=-2, axis2=-1).sum(axis=-1)
+    return 0.5 * np.real(tr + tr.T), np.real(-0.5j * (tr - tr.T))
+
+
+def random_tuple(rng, rho, d, centred):
+    x = np.array([random_hermitian(rng, len(rho)) for _ in range(d)])
+    if centred:
+        x -= np.real(np.trace(rho @ x, axis1=-2, axis2=-1))[:, None, None] * np.eye(len(rho))
+    return x
+
+
+class TestPairMoments:
+    @pytest.mark.parametrize("centred", [False, True])
+    @pytest.mark.parametrize("dim, d", [(2, 3), (3, 2), (4, 4)])
+    def test_exact_symmetry_and_diagonal_oracle(self, rng, centred, dim, d):
+        for _ in range(20):
+            rho = random_density(rng, dim).matrix
+            x = random_tuple(rng, rho, d, centred)
+            v, s = pair_moments(rho, x)
+            assert np.array_equal(v, v.T) and np.array_equal(s, -s.T)
+            v_old, s_old = diagonal_pair_moments(rho, x)
+            scale = np.abs(v_old).max()
+            assert np.abs(v - v_old).max() <= 1e-14 * scale
+            assert np.abs(s - s_old).max() <= 1e-14 * scale
+
+    def test_stack_matches_one_state_calls(self, rng):
+        # a stack of states under one tuple, and a stack of (state, tuple) rows
+        states = np.array([random_density(rng, 3).matrix for _ in range(5)])
+        x = random_tuple(rng, states[0], 3, False)
+        rows = np.array([random_tuple(rng, states[0], 3, False) for _ in range(5)])
+        for ops, per_row in [(x, [x] * 5), (rows, rows)]:
+            v, s = pair_moments(states, ops)
+            for r, (state, row_ops) in enumerate(zip(states, per_row)):
+                v_r, s_r = pair_moments(state, row_ops)
+                assert np.array_equal(v[r], v_r) and np.array_equal(s[r], s_r)
+
+    def test_qubit_closed_forms(self, rng):
+        # sigma_k sigma_l + sigma_l sigma_k = 2 delta_kl I and
+        # -i [sigma_x, sigma_y] / 2 = sigma_z: v = I, s_xy = r_z
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        for _ in range(10):
+            r = rng.standard_normal(3)
+            r *= rng.uniform(0, 1) / np.linalg.norm(r)
+            rho = (np.eye(2) + np.einsum("k,kab->ab", r, paulis)) / 2
+            v, s = pair_moments(rho, paulis)
+            assert np.array_equal(v, np.eye(3))
+            assert np.abs(s - np.array([[0, r[2], -r[1]], [-r[2], 0, r[0]], [r[1], -r[0], 0]])).max() < 1e-15
 
 
 class TestProbabilityRows:
