@@ -15,21 +15,23 @@ space, each a (2j + 1)-dimensional block repeated m_j times, so the POVM is
 built and evaluated on blocks of size at most n + 1 instead of 2^n; any
 other dimension is one dense block.  A build that would hold
 ``qcore.MAX_ARRAY_BYTES`` at once is refused before any sector is built.
+
+``clt`` and ``gaussian`` are imported inside the functions of the collective
+POVM, so the two-stage estimator, which calls none of them, loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import qcore
 from .bounds import check_weight_matrix, qubit_c1
-from .clt import CollectiveSpec, _dense_sectors, _smearing_blocks, _spin_sectors, block_sizes, collective_sectors, sector_states
 from .errors import NumericalError, ValidationError
 from .fisher import _sld_stack, classical_fisher, sld_fisher
-from .gaussian import smearing_kernel
 from .models import ParametricModel, model_derivatives
 from .qcore import (
     PROB_SUM_TOL,
@@ -42,6 +44,9 @@ from .qcore import (
     probability_rows,
     trace_products,
 )
+
+if TYPE_CHECKING:
+    from .clt import CollectiveSpec
 
 SUPPORT_THRESHOLD = 1e-8
 # relative tolerance of the conditions that select the rotation path (``_rotates``)
@@ -94,6 +99,8 @@ class CollectivePovm:
 
     @cached_property
     def elements(self) -> tuple:
+        from .clt import _smearing_blocks
+
         sizes = [len(s_op) for s_op in self.s_operator]
         b = max(sizes)
         # every sector's stack, two working stacks with their eigenvalues and the grid's (G, d) temporaries
@@ -165,6 +172,8 @@ def build_collective_povm(
     temporaries; the grid, weights and monomials; per point, two
     ``_block_rows`` stacks with their eigenvalues and a block of monomials,
     or per radius, two (R, b, b) stacks, complex monomials and their sums."""
+    from .clt import block_sizes, collective_sectors
+
     kernel, grid, weights, polar = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
     sizes, d = block_sizes(spec.x_ops, n), spec.n_ops
     m, b = 1 + d + d * d, max(sizes)
@@ -189,6 +198,8 @@ def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
     about the sums' centre c = sqrt(n) tr(X) / dim, of radius ``radius`` + |c|
     (so it holds the ball of ``radius`` about 0), with n + 3 >= b + 2 azimuths:
     exact for every band of every sector."""
+    from .gaussian import smearing_kernel
+
     if n < 1:
         raise ValidationError("n must be positive")
     kernel = smearing_kernel(v_prime, spec.s)
@@ -225,6 +236,8 @@ def _rotation_sums(ops, a_mat, z_norm, radii, sums):
     -2..2: in K's eigenbasis (m_a = -j..j) rotating by phi multiplies entry
     (a, b) by exp(-i phi (m_a - m_b)), and mono has azimuthal modes |k| <= 2,
     so every other band integrates to 0."""
+    from .clt import _smearing_blocks
+
     b = ops.shape[-1]
     # the sector's own trace gives c to rounding; it keeps Y traceless there
     centre = np.real(np.trace(ops, axis1=1, axis2=2)) / b
@@ -244,6 +257,8 @@ def _smearing_sums(sectors, n, kernel, grid, weights, polar=None) -> list:
     """sum_x w_x [1, x_k, x_k x_l] T_x per sector as one stack (1 + d + d^2,
     b, b), x the outcome: from one T per radius given ``polar`` (radii,
     angles), else per grid point over blocks of ``_block_rows``.  Entry 0 is S."""
+    from .clt import _smearing_blocks
+
     outcomes = grid / np.sqrt(n)
     pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
     monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
@@ -347,6 +362,8 @@ def collective_estimator_check(
 def _estimator_rows(model, theta, x_ops, n_list, povm_at):
     """``collective_estimator_check`` with the POVM for n copies built by
     ``povm_at(spec, n)``."""
+    from .clt import CollectiveSpec, _dense_sectors, _spin_sectors, sector_states
+
     t = model.require_domain(theta)
     spec = CollectiveSpec(model.state_at(t), x_ops)
     slds = sld_fisher(model, t)[0].operators

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qest.cli import _config_hash, main
+from qest.cli import CSV_BLOCK_ROWS, _config_hash, main
 from qest.collective import mixed_basis_povm, two_stage_estimate
 from qest.gaussian import TRIAL_BLOCK, gaussian_protocol_mse, number_povm, protocol_trials
 from qest.models import model_from_name
@@ -774,6 +774,15 @@ def csv_writer_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def gauss_csv_oracle(zeta, noise, n, trials, seed) -> str:
+    """``csv.writer`` text of the ``gauss`` CSV: per-row lists of the same seeded draws."""
+    zh, nh, zb, nb = map(np.concatenate, zip(*protocol_trials(zeta, noise, n, trials, seed)))
+    rows = [[i, zh[i].real, zh[i].imag, nh[i], zb[i].real, zb[i].imag, nb[i]] for i in range(len(zh))]
+    assert len(rows) == trials
+    header = ["trial", "zeta_hat_re", "zeta_hat_im", "noise_hat", "zeta_hat_base_re", "zeta_hat_base_im", "noise_hat_base"]
+    return csv_writer_text(header, rows)
+
+
 class TestCsvColumns:
     # csv.writer over per-row lists of the same seeded data is the oracle
 
@@ -782,11 +791,7 @@ class TestCsvColumns:
         trials = 2 * TRIAL_BLOCK + 3
         args = ["--zeta", "0.3,-0.1", "--N", "0.7", "--n", "10", "--trials", str(trials), "--seed", "8"]
         assert run_cli(["gauss", *args, "--out", str(tmp_path / "g")]).exit_code == 0
-        zh, nh, zb, nb = map(np.concatenate, zip(*protocol_trials(0.3 - 0.1j, 0.7, 10, trials, 8)))
-        rows = [[i, zh[i].real, zh[i].imag, nh[i], zb[i].real, zb[i].imag, nb[i]] for i in range(len(zh))]
-        assert len(rows) == trials
-        header = ["trial", "zeta_hat_re", "zeta_hat_im", "noise_hat", "zeta_hat_base_re", "zeta_hat_base_im", "noise_hat_base"]
-        assert (tmp_path / "g.csv").read_text() == csv_writer_text(header, rows)
+        assert (tmp_path / "g.csv").read_text() == gauss_csv_oracle(0.3 - 0.1j, 0.7, 10, trials, 8)
         # the report's config replays to the same JSON and CSV bytes
         config = tmp_path / "config.json"
         config.write_text(json.dumps(json.loads((tmp_path / "g.json").read_text())["config"]))
@@ -822,6 +827,72 @@ class TestCsvColumns:
         ]
         expected = csv_writer_text(["n", "scaled_trace", "a_minus_identity", "completeness_residual"], rows)
         assert (tmp_path / "c.csv").read_text() == expected
+
+
+def command_in_fresh_process(argv, prelude="", one_cpu=False):
+    """Run one CLI command in a fresh interpreter, ``prelude`` first, pinned
+    to one CPU if ``one_cpu``.  Returns the command's exit code, the number
+    of processes it forked, whether a child of the interpreter is left after
+    it (running or unreaped) and its stderr lines."""
+    code = (
+        "import json, os, sys\n"
+        "forks = []\n"
+        "os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
+        f"{prelude}"
+        "from qest.cli import main\n"
+        "try:\n"
+        f"    main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    left = True\n"
+        "except ChildProcessError:\n"
+        "    left = False\n"
+        "print(json.dumps([status, len(forks), left]))\n"
+    )
+    one = (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) if one_cpu else None
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, preexec_fn=one)
+    assert proc.returncode == 0, proc.stderr
+    status, forks, left = json.loads(proc.stdout.splitlines()[-1])
+    return status, forks, left, proc.stderr.splitlines()
+
+
+class TestCsvHelper:
+    """A CLI process that owns its process and may run on two CPUs formats a
+    CSV of two chunks or more with a forked helper; the bytes are those of
+    one process formatting every chunk, and no child is left."""
+
+    GAUSS = ["gauss", "--zeta", "0.3,-0.1", "--N", "0.7", "--n", "10", "--seed", "8"]
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 13])
+    def test_csv_matches_the_writer_on_any_cpu_count(self, chunks, tmp_path):
+        assert TRIAL_BLOCK == CSV_BLOCK_ROWS  # so each chunk is one block of draws
+        trials = max(1000, (chunks - 1) * CSV_BLOCK_ROWS + chunks)
+        expected = gauss_csv_oracle(0.3 - 0.1j, 0.7, 10, trials, 8)
+        two_cpus = len(os.sched_getaffinity(0)) >= 2
+        for one_cpu in (False, True):
+            prefix = tmp_path / f"one-cpu-{one_cpu}"
+            argv = [*self.GAUSS, "--trials", str(trials), "--out", str(prefix)]
+            assert command_in_fresh_process(argv, one_cpu=one_cpu) == (0, int(chunks > 1 and two_cpus and not one_cpu), False, [])
+            # lines, not one text: pytest diffs unequal lists by their first difference
+            assert Path(f"{prefix}.csv").read_text().splitlines() == expected.splitlines()
+
+    def test_a_caller_with_numpy_formats_inline(self, tmp_path):
+        argv = [*self.GAUSS, "--trials", str(2 * CSV_BLOCK_ROWS + 3), "--out", str(tmp_path / "g")]
+        assert command_in_fresh_process(argv, prelude="import numpy\n") == (0, 0, False, [])
+        expected = gauss_csv_oracle(0.3 - 0.1j, 0.7, 10, 2 * CSV_BLOCK_ROWS + 3, 8)
+        assert (tmp_path / "g.csv").read_text().splitlines() == expected.splitlines()
+
+    def test_a_failed_helper_exits_3_with_one_line(self, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("the helper runs on two CPUs or more")
+        # the helper ends as soon as it is forked, having sent nothing
+        prelude = "os.register_at_fork(after_in_child=lambda: os._exit(7))\n"
+        argv = [*self.GAUSS, "--trials", str(3 * CSV_BLOCK_ROWS), "--out", str(tmp_path / "g")]
+        assert command_in_fresh_process(argv, prelude=prelude) == (
+            3, 1, False, ["numerical failure: the CSV helper process failed (exit status 7)"]
+        )
 
 
 def modules_after(argv, exit_code=0, prelude=""):
@@ -933,8 +1004,9 @@ class TestImports:
                 ["bounds", "--model", "qubit-z0", "--theta", "0.5,0"],
                 ["qest.gaussian", "qest.clt", "qest.collective"],
             ),
+            (REPORTING_COMMANDS["estimate-two-stage"], ["qest.gaussian", "qest.clt"]),
         ],
-        ids=["gauss", "clt", "fisher-qubit", "bounds-qubit"],
+        ids=["gauss", "clt", "fisher-qubit", "bounds-qubit", "estimate-two-stage"],
     )
     def test_command_loads_only_its_modules(self, argv, unloaded, tmp_path):
         povm = tmp_path / "basis.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qest import collective, qcore
+from qest import clt, collective, qcore
 from qest.bounds import holevo_bound, qubit_c1
 from qest.clt import (
     CollectiveSpec,
@@ -222,7 +222,7 @@ class TestBuildCollectivePovm:
         # sandwich temporaries come to 2.00 GiB; the build stops before any
         # sector is built
         spec, v_prime = _holevo_spec("diag:3", (0.2, 0.3))
-        monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
+        monkeypatch.setattr(clt, "collective_sectors", _no_sectors)
         with pytest.raises(NumericalError, match="the collective build would take 2.00 GiB"):
             _traced_peak(lambda: build_collective_povm(spec, v_prime, 7), limit=100e6)
 
@@ -230,7 +230,7 @@ class TestBuildCollectivePovm:
         # gauss1:0.3:16 at n = 3: the 4096 x 4096 block is refused before
         # its two 256 MiB collective sums are built
         spec, v_prime = _holevo_spec("gauss1:0.3:16", (0.3, 0.2))
-        monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
+        monkeypatch.setattr(clt, "collective_sectors", _no_sectors)
         with pytest.raises(NumericalError, match="the collective build would take 7.00 GiB"):
             _traced_peak(lambda: build_collective_povm(spec, v_prime, 3), limit=100e6)
 
@@ -284,7 +284,7 @@ class TestBuildCollectivePovm:
         assert rotation < per_point // 4
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", rotation + 16)
         assert build_collective_povm(spec, 0.6 * np.eye(2), n).completeness_residual < 1e-12
-        monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
+        monkeypatch.setattr(clt, "collective_sectors", _no_sectors)
         with pytest.raises(NumericalError, match="the collective build would take"):
             build_collective_povm(spec, np.diag([0.6, 0.7]), n)
 
@@ -357,7 +357,7 @@ class TestBuildCollectivePovm:
             points.append(at)
             return _smearing_blocks(ops, a_mat, z_norm, at)
 
-        monkeypatch.setattr(collective, "_smearing_blocks", recorded)
+        monkeypatch.setattr(clt, "_smearing_blocks", recorded)
         povm.elements
         assert len(points) == len(povm.sectors)
         assert all(at.tobytes() == grid.tobytes() for at in points)
@@ -380,7 +380,7 @@ class TestBuildCollectivePovm:
         radius = _default_radius(spec, v_prime)
         limit = 16 << 20
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", limit)
-        monkeypatch.setattr(collective, "collective_sectors", _no_sectors)
+        monkeypatch.setattr(clt, "collective_sectors", _no_sectors)
         with pytest.raises(NumericalError, match="the ball grid's lattice cube would take"):
             _traced_peak(lambda: build_collective_povm(spec, v_prime, 2, grid_step=radius / 48), limit=limit)
 
@@ -621,7 +621,7 @@ class TestPerPointSums:
             return _smearing_blocks(ops, *args)
 
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * 16 * 4 * 4 * 7)
-        monkeypatch.setattr(collective, "_smearing_blocks", recorded)
+        monkeypatch.setattr(clt, "_smearing_blocks", recorded)
         gots = _smearing_sums(sectors, n, kernel, grid, weights)
         assert min(sizes.count(sec.ops.shape[-1]) for sec in sectors) >= 3
         for got, want in zip(gots, wants):
