@@ -11,8 +11,10 @@ unchanged; its entry keeps the metrics of that run's last JSON line and the
 pass times of its detail line.  The larger inputs run as ``python -m
 qest.cli`` children of this NumPy-free process (a child's max RSS starts at
 its parent's, read through ``os.wait4``): a ``gauss`` run at 10^6 trials
-with a CSV, and a ``gauss`` run at 10^5 trials into a fresh ``--out``
-followed by three reruns into the same, existing one.
+with a CSV, a ``gauss`` run at 10^5 trials into a fresh ``--out`` followed
+by three reruns into the same, existing one, and collective estimates of
+``qubit-z0`` on the rotation path, at (0, 0) for n = 128 and 256 and at
+(0.5, 0) for n = 128.
 
 Every entry names the checkout's commit (``modified`` when ``src`` or
 ``bench`` differ from it) and the machine: CPU count, Python and NumPy
@@ -37,6 +39,7 @@ from pathlib import Path
 START_UP_SAMPLES = 7
 LARGE_SAMPLES = 3
 GAUSS = ["gauss", "--zeta", "0.6,0.4", "--N", "1", "--n", "100", "--seed", "1"]
+COLLECTIVE = ["estimate", "--mode", "collective", "--model", "qubit-z0", "--eps", "0.1", "--out", "{dir}/collective"]
 
 
 def commit(root: Path) -> dict:
@@ -104,6 +107,9 @@ def large_inputs(root: Path) -> list:
         "gauss-1e6-csv": ([*GAUSS, "--trials", "1000000", "--out", "{dir}/gauss"], 1),
         # a fresh run, then three reruns that rewrite its files
         "gauss-1e5-csv-rerun": ([*GAUSS, "--trials", "100000", "--out", "{dir}/gauss"], 4),
+        "collective-z0-origin-n128": ([*COLLECTIVE, "--theta", "0,0", "--n", "128"], 1),
+        "collective-z0-origin-n256": ([*COLLECTIVE, "--theta", "0,0", "--n", "256"], 1),
+        "collective-z0-off-n128": ([*COLLECTIVE, "--theta", "0.5,0", "--n", "128"], 1),
     }
     results = []
     for name, (argv, runs) in cases.items():

@@ -240,7 +240,9 @@ def _write_report(out_prefix: str | None, config: dict, results: dict, csv_heade
     """Write the report of ``config`` and ``results`` to ``<out_prefix>.json``,
     or to stdout without a prefix, and return it.  With a prefix and
     ``csv_blocks`` (see ``_csv_chunks``), also write ``<out_prefix>.csv``:
-    the ``csv_header`` line, then the rows through ``_write_csv_rows``."""
+    the ``csv_header`` line, then the rows through ``_write_csv_rows``; if
+    that raises, both files are removed before the error propagates, so no
+    cut CSV is left next to a complete JSON."""
     report = {
         "config": config,
         "configHash": _config_hash(config),
@@ -256,9 +258,15 @@ def _write_report(out_prefix: str | None, config: dict, results: dict, csv_heade
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
         if csv_blocks is not None:
-            with open(f"{out_prefix}.csv", "wb") as fh:
-                fh.write((",".join(csv_header) + "\n").encode())
-                _write_csv_rows(fh, csv_blocks)
+            csv_path = Path(f"{out_prefix}.csv")
+            try:
+                with open(csv_path, "wb") as fh:
+                    fh.write((",".join(csv_header) + "\n").encode())
+                    _write_csv_rows(fh, csv_blocks)
+            except BaseException:
+                csv_path.unlink(missing_ok=True)
+                path.unlink(missing_ok=True)
+                raise
     else:
         click.echo(text)
     return report

@@ -189,12 +189,15 @@ class Sector:
     ``ops`` (d, b, b) are the collective sums X^(n) restricted to C^b; they
     act there as ops (x) I_m with ``multiplicity`` m.  ``two_j`` is twice the
     total spin of a qubit spin sector (basis |j, m>, m = j, ..., -j) and None
-    for the one-block layout of the whole space.
+    for the one-block layout of the whole space.  ``frame`` (3, 3) holds the
+    axes, as rows, in which a spin sector's J_x, J_y, J_z are taken
+    (``_spin_frame``); None for the one-block layout.
     """
 
     ops: np.ndarray
     multiplicity: int
     two_j: int | None
+    frame: np.ndarray | None = None
 
 
 def _spin_matrices(two_j: int) -> np.ndarray:
@@ -208,22 +211,43 @@ def _spin_matrices(two_j: int) -> np.ndarray:
     )
 
 
-def _spin_sectors(x_ops, n: int):
-    """Total-spin sectors of qubit collective sums, j = n/2 down to 0 or 1/2,
-    yielded one at a time.
+def _pauli_coefficients(x_ops) -> np.ndarray:
+    """(c0, c) = tr(X (I, sigma)) / 2 per qubit operator X = c0 I + c . sigma."""
+    return trace_products(np.asarray(x_ops)[:, None], np.array([np.eye(2), *_PAULIS_XYZ])) / 2
 
-    A qubit operator X = c0 I + c . sigma sums to (n c0 I + 2 c . J^(j)) /
+
+def _spin_frame(x_ops) -> np.ndarray:
+    """Axes (rows x, y, z) of the spin sectors of a qubit operator tuple.
+
+    For two operators x lies along the first one's Pauli vector and z along
+    the cross product of the two, so a pair with orthogonal Pauli vectors of
+    equal length mu / 2 sums to (mu J_x, mu J_y) plus multiples of I and
+    -i [J_x, J_y] = J_z; any other tuple keeps the standard axes.
+    """
+    if len(x_ops) != 2:
+        return np.eye(3)
+    # QR keeps the axes orthonormal even for parallel vectors
+    q, r = np.linalg.qr(_pauli_coefficients(x_ops)[:, 1:].T)
+    x, y = (q * np.where(np.diag(r) < 0, -1.0, 1.0)).T
+    return np.array([x, y, np.cross(x, y)])
+
+
+def _spin_sectors(x_ops, n: int, frame: np.ndarray):
+    """Total-spin sectors of qubit collective sums, j = n/2 down to 0 or 1/2,
+    yielded one at a time, with J taken along the axes of ``frame``.
+
+    A qubit operator X = c0 I + c . sigma sums to (n c0 I + 2 (frame c) . J^(j)) /
     sqrt(n) on sector j, whose multiplicity is C(n, n/2 - j) - C(n, n/2 - j - 1).
     """
-    # (c0, c) = tr(X (I, sigma)) / 2 per operator
-    coeffs = trace_products(np.asarray(x_ops)[:, None], np.array([np.eye(2), *_PAULIS_XYZ])) / 2
+    coeffs = _pauli_coefficients(x_ops)
+    vectors = coeffs[:, 1:] @ frame.T
     for k in range(n // 2 + 1):
         two_j = n - 2 * k
         spin = _spin_matrices(two_j)
         eye = np.eye(two_j + 1)
-        ops = np.array([(n * c[0] * eye + 2 * np.einsum("k,kab->ab", c[1:], spin)) for c in coeffs])
+        ops = np.array([(n * c0 * eye + 2 * np.einsum("k,kab->ab", c, spin)) for c0, c in zip(coeffs[:, 0], vectors)])
         multiplicity = comb(n, k) - (comb(n, k - 1) if k else 0)
-        yield Sector(ops / np.sqrt(n), multiplicity, two_j)
+        yield Sector(ops / np.sqrt(n), multiplicity, two_j, frame)
 
 
 def _dense_sectors(x_ops, n: int) -> list[Sector]:
@@ -249,7 +273,7 @@ def collective_sectors(x_ops, n: int) -> list[Sector]:
         raise ValidationError("n must be positive")
     x_ops = [np.asarray(x, dtype=complex) for x in x_ops]
     if _spin_layout(x_ops):
-        return list(_spin_sectors(x_ops, n))
+        return list(_spin_sectors(x_ops, n, _spin_frame(x_ops)))
     return _dense_sectors(x_ops, n)
 
 
@@ -257,8 +281,9 @@ def sector_states(rho: np.ndarray, n: int, sectors) -> list[np.ndarray]:
     """Blocks of rho^(x)n in the layout of ``sectors``.
 
     On spin sector j the block is f(r . J^(j)) with r the unit Bloch direction
-    of rho and f(M) = lam_+^(n/2 + M) lam_-^(n/2 - M) from rho's eigenvalues
-    lam_+ >= lam_-; for a rank-1 rho, 0^0 = 1 keeps only M = n/2.
+    of rho in the sectors' frame and f(M) = lam_+^(n/2 + M) lam_-^(n/2 - M)
+    from rho's eigenvalues lam_+ >= lam_-; for a rank-1 rho, 0^0 = 1 keeps
+    only M = n/2.
     """
     rho = np.asarray(rho, dtype=complex)
     if sectors[0].two_j is None:
@@ -267,7 +292,7 @@ def sector_states(rho: np.ndarray, n: int, sectors) -> list[np.ndarray]:
     length = float(np.linalg.norm(bloch))
     trace = float(np.real(np.trace(rho)))
     lam_hi, lam_lo = (trace + length) / 2, max((trace - length) / 2, 0.0)
-    direction = bloch / length if length > 0 else np.array([0.0, 0.0, 1.0])
+    direction = sectors[0].frame @ bloch / length if length > 0 else np.array([0.0, 0.0, 1.0])
     blocks = []
     for sec in sectors:
         # r . J has the simple spectrum -j, ..., j, in eigh's ascending order

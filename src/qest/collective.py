@@ -55,6 +55,9 @@ DEFAULT_EPSILON = 0.1
 # bytes of log-likelihoods per block of count rows in the grid scan that
 # starts mle and two-stage stage 1: bounds its memory whatever the row count
 MLE_SCAN_BYTES = 1 << 19
+# bytes of the per-row derivative products per block of rows in the MLE
+# ascent, 16 (d + 1) k dim^2 a row: bounds its memory whatever the row count
+MLE_ASCENT_BYTES = 1 << 22
 # points per axis of the MLE start grid over the domain box
 MLE_GRID_POINTS = 41
 # shrinks by 1 - 1e-3 tested per domain check in the MLE ascent's projection
@@ -219,10 +222,10 @@ def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
 
 def _rotates(x_ops, a_mat) -> bool:
     """Whether, to relative ``ROTATION_TOL``, A and the Gram matrix of the
-    two qubit operators' traceless parts are proportional to I.  Then on
-    spin sector j, Y_k = mu n_k . J, [Y_0, Y_1] = i mu^2 K with
-    K = (n_0 x n_1) . J, and T_x = R T_(r, 0) R^dagger with R = exp(-i phi K),
-    x - c = r (cos phi, sin phi) (Kahn and Guta, CMP 289, 2009)."""
+    two qubit operators' traceless parts are proportional to I.  Then the
+    spin sectors are built in the frame where Y_k = X_k - c_k = mu J_k
+    (``clt._spin_frame``), and T_x = R T_(r, 0) R^dagger with R = exp(-i phi
+    J_z), x - c = r (cos phi, sin phi) (Kahn and Guta, CMP 289, 2009)."""
     if np.shape(x_ops) != (2, 2, 2):
         return False
     y = x_ops - np.real(np.trace(x_ops, axis1=1, axis2=2))[:, None, None] * np.eye(2) / 2
@@ -232,25 +235,22 @@ def _rotates(x_ops, a_mat) -> bool:
 
 def _rotation_sums(ops, a_mat, z_norm, radii, sums):
     """sum_x mono(x) T_x on one spin sector from T at x - c = (r, 0) per
-    radius and the sums (R, 5, M) of w_x mono(x) exp(-i phi_x delta), delta =
-    -2..2: in K's eigenbasis (m_a = -j..j) rotating by phi multiplies entry
-    (a, b) by exp(-i phi (m_a - m_b)), and mono has azimuthal modes |k| <= 2,
-    so every other band integrates to 0."""
+    radius and the sums (R, 5, M) of w_x mono(x) exp(i phi_x delta), delta =
+    -2..2: in the sector basis (m_a = j..-j, the eigenbasis of J_z) rotating
+    by phi multiplies entry (a, b) by exp(-i phi (m_a - m_b)) = exp(i phi (a
+    - b)), and mono has azimuthal modes |k| <= 2, so every other band
+    integrates to 0."""
     from .clt import _smearing_blocks
 
     b = ops.shape[-1]
-    # the sector's own trace gives c to rounding; it keeps Y traceless there
+    # the sector's own trace gives c to rounding
     centre = np.real(np.trace(ops, axis1=1, axis2=2)) / b
-    y = ops - centre[:, None, None] * np.eye(b)
-    # K = -i [Y_0, Y_1] / mu^2, mu^2 = |Y_0|^2 / tr J_z^2, tr J_z^2 = (b - 1) b (b + 1) / 12
-    scale = (b - 1) * b * (b + 1) / 12 / max(np.vdot(y[0], y[0]).real, np.finfo(float).tiny)
-    _, u = np.linalg.eigh(-1j * scale * (y[0] @ y[1] - y[1] @ y[0]))
-    t = _smearing_blocks(u.conj().T @ ops @ u, a_mat, z_norm, centre + radii[:, None] * [1.0, 0.0])
+    t = _smearing_blocks(ops, a_mat, z_norm, centre + radii[:, None] * [1.0, 0.0])
     raw = np.zeros((sums.shape[-1], b, b), dtype=complex)
     for delta in range(max(-2, 1 - b), min(2, b - 1) + 1):
         rows = np.arange(max(delta, 0), b + min(delta, 0))
         raw[:, rows, rows - delta] = sums[:, 2 + delta].T @ t[:, rows, rows - delta]
-    return u @ raw @ u.conj().T
+    return raw
 
 
 def _smearing_sums(sectors, n, kernel, grid, weights, polar=None) -> list:
@@ -274,7 +274,10 @@ def _smearing_sums(sectors, n, kernel, grid, weights, polar=None) -> list:
             raws.append(reduce(np.add, parts))
         return raws
     radii, phi = polar
-    sums = np.exp(-1j * np.outer(np.arange(-2, 3), phi)) @ monomials.reshape(len(radii), len(phi), -1)
+    sums = np.exp(1j * np.outer(np.arange(-2, 3), phi)) @ monomials.reshape(len(radii), len(phi), -1)
+    # the constant monomial has azimuthal mode 0 only: its other sums are 0
+    # to rounding, and exactly 0 they keep S diagonal
+    sums[:, [0, 1, 3, 4], 0] = 0
     del outcomes, pairs, monomials
     return [_rotation_sums(sec.ops, *kernel, radii, sums) for sec in sectors]
 
@@ -373,25 +376,27 @@ def _estimator_rows(model, theta, x_ops, n_list, povm_at):
         n = int(n)
         povm = povm_at(spec, n)
         # the SLDs' collective sums sum_k L_(k) in the POVM's own layout, one sector at a time
-        layout = _dense_sectors if povm.sectors[0].two_j is None else _spin_sectors
-        # row 0: tr(rho^(x)n O); row 1 + a: tr(d_a rho^(x)n O), for O = [O0, O1_k, O2_kl],
-        # one state at a time against the sector's moments
-        traces = 0.0
-        for sec, l_sec, moments in zip(povm.sectors, layout(slds, n), povm.moments):
+        frame = povm.sectors[0].frame
+        l_sectors = _dense_sectors(slds, n) if frame is None else _spin_sectors(slds, n, frame)
+        # tr(rho^(x)n O) for O = [O0, O1_k, O2_kl], and tr(d_a rho^(x)n O) for
+        # O0 and O1_k only, one state at a time against the sector's moments
+        traces, response = 0.0, 0.0
+        for sec, l_sec, moments in zip(povm.sectors, l_sectors, povm.moments):
             (rho_j,) = sector_states(spec.rho.matrix, n, [sec])
             l_sum = np.sqrt(n) * l_sec.ops
-            states = np.concatenate([rho_j[None], (rho_j @ l_sum + l_sum @ rho_j) / 2])
-            traces = traces + sec.multiplicity * np.array([trace_products(state, moments) for state in states])
-        mass = traces[0, 0]
-        mean = traces[0, 1 : d + 1] / mass
-        a_n = (traces[1:, 1 : d + 1].T - np.outer(mean, traces[1:, 0])) / mass
+            d_rho = (rho_j @ l_sum + l_sum @ rho_j) / 2
+            traces = traces + sec.multiplicity * trace_products(rho_j, moments)
+            response = response + sec.multiplicity * trace_products(d_rho[:, None], moments[: d + 1])
+        mass = traces[0]
+        mean = traces[1 : d + 1] / mass
+        a_n = (response[:, 1:].T - np.outer(mean, response[:, 0])) / mass
         if abs(np.linalg.det(a_n)) < 1e-12:
             total = spec.rho.dim**n
             raise NumericalError(
                 f"response matrix A_n is singular at n = {n}: S keeps {total - povm.dropped_dimensions} "
                 f"of {total} dimensions ({povm.dropped_dimensions} dropped); v' is too narrow for these operators"
             )
-        second = traces[0, d + 1 :].reshape(d, d) / mass
+        second = traces[d + 1 :].reshape(d, d) / mass
         a_inv = np.linalg.inv(a_n)
         scaled = n * a_inv @ second @ a_inv.T
         rows.append(
@@ -475,8 +480,8 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
     own step size, falling back to projected gradient ascent once a Newton
     step would leave the domain: the one-row rules of ``mle``.  Points pass
     the DensityOperator and OutcomeDistribution checks; domain tests and
-    derivatives run on the whole stack.  Returns estimates (T, d) and
-    boundary flags (T,).
+    derivatives run on a whole block of rows, each block sized by
+    ``MLE_ASCENT_BYTES``.  Returns estimates (T, d) and boundary flags (T,).
     """
     if model.param_dim > 3:
         raise ValidationError("grid MLE supports at most 3 parameters")
@@ -492,6 +497,20 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
         theta = np.array(starts, dtype=float)
     elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
     sum_tol = np.broadcast_to(sum_tol, (rows_total,))
+    # each row climbs on its own, so blocks of rows bound the ascent's working set
+    k, dim = elements.shape[1:3]
+    block = max(1, MLE_ASCENT_BYTES // (16 * (model.param_dim + 1) * k * dim * dim))
+    for lo in range(0, rows_total, block):
+        rows = slice(lo, lo + block)
+        theta[rows] = _ascend(model, elements[rows], sum_tol[rows], counts[rows], theta[rows])
+    boundary = ~model.is_interior(theta, 1e-6)
+    return theta, boundary
+
+
+def _ascend(model: ParametricModel, elements, sum_tol, counts, theta):
+    """The ascent of ``_mle_rows`` from ``theta`` (T, d) for one POVM
+    (T, k, dim, dim) with sum window (T,) per row of ``counts`` (T, k)."""
+    rows_total = len(counts)
     totals = counts.sum(axis=1)
     lo_box = np.array([lo + 2 * MLE_MARGIN for lo, _ in model.domain_box])
     hi_box = np.array([hi - 2 * MLE_MARGIN for _, hi in model.domain_box])
@@ -591,8 +610,7 @@ def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
         # a rounding-level accepted move is convergence, not a boundary hit
         active[accepted[moved < 1e-14]] = False
         active[rejected[step[rejected] < 1e-14]] = False
-    boundary = ~model.is_interior(theta, 1e-6)
-    return theta, boundary
+    return theta
 
 
 def mle(model: ParametricModel, m: Povm, counts):

@@ -893,6 +893,8 @@ class TestCsvHelper:
         assert command_in_fresh_process(argv, prelude=prelude) == (
             3, 1, False, ["numerical failure: the CSV helper process failed (exit status 7)"]
         )
+        # neither the complete JSON nor the cut CSV is left behind
+        assert not (tmp_path / "g.json").exists() and not (tmp_path / "g.csv").exists()
 
 
 def modules_after(argv, exit_code=0, prelude=""):

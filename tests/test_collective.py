@@ -537,6 +537,24 @@ class TestRotationSums:
             o_k = u.conj().T @ moments @ u
             assert np.abs(o_k[:, np.abs(rows - cols) > 2]).max(initial=0.0) <= 1e-13 * np.abs(o_k).max()
 
+    @pytest.mark.parametrize("n", [5, 16])
+    @pytest.mark.parametrize("name", ["criterion-7", "qubit-z0"])
+    def test_s_is_exactly_diagonal_in_the_sector_basis(self, name, n):
+        # the sectors are built in the frame where K = J_z, and the constant
+        # monomial keeps only its azimuthal mode 0, so S has no off-diagonal bits
+        model, theta, x_ops, v_prime = _rotation_case(name)
+        povm = build_collective_povm(CollectiveSpec(model.state_at(theta), x_ops), v_prime, n)
+        for s_op in povm.s_operator:
+            assert np.count_nonzero(s_op - np.diag(np.diag(s_op))) == 0
+
+    @pytest.mark.parametrize("name", ["criterion-7", "qubit-z0-origin"])
+    def test_completeness_residual_at_rounding(self, name):
+        # S^-1/2 is a diagonal scaling, so sum_x E_x is the projector to
+        # rounding at every n (8.6e-9 at criterion-7 n = 128 with a dense eigh of S)
+        model, theta, x_ops, v_prime = _rotation_case(name)
+        rows = collective_estimator_check(model, theta, x_ops, v_prime, [8, 32, 64, 128])
+        assert max(row.completeness_residual for row in rows) <= 1e-13
+
     @pytest.mark.parametrize("name", ["criterion-7", "qubit-z0"])
     def test_default_rule_matches_twice_the_radii(self, name):
         # n tr on the default rule, 32 Gauss radii per radius + |c|, against 64
@@ -582,10 +600,11 @@ def _default_radius(spec, v_prime):
 
 def _rotation_case(name):
     """Model, point, operators and v' of the criterion-7 check (c = 0) or of
-    qubit-z0 at (0.5, 0) or (0.9, 0.2) ("qubit-z0-off")."""
+    qubit-z0 at (0.5, 0), (0.9, 0.2) ("qubit-z0-off") or (0, 0) ("qubit-z0-origin")."""
     if name == "criterion-7":
         return tangential_model(), np.zeros(2), np.array([SIGMA_X, SIGMA_Y]), 0.6 * np.eye(2)
-    model, theta = qubit_family("z0"), np.array([0.9, 0.2] if name == "qubit-z0-off" else [0.5, 0.0])
+    points = {"qubit-z0-off": [0.9, 0.2], "qubit-z0-origin": [0.0, 0.0]}
+    model, theta = qubit_family("z0"), np.array(points.get(name, [0.5, 0.0]))
     return (model, theta, *_bound_operators(model, theta))
 
 
@@ -1052,6 +1071,32 @@ class TestMle:
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(boundary, ref_boundary)
         assert 0 < boundary.sum() < 50
+
+    @pytest.mark.parametrize("kind,bases", [("z0", "zx"), ("full", "zxy")])
+    def test_blocks_of_two_rows_match_one_block(self, kind, bases, rng, monkeypatch):
+        # the ascent runs block by block under MLE_ASCENT_BYTES; blocks of two
+        # rows give the one-block estimates and flags bit for bit, boundary
+        # rows included, for a shared POVM and for one POVM per row
+        model = qubit_family(kind)
+        povm = mixed_basis_povm(bases)
+        d = model.param_dim
+        u = rng.standard_normal((30, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        truths = u * np.concatenate([rng.uniform(0, 0.9, 15), rng.uniform(0.95, 1.0, 15)])[:, None]
+        counts = [rng.multinomial(40, measure_distribution(model.state_at(t), povm).probs) for t in truths]
+        shared = _stack_povms(model, povm, counts)
+        elements, residuals = povm_stack(_optimal_qubit_povms(model, 0.5 * truths, np.eye(d)))
+        own = (elements, np.maximum(qcore.PROB_SUM_TOL, 2 * residuals), shared[2])
+        whole = [_mle_rows(model, *shared), _mle_rows(model, *own, starts=0.5 * truths)]
+        blocks = []
+        ascend = collective._ascend
+        monkeypatch.setattr(collective, "_ascend", lambda *args: blocks.append(len(args[3])) or ascend(*args))
+        monkeypatch.setattr(collective, "MLE_ASCENT_BYTES", 2 * 16 * (d + 1) * len(povm) * 2 * 2)
+        paired = [_mle_rows(model, *shared), _mle_rows(model, *own, starts=0.5 * truths)]
+        assert blocks == [2] * 30
+        for (theta, boundary), (want_theta, want_boundary) in zip(paired, whole):
+            assert np.array_equal(theta, want_theta) and np.array_equal(boundary, want_boundary)
+        assert 0 < whole[0][1].sum() < 30
 
     @pytest.mark.parametrize("kind,bases,per_axis", [("z0", "zx", 41), ("full", "zxy", 21)])
     def test_boundary_flags_match_gradient_ascent(self, kind, bases, per_axis, rng, monkeypatch):
