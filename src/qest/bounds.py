@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .fisher import SUPPORT_TOL, FisherMatrix, sld_fisher
 from .models import ParametricModel, model_derivatives
-from .qcore import _sym_isqrt, _sym_sqrt, pair_moments, trace_products
+from .qcore import hermitian_function, pair_moments, trace_products
 
 CONSTRAINT_TOL = 1e-7
 PSD_PAIR_TOL = 1e-8
@@ -65,9 +65,15 @@ def nuclear_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())
 
 
+def _positive_isqrt(w: np.ndarray) -> np.ndarray:
+    if w.min() <= 0:
+        raise NumericalError("matrix inverse square root needs positive definiteness")
+    return w**-0.5
+
+
 def _shift_value(v: np.ndarray, s: np.ndarray, g: np.ndarray) -> float:
     """tr(g v) + ||sqrt(g) s sqrt(g)||_1 of the pair matrices (v, s)."""
-    gs = _sym_sqrt(g)
+    gs = hermitian_function(g, lambda w: np.sqrt(np.clip(w, 0.0, None)))
     return float(np.trace(g @ v)) + nuclear_norm(gs @ s @ gs)
 
 
@@ -86,7 +92,7 @@ def qubit_c1(j_sld, g) -> float:
     g = check_weight_matrix(g, jm.shape[0])
     if np.linalg.cond(jm) > 1e12:
         raise NumericalError("SLD Fisher matrix is numerically singular")
-    j_isqrt = _sym_isqrt(jm)
+    j_isqrt = hermitian_function(jm, _positive_isqrt)
     core = j_isqrt @ g @ j_isqrt
     roots = np.sqrt(np.clip(np.linalg.eigvalsh(core), 0.0, None))
     return float(roots.sum() ** 2)

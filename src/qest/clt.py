@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .gaussian import GaussianSpec, gaussian_moment, smearing_kernel
-from .qcore import DensityOperator, _kron_power, check_array_bytes, pair_moments, trace_products
+from .qcore import DensityOperator, _kron_power, check_array_bytes, hermitian_function, pair_moments, trace_products
 from .models import PAULIS
 
 COLLECTIVE_DEGREE_CAP = 8
@@ -295,11 +295,10 @@ def sector_states(rho: np.ndarray, n: int, sectors) -> list[np.ndarray]:
     direction = sectors[0].frame @ bloch / length if length > 0 else np.array([0.0, 0.0, 1.0])
     blocks = []
     for sec in sectors:
-        # r . J has the simple spectrum -j, ..., j, in eigh's ascending order
-        _, u = np.linalg.eigh(np.einsum("k,kab->ab", direction, _spin_matrices(sec.two_j)))
+        # r . J has the simple spectrum -j, ..., j in eigh's ascending order: f(m) exactly
         m = np.arange(sec.two_j + 1) - sec.two_j / 2
         f = lam_hi ** (n / 2 + m) * lam_lo ** (n / 2 - m)
-        blocks.append((u * f) @ u.conj().T)
+        blocks.append(hermitian_function(np.einsum("k,kab->ab", direction, _spin_matrices(sec.two_j)), lambda _: f))
     return blocks
 
 

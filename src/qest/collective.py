@@ -29,16 +29,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import qcore
-from .bounds import check_weight_matrix, qubit_c1
+from .bounds import _positive_isqrt, check_weight_matrix, qubit_c1
 from .errors import NumericalError, ValidationError
 from .fisher import _sld_stack, classical_fisher, sld_fisher
 from .models import ParametricModel, model_derivatives
 from .qcore import (
     PROB_SUM_TOL,
     Povm,
-    _sym_isqrt,
-    _sym_sqrt,
     check_draws,
+    hermitian_function,
     measure_distribution,
     povm_stack,
     probability_rows,
@@ -55,8 +54,8 @@ DEFAULT_EPSILON = 0.1
 # bytes of log-likelihoods per block of count rows in the grid scan that
 # starts mle and two-stage stage 1: bounds its memory whatever the row count
 MLE_SCAN_BYTES = 1 << 19
-# bytes of the per-row derivative products per block of rows in the MLE
-# ascent, 16 (d + 1) k dim^2 a row: bounds its memory whatever the row count
+# bytes per block of rows in the MLE ascent and the two-stage POVM build, at the
+# ascent's 16 (d + 1) k dim^2 a row: bounds both whatever the row count
 MLE_ASCENT_BYTES = 1 << 22
 # points per axis of the MLE start grid over the domain box
 MLE_GRID_POINTS = 41
@@ -143,11 +142,9 @@ def default_v_prime(s_matrix: np.ndarray, g: np.ndarray, epsilon: float = DEFAUL
     """Regularized kernel covariance sqrt(g)^-1 (|sqrt(g) s sqrt(g)| + eps) sqrt(g)^-1."""
     if not 0 < epsilon < np.inf:
         raise ValidationError("epsilon must be positive and finite: the smearing kernel diverges at 0")
-    g_sqrt = _sym_sqrt(g)
-    g_isqrt = _sym_isqrt(g)
-    w = g_sqrt @ s_matrix @ g_sqrt
-    eigw, u = np.linalg.eigh(1j * w)
-    abs_w = (u * np.abs(eigw)) @ u.conj().T
+    g_sqrt = hermitian_function(g, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    g_isqrt = hermitian_function(g, _positive_isqrt)
+    abs_w = hermitian_function(1j * (g_sqrt @ s_matrix @ g_sqrt), np.abs)
     return np.real(g_isqrt @ (abs_w + epsilon * np.eye(len(g))) @ g_isqrt)
 
 
@@ -710,14 +707,16 @@ def _optimal_qubit_povms(model: ParametricModel, thetas: np.ndarray, g) -> np.nd
         raise ValidationError("optimal measurement construction is qubit-only")
     g = check_weight_matrix(g, model.param_dim)
     slds, _, j_s = _sld_stack(model.state_stack(thetas), model_derivatives(model, thetas))
-    w, o = np.linalg.eigh(j_s)
-    if (w.min(axis=-1) <= 0).any():
-        raise NumericalError("SLD Fisher matrix is singular")
-    j_isqrt = (o * (w[:, None, :] ** -0.5)) @ o.swapaxes(-1, -2)
+
+    def isqrt(w):
+        if (w.min(axis=-1) <= 0).any():
+            raise NumericalError("SLD Fisher matrix is singular")
+        return w**-0.5
+
+    j_isqrt = hermitian_function(j_s, isqrt)
     core = j_isqrt @ g @ j_isqrt
     kappa, u = np.linalg.eigh(core)
-    kappa = np.clip(kappa, 0.0, None)
-    probs = np.sqrt(kappa)
+    probs = np.sqrt(np.clip(kappa, 0.0, None))
     total = probs.sum(axis=-1, keepdims=True)
     if (total <= 0).any():
         raise ValidationError("weight matrix is zero")
@@ -782,14 +781,14 @@ def two_stage_estimate(
     Trials run as a batch.  Stage one's stream draws every trial's counts in
     one call and stage two's every survivor's; both are seeded from
     ``seed``'s generator and read in trial order, so a run's first trials
-    come out the same whatever follows them.  Stage one is one
-    grid-started batched MLE, scanned in blocks (``MLE_SCAN_BYTES``) so
-    memory does not grow with ``trials``.  Stage two validates all
-    survivors' POVMs as one stack and climbs from each pilot: with Born
-    probabilities affine in theta, as in every qubit model here, its
-    log-likelihood is concave, so the start does not move the maximum.  Both
-    stages climb by the Newton steps of ``mle``, with its decrement stop and
-    its projected-gradient fallback near the boundary.
+    come out the same whatever follows them.  Stage one is one grid-started
+    batched MLE, scanned in blocks (``MLE_SCAN_BYTES``) so memory does not
+    grow with ``trials``.  Stage two builds and validates the survivors'
+    POVMs in blocks of rows (``MLE_ASCENT_BYTES``) and climbs from each
+    pilot: with Born probabilities affine in theta, as in every qubit model
+    here, its log-likelihood is concave, so the start does not move the
+    maximum.  Both stages climb by the Newton steps of ``mle``, with its
+    decrement stop and its projected-gradient fallback near the boundary.
 
     ``extras`` holds ``discarded``, ``weighted_trace_scaled`` = n tr(g MSE)
     and the surviving ``estimates`` (survivors, d).
@@ -819,17 +818,20 @@ def two_stage_estimate(
     # a dropped direction (zero elements) has probability 0 and, having the
     # smallest eigenvalue, comes first: it draws 0, takes no randomness and
     # adds no likelihood term (a zero last outcome could take the remainder)
-    elements, residuals = povm_stack(_optimal_qubit_povms(model, pilots[survivors], g))
+    starts, k = pilots[survivors], 2 * model.param_dim
+    elements, residuals = np.empty((len(starts), k, 2, 2), dtype=complex), np.empty(len(starts))
+    block = max(1, MLE_ASCENT_BYTES // (16 * (model.param_dim + 1) * k * 2 * 2))
+    for lo in range(0, len(starts), block):
+        rows = slice(lo, lo + block)
+        elements[rows], residuals[rows] = povm_stack(_optimal_qubit_povms(model, starts[rows], g))
     sum_tol = np.maximum(PROB_SUM_TOL, 2 * residuals)
     counts2 = stage2.multinomial(n2, probability_rows(trace_products(elements, rho.matrix), sum_tol))
-    estimates, boundary = _mle_rows(model, elements, sum_tol, counts2, starts=pilots[survivors])
+    estimates, boundary = _mle_rows(model, elements, sum_tol, counts2, starts=starts)
     estimates = estimates[~boundary]
-    discarded = trials - len(estimates)
     if len(estimates) < 2:
         raise NumericalError("too few surviving trials for a report")
-    _, j_s = sld_fisher(model, t)
-    bound = qubit_c1(j_s, g)
-    extras = {"discarded": discarded, "estimates": estimates}
+    bound = qubit_c1(sld_fisher(model, t)[1], g)
+    extras = {"discarded": trials - len(estimates), "estimates": estimates}
     report = mse_report(estimates, t, bound_value=bound, bound_kind="qubit-c1", extras=extras)
     report.extras["weighted_trace_scaled"] = n * report.weighted_trace(g)
     return report

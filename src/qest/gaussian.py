@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .qcore import OutcomeDistribution, Povm, check_draws
+from .qcore import OutcomeDistribution, Povm, check_draws, hermitian_function
 
 MOMENT_DEGREE_CAP = 10
 DEFAULT_TAIL_TOL = 1e-8
@@ -116,10 +116,13 @@ def smearing_kernel(v_prime: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, flo
     d = v_prime.shape[0]
     # an extreme v' overflows or underflows here; A and Z are checked below
     with np.errstate(all="ignore"):
-        w, u = np.linalg.eigh((v_prime + v_prime.T) / 2)
-        if w.min() <= 0:
-            raise ValidationError("v' must be positive definite")
-        v_isqrt = (u * (w**-0.5)) @ u.T
+
+        def isqrt(w):
+            if w.min() <= 0:
+                raise ValidationError("v' must be positive definite")
+            return w**-0.5
+
+        v_isqrt = hermitian_function((v_prime + v_prime.T) / 2, isqrt)
         lam, u = np.linalg.eigh(1j * (v_isqrt @ s @ v_isqrt))
         wa = np.abs(lam)
         if wa.max() >= 1.0 - 1e-12:
@@ -167,12 +170,6 @@ def t_density(theta_prime, v_prime, spec: GaussianSpec):
 # ---------------------------------------------------------------------------
 
 
-def _unitary_exp(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) for a Hermitian matrix h, as V exp(-i w) V^dagger from eigh."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
 def annihilation_operator(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
@@ -216,7 +213,7 @@ def _displaced_thermal(zeta: complex, noise: float, work: int) -> np.ndarray:
     """D(zeta) rho_thermal D(zeta)^dagger on ``work`` Fock levels."""
     a = annihilation_operator(work)
     # D(zeta) = exp(zeta a^dagger - zeta* a) = exp(-i h), h = i (zeta a^dagger - zeta* a)
-    disp = _unitary_exp(1j * (zeta * a.conj().T - np.conj(zeta) * a))
+    disp = hermitian_function(1j * (zeta * a.conj().T - np.conj(zeta) * a), lambda w: np.exp(-1j * w))
     return (disp * thermal_probabilities(noise, work)) @ disp.conj().T
 
 
@@ -261,7 +258,7 @@ def auto_cutoff(zeta_mag: float, noise: float) -> int:
 def characteristic_function(state: FockState, x: float, y: float) -> complex:
     """Tr rho exp(i (x Q + y P)) on the truncated space."""
     q, p = quadrature_operators(state.cutoff)
-    weyl = _unitary_exp(-(x * q + y * p))
+    weyl = hermitian_function(-(x * q + y * p), lambda w: np.exp(-1j * w))
     return complex(np.trace(state.matrix @ weyl))
 
 

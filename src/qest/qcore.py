@@ -3,11 +3,12 @@
 Density operators, POVMs, outcome statistics from the trace rule
 (``trace_products``, Re tr(a b) of Hermitian pairs), the pair moments of an
 operator tuple (uncentred: callers centre), probabilistic mixtures, tensor
-powers, and reproducible outcome sampling.  The tolerances of the validators
-in this module are its constants below; ``fisher``, ``bounds``, ``clt``,
-``collective`` and ``gaussian`` keep their own next to the code that uses
-them.  Builders of n-fold arrays call ``check_array_bytes`` before they
-allocate: a standalone builder on each array it holds, a collective build
+powers, reproducible outcome sampling, and ``hermitian_function``, the one
+kernel for f(H).  The tolerances of the validators in this module are its
+constants below; ``fisher``, ``bounds``, ``clt``, ``collective`` and
+``gaussian`` keep their own next to the code that uses them.  Builders of
+n-fold arrays call ``check_array_bytes`` before they allocate: a standalone
+builder on each array it holds, a collective build
 (``collective.build_collective_povm``) once on all it holds at once, after
 its rule (``collective.ball_grid`` or ``polar_grid``) has checked its own.
 """
@@ -58,16 +59,11 @@ def check_draws(seed: int, trials: int, **counts: int) -> None:
             raise ValidationError(f"{name} must be at most 2^63 - 1, got {count}")
 
 
-def _sym_sqrt(g: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(g)
-    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
-
-
-def _sym_isqrt(g: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(g)
-    if w.min() <= 0:
-        raise NumericalError("matrix inverse square root needs positive definiteness")
-    return (u * (w**-0.5)) @ u.T
+def hermitian_function(h: np.ndarray, f) -> np.ndarray:
+    """U f(w) U^dagger from one ``eigh`` of a Hermitian stack ``h`` (..., n, n):
+    ``f`` maps the ascending eigenvalues w (..., n), and may raise to refuse them."""
+    w, u = np.linalg.eigh(h)
+    return (u * f(w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def _as_complex_matrix(matrix: Any) -> np.ndarray:
@@ -123,8 +119,7 @@ def density_stack(matrices: np.ndarray) -> np.ndarray:
         )
     neg = low < 0
     if neg.any():
-        w, u = np.linalg.eigh(arr[neg])
-        fixed = (u * np.clip(w, 0.0, None)[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        fixed = hermitian_function(arr[neg], lambda w: np.clip(w, 0.0, None))
         arr[neg] = (fixed + fixed.conj().swapaxes(-1, -2)) / 2
     return (arr / np.real(np.trace(arr, axis1=-2, axis2=-1))[:, None, None]).reshape(shape)
 

@@ -1414,6 +1414,26 @@ class TestTwoStage:
         assert r == len(stage2["counts"])
         assert (dropped > 0) == (rank == "one")
 
+    @pytest.mark.parametrize("kind,theta", [("z0", (0.5, 0.0)), ("full", (0.3, 0.2, 0.1))])
+    def test_one_row_povm_blocks_match_one_block(self, kind, theta, monkeypatch):
+        # stage 2 builds its POVMs one block of survivors at a time under
+        # MLE_ASCENT_BYTES: one-row blocks give the estimates and the discard
+        # count of one block bit for bit, so no row is built at another's pilot
+        def run():
+            m1 = mixed_basis_povm("zx" if kind == "z0" else "zxy")
+            return two_stage_estimate(qubit_family(kind), np.array(theta), m1, n=10**4, seed=3, trials=40)
+
+        monkeypatch.setattr(collective, "MLE_ASCENT_BYTES", 1 << 40)
+        whole = run()
+        built = []
+        optimal = collective._optimal_qubit_povms
+        monkeypatch.setattr(collective, "_optimal_qubit_povms", lambda *args: built.append(len(args[1])) or optimal(*args))
+        monkeypatch.setattr(collective, "MLE_ASCENT_BYTES", 1)
+        rows = run()
+        assert set(built) == {1} and len(built) >= whole.trials
+        assert np.array_equal(rows.extras["estimates"], whole.extras["estimates"])
+        assert rows.extras["discarded"] == whole.extras["discarded"]
+
     def test_one_grid_scan_and_no_per_trial_povm(self, monkeypatch):
         # and no per-trial generator: as many generators at 20 trials as at 2000
         def counted(name, fn):

@@ -15,6 +15,7 @@ from qest.qcore import (
     Povm,
     check_array_bytes,
     density_stack,
+    hermitian_function,
     matrix_from_json,
     matrix_to_json,
     measure_distribution,
@@ -338,6 +339,74 @@ class TestPairMoments:
             v, s = pair_moments(rho, paulis)
             assert np.array_equal(v, np.eye(3))
             assert np.abs(s - np.array([[0, r[2], -r[1]], [-r[2], 0, r[0]], [r[1], -r[0], 0]])).max() < 1e-15
+
+
+def random_symmetric(rng, dim, kind):
+    h = random_hermitian(rng, dim)
+    return h if kind == "complex" else h.real
+
+
+class TestHermitianFunction:
+    # scipy.linalg is the oracle here only; the package does not import it
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_matches_scipy(self, rng, kind, dim):
+        from scipy.linalg import expm, fractional_matrix_power, sqrtm
+
+        for _ in range(10):
+            h = random_symmetric(rng, dim, kind)
+            assert np.abs(hermitian_function(h, lambda w: np.exp(-1j * w)) - expm(-1j * h)).max() < 1e-12
+            # positive definite, condition number at most about 10
+            m = h @ h.conj().T + np.abs(h).max() ** 2 * np.eye(dim)
+            root = hermitian_function(m, np.sqrt)
+            inverse_root = hermitian_function(m, lambda w: w**-0.5)
+            assert root.dtype == inverse_root.dtype == m.dtype
+            assert np.abs(root - sqrtm(m)).max() < 1e-12 * np.abs(m).max() ** 0.5
+            assert np.abs(inverse_root - fractional_matrix_power(m, -0.5)).max() < 1e-12 / np.abs(m).max() ** 0.5
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_stack_matches_one_matrix_calls(self, rng, kind):
+        stack = np.array([random_symmetric(rng, 4, kind) for _ in range(6)]).reshape(2, 3, 4, 4)
+        for f in (lambda w: np.exp(-1j * w), np.abs, lambda w: np.clip(w, 0.0, None)):
+            whole = hermitian_function(stack, f)
+            assert whole.shape == stack.shape
+            for index in np.ndindex(2, 3):
+                assert np.array_equal(whole[index], hermitian_function(stack[index], f))
+
+    def test_refusal_of_f_propagates(self, rng):
+        def refuse(w):
+            raise NumericalError("spectrum refused")
+
+        with pytest.raises(NumericalError, match="spectrum refused"):
+            hermitian_function(random_hermitian(rng, 3), refuse)
+
+    def test_callers_keep_their_refusals(self):
+        # a singular J_S (the second parameter moves nothing), a singular v',
+        # a singular weight and a negative definite Fisher matrix: each caller
+        # raises its own class and message from inside the kernel
+        from qest.bounds import qubit_c1
+        from qest.collective import _optimal_qubit_povms, default_v_prime
+        from qest.gaussian import ONE_MODE_S, smearing_kernel
+        from qest.models import ParametricModel
+
+        z = np.diag([1.0, -1.0]).astype(complex)
+        flat = ParametricModel(
+            name="flat", param_dim=2, hilbert_dim=2,
+            states=lambda t: (np.eye(2) + t[..., 0, None, None] * z) / 2,
+            domain_check=lambda t: np.abs(t[..., 0]) < 1,
+            domain_box=((-1.0, 1.0), (-1.0, 1.0)),
+            derivatives=lambda t: np.array([z / 2, 0 * z]),
+        )
+        with pytest.raises(NumericalError, match="^SLD Fisher matrix is singular$"):
+            _optimal_qubit_povms(flat, np.array([[0.3, 0.0], [0.1, 0.2]]), np.eye(2))
+        for v_prime in (np.diag([1.0, 0.0]), np.diag([1.0, -1.0])):
+            with pytest.raises(ValidationError, match="^v' must be positive definite$"):
+                smearing_kernel(v_prime, ONE_MODE_S)
+        refusal = "^matrix inverse square root needs positive definiteness$"
+        with pytest.raises(NumericalError, match=refusal):
+            default_v_prime(np.array([[0.0, 0.5], [-0.5, 0.0]]), np.diag([1.0, 0.0]))
+        with pytest.raises(NumericalError, match=refusal):
+            qubit_c1(-np.eye(2), np.eye(2))
 
 
 class TestProbabilityRows:
