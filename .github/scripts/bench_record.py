@@ -12,9 +12,11 @@ pass times of its detail line.  The larger inputs run as ``python -m
 qest.cli`` children of this NumPy-free process (a child's max RSS starts at
 its parent's, read through ``os.wait4``): a ``gauss`` run at 10^6 trials
 with a CSV, a ``gauss`` run at 10^5 trials into a fresh ``--out`` followed
-by three reruns into the same, existing one, and collective estimates of
+by three reruns into the same, existing one, collective estimates of
 ``qubit-z0`` on the rotation path, at (0, 0) for n = 128 and 256 and at
-(0.5, 0) for n = 128.
+(0.5, 0) for n = 128, two-stage estimates at 10^5 trials with a CSV on
+``qubit-z0`` and ``qubit-full``, and the benchmark's 200-trial two-stage
+estimate followed by three reruns into its ``--out``.
 
 Every entry names the checkout's commit (``modified`` when ``src`` or
 ``bench`` differ from it) and the machine: CPU count, Python and NumPy
@@ -40,6 +42,8 @@ START_UP_SAMPLES = 7
 LARGE_SAMPLES = 3
 GAUSS = ["gauss", "--zeta", "0.6,0.4", "--N", "1", "--n", "100", "--seed", "1"]
 COLLECTIVE = ["estimate", "--mode", "collective", "--model", "qubit-z0", "--eps", "0.1", "--out", "{dir}/collective"]
+TWO_STAGE = ["estimate", "--mode", "two-stage", "--n", "10000", "--seed", "1", "--out", "{dir}/two_stage"]
+TWO_STAGE_Z0 = [*TWO_STAGE, "--model", "qubit-z0", "--theta", "0.5,0"]
 
 
 def commit(root: Path) -> dict:
@@ -110,6 +114,10 @@ def large_inputs(root: Path) -> list:
         "collective-z0-origin-n128": ([*COLLECTIVE, "--theta", "0,0", "--n", "128"], 1),
         "collective-z0-origin-n256": ([*COLLECTIVE, "--theta", "0,0", "--n", "256"], 1),
         "collective-z0-off-n128": ([*COLLECTIVE, "--theta", "0.5,0", "--n", "128"], 1),
+        "two-stage-z0-1e5-csv": ([*TWO_STAGE_Z0, "--trials", "100000"], 1),
+        "two-stage-full-1e5-csv": ([*TWO_STAGE, "--model", "qubit-full", "--theta", "0.3,0.2,0.1", "--trials", "100000"], 1),
+        # a fresh run, then three reruns that rewrite its files
+        "two-stage-rerun": ([*TWO_STAGE_Z0, "--trials", "200"], 4),
     }
     results = []
     for name, (argv, runs) in cases.items():

@@ -54,8 +54,9 @@ DEFAULT_EPSILON = 0.1
 # bytes of log-likelihoods per block of count rows in the grid scan that
 # starts mle and two-stage stage 1: bounds its memory whatever the row count
 MLE_SCAN_BYTES = 1 << 19
-# bytes per block of rows in the MLE ascent and the two-stage POVM build, at the
-# ascent's 16 (d + 1) k dim^2 a row: bounds both whatever the row count
+# bytes per block of two-stage trials, at the ascent's 16 (d + 1) k dim^2 a row
+# for the larger POVM of the two stages: bounds every per-block array, draws,
+# ascents and stage-2 POVMs alike, whatever the trial count
 MLE_ASCENT_BYTES = 1 << 22
 # points per axis of the MLE start grid over the domain box
 MLE_GRID_POINTS = 41
@@ -431,30 +432,34 @@ def _batch_probs(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.clip(p, 1e-300, None)
 
 
-def _stack_povms(model: ParametricModel, m: Povm, counts):
-    """Elements (1, k, dim, dim), sum window (1,) and counts (T, k) of ``m``,
-    shared by all count rows, with outcomes sorted by element entries: the
-    ascent stops at a rounding-level Newton decrement or at gradient norm
-    1e-8, so two listings of one POVM could otherwise stop apart."""
+def _outcome_order(model: ParametricModel, m: Povm) -> np.ndarray:
+    """Order of ``m``'s outcomes sorted by element entries, in which ``mle``
+    and two-stage stage 1 climb: the ascent stops at a rounding-level Newton
+    decrement or at gradient norm 1e-8, so two listings of one POVM could
+    otherwise stop apart."""
     if m.dim != model.hilbert_dim:
         raise ValidationError(f"dimension mismatch: state {model.hilbert_dim}, POVM {m.dim}")
     flat = m.stack.reshape(len(m), -1)
-    order = np.lexsort(np.column_stack([flat.real, flat.imag]).T)
-    counts = np.asarray(counts, dtype=float)
-    valid = counts.shape[1:] == order.shape and (np.isfinite(counts) & (counts >= 0)).all()
-    if not valid or (counts.sum(axis=1) <= 0).any():
-        raise ValidationError("counts must align with POVM outcomes, be finite and nonnegative, and not all be zero")
-    return m.stack[order][None], np.array([m.prob_sum_tol]), counts[:, order]
+    return np.lexsort(np.column_stack([flat.real, flat.imag]).T)
 
 
-def _grid_starts(model, grid, elements, counts) -> np.ndarray:
-    """Index into ``grid`` of each count row's largest log-likelihood under
-    the POVM ``elements`` (k, dim, dim), ties to the smallest index.  Rows
-    are scanned by one matrix product per block of about ``MLE_SCAN_BYTES``
-    of log-likelihoods."""
+def _grid_table(model: ParametricModel, elements):
+    """The MLE start grid (G, d) and its log-probabilities (k, G) under the
+    POVM ``elements`` (k, dim, dim): built once per POVM, read by every
+    ``_grid_starts`` scan."""
+    if model.param_dim > 3:
+        raise ValidationError("grid MLE supports at most 3 parameters")
+    grid = _grid_points(model)
     # (k, G) in C order: a block's product then reads each outcome's row
     # whole, about twice as fast as through the transposed (G, k) array
-    logp_t = np.ascontiguousarray(np.log(_batch_probs(model.state_stack(grid), elements)).T)
+    return grid, np.ascontiguousarray(np.log(_batch_probs(model.state_stack(grid), elements)).T)
+
+
+def _grid_starts(grid, logp_t, counts) -> np.ndarray:
+    """The point of ``grid`` with each count row's largest log-likelihood
+    under ``logp_t``, the table of ``_grid_table``; ties go to the smallest
+    index.  Rows are scanned by one matrix product per block of about
+    ``MLE_SCAN_BYTES`` of log-likelihoods."""
     block = max(1, MLE_SCAN_BYTES // (8 * len(grid)))
     starts = np.empty(len(counts), dtype=int)
     for lo in range(0, len(counts), block):
@@ -463,50 +468,17 @@ def _grid_starts(model, grid, elements, counts) -> np.ndarray:
         if not np.isfinite(ll).any(axis=1).all():
             raise NumericalError("likelihood is degenerate on the whole grid")
         starts[rows] = np.argmax(ll, axis=1)
-    return starts
-
-
-def _mle_rows(model: ParametricModel, elements, sum_tol, counts, starts=None):
-    """Maximum likelihood estimates of every count row: the batched kernel
-    behind ``mle`` and ``two_stage_estimate``.
-
-    ``elements`` (R, k, dim, dim) and sum windows ``sum_tol`` (R,) hold one
-    POVM shared by the rows of ``counts`` (T, k) (R = 1) or one per row
-    (R = T).  A row starts at ``starts`` (T, d) if given, else at its best
-    grid point under the shared POVM, and climbs by Newton steps with its
-    own step size, falling back to projected gradient ascent once a Newton
-    step would leave the domain: the one-row rules of ``mle``.  Points pass
-    the DensityOperator and OutcomeDistribution checks; domain tests and
-    derivatives run on a whole block of rows, each block sized by
-    ``MLE_ASCENT_BYTES``.  Returns estimates (T, d) and boundary flags (T,).
-    """
-    if model.param_dim > 3:
-        raise ValidationError("grid MLE supports at most 3 parameters")
-    rows_total = len(counts)
-    if rows_total == 0:
-        return np.empty((0, model.param_dim)), np.empty(0, dtype=bool)
-    if starts is None:
-        if len(elements) != 1:
-            raise ValidationError("a grid start needs one shared POVM")
-        grid = _grid_points(model)
-        theta = grid[_grid_starts(model, grid, elements[0], counts)]
-    else:
-        theta = np.array(starts, dtype=float)
-    elements = np.broadcast_to(elements, (rows_total,) + elements.shape[1:])
-    sum_tol = np.broadcast_to(sum_tol, (rows_total,))
-    # each row climbs on its own, so blocks of rows bound the ascent's working set
-    k, dim = elements.shape[1:3]
-    block = max(1, MLE_ASCENT_BYTES // (16 * (model.param_dim + 1) * k * dim * dim))
-    for lo in range(0, rows_total, block):
-        rows = slice(lo, lo + block)
-        theta[rows] = _ascend(model, elements[rows], sum_tol[rows], counts[rows], theta[rows])
-    boundary = ~model.is_interior(theta, 1e-6)
-    return theta, boundary
+    return grid[starts]
 
 
 def _ascend(model: ParametricModel, elements, sum_tol, counts, theta):
-    """The ascent of ``_mle_rows`` from ``theta`` (T, d) for one POVM
-    (T, k, dim, dim) with sum window (T,) per row of ``counts`` (T, k)."""
+    """Maximum likelihood ascent of every row of ``counts`` (T, k) from
+    ``theta`` (T, d), which it updates in place and returns, under one POVM
+    (T, k, dim, dim) with sum window (T,) per row: the rules of ``mle``.
+    Each row climbs with its own step size and gives the same bits whatever
+    rows climb beside it.  Points pass the DensityOperator and
+    OutcomeDistribution checks; domain tests and derivatives run on all rows
+    at once."""
     rows_total = len(counts)
     totals = counts.sum(axis=1)
     lo_box = np.array([lo + 2 * MLE_MARGIN for lo, _ in model.domain_box])
@@ -631,11 +603,17 @@ def mle(model: ParametricModel, m: Povm, counts):
     the origin by factors 1 - 1e-3 (a point left outside raises).  The
     estimate is flagged as a boundary maximum when it is not interior by a
     margin of 1e-6; such an estimate is where the projected ascent stopped,
-    not a constrained maximum.  This is the one-row call of the batched
-    kernel that ``two_stage_estimate`` runs on all its trials at once.
+    not a constrained maximum.  This is the grid start and the ascent that
+    ``two_stage_estimate`` runs on each block of its trials, on one row.
     """
-    theta, boundary = _mle_rows(model, *_stack_povms(model, m, [counts]))
-    return theta[0], bool(boundary[0])
+    order = _outcome_order(model, m)
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != order.shape or not (np.isfinite(counts) & (counts >= 0)).all() or counts.sum() <= 0:
+        raise ValidationError("counts must align with POVM outcomes, be finite and nonnegative, and not all be zero")
+    elements, counts = m.stack[order], counts[None, order]
+    start = _grid_starts(*_grid_table(model, elements), counts)
+    theta = _ascend(model, elements[None], np.array([m.prob_sum_tol]), counts, start)
+    return theta[0], not model.is_interior(theta, 1e-6)[0]
 
 
 @dataclass(frozen=True)
@@ -778,16 +756,18 @@ def two_stage_estimate(
     estimate is the stage-two MLE.  Trials whose pilot or final MLE lands on
     the domain boundary are discarded and counted.
 
-    Trials run as a batch.  Stage one's stream draws every trial's counts in
-    one call and stage two's every survivor's; both are seeded from
-    ``seed``'s generator and read in trial order, so a run's first trials
-    come out the same whatever follows them.  Stage one is one grid-started
-    batched MLE, scanned in blocks (``MLE_SCAN_BYTES``) so memory does not
-    grow with ``trials``.  Stage two builds and validates the survivors'
-    POVMs in blocks of rows (``MLE_ASCENT_BYTES``) and climbs from each
-    pilot: with Born probabilities affine in theta, as in every qubit model
-    here, its log-likelihood is concave, so the start does not move the
-    maximum.  Both stages climb by the Newton steps of ``mle``, with its
+    Trials run in blocks read in trial order, each block under
+    ``MLE_ASCENT_BYTES``, so memory does not grow with ``trials`` beyond the
+    estimates.  Each block draws its pilot counts from stage one's stream,
+    starts each pilot MLE on the grid (one log-probability table for the
+    run, scanned in blocks of ``MLE_SCAN_BYTES``), builds and validates its
+    surviving pilots' optimal POVMs, draws their counts from stage two's
+    stream, and climbs from each pilot: with Born probabilities affine in
+    theta, as in every qubit model here, the stage-two log-likelihood is
+    concave, so the start does not move the maximum.  Both streams are
+    seeded from ``seed``'s generator and their draws do not depend on the
+    block size, so a run's first trials come out the same whatever follows
+    them.  Both stages climb by the Newton steps of ``mle``, with its
     decrement stop and its projected-gradient fallback near the boundary.
 
     ``extras`` holds ``discarded``, ``weighted_trace_scaled`` = n tr(g MSE)
@@ -799,7 +779,8 @@ def two_stage_estimate(
         raise ValidationError("two-stage estimation needs at least 2 trials")
     check_draws(seed, n=n, trials=trials)
     t = model.require_domain(theta_true)
-    g = np.eye(model.param_dim) if g is None else check_weight_matrix(g, model.param_dim)
+    d = model.param_dim
+    g = np.eye(d) if g is None else check_weight_matrix(g, d)
     n1 = int(np.ceil(np.sqrt(n)))
     n2 = n - n1
     if n2 < 1:
@@ -809,29 +790,38 @@ def two_stage_estimate(
         raise ValidationError("pilot measurement has singular Fisher information")
     rho = model.state_at(t)
     p_stage1 = measure_distribution(rho, m_prime).probs
+    order = _outcome_order(model, m_prime)
+    pilot_povm = m_prime.stack[order]
+    table = _grid_table(model, pilot_povm)
+    # allocated before the first draw, so that a trial count too large for
+    # memory fails at once
+    estimates, kept = np.empty((trials, d)), 0
+    block = max(1, MLE_ASCENT_BYTES // (16 * (d + 1) * max(len(m_prime), 2 * d) * 2 * 2))
     stage1, stage2 = map(np.random.default_rng, np.random.default_rng(seed).integers(0, 2**63 - 1, 2))
-    counts1 = stage1.multinomial(n1, p_stage1, size=trials)
-    pilots, boundary = _mle_rows(model, *_stack_povms(model, m_prime, counts1))
-    survivors = np.flatnonzero(~boundary)
-    if survivors.size < 2:
+    for lo in range(0, trials, block):
+        rows = min(block, trials - lo)
+        counts = np.asarray(stage1.multinomial(n1, p_stage1, size=rows), dtype=float)[:, order]
+        pilots = _ascend(model, np.broadcast_to(pilot_povm, (rows,) + pilot_povm.shape),
+                         np.full(rows, m_prime.prob_sum_tol), counts, _grid_starts(*table, counts))
+        pilots = pilots[model.is_interior(pilots, 1e-6)]
+        # a dropped direction (zero elements) has probability 0 and, having
+        # the smallest eigenvalue, comes first: it draws 0, takes no
+        # randomness and adds no likelihood term (a zero last outcome could
+        # take the remainder)
+        elements, residuals = povm_stack(_optimal_qubit_povms(model, pilots, g))
+        sum_tol = np.maximum(PROB_SUM_TOL, 2 * residuals)
+        counts = stage2.multinomial(n2, probability_rows(trace_products(elements, rho.matrix), sum_tol))
+        final = _ascend(model, elements, sum_tol, counts, pilots)
+        final = final[model.is_interior(final, 1e-6)]
+        estimates[kept : kept + len(final)] = final
+        kept += len(final)
+    # stage-two survivors are a subset of stage one's, so this one check
+    # also covers a stage one that leaves fewer than two
+    if kept < 2:
         raise NumericalError("too few surviving trials for a report")
-    # a dropped direction (zero elements) has probability 0 and, having the
-    # smallest eigenvalue, comes first: it draws 0, takes no randomness and
-    # adds no likelihood term (a zero last outcome could take the remainder)
-    starts, k = pilots[survivors], 2 * model.param_dim
-    elements, residuals = np.empty((len(starts), k, 2, 2), dtype=complex), np.empty(len(starts))
-    block = max(1, MLE_ASCENT_BYTES // (16 * (model.param_dim + 1) * k * 2 * 2))
-    for lo in range(0, len(starts), block):
-        rows = slice(lo, lo + block)
-        elements[rows], residuals[rows] = povm_stack(_optimal_qubit_povms(model, starts[rows], g))
-    sum_tol = np.maximum(PROB_SUM_TOL, 2 * residuals)
-    counts2 = stage2.multinomial(n2, probability_rows(trace_products(elements, rho.matrix), sum_tol))
-    estimates, boundary = _mle_rows(model, elements, sum_tol, counts2, starts=starts)
-    estimates = estimates[~boundary]
-    if len(estimates) < 2:
-        raise NumericalError("too few surviving trials for a report")
+    estimates = estimates[:kept]
     bound = qubit_c1(sld_fisher(model, t)[1], g)
-    extras = {"discarded": trials - len(estimates), "estimates": estimates}
+    extras = {"discarded": trials - kept, "estimates": estimates}
     report = mse_report(estimates, t, bound_value=bound, bound_kind="qubit-c1", extras=extras)
     report.extras["weighted_trace_scaled"] = n * report.weighted_trace(g)
     return report

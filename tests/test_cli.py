@@ -411,6 +411,27 @@ class TestEstimateCommand:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: out of memory")
 
+    def test_two_stage_trials_beyond_memory_exit_3_at_once(self, tmp_path):
+        # 2^45 trials pass the address check, but their estimates, allocated
+        # before the first draw, cannot be: the run fails before drawing
+        argv = ["estimate", "--mode", "two-stage", "--model", "qubit-z0", "--theta", "0.5,0", "--n", "100",
+                "--trials", str(2**45), "--seed", "1", "--out", str(tmp_path / "two_stage")]
+        result = run_cli(argv)
+        assert result.exit_code == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: out of memory")
+        assert not list(tmp_path.iterdir())
+
+    def test_two_stage_all_trials_discarded_exit_3(self, tmp_path):
+        # two pilot copies near the pure state (0.999, 0): every trial ends on
+        # the domain boundary, so no report can be made
+        argv = ["estimate", "--mode", "two-stage", "--model", "qubit-z0", "--theta", "0.999,0", "--n", "4",
+                "--trials", "20", "--seed", "1", "--out", str(tmp_path / "two_stage")]
+        result = run_cli(argv)
+        assert result.exit_code == 3
+        assert result.stderr == "numerical failure: too few surviving trials for a report\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("n", ["7", "8"])
     def test_byte_limit_exits_3_with_one_line(self, n):
         # the dense diag:3 build would hold 2.00 GiB at n = 7 and 18.0 GiB

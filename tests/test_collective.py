@@ -17,15 +17,16 @@ from qest.clt import (
 )
 from qest.collective import (
     CollectiveCheckRow,
+    _ascend,
     _estimator_rows,
     _grid_starts,
+    _grid_table,
     _kernel_and_grid,
-    _mle_rows,
     _optimal_qubit_povms,
+    _outcome_order,
     _povm_on_sectors,
     _rotates,
     _smearing_sums,
-    _stack_povms,
     ball_grid,
     build_collective_povm,
     collective_estimator_check,
@@ -907,20 +908,34 @@ def _point_interior(model, t, margin):
     return True
 
 
-def _pointwise_mle_rows(model, povm, counts, per_axis, newton=True):
+def _grid_mle(model, povm, counts):
+    """Grid start and ascent of every count row under one POVM, its outcomes
+    sorted as ``mle`` sorts them: the batched path of two-stage stage 1.
+    Returns the estimates and their boundary flags."""
+    order = _outcome_order(model, povm)
+    elements, counts = povm.stack[order], np.asarray(counts, dtype=float)[:, order]
+    shared = np.broadcast_to(elements, (len(counts),) + elements.shape)
+    starts = _grid_starts(*_grid_table(model, elements), counts)
+    theta = _ascend(model, shared, np.full(len(counts), povm.prob_sum_tol), counts, starts)
+    return theta, ~model.is_interior(theta, 1e-6)
+
+
+def _pointwise_grid_mle(model, povm, counts, per_axis, newton=True):
     """The batched MLE run one count row at a time, with its domain tests,
     projection and derivatives made one point at a time: the reference for
     the stacked kernel.  ``newton=False`` climbs by projected gradient from
     the start (step 0.5): the earlier ascent, the oracle for boundary flags."""
-    elements, sum_tol, counts = _stack_povms(model, povm, counts)
+    order = _outcome_order(model, povm)
+    elements, counts = povm.stack[order], np.asarray(counts, dtype=float)[:, order]
     axes = []
     for lo, hi in model.domain_box:
         pad = (hi - lo) / (per_axis + 1)
         axes.append(np.linspace(lo + pad, hi - pad, per_axis))
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     grid = pts[np.array([_point_interior(model, p, 1e-6) for p in pts])]
-    starts = grid[_grid_starts(model, grid, elements[0], counts)]
-    rows = [_one_row_mle(model, elements[0], sum_tol[0], row, start, newton) for row, start in zip(counts, starts)]
+    logp_t = np.ascontiguousarray(np.log(collective._batch_probs(model.state_stack(grid), elements)).T)
+    starts = _grid_starts(grid, logp_t, counts)
+    rows = [_one_row_mle(model, elements, povm.prob_sum_tol, row, start, newton) for row, start in zip(counts, starts)]
     return np.array([theta for theta, _ in rows]), np.array([flag for _, flag in rows])
 
 
@@ -1023,11 +1038,10 @@ def _scipy_mle(model, povm, counts):
     return res.x, loglik
 
 
-def _broadcast_grid_starts(model, grid, elements, counts):
+def _broadcast_grid_starts(grid, logp_t, counts):
     """The grid scan as the broadcast sum of log-likelihood terms, one count
     row at a time: the oracle for the blocked matrix products."""
-    logp = np.log(collective._batch_probs(model.state_stack(grid), elements))
-    return np.array([np.argmax((logp * row).sum(axis=-1)) for row in counts])
+    return grid[[np.argmax((logp_t.T * row).sum(axis=-1)) for row in counts]]
 
 
 class TestGridStarts:
@@ -1035,10 +1049,10 @@ class TestGridStarts:
     def test_random_count_rows_match_broadcast_sum(self, kind, bases, rng):
         model = qubit_family(kind)
         elements = mixed_basis_povm(bases).stack
-        grid = collective._grid_points(model)
+        table = _grid_table(model, elements)
         counts = rng.integers(0, 40, size=(50, len(elements))).astype(float)
-        expected = _broadcast_grid_starts(model, grid, elements, counts)
-        assert np.array_equal(_grid_starts(model, grid, elements, counts), expected)
+        expected = _broadcast_grid_starts(*table, counts)
+        assert np.array_equal(_grid_starts(*table, counts), expected)
 
     @pytest.mark.parametrize("seed", [1, 5, 7])
     @pytest.mark.parametrize("kind,theta", [("z0", (0.5, 0.0)), ("full", (0.3, 0.2, 0.1))])
@@ -1066,17 +1080,17 @@ class TestMle:
         truths = u * np.concatenate([rng.uniform(0, 0.9, 25), rng.uniform(0.95, 1.0, 25)])[:, None]
         counts = [rng.multinomial(40, measure_distribution(model.state_at(t), povm).probs) for t in truths]
         monkeypatch.setattr(collective, "MLE_GRID_POINTS", per_axis)
-        theta, boundary = _mle_rows(model, *_stack_povms(model, povm, counts))
-        ref_theta, ref_boundary = _pointwise_mle_rows(model, povm, counts, per_axis)
+        theta, boundary = _grid_mle(model, povm, counts)
+        ref_theta, ref_boundary = _pointwise_grid_mle(model, povm, counts, per_axis)
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(boundary, ref_boundary)
         assert 0 < boundary.sum() < 50
 
     @pytest.mark.parametrize("kind,bases", [("z0", "zx"), ("full", "zxy")])
-    def test_blocks_of_two_rows_match_one_block(self, kind, bases, rng, monkeypatch):
-        # the ascent runs block by block under MLE_ASCENT_BYTES; blocks of two
-        # rows give the one-block estimates and flags bit for bit, boundary
-        # rows included, for a shared POVM and for one POVM per row
+    def test_blocks_of_two_rows_match_one_block(self, kind, bases, rng):
+        # two-stage runs the ascent block by block; blocks of two rows give
+        # the one-block estimates and flags bit for bit, boundary rows
+        # included, for a shared POVM from grid starts and for one POVM per row
         model = qubit_family(kind)
         povm = mixed_basis_povm(bases)
         d = model.param_dim
@@ -1084,19 +1098,19 @@ class TestMle:
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         truths = u * np.concatenate([rng.uniform(0, 0.9, 15), rng.uniform(0.95, 1.0, 15)])[:, None]
         counts = [rng.multinomial(40, measure_distribution(model.state_at(t), povm).probs) for t in truths]
-        shared = _stack_povms(model, povm, counts)
+        order = _outcome_order(model, povm)
+        sorted_povm, counts = povm.stack[order], np.array(counts, dtype=float)[:, order]
+        shared = (np.broadcast_to(sorted_povm, (30,) + sorted_povm.shape), np.full(30, povm.prob_sum_tol), counts,
+                  _grid_starts(*_grid_table(model, sorted_povm), counts))
         elements, residuals = povm_stack(_optimal_qubit_povms(model, 0.5 * truths, np.eye(d)))
-        own = (elements, np.maximum(qcore.PROB_SUM_TOL, 2 * residuals), shared[2])
-        whole = [_mle_rows(model, *shared), _mle_rows(model, *own, starts=0.5 * truths)]
-        blocks = []
-        ascend = collective._ascend
-        monkeypatch.setattr(collective, "_ascend", lambda *args: blocks.append(len(args[3])) or ascend(*args))
-        monkeypatch.setattr(collective, "MLE_ASCENT_BYTES", 2 * 16 * (d + 1) * len(povm) * 2 * 2)
-        paired = [_mle_rows(model, *shared), _mle_rows(model, *own, starts=0.5 * truths)]
-        assert blocks == [2] * 30
-        for (theta, boundary), (want_theta, want_boundary) in zip(paired, whole):
-            assert np.array_equal(theta, want_theta) and np.array_equal(boundary, want_boundary)
-        assert 0 < whole[0][1].sum() < 30
+        own = (elements, np.maximum(qcore.PROB_SUM_TOL, 2 * residuals), counts, 0.5 * truths)
+        whole = [_ascend(model, *args[:3], args[3].copy()) for args in (shared, own)]
+        paired = [np.vstack([_ascend(model, *(part[lo : lo + 2] for part in args[:3]), args[3][lo : lo + 2].copy())
+                             for lo in range(0, 30, 2)]) for args in (shared, own)]
+        for theta, want in zip(paired, whole):
+            assert np.array_equal(theta, want)
+            assert np.array_equal(model.is_interior(theta, 1e-6), model.is_interior(want, 1e-6))
+        assert 0 < (~model.is_interior(whole[0], 1e-6)).sum() < 30
 
     @pytest.mark.parametrize("kind,bases,per_axis", [("z0", "zx", 41), ("full", "zxy", 21)])
     def test_boundary_flags_match_gradient_ascent(self, kind, bases, per_axis, rng, monkeypatch):
@@ -1104,15 +1118,15 @@ class TestMle:
         # and leave every boundary flag of the earlier gradient ascent as it was
         model, povm, counts = _mle_draws(kind, bases, rng)
         monkeypatch.setattr(collective, "MLE_GRID_POINTS", per_axis)
-        theta, boundary = _mle_rows(model, *_stack_povms(model, povm, counts))
-        ref_theta, ref_boundary = _pointwise_mle_rows(model, povm, counts, per_axis, newton=False)
+        theta, boundary = _grid_mle(model, povm, counts)
+        ref_theta, ref_boundary = _pointwise_grid_mle(model, povm, counts, per_axis, newton=False)
         assert np.array_equal(boundary, ref_boundary)
         assert np.max(np.abs(theta - ref_theta)[~boundary]) <= 1e-6
 
     @pytest.mark.parametrize("kind,bases", [("z0", "zx"), ("full", "zxy")])
     def test_interior_rows_against_scipy(self, kind, bases, rng):
         model, povm, counts = _mle_draws(kind, bases, rng)
-        theta, boundary = _mle_rows(model, *_stack_povms(model, povm, counts))
+        theta, boundary = _grid_mle(model, povm, counts)
         assert (~boundary).sum() >= 25
         for t, row in zip(theta[~boundary], np.array(counts)[~boundary]):
             oracle, loglik = _scipy_mle(model, povm, row)
@@ -1170,12 +1184,12 @@ class TestMle:
                 c = rng.multinomial(40, probs)
             counts.append(c)
         # the shared rows start on the grid, the per-row ones at their pilots
-        shared_est, shared_boundary = _mle_rows(model, *_stack_povms(model, mixed, counts[:25]))
+        shared_est, shared_boundary = _grid_mle(model, mixed, counts[:25])
         own = (np.array([m.stack for m in povms[25:]]), np.array([m.prob_sum_tol for m in povms[25:]]),
                np.array(counts[25:], dtype=float))
-        own_est, own_boundary = _mle_rows(model, *own, starts=pilots)
+        own_est = _ascend(model, *own, pilots.copy())
         estimates = np.vstack([shared_est, own_est])
-        boundary = np.concatenate([shared_boundary, own_boundary])
+        boundary = np.concatenate([shared_boundary, ~model.is_interior(own_est, 1e-6)])
         inside = outside = 0
         for i, (m, c) in enumerate(zip(povms, counts)):
             closed = pair_inversion(model, m, c)
@@ -1195,7 +1209,8 @@ class TestMle:
                 one, flag = mle(model, m, c)
             else:
                 row = slice(i - 25, i - 24)
-                one, flag = _mle_rows(model, *(part[row] for part in own), starts=pilots[row])
+                one = _ascend(model, *(part[row] for part in own), pilots[row].copy())
+                flag = not model.is_interior(one, 1e-6)[0]
             assert np.max(np.abs(one - estimates[i])) < 1e-12 and flag == boundary[i]
         assert inside >= 20 and outside >= 5
 
@@ -1341,17 +1356,20 @@ class TestMixedBasisPovm:
             mixed_basis_povm(bases)
 
 
-def _record_mle_rows(monkeypatch):
-    """Arguments and results of every ``_mle_rows`` call, in call order."""
+def _record_ascents(monkeypatch):
+    """Arguments and results of every ``_ascend`` call, in call order: a
+    two-stage run of one block makes stage 1's, then stage 2's."""
     calls = []
-    kernel = collective._mle_rows
+    kernel = collective._ascend
 
-    def recorded(model, elements, sum_tol, counts, starts=None):
-        theta, boundary = kernel(model, elements, sum_tol, counts, starts)
-        calls.append({"elements": elements, "counts": counts, "starts": starts, "theta": theta, "boundary": boundary})
-        return theta, boundary
+    def recorded(model, elements, sum_tol, counts, theta):
+        starts = theta.copy()
+        theta = kernel(model, elements, sum_tol, counts, theta)
+        calls.append({"elements": elements, "counts": counts, "starts": starts, "theta": theta.copy(),
+                      "boundary": ~model.is_interior(theta, 1e-6)})
+        return theta
 
-    monkeypatch.setattr(collective, "_mle_rows", recorded)
+    monkeypatch.setattr(collective, "_ascend", recorded)
     return calls
 
 
@@ -1368,11 +1386,12 @@ class TestTwoStage:
         # boundary estimates are discarded, and projected ascent stops on the
         # boundary at a point that depends on the start
         model = qubit_family(kind)
-        calls = _record_mle_rows(monkeypatch)
+        calls = _record_ascents(monkeypatch)
         two_stage_estimate(model, np.array(theta), mixed_basis_povm("zx" if kind == "z0" else "zxy"),
                            n=n, seed=seed, trials=trials)
         stage1, stage2 = calls
-        assert stage1["starts"] is None
+        grid_starts = _grid_starts(*_grid_table(model, stage1["elements"][0]), stage1["counts"])
+        assert np.array_equal(stage1["starts"], grid_starts)
         assert np.array_equal(stage2["starts"], stage1["theta"][~stage1["boundary"]])
         for elements, counts, est, flag in zip(stage2["elements"], stage2["counts"], stage2["theta"],
                                                stage2["boundary"]):
@@ -1392,7 +1411,7 @@ class TestTwoStage:
         model = qubit_family("z0")
         truth, m1, n, seed, trials = np.array([0.5, 0.0]), mixed_basis_povm(), 400, 29, 40
         g = np.eye(2) if rank == "full" else np.outer([1.0, 0.5], [1.0, 0.5])
-        calls = _record_mle_rows(monkeypatch)
+        calls = _record_ascents(monkeypatch)
         two_stage_estimate(model, truth, m1, n=n, seed=seed, trials=trials, g=g)
         stage1, stage2 = calls
         rho = model.state_at(truth)
@@ -1416,21 +1435,25 @@ class TestTwoStage:
 
     @pytest.mark.parametrize("kind,theta", [("z0", (0.5, 0.0)), ("full", (0.3, 0.2, 0.1))])
     def test_one_row_povm_blocks_match_one_block(self, kind, theta, monkeypatch):
-        # stage 2 builds its POVMs one block of survivors at a time under
-        # MLE_ASCENT_BYTES: one-row blocks give the estimates and the discard
-        # count of one block bit for bit, so no row is built at another's pilot
+        # trials run one block at a time under MLE_ASCENT_BYTES: one-trial
+        # blocks, each drawing, climbing and building its stage-2 POVM on its
+        # own, give the estimates and the discard count of one block bit for
+        # bit, so no row is built at another's pilot and both streams are
+        # read in trial order
         def run():
             m1 = mixed_basis_povm("zx" if kind == "z0" else "zxy")
             return two_stage_estimate(qubit_family(kind), np.array(theta), m1, n=10**4, seed=3, trials=40)
 
         monkeypatch.setattr(collective, "MLE_ASCENT_BYTES", 1 << 40)
         whole = run()
-        built = []
-        optimal = collective._optimal_qubit_povms
+        built, climbed = [], []
+        optimal, ascend = collective._optimal_qubit_povms, collective._ascend
         monkeypatch.setattr(collective, "_optimal_qubit_povms", lambda *args: built.append(len(args[1])) or optimal(*args))
+        monkeypatch.setattr(collective, "_ascend", lambda *args: climbed.append(len(args[3])) or ascend(*args))
         monkeypatch.setattr(collective, "MLE_ASCENT_BYTES", 1)
         rows = run()
         assert set(built) == {1} and len(built) >= whole.trials
+        assert climbed == [1] * 80
         assert np.array_equal(rows.extras["estimates"], whole.extras["estimates"])
         assert rows.extras["discarded"] == whole.extras["discarded"]
 
@@ -1494,7 +1517,7 @@ class TestTwoStage:
         def no_mle(*args, **kwargs):
             raise AssertionError("sampled before checking the trial count")
 
-        monkeypatch.setattr("qest.collective._mle_rows", no_mle)
+        monkeypatch.setattr("qest.collective._ascend", no_mle)
         with pytest.raises(ValidationError, match="at least 2 trials"):
             two_stage_estimate(qubit_family("z0"), np.array([0.5, 0.0]), mixed_basis_povm(),
                                n=400, seed=3, trials=trials)
