@@ -14,9 +14,11 @@ its parent's, read through ``os.wait4``): a ``gauss`` run at 10^6 trials
 with a CSV, a ``gauss`` run at 10^5 trials into a fresh ``--out`` followed
 by three reruns into the same, existing one, collective estimates of
 ``qubit-z0`` on the rotation path, at (0, 0) for n = 128 and 256 and at
-(0.5, 0) for n = 128, two-stage estimates at 10^5 trials with a CSV on
-``qubit-z0`` and ``qubit-full``, and the benchmark's 200-trial two-stage
-estimate followed by three reruns into its ``--out``.
+(0.5, 0) for n = 128, of ``qubit-full`` at (0.2, 0.1, 0.3) on the lattice
+path for n = 16 and 32, and of ``diag:3`` at (0.2, 0.3) on the dense layout
+for n = 4, two-stage estimates at 10^5 trials with a CSV on ``qubit-z0``
+and ``qubit-full``, and the benchmark's 200-trial two-stage estimate
+followed by three reruns into its ``--out``.
 
 Every entry names the checkout's commit (``modified`` when ``src`` or
 ``bench`` differ from it) and the machine: CPU count, Python and NumPy
@@ -41,9 +43,13 @@ from pathlib import Path
 START_UP_SAMPLES = 7
 LARGE_SAMPLES = 3
 GAUSS = ["gauss", "--zeta", "0.6,0.4", "--N", "1", "--n", "100", "--seed", "1"]
-COLLECTIVE = ["estimate", "--mode", "collective", "--model", "qubit-z0", "--eps", "0.1", "--out", "{dir}/collective"]
 TWO_STAGE = ["estimate", "--mode", "two-stage", "--n", "10000", "--seed", "1", "--out", "{dir}/two_stage"]
 TWO_STAGE_Z0 = [*TWO_STAGE, "--model", "qubit-z0", "--theta", "0.5,0"]
+
+
+def collective(model: str, theta: str, n: int) -> list:
+    return ["estimate", "--mode", "collective", "--model", model, "--eps", "0.1", "--out", "{dir}/collective",
+            "--theta", theta, "--n", str(n)]
 
 
 def commit(root: Path) -> dict:
@@ -111,9 +117,13 @@ def large_inputs(root: Path) -> list:
         "gauss-1e6-csv": ([*GAUSS, "--trials", "1000000", "--out", "{dir}/gauss"], 1),
         # a fresh run, then three reruns that rewrite its files
         "gauss-1e5-csv-rerun": ([*GAUSS, "--trials", "100000", "--out", "{dir}/gauss"], 4),
-        "collective-z0-origin-n128": ([*COLLECTIVE, "--theta", "0,0", "--n", "128"], 1),
-        "collective-z0-origin-n256": ([*COLLECTIVE, "--theta", "0,0", "--n", "256"], 1),
-        "collective-z0-off-n128": ([*COLLECTIVE, "--theta", "0.5,0", "--n", "128"], 1),
+        "collective-z0-origin-n128": (collective("qubit-z0", "0,0", 128), 1),
+        "collective-z0-origin-n256": (collective("qubit-z0", "0,0", 256), 1),
+        "collective-z0-off-n128": (collective("qubit-z0", "0.5,0", 128), 1),
+        # the lattice path, one eigh per node and sector, and the dense layout, one 81 x 81 block
+        "collective-full-n16": (collective("qubit-full", "0.2,0.1,0.3", 16), 1),
+        "collective-full-n32": (collective("qubit-full", "0.2,0.1,0.3", 32), 1),
+        "collective-diag3-n4": (collective("diag:3", "0.2,0.3", 4), 1),
         "two-stage-z0-1e5-csv": ([*TWO_STAGE_Z0, "--trials", "100000"], 1),
         "two-stage-full-1e5-csv": ([*TWO_STAGE, "--model", "qubit-full", "--theta", "0.3,0.2,0.1", "--trials", "100000"], 1),
         # a fresh run, then three reruns that rewrite its files

@@ -9,16 +9,18 @@ Wick moments of the limiting Gaussian spec quantifies the convergence rate.
 Gaussian-smearing operators of the collective sums are built sector by
 sector.  The n-fold space splits as a direct sum of blocks C^b (x) C^m on
 which every collective sum, the product state and every function of them act
-as B (x) I_m.  For qubits the blocks are the total-spin sectors j = n/2,
-n/2 - 1, ..., of size 2j + 1 <= n + 1; any other single-copy dimension uses
-the whole 2^n-type space as one block of multiplicity 1.  Dense n-fold arrays
-are checked against ``qcore.MAX_ARRAY_BYTES`` before they are allocated.
+as B (x) I_m.  ``collective_layout`` picks the blocks once per operator tuple:
+for qubits the total-spin sectors j = n/2, n/2 - 1, ..., of size 2j + 1 <=
+n + 1; any other dimension uses the dim^n space as one block of multiplicity
+1.  Dense n-fold arrays are checked against ``qcore.MAX_ARRAY_BYTES`` before
+they are allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +31,9 @@ from .models import PAULIS
 
 COLLECTIVE_DEGREE_CAP = 8
 CENTERING_TOL = 1e-12
+# relative tolerance of the conditions that select the rotation path
+# (``Layout.rotates`` here, the kernel's A in ``collective._kernel_and_grid``)
+ROTATION_TOL = 1e-12
 _PAULIS_XYZ = np.array([PAULIS[a] for a in "xyz"])
 
 
@@ -184,20 +189,31 @@ def clt_gap(spec: CollectiveSpec, n_list, word) -> list[tuple[int, float]]:
 
 @dataclass(frozen=True)
 class Sector:
-    """One block C^b (x) C^m of the n-fold space.
-
-    ``ops`` (d, b, b) are the collective sums X^(n) restricted to C^b; they
-    act there as ops (x) I_m with ``multiplicity`` m.  ``two_j`` is twice the
-    total spin of a qubit spin sector (basis |j, m>, m = j, ..., -j) and None
-    for the one-block layout of the whole space.  ``frame`` (3, 3) holds the
-    axes, as rows, in which a spin sector's J_x, J_y, J_z are taken
-    (``_spin_frame``); None for the one-block layout.
-    """
+    """One block C^b (x) C^m of the n-fold space: ``ops`` (d, b, b), the
+    collective sums X^(n) restricted to C^b, act there as ops (x) I_m with
+    ``multiplicity`` m.  A spin sector has b = 2j + 1 and the basis |j, m>,
+    m = j, ..., -j."""
 
     ops: np.ndarray
     multiplicity: int
-    two_j: int | None
-    frame: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class Layout:
+    """The blocks of the n-fold space, chosen once per operator tuple by
+    ``collective_layout``: ``sizes(n)``, each block's b before any is built;
+    ``sectors(ops, n)``, the Sectors of that tuple or of any other in the
+    same frame (the SLDs); ``states(rho, n)``, the blocks of rho^(x)n in the
+    same order; ``rotates``, whether the sums have a diagonal rotation
+    generator: two qubit operators whose traceless parts have a Gram matrix
+    proportional to I, to relative ``ROTATION_TOL``: in the layout's frame
+    Y_k = X_k - c_k = mu J_k, and J_z generates their rotation."""
+
+    name: str
+    sizes: Callable
+    sectors: Callable
+    states: Callable
+    rotates: bool
 
 
 def _spin_matrices(two_j: int) -> np.ndarray:
@@ -213,23 +229,34 @@ def _spin_matrices(two_j: int) -> np.ndarray:
 
 def _pauli_coefficients(x_ops) -> np.ndarray:
     """(c0, c) = tr(X (I, sigma)) / 2 per qubit operator X = c0 I + c . sigma."""
-    return trace_products(np.asarray(x_ops)[:, None], np.array([np.eye(2), *_PAULIS_XYZ])) / 2
+    return trace_products(np.asarray(x_ops, dtype=complex)[:, None], np.array([np.eye(2), *_PAULIS_XYZ])) / 2
 
 
-def _spin_frame(x_ops) -> np.ndarray:
-    """Axes (rows x, y, z) of the spin sectors of a qubit operator tuple.
+def collective_layout(x_ops) -> Layout:
+    """The layout of the collective sums of ``x_ops``: one dense block of
+    the dim^n space, unless they are qubit operators, whose sectors j = n/2,
+    n/2 - 1, ... take J along one frame.  For two operators its x lies along
+    the first one's Pauli vector and its z along the cross product of the
+    two, so a pair with orthogonal Pauli vectors of equal length mu / 2 sums
+    to (mu J_x, mu J_y) plus multiples of I; else the frame is the standard axes."""
+    if np.shape(x_ops[0]) != (2, 2):
+        return _dense_layout(np.shape(x_ops[0])[0])
+    vectors = _pauli_coefficients(x_ops)[:, 1:]
+    frame, rotates = np.eye(3), False
+    if len(vectors) == 2:
+        # QR keeps the axes orthonormal even for parallel vectors
+        q, r = np.linalg.qr(vectors.T)
+        x, y = (q * np.where(np.diag(r) < 0, -1.0, 1.0)).T
+        frame, gram = np.array([x, y, np.cross(x, y)]), np.real(vectors @ vectors.conj().T)
+        rotates = bool(np.abs(gram - np.trace(gram) / 2 * np.eye(2)).max() <= ROTATION_TOL * np.trace(gram))
+    return Layout("spin", lambda n: list(range(n + 1, 0, -2)), lambda ops, n: _spin_sectors(ops, n, frame),
+                  lambda rho, n: _spin_states(rho, n, frame), rotates)
 
-    For two operators x lies along the first one's Pauli vector and z along
-    the cross product of the two, so a pair with orthogonal Pauli vectors of
-    equal length mu / 2 sums to (mu J_x, mu J_y) plus multiples of I and
-    -i [J_x, J_y] = J_z; any other tuple keeps the standard axes.
-    """
-    if len(x_ops) != 2:
-        return np.eye(3)
-    # QR keeps the axes orthonormal even for parallel vectors
-    q, r = np.linalg.qr(_pauli_coefficients(x_ops)[:, 1:].T)
-    x, y = (q * np.where(np.diag(r) < 0, -1.0, 1.0)).T
-    return np.array([x, y, np.cross(x, y)])
+
+def _dense_layout(dim: int) -> Layout:
+    """The whole n-fold space as one block of multiplicity 1."""
+    return Layout("dense", lambda n: [dim**n], lambda ops, n: [Sector(np.array(build_collective_ops(ops, n)), 1)],
+                  lambda rho, n: [_kron_power(np.asarray(rho, dtype=complex), n)], False)
 
 
 def _spin_sectors(x_ops, n: int, frame: np.ndarray):
@@ -247,59 +274,25 @@ def _spin_sectors(x_ops, n: int, frame: np.ndarray):
         eye = np.eye(two_j + 1)
         ops = np.array([(n * c0 * eye + 2 * np.einsum("k,kab->ab", c, spin)) for c0, c in zip(coeffs[:, 0], vectors)])
         multiplicity = comb(n, k) - (comb(n, k - 1) if k else 0)
-        yield Sector(ops / np.sqrt(n), multiplicity, two_j, frame)
+        yield Sector(ops / np.sqrt(n), multiplicity)
 
 
-def _dense_sectors(x_ops, n: int) -> list[Sector]:
-    """The whole n-fold space as one block of multiplicity 1."""
-    return [Sector(np.array(build_collective_ops(x_ops, n)), 1, None)]
-
-
-def _spin_layout(x_ops) -> bool:
-    # the layout rule: total-spin sectors for qubit operators, one dense block otherwise
-    return np.shape(x_ops[0]) == (2, 2)
-
-
-def block_sizes(x_ops, n: int) -> list[int]:
-    """Size b of each block of ``collective_sectors(x_ops, n)``, known before
-    any block is built: n + 1, n - 1, ... for spin sectors, dim^n for a dense one."""
-    return list(range(n + 1, 0, -2)) if _spin_layout(x_ops) else [np.shape(x_ops[0])[0] ** n]
-
-
-def collective_sectors(x_ops, n: int) -> list[Sector]:
-    """Block layout of the collective sums of ``x_ops`` over n copies: the
-    total-spin sectors for qubit operators, one dense block otherwise."""
-    if n < 1:
-        raise ValidationError("n must be positive")
-    x_ops = [np.asarray(x, dtype=complex) for x in x_ops]
-    if _spin_layout(x_ops):
-        return list(_spin_sectors(x_ops, n, _spin_frame(x_ops)))
-    return _dense_sectors(x_ops, n)
-
-
-def sector_states(rho: np.ndarray, n: int, sectors) -> list[np.ndarray]:
-    """Blocks of rho^(x)n in the layout of ``sectors``.
-
-    On spin sector j the block is f(r . J^(j)) with r the unit Bloch direction
-    of rho in the sectors' frame and f(M) = lam_+^(n/2 + M) lam_-^(n/2 - M)
-    from rho's eigenvalues lam_+ >= lam_-; for a rank-1 rho, 0^0 = 1 keeps
-    only M = n/2.
-    """
+def _spin_states(rho: np.ndarray, n: int, frame: np.ndarray):
+    """Blocks f(r . J^(j)) of rho^(x)n on the spin sectors, yielded one at a
+    time: r is rho's unit Bloch direction in ``frame`` and f(M) =
+    lam_+^(n/2 + M) lam_-^(n/2 - M) from its eigenvalues lam_+ >= lam_-; for
+    a rank-1 rho, 0^0 = 1 keeps only M = n/2."""
     rho = np.asarray(rho, dtype=complex)
-    if sectors[0].two_j is None:
-        return [_kron_power(rho, n)]
     bloch = trace_products(rho, _PAULIS_XYZ)
     length = float(np.linalg.norm(bloch))
     trace = float(np.real(np.trace(rho)))
     lam_hi, lam_lo = (trace + length) / 2, max((trace - length) / 2, 0.0)
-    direction = sectors[0].frame @ bloch / length if length > 0 else np.array([0.0, 0.0, 1.0])
-    blocks = []
-    for sec in sectors:
+    direction = frame @ bloch / length if length > 0 else np.array([0.0, 0.0, 1.0])
+    for two_j in range(n, -1, -2):
         # r . J has the simple spectrum -j, ..., j in eigh's ascending order: f(m) exactly
-        m = np.arange(sec.two_j + 1) - sec.two_j / 2
+        m = np.arange(two_j + 1) - two_j / 2
         f = lam_hi ** (n / 2 + m) * lam_lo ** (n / 2 - m)
-        blocks.append(hermitian_function(np.einsum("k,kab->ab", direction, _spin_matrices(sec.two_j)), lambda _: f))
-    return blocks
+        yield hermitian_function(np.einsum("k,kab->ab", direction, _spin_matrices(two_j)), lambda _: f)
 
 
 def _smearing_blocks(ops: np.ndarray, a_mat: np.ndarray, z_norm: float, points: np.ndarray) -> np.ndarray:
@@ -350,8 +343,7 @@ def t_operator_on_sums(spec: CollectiveSpec, n: int, theta_prime, v_prime) -> np
     a_mat, z_norm = smearing_kernel(v_prime, spec.s[:d, :d])
     size = spec.rho.dim**n
     check_array_bytes((2, len(points), size, size), "two stacks of smearing operators")
-    (whole,) = _dense_sectors(spec.x_ops[:d], n)
-    t_mats = _smearing_blocks(whole.ops, a_mat, z_norm, points)
+    t_mats = _smearing_blocks(np.array(build_collective_ops(spec.x_ops[:d], n)), a_mat, z_norm, points)
     t_mats += t_mats.conj().swapaxes(-1, -2)
     t_mats /= 2
     return t_mats[0] if single else t_mats

@@ -3,17 +3,17 @@ correction, the two-stage adaptive qubit estimator, maximum likelihood, and
 mean-square-error reporting.
 
 The collective POVM follows the recipe: integrate the Gaussian-smearing
-operators of the collective sums over a quadrature rule (``_kernel_and_grid``)
-to get S, then sandwich each smearing operator between copies of S^{-1/2};
-the sandwich is linear, so only the outcome-moment sums of the smearing
-operators are sandwiched.  Completeness is exact on the retained support of
-S by construction, so the reported residual isolates the support truncation.
+operators of the collective sums over a quadrature ``Rule`` to get S, then
+sandwich each smearing operator between copies of S^{-1/2}; the sandwich is
+linear, so only the outcome-moment sums are sandwiched.  Completeness is
+exact on the retained support of S, so the reported residual isolates the
+support truncation.
 
-All of these operators are block diagonal in the sector layout of
-``clt.collective_sectors``: for qubits the total-spin sectors j of the n-fold
-space, each a (2j + 1)-dimensional block repeated m_j times, so the POVM is
-built and evaluated on blocks of size at most n + 1 instead of 2^n; any
-other dimension is one dense block.  A build that would hold
+Every operator is block diagonal in the layout ``clt.collective_layout``
+picks: for qubits the total-spin sectors j of the n-fold space, each a
+(2j + 1)-dimensional block repeated m_j times, so the POVM lives on blocks
+of size at most n + 1 instead of 2^n; any other dimension is one dense
+block.  ``_kernel_and_grid`` picks the rule for it.  A build that would hold
 ``qcore.MAX_ARRAY_BYTES`` at once is refused before any sector is built.
 
 ``clt`` and ``gaussian`` are imported inside the functions of the collective
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -45,11 +45,9 @@ from .qcore import (
 )
 
 if TYPE_CHECKING:
-    from .clt import CollectiveSpec
+    from .clt import CollectiveSpec, Layout
 
 SUPPORT_THRESHOLD = 1e-8
-# relative tolerance of the conditions that select the rotation path (``_rotates``)
-ROTATION_TOL = 1e-12
 DEFAULT_EPSILON = 0.1
 # bytes of log-likelihoods per block of count rows in the grid scan that
 # starts mle and two-stage stage 1: bounds its memory whatever the row count
@@ -69,8 +67,8 @@ MLE_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class CollectivePovm:
-    """Gridded square-root-sandwich POVM on the n-fold space, in the sector
-    layout of ``sectors`` (see ``clt.collective_sectors``).
+    """Gridded square-root-sandwich POVM on the n-fold space, on the
+    ``sectors`` of ``layout`` (see ``clt.collective_layout``).
 
     Every operator is block diagonal, sum over sectors of B (x) I_m.
     ``grid`` holds the quadrature nodes, ``weights`` their weights and
@@ -89,6 +87,7 @@ class CollectivePovm:
     grid: np.ndarray
     weights: np.ndarray
     sectors: tuple
+    layout: Layout
     moments: tuple
     s_operator: tuple
     kernel: tuple
@@ -124,21 +123,6 @@ def ball_grid(radius: float, step: float, d: int) -> np.ndarray:
     return pts[np.einsum("ij,ij->i", pts, pts) <= radius**2 + 1e-12]
 
 
-def polar_grid(radius: float, step: float, centre: np.ndarray, azimuths: int):
-    """Nodes (G, 2), weights r w_r 2 pi / azimuths, radii and angles of the
-    rule on the disk of the given radius about ``centre``: ceil(2 radius /
-    step) Gauss-Legendre radii (Golub-Welsch, from the Jacobi matrix, checked
-    against ``qcore.MAX_ARRAY_BYTES``) times ``azimuths`` equispaced angles."""
-    k = np.arange(1.0, np.ceil(2 * radius / step))
-    qcore.check_array_bytes((len(k) + 1, len(k) + 1), "the radial Gauss rule")
-    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
-    radii = radius * (nodes + 1) / 2
-    phi = 2 * np.pi * np.arange(azimuths) / azimuths
-    grid = (centre + radii[:, None, None] * np.column_stack([np.cos(phi), np.sin(phi)])).reshape(-1, 2)
-    weights = np.repeat(radii * vectors[0] ** 2 * (2 * np.pi * radius / azimuths), azimuths)
-    return grid, weights, radii, phi
-
-
 def default_v_prime(s_matrix: np.ndarray, g: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Regularized kernel covariance sqrt(g)^-1 (|sqrt(g) s sqrt(g)| + eps) sqrt(g)^-1."""
     if not 0 < epsilon < np.inf:
@@ -158,47 +142,99 @@ def build_collective_povm(
 ) -> CollectivePovm:
     """Construct the collective POVM of the spec's operators on n copies.
 
-    The kernel's commutator matrix s and the default radius come from the
-    spec's pair moments.  S integrates the smearing operators over the rule
-    of ``_kernel_and_grid``; elements are S^{-1/2} T_x S^{-1/2} w_x with
-    outcome x / sqrt(n), and each sector sandwiches only its sums of
-    ``_smearing_sums``.  S^{-1/2} lives on the eigenspace of S above
+    s and the default radius come from the spec's pair moments.  S
+    integrates the smearing operators over the rule of ``_kernel_and_grid``
+    on the layout of ``clt.collective_layout``; elements are S^{-1/2} T_x
+    S^{-1/2} w_x with outcome x / sqrt(n), and each sector sandwiches only
+    its sums.  S^{-1/2} lives on the eigenspace of S above
     ``SUPPORT_THRESHOLD`` times its largest eigenvalue over all sectors;
     dropped dimensions (with multiplicity) and the completeness residual,
     the operator norm of sum_x E_x - P on the support, are recorded.
     Defaults: radius 4 sqrt(lmax(v + v')), step radius / 16.  Before any
-    sector is built, the complex entries held at once are checked against
-    ``qcore.MAX_ARRAY_BYTES``: each sector's operators, m = 1 + d + d^2 sums
-    and S; the largest sector's eigenvectors, S^-1/2 and two (m, b, b)
-    temporaries; the grid, weights and monomials; per point, two
-    ``_block_rows`` stacks with their eigenvalues and a block of monomials,
-    or per radius, two (R, b, b) stacks, complex monomials and their sums."""
-    from .clt import block_sizes, collective_sectors
+    sector is built, one check counts the complex entries held at once (the
+    README's memory count, with the rule's term ``Rule.held``)."""
+    from .clt import collective_layout
 
-    kernel, grid, weights, polar = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
-    sizes, d = block_sizes(spec.x_ops, n), spec.n_ops
+    layout = collective_layout(spec.x_ops)
+    kernel, rule = _kernel_and_grid(spec, layout, v_prime, n, radius, grid_step)
+    sizes, d = layout.sizes(n), spec.n_ops
     m, b = 1 + d + d * d, max(sizes)
-    held = (d + m + 1) * sum(s * s for s in sizes) + 2 * (m + 1) * b * b + (d + m + 1) * len(grid)
-    if polar is None:
-        held += max(_block_rows(s, len(grid)) * (2 * s * (s + 1) + m) for s in sizes)
-    else:
-        held += 2 * len(polar[0]) * b * b + m * len(grid) + 5 * m * len(polar[0])
-    qcore.check_array_bytes((held,), "the collective build")
-    return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, weights, polar)
+    held = (d + m + 1) * sum(s * s for s in sizes) + 2 * (m + 1) * b * b + (d + m + 1) * len(rule.grid)
+    qcore.check_array_bytes((held + rule.held(sizes, m),), "the collective build")
+    return _povm_on_sectors(spec.x_ops, layout, n, kernel, rule)
 
 
-def _block_rows(b, points) -> int:
-    """Grid rows per (rows, b, b) block of the per-point sums: ``qcore.MAX_ARRAY_BYTES`` / 16 bytes or one row."""
-    return min(points, max(1, qcore.MAX_ARRAY_BYTES // 16 // (16 * b * b)))
+@dataclass(frozen=True)
+class Rule:
+    """Nodes (G, d) and weights of a collective build.  ``fold(kernel,
+    monomials)`` maps the weighted outcome monomials (G, M) to the function
+    from a sector's ops to its sums (M, b, b); ``held(sizes, m)`` counts the
+    complex entries that fold holds at once."""
+
+    name: str
+    grid: np.ndarray
+    weights: np.ndarray
+    fold: Callable
+    held: Callable
 
 
-def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
-    """Smearing kernel (A, Z), nodes, weights and polar radii and angles
-    (None on ``ball_grid``, cell ``grid_step``^d) of ``build_collective_povm``,
-    defaults filled in.  Where ``_rotates`` holds, the rule is ``polar_grid``
-    about the sums' centre c = sqrt(n) tr(X) / dim, of radius ``radius`` + |c|
-    (so it holds the ball of ``radius`` about 0), with n + 3 >= b + 2 azimuths:
-    exact for every band of every sector."""
+def point_rule(grid, weights) -> Rule:
+    """Sums node by node, over blocks of at most ``qcore.MAX_ARRAY_BYTES`` / 16
+    bytes of smearing stack: per sector two (rows, b, b) stacks with their
+    eigenvalues and a block of monomials."""
+
+    def rows(b):
+        return min(len(grid), max(1, qcore.MAX_ARRAY_BYTES // 16 // (16 * b * b)))
+
+    def fold(kernel, mono):
+        from .clt import _smearing_blocks
+
+        def sums(ops):
+            step = rows(ops.shape[-1])
+            parts = (np.tensordot(mono[lo : lo + step].T, _smearing_blocks(ops, *kernel, grid[lo : lo + step]), axes=1)
+                     for lo in range(0, len(grid), step))
+            return reduce(np.add, parts)
+
+        return sums
+
+    return Rule("per-point", grid, weights, fold, lambda sizes, m: max(rows(s) * (2 * s * (s + 1) + m) for s in sizes))
+
+
+def polar_rule(radius: float, step: float, centre: np.ndarray, azimuths: int) -> Rule:
+    """ceil(2 radius / step) Gauss-Legendre radii (Golub-Welsch, from the
+    Jacobi matrix, checked against ``qcore.MAX_ARRAY_BYTES``) on the disk of
+    the given radius about ``centre``, times ``azimuths`` equispaced angles,
+    weights r w_r 2 pi / azimuths.  It sums one T per radius
+    (``_rotation_sums``), holding two (R, b, b) stacks, complex monomials and
+    their (R, 5, M) azimuthal sums."""
+    k = np.arange(1.0, np.ceil(2 * radius / step))
+    qcore.check_array_bytes((len(k) + 1, len(k) + 1), "the radial Gauss rule")
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
+    radii = radius * (nodes + 1) / 2
+    phi = 2 * np.pi * np.arange(azimuths) / azimuths
+    grid = (centre + radii[:, None, None] * np.column_stack([np.cos(phi), np.sin(phi)])).reshape(-1, 2)
+    weights = np.repeat(radii * vectors[0] ** 2 * (2 * np.pi * radius / azimuths), azimuths)
+
+    def fold(kernel, monomials):
+        sums = np.exp(1j * np.outer(np.arange(-2, 3), phi)) @ monomials.reshape(len(radii), len(phi), -1)
+        # the constant monomial has azimuthal mode 0 only: its other sums are 0
+        # to rounding, and exactly 0 they keep S diagonal
+        sums[:, [0, 1, 3, 4], 0] = 0
+        return lambda ops: _rotation_sums(ops, *kernel, radii, sums)
+
+    return Rule("per-radius", grid, weights, fold,
+                lambda sizes, m: 2 * len(radii) * max(sizes) ** 2 + m * len(grid) + 5 * m * len(radii))
+
+
+def _kernel_and_grid(spec: CollectiveSpec, layout: Layout, v_prime, n, radius, grid_step):
+    """Smearing kernel (A, Z) and rule of ``build_collective_povm`` on
+    ``layout``, defaults filled in.  Where the layout rotates and A is
+    proportional to I (relative ``clt.ROTATION_TOL``), T_x = R T_(r, 0)
+    R^dagger, R = exp(-i phi J_z), x - c = r (cos phi, sin phi) (Kahn and
+    Guta, CMP 289, 2009): the rule is ``polar_rule`` about the sums' centre
+    c = sqrt(n) tr(X) / dim, of radius ``radius`` + |c|, with n + 3 >= b + 2
+    azimuths, exact for every band.  Else ``point_rule`` on ``ball_grid``."""
+    from .clt import ROTATION_TOL
     from .gaussian import smearing_kernel
 
     if n < 1:
@@ -210,25 +246,12 @@ def _kernel_and_grid(spec: CollectiveSpec, v_prime, n, radius, grid_step):
         grid_step = radius / 16.0
     if not (0 < radius < np.inf and 0 < grid_step < np.inf):
         raise ValidationError(f"radius and grid step must be positive and finite, got {radius} and {grid_step}")
-    if not _rotates(spec.x_ops, kernel[0]):
+    a_mat = kernel[0]
+    if not (layout.rotates and np.abs(a_mat - np.trace(a_mat) / 2 * np.eye(2)).max() <= ROTATION_TOL * np.trace(a_mat)):
         grid = ball_grid(radius, grid_step, spec.n_ops)
-        return kernel, grid, np.full(len(grid), float(grid_step) ** spec.n_ops), None
+        return kernel, point_rule(grid, np.full(len(grid), float(grid_step) ** spec.n_ops))
     centre = np.sqrt(n) * np.real(np.trace(spec.x_ops, axis1=1, axis2=2)) / spec.rho.dim
-    grid, weights, *polar = polar_grid(radius + float(np.linalg.norm(centre)), grid_step, centre, n + 3)
-    return kernel, grid, weights, polar
-
-
-def _rotates(x_ops, a_mat) -> bool:
-    """Whether, to relative ``ROTATION_TOL``, A and the Gram matrix of the
-    two qubit operators' traceless parts are proportional to I.  Then the
-    spin sectors are built in the frame where Y_k = X_k - c_k = mu J_k
-    (``clt._spin_frame``), and T_x = R T_(r, 0) R^dagger with R = exp(-i phi
-    J_z), x - c = r (cos phi, sin phi) (Kahn and Guta, CMP 289, 2009)."""
-    if np.shape(x_ops) != (2, 2, 2):
-        return False
-    y = x_ops - np.real(np.trace(x_ops, axis1=1, axis2=2))[:, None, None] * np.eye(2) / 2
-    gram = trace_products(y[:, None], y[None])
-    return all(np.abs(m - np.trace(m) / 2 * np.eye(2)).max() <= ROTATION_TOL * np.trace(m) for m in (a_mat, gram))
+    return kernel, polar_rule(radius + float(np.linalg.norm(centre)), grid_step, centre, n + 3)
 
 
 def _rotation_sums(ops, a_mat, z_norm, radii, sums):
@@ -251,33 +274,16 @@ def _rotation_sums(ops, a_mat, z_norm, radii, sums):
     return raw
 
 
-def _smearing_sums(sectors, n, kernel, grid, weights, polar=None) -> list:
+def _smearing_sums(sectors, n, kernel, rule: Rule) -> list:
     """sum_x w_x [1, x_k, x_k x_l] T_x per sector as one stack (1 + d + d^2,
-    b, b), x the outcome: from one T per radius given ``polar`` (radii,
-    angles), else per grid point over blocks of ``_block_rows``.  Entry 0 is S."""
-    from .clt import _smearing_blocks
-
-    outcomes = grid / np.sqrt(n)
-    pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
-    monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs])
-    monomials *= weights[:, None]
-    if polar is None:
-        raws = []
-        for sec in sectors:
-            rows = _block_rows(sec.ops.shape[-1], len(grid))
-            parts = (
-                np.tensordot(monomials[lo : lo + rows].T, _smearing_blocks(sec.ops, *kernel, grid[lo : lo + rows]), axes=1)
-                for lo in range(0, len(grid), rows)
-            )
-            raws.append(reduce(np.add, parts))
-        return raws
-    radii, phi = polar
-    sums = np.exp(1j * np.outer(np.arange(-2, 3), phi)) @ monomials.reshape(len(radii), len(phi), -1)
-    # the constant monomial has azimuthal mode 0 only: its other sums are 0
-    # to rounding, and exactly 0 they keep S diagonal
-    sums[:, [0, 1, 3, 4], 0] = 0
+    b, b), x the outcome, by the rule's fold.  Entry 0 is S."""
+    outcomes = rule.grid / np.sqrt(n)
+    pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(outcomes), -1)
+    monomials = np.column_stack([np.ones(len(outcomes)), outcomes, pairs])
+    monomials *= rule.weights[:, None]
+    sums = rule.fold(kernel, monomials)
     del outcomes, pairs, monomials
-    return [_rotation_sums(sec.ops, *kernel, radii, sums) for sec in sectors]
+    return [sums(sec.ops) for sec in sectors]
 
 
 def _sandwiched(s_blocks, stacks):
@@ -299,9 +305,10 @@ def _sandwiched(s_blocks, stacks):
         yield stack, w, u
 
 
-def _povm_on_sectors(sectors, n, kernel, grid, weights, polar=None) -> CollectivePovm:
-    """``build_collective_povm`` on the given sectors; the moments are written over the sums."""
-    raws = _smearing_sums(sectors, n, kernel, grid, weights, polar)
+def _povm_on_sectors(x_ops, layout, n, kernel, rule) -> CollectivePovm:
+    """``build_collective_povm`` of ``x_ops`` on ``layout`` and ``rule``; the moments are written over the sums."""
+    sectors = tuple(layout.sectors(x_ops, n))
+    raws = _smearing_sums(sectors, n, kernel, rule)
     s_blocks = [(raw[0] + raw[0].conj().T) / 2 for raw in raws]
     dropped, residual, low = 0, 0.0, np.inf
     for sec, (moments, w, u) in zip(sectors, _sandwiched(s_blocks, raws)):
@@ -311,9 +318,10 @@ def _povm_on_sectors(sectors, n, kernel, grid, weights, polar=None) -> Collectiv
         residual = max(residual, float(np.abs(np.linalg.eigvalsh(moments[0] - u @ u.conj().T)).max()))
     return CollectivePovm(
         n_copies=n,
-        grid=grid,
-        weights=weights,
-        sectors=tuple(sectors),
+        grid=rule.grid,
+        weights=rule.weights,
+        sectors=sectors,
+        layout=layout,
         moments=tuple(raws),
         s_operator=tuple(s_blocks),
         kernel=kernel,
@@ -363,7 +371,7 @@ def collective_estimator_check(
 def _estimator_rows(model, theta, x_ops, n_list, povm_at):
     """``collective_estimator_check`` with the POVM for n copies built by
     ``povm_at(spec, n)``."""
-    from .clt import CollectiveSpec, _dense_sectors, _spin_sectors, sector_states
+    from .clt import CollectiveSpec
 
     t = model.require_domain(theta)
     spec = CollectiveSpec(model.state_at(t), x_ops)
@@ -373,14 +381,13 @@ def _estimator_rows(model, theta, x_ops, n_list, povm_at):
     for n in n_list:
         n = int(n)
         povm = povm_at(spec, n)
-        # the SLDs' collective sums sum_k L_(k) in the POVM's own layout, one sector at a time
-        frame = povm.sectors[0].frame
-        l_sectors = _dense_sectors(slds, n) if frame is None else _spin_sectors(slds, n, frame)
+        # the SLDs' collective sums sum_k L_(k) and the blocks of rho^(x)n in
+        # the POVM's own layout, one sector at a time
+        l_sectors, states = povm.layout.sectors(slds, n), povm.layout.states(spec.rho.matrix, n)
         # tr(rho^(x)n O) for O = [O0, O1_k, O2_kl], and tr(d_a rho^(x)n O) for
         # O0 and O1_k only, one state at a time against the sector's moments
         traces, response = 0.0, 0.0
-        for sec, l_sec, moments in zip(povm.sectors, l_sectors, povm.moments):
-            (rho_j,) = sector_states(spec.rho.matrix, n, [sec])
+        for sec, l_sec, rho_j, moments in zip(povm.sectors, l_sectors, states, povm.moments):
             l_sum = np.sqrt(n) * l_sec.ops
             d_rho = (rho_j @ l_sum + l_sum @ rho_j) / 2
             traces = traces + sec.multiplicity * trace_products(rho_j, moments)

@@ -10,7 +10,7 @@ constants below; ``fisher``, ``bounds``, ``clt``, ``collective`` and
 n-fold arrays call ``check_array_bytes`` before they allocate: a standalone
 builder on each array it holds, a collective build
 (``collective.build_collective_povm``) once on all it holds at once, after
-its rule (``collective.ball_grid`` or ``polar_grid``) has checked its own.
+its rule (``collective.ball_grid`` or ``polar_rule``) has checked its own.
 """
 
 from __future__ import annotations

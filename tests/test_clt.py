@@ -4,14 +4,12 @@ import pytest
 from qest import qcore
 from qest.clt import (
     CollectiveSpec,
-    _dense_sectors,
     _smearing_blocks,
     build_collective_ops,
     clt_gap,
+    collective_layout,
     collective_moment,
     collective_moment_bruteforce,
-    collective_sectors,
-    sector_states,
     t_operator_on_sums,
 )
 from qest.errors import NumericalError, ValidationError
@@ -124,10 +122,11 @@ class TestCltGap:
 
 class TestSpinSectors:
     def test_multiplicities_fill_the_space(self):
+        layout = collective_layout([SIGMA_X])
         for n in range(1, 13):
-            sectors = collective_sectors([SIGMA_X], n)
-            assert sum(sec.multiplicity * (sec.two_j + 1) for sec in sectors) == 2**n
-            assert [sec.two_j for sec in sectors] == list(range(n, -1, -2))
+            sectors = list(layout.sectors([SIGMA_X], n))
+            assert sum(sec.multiplicity * sec.ops.shape[-1] for sec in sectors) == 2**n
+            assert [sec.ops.shape[-1] - 1 for sec in sectors] == list(range(n, -1, -2))
 
     def test_moments_match_combinatorial_engine(self, rng):
         # sum_j m_j tr(pi_j(rho) B_j^{k1} ... B_j^{km}) is the collective
@@ -136,9 +135,10 @@ class TestSpinSectors:
         pure = np.array([np.cos(0.4), np.exp(0.7j) * np.sin(0.4)])
         for rho in (random_density(rng), DensityOperator(np.outer(pure, pure.conj()))):
             spec = CollectiveSpec(rho, [random_hermitian(rng), random_hermitian(rng)])
+            layout = collective_layout(spec.x_ops)
             for n in (1, 2, 5, 8, 13, 24):
-                sectors = collective_sectors(spec.x_ops, n)
-                blocks = sector_states(rho.matrix, n, sectors)
+                sectors = list(layout.sectors(spec.x_ops, n))
+                blocks = list(layout.states(rho.matrix, n))
                 for word in ((1, 1), (1, 2), (2, 1, 2), (1, 2, 1, 2), (1, 1, 2, 2, 1, 2)):
                     total = 0j
                     for sec, block in zip(sectors, blocks):
@@ -152,9 +152,10 @@ class TestSpinSectors:
     def test_spectra_match_dense(self, rng):
         rho = random_density(rng)
         x = random_hermitian(rng)
+        layout = collective_layout([x])
         for n in range(1, 9):
-            sectors = collective_sectors([x], n)
-            blocks = sector_states(rho.matrix, n, sectors)
+            sectors = list(layout.sectors([x], n))
+            blocks = list(layout.states(rho.matrix, n))
 
             def spread(mats):
                 return np.sort(np.concatenate(
@@ -178,8 +179,9 @@ class TestSpinSectors:
 
     def test_other_dimensions_use_one_dense_block(self):
         ops = [np.diag([1.0, 0.0, -1.0])]
-        (sector,) = collective_sectors(ops, 3)
-        assert sector.two_j is None and sector.multiplicity == 1
+        layout = collective_layout(ops)
+        (sector,) = layout.sectors(ops, 3)
+        assert layout.name == "dense" and layout.sizes(3) == [27] and sector.multiplicity == 1
         assert np.allclose(sector.ops[0], build_collective_ops(ops, 3)[0])
 
 
@@ -294,8 +296,7 @@ class TestTOperatorOnSums:
         spec = CollectiveSpec(random_density(rng), [random_hermitian(rng), random_hermitian(rng)])
         v_prime = spec.v + np.abs(spec.s[0, 1]) * np.eye(2) + 0.1 * np.eye(2)
         points = rng.normal(size=(5, 2))
-        (whole,) = _dense_sectors(spec.x_ops, 3)
-        t = _smearing_blocks(whole.ops, *smearing_kernel(v_prime, spec.s), points)
+        t = _smearing_blocks(np.array(build_collective_ops(spec.x_ops, 3)), *smearing_kernel(v_prime, spec.s), points)
         assert np.array_equal(t_operator_on_sums(spec, 3, points, v_prime), (t + t.conj().swapaxes(-1, -2)) / 2)
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * 5 * 8 * 8 * 3 // 2)
         with pytest.raises(NumericalError, match="two stacks of smearing operators"):

@@ -9,11 +9,10 @@ from qest import clt, collective, qcore
 from qest.bounds import holevo_bound, qubit_c1
 from qest.clt import (
     CollectiveSpec,
-    _dense_sectors,
+    _dense_layout,
     _smearing_blocks,
     build_collective_ops,
-    collective_sectors,
-    sector_states,
+    collective_layout,
 )
 from qest.collective import (
     CollectiveCheckRow,
@@ -25,7 +24,6 @@ from qest.collective import (
     _optimal_qubit_povms,
     _outcome_order,
     _povm_on_sectors,
-    _rotates,
     _smearing_sums,
     ball_grid,
     build_collective_povm,
@@ -35,7 +33,8 @@ from qest.collective import (
     mle,
     mse_report,
     optimal_qubit_povm,
-    polar_grid,
+    point_rule,
+    polar_rule,
     two_stage_estimate,
 )
 from qest.errors import NumericalError, ValidationError
@@ -103,6 +102,18 @@ BUILD = "the collective build"
 
 def _no_sectors(*args):
     raise AssertionError("a sector was built")
+
+
+def _forbid_sectors(monkeypatch):
+    """Make building any block of either layout fail the test."""
+    monkeypatch.setattr(clt, "_spin_sectors", _no_sectors)
+    monkeypatch.setattr(clt, "build_collective_ops", _no_sectors)
+
+
+def _layout_and_rule(spec, v_prime, n, radius=None, grid_step=None):
+    """The layout, kernel and rule that ``build_collective_povm`` picks."""
+    layout = collective_layout(spec.x_ops)
+    return (layout, *_kernel_and_grid(spec, layout, v_prime, n, radius, grid_step))
 
 
 def _traced_peak(call, limit=None):
@@ -223,7 +234,7 @@ class TestBuildCollectivePovm:
         # sandwich temporaries come to 2.00 GiB; the build stops before any
         # sector is built
         spec, v_prime = _holevo_spec("diag:3", (0.2, 0.3))
-        monkeypatch.setattr(clt, "collective_sectors", _no_sectors)
+        _forbid_sectors(monkeypatch)
         with pytest.raises(NumericalError, match="the collective build would take 2.00 GiB"):
             _traced_peak(lambda: build_collective_povm(spec, v_prime, 7), limit=100e6)
 
@@ -231,7 +242,7 @@ class TestBuildCollectivePovm:
         # gauss1:0.3:16 at n = 3: the 4096 x 4096 block is refused before
         # its two 256 MiB collective sums are built
         spec, v_prime = _holevo_spec("gauss1:0.3:16", (0.3, 0.2))
-        monkeypatch.setattr(clt, "collective_sectors", _no_sectors)
+        _forbid_sectors(monkeypatch)
         with pytest.raises(NumericalError, match="the collective build would take 7.00 GiB"):
             _traced_peak(lambda: build_collective_povm(spec, v_prime, 3), limit=100e6)
 
@@ -285,7 +296,7 @@ class TestBuildCollectivePovm:
         assert rotation < per_point // 4
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", rotation + 16)
         assert build_collective_povm(spec, 0.6 * np.eye(2), n).completeness_residual < 1e-12
-        monkeypatch.setattr(clt, "collective_sectors", _no_sectors)
+        _forbid_sectors(monkeypatch)
         with pytest.raises(NumericalError, match="the collective build would take"):
             build_collective_povm(spec, np.diag([0.6, 0.7]), n)
 
@@ -295,9 +306,9 @@ class TestBuildCollectivePovm:
         # elements builds that stack, and it is refused
         spec, v_prime = _holevo_spec("qubit-full", (0.2, 0.1, 0.3))
         n, b = 8, 9
-        kernel, grid, _, polar = _kernel_and_grid(spec, v_prime, n, None, None)
-        assert polar is None and not _rotates(spec.x_ops, kernel[0])
-        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * len(grid) * b * b)
+        layout, _, rule = _layout_and_rule(spec, v_prime, n)
+        assert rule.name == "per-point" and not layout.rotates
+        monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * len(rule.grid) * b * b)
         povm = build_collective_povm(spec, v_prime, n)
         assert povm.completeness_residual < 1e-12
         with pytest.raises(NumericalError, match="the smearing operators would take"):
@@ -350,7 +361,7 @@ class TestBuildCollectivePovm:
         # the elements' smearing operators sit on the build's own nodes, bit
         # for bit, not on outcomes * sqrt(n) (which misses some in the last bit)
         spec, v_prime = _holevo_spec(name, theta)
-        _, grid, _, _ = _kernel_and_grid(spec, v_prime, n, None, None)
+        grid = _layout_and_rule(spec, v_prime, n)[2].grid
         povm = build_collective_povm(spec, v_prime, n)
         points = []
 
@@ -381,7 +392,7 @@ class TestBuildCollectivePovm:
         radius = _default_radius(spec, v_prime)
         limit = 16 << 20
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", limit)
-        monkeypatch.setattr(clt, "collective_sectors", _no_sectors)
+        _forbid_sectors(monkeypatch)
         with pytest.raises(NumericalError, match="the ball grid's lattice cube would take"):
             _traced_peak(lambda: build_collective_povm(spec, v_prime, 2, grid_step=radius / 48), limit=limit)
 
@@ -395,10 +406,9 @@ class TestBuildCollectivePovm:
         # time, equal the out-of-place sandwich of the sums, with S^-1/2
         # from the spectra of all S blocks at once, bit for bit
         spec, v_prime = _holevo_spec(name, theta)
-        kernel, grid, weights, polar = _kernel_and_grid(spec, v_prime, n, None, None)
-        sectors = collective_sectors(spec.x_ops, n)
-        povm = _povm_on_sectors(sectors, n, kernel, grid, weights, polar)
-        raws = _smearing_sums(sectors, n, kernel, grid, weights, polar)
+        layout, kernel, rule = _layout_and_rule(spec, v_prime, n)
+        povm = _povm_on_sectors(spec.x_ops, layout, n, kernel, rule)
+        raws = _smearing_sums(povm.sectors, n, kernel, rule)
         spectra = [np.linalg.eigh((raw[0] + raw[0].conj().T) / 2) for raw in raws]
         top = max(w.max() for w, _ in spectra)
         for raw, (w, u), s_op, moments in zip(raws, spectra, povm.s_operator, povm.moments):
@@ -483,43 +493,24 @@ class TestRotationSums:
         x_ops = np.array([c0[k] * np.eye(2) + length * np.tensordot(frame[:, k], paulis, axes=1) for k in range(2)])
         c = np.sqrt(n) * np.real(np.trace(x_ops, axis1=1, axis2=2)) / 2
         kernel = (a * np.eye(2), 1.0)
-        assert _rotates(x_ops, kernel[0])
-        grid, weights, *polar = polar_grid(radius, radius / 8, c, n + 3)
-        sectors = collective_sectors(x_ops, n)
-        banded = _smearing_sums(sectors, n, kernel, grid, weights, polar)
-        for got, want in zip(banded, _smearing_sums(sectors, n, kernel, grid, weights)):
+        layout = collective_layout(x_ops)
+        assert layout.rotates
+        rule = polar_rule(radius, radius / 8, c, n + 3)
+        sectors = list(layout.sectors(x_ops, n))
+        banded = _smearing_sums(sectors, n, kernel, rule)
+        for got, want in zip(banded, _smearing_sums(sectors, n, kernel, point_rule(rule.grid, rule.weights))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # A not proportional to I, unequal norms and non-orthogonal parts
-        # each take the per-point path
-        assert not _rotates(x_ops, a * np.diag([1.0, 1.0 + 1e-6]))
+        # each take the per-point path.  At the maximally mixed state s = 0,
+        # so the kernel of v' = (2 a D)^-1 is A = a D
+        spec = CollectiveSpec(DensityOperator(np.eye(2) / 2), x_ops)
+        for diag, name in (([1.0, 1.0], "per-radius"), ([1.0, 1.0 + 1e-6], "per-point")):
+            v_prime = np.diag(0.5 / (a * np.array(diag)))
+            (a_mat, _), chosen = _kernel_and_grid(spec, layout, v_prime, n, radius, radius / 8)
+            assert chosen.name == name and np.abs(a_mat - a * np.diag(diag)).max() <= 1e-12 * a
         traceless = x_ops - c0[:, None, None] * np.eye(2)
         for broken in (x_ops[1] + 1e-6 * traceless[1], x_ops[1] + 1e-6 * traceless[0]):
-            assert not _rotates(np.array([x_ops[0], broken]), kernel[0])
-
-    def test_dense_layout_takes_the_per_point_path(self):
-        x_ops = [np.diag([1.0, 0.0, -1.0]), np.diag([0.0, 1.0, -1.0])]
-        assert not _rotates(x_ops, np.eye(2))
-
-    @pytest.mark.parametrize("n", [16, 64])
-    def test_off_origin_qubit_z0_builds_take_the_radius_path(self, n, monkeypatch):
-        # g = I and the default v': at each point the rule is polar about the
-        # sums' centre c, one radius per 1/32 of radius + |c|, n + 3 azimuths
-        built = []
-        monkeypatch.setattr(collective, "_povm_on_sectors", lambda *args: built.append(args))
-        model = qubit_family("z0")
-        for theta in [(0.5, 0.0), (0.3, -0.4), (-0.7, 0.2), (0.1, 0.9), (0.95, 0.1)]:
-            theta = np.array(theta)
-            x_ops, v_prime = _bound_operators(model, theta)
-            spec = CollectiveSpec(model.state_at(theta), x_ops)
-            centre = np.sqrt(n) * np.real(np.trace(x_ops, axis1=1, axis2=2)) / 2
-            assert np.linalg.norm(centre) > 1e-3
-            build_collective_povm(spec, v_prime, n)
-            _, _, _, grid, weights, polar = built.pop()
-            radii, phi = polar
-            outer = _default_radius(spec, v_prime) + np.linalg.norm(centre)
-            assert len(radii) == np.ceil(32 * outer / _default_radius(spec, v_prime)) and len(phi) == n + 3
-            assert np.allclose(grid[: n + 3].mean(axis=0), centre)
-            assert abs(weights.sum() - np.pi * outer**2) < 1e-12 * outer**2
+            assert not collective_layout(np.array([x_ops[0], broken])).rotates
 
     @pytest.mark.parametrize("n", [5, 16])
     def test_banded_in_the_rotation_eigenbasis(self, n):
@@ -614,8 +605,9 @@ def _lattice_row(model, theta, x_ops, v_prime, n, radius, step):
     step, 2)``: the lattice about 0, the slow oracle for the polar rule."""
 
     def povm_at(spec, n):
-        kernel, grid = _kernel_and_grid(spec, v_prime, n, None, None)[0], ball_grid(radius, step, 2)
-        return _povm_on_sectors(collective_sectors(spec.x_ops, n), n, kernel, grid, np.full(len(grid), step**2))
+        layout, kernel, _ = _layout_and_rule(spec, v_prime, n)
+        grid = ball_grid(radius, step, 2)
+        return _povm_on_sectors(spec.x_ops, layout, n, kernel, point_rule(grid, np.full(len(grid), step**2)))
 
     return _estimator_rows(model, theta, x_ops, [n], povm_at)[0]
 
@@ -629,7 +621,7 @@ class TestPerPointSums:
         n, kernel = 3, (np.array([[0.7, 0.1], [0.1, 0.5]]), 1.3)
         grid = ball_grid(2.0, 0.25, 2)
         weights = np.full(len(grid), 0.0625)
-        sectors = collective_sectors(x_ops, n)
+        sectors = list(collective_layout(x_ops).sectors(x_ops, n))
         outcomes = grid / np.sqrt(n)
         pairs = (outcomes[:, :, None] * outcomes[:, None, :]).reshape(len(grid), -1)
         monomials = np.column_stack([np.ones(len(grid)), outcomes, pairs]) * weights[:, None]
@@ -642,10 +634,54 @@ class TestPerPointSums:
 
         monkeypatch.setattr(qcore, "MAX_ARRAY_BYTES", 16 * 16 * 4 * 4 * 7)
         monkeypatch.setattr(clt, "_smearing_blocks", recorded)
-        gots = _smearing_sums(sectors, n, kernel, grid, weights)
+        gots = _smearing_sums(sectors, n, kernel, point_rule(grid, weights))
         assert min(sizes.count(sec.ops.shape[-1]) for sec in sectors) >= 3
         for got, want in zip(gots, wants):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# every model that ``estimate --mode collective`` documents, at g = I and the
+# default v', with the layout and rule its build takes
+OFF_ORIGIN = [(0.5, 0.0), (0.3, -0.4), (-0.7, 0.2), (0.1, 0.9), (0.95, 0.1)]
+LAYOUTS = [
+    ("qubit-z0", (0.0, 0.0), 16, "spin", "per-radius"),
+    *[("qubit-z0", theta, n, "spin", "per-radius") for theta in OFF_ORIGIN for n in (16, 64)],
+    ("qubit-full", (0.2, 0.1, 0.3), 8, "spin", "per-point"),
+    ("diag:2", (0.3,), 4, "spin", "per-point"),
+    ("diag:3", (0.2, 0.3), 4, "dense", "per-point"),
+    ("gauss1:0.3:16", (0.2, 0.1), 1, "dense", "per-point"),
+]
+LAYOUT_IDS = [f"{name}-{','.join(map(str, theta))}-n{n}" for name, theta, n, *_ in LAYOUTS]
+
+
+class TestLayoutAndRule:
+    """The one layout value and the one rule a build picks, per documented model."""
+
+    @pytest.mark.parametrize("name, theta, n, layout_name, rule_name", LAYOUTS, ids=LAYOUT_IDS)
+    def test_build_takes_the_layout_and_rule(self, monkeypatch, name, theta, n, layout_name, rule_name):
+        spec, v_prime = _holevo_spec(name, theta)
+        built = []
+        monkeypatch.setattr(collective, "_povm_on_sectors", lambda *args: built.append(args))
+        build_collective_povm(spec, v_prime, n)
+        ((x_ops, layout, _, _, rule),) = built
+        assert (layout.name, rule.name) == (layout_name, rule_name)
+        # the sizes known before any block is built are the built blocks' sizes, and they fill the space
+        sectors = list(layout.sectors(x_ops, n))
+        assert layout.sizes(n) == [sec.ops.shape[-1] for sec in sectors]
+        assert sum(sec.multiplicity * sec.ops.shape[-1] for sec in sectors) == spec.rho.dim**n
+        radius = _default_radius(spec, v_prime)
+        if rule_name == "per-point":
+            # the lattice through -radius clipped to the ball, cell step^d
+            assert np.array_equal(rule.grid, ball_grid(radius, radius / 16, spec.n_ops))
+            assert (rule.weights == (radius / 16) ** spec.n_ops).all()
+            return
+        # polar about the sums' centre c, one radius per 1/32 of radius + |c|, n + 3 azimuths
+        centre = np.sqrt(n) * np.real(np.trace(x_ops, axis1=1, axis2=2)) / 2
+        assert (np.linalg.norm(centre) > 1e-3) == any(theta)
+        outer = radius + np.linalg.norm(centre)
+        assert len(rule.grid) == np.ceil(32 * outer / radius) * (n + 3)
+        assert np.allclose(rule.grid[: n + 3].mean(axis=0), centre)
+        assert abs(rule.weights.sum() - np.pi * outer**2) < 1e-12 * outer**2
 
 
 def _rotation_z(angle):
@@ -773,7 +809,7 @@ class TestSectorsAgainstDense:
         for povm in (build_collective_povm(spec, v_prime, n), _dense_povm(spec, v_prime, n)):
             x = povm.outcomes
             for rho in states:
-                blocks = sector_states(rho.matrix, n, povm.sectors)
+                blocks = povm.layout.states(rho.matrix, n)
                 got = sum(
                     sec.multiplicity * trace_products(block, moments)
                     for sec, block, moments in zip(povm.sectors, blocks, povm.moments)
@@ -805,9 +841,10 @@ class TestSectorsAgainstDense:
 
 
 def _dense_povm(spec, v_prime, n, radius=None, grid_step=None):
-    """``build_collective_povm`` of the spec's operators on the dense layout."""
-    kernel, grid, weights, _ = _kernel_and_grid(spec, v_prime, n, radius, grid_step)
-    return _povm_on_sectors(_dense_sectors(spec.x_ops, n), n, kernel, grid, weights)
+    """``build_collective_povm`` of the spec's operators on the dense layout,
+    summed point by point on the nodes and weights of the build's own rule."""
+    _, kernel, rule = _layout_and_rule(spec, v_prime, n, radius, grid_step)
+    return _povm_on_sectors(spec.x_ops, _dense_layout(spec.rho.dim), n, kernel, point_rule(rule.grid, rule.weights))
 
 
 def _bound_operators(model, theta):
@@ -820,7 +857,7 @@ def _bound_operators(model, theta):
 def _probabilities(povm, rho):
     """Born-rule probabilities tr(rho^(x)n E_x) of every grid outcome, one
     einsum per sector weighted by its multiplicity."""
-    blocks = sector_states(rho.matrix, povm.n_copies, povm.sectors)
+    blocks = povm.layout.states(rho.matrix, povm.n_copies)
     return sum(
         sec.multiplicity * np.einsum("ab,gba->g", block, stack).real
         for sec, block, stack in zip(povm.sectors, blocks, povm.elements)
