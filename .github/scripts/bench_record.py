@@ -10,7 +10,8 @@ Each workload of ``BENCHMARK.json`` runs through ``bench/run.py --trace 0``
 unchanged; its entry keeps the metrics of that run's last JSON line and the
 pass times of its detail line.  The larger inputs run as ``python -m
 qest.cli`` children of this NumPy-free process (a child's max RSS starts at
-its parent's, read through ``os.wait4``): a ``gauss`` run at 10^6 trials
+its parent's, read through ``os.wait4``): ``--help``, the start-up of
+every command, a ``gauss`` run at 10^6 trials
 with a CSV, a ``gauss`` run at 10^5 trials into a fresh ``--out`` followed
 by three reruns into the same, existing one, collective estimates of
 ``qubit-z0`` on the rotation path, at (0, 0) for n = 128 and 256 and at
@@ -114,6 +115,8 @@ def large_inputs(root: Path) -> list:
     the command runs ``runs`` times into the same ``--out``: the wall time of
     every run, and the largest max RSS of any."""
     cases = {
+        # start-up alone, seven runs a sample
+        "cli-help": (["--help"], 7),
         "gauss-1e6-csv": ([*GAUSS, "--trials", "1000000", "--out", "{dir}/gauss"], 1),
         # a fresh run, then three reruns that rewrite its files
         "gauss-1e5-csv-rerun": ([*GAUSS, "--trials", "100000", "--out", "{dir}/gauss"], 4),

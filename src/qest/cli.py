@@ -6,10 +6,11 @@ the config, its hash, the seed, and an empty ``tolerances`` object, plus a CSV
 where per-trial or per-row data exists.  Reports carry no timestamps, so
 identical configs give byte-identical output.
 
-An experiment's click options are its config schema: a config names its
-``experiment`` and gives each option's value under the option's name, and
-``run`` reads each value through that option before calling the experiment
-the subcommand calls.  Required keys, then optional ones with defaults:
+Each experiment declares its options once, as (name, converter, default,
+help) rows.  The rows build its subcommand's options, and they are its
+config schema: a config names its ``experiment`` and gives each option's
+value under the option's name, which ``run`` reads through the same
+converter.  Required keys, then optional ones with defaults:
 
 - fisher: model, theta; kind "sld" ("rld", "classical"), povm (a POVM file,
   needed by "classical"; the report stores its absolute path, so the config
@@ -30,64 +31,59 @@ stores ``n`` as that comma text.  A null value counts as absent.  ``run``
 exits 2 on an unknown or missing key; ``run --out`` overrides ``out``.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (running out
-of memory, and a CSV helper process that fails, included).
+of memory, and a CSV helper process that fails, included).  A usage error
+exits 2 with one stderr line, ``validation error:`` and argparse's reason,
+as a config error does.
 
-Import rule: the front end (the ``main`` group, the option types, the
-experiment registry, config reading, ``run``'s dispatch and the exit-code
-guard) imports only click, the standard library and ``qest.errors``.  Each
-experiment imports its compute modules, and the report helpers NumPy and
-``qcore``, inside the function, so ``--help``, ``--version`` and usage or
-config errors answer without loading NumPy, and a command loads only the
-modules it runs.
+Import rule: the front end (``main``, the converters, the experiment
+registry, config reading and ``run``'s dispatch) imports only the standard
+library and ``qest.errors``.  Each experiment imports its compute modules,
+and the report helpers NumPy and ``qcore``, inside the function, so
+``--help``, ``--version`` and usage or config errors answer without loading
+NumPy, and a command loads only the modules it runs.
 
-Process policy: before any command runs, the ``main`` group callback pins
-OpenBLAS, OpenMP and MKL to one thread each, overriding the environment, so
-a report does not depend on the core count.  Where the interpreter has its
-own SHA-256 module it also masks ``_hashlib``, so ``hashlib`` and ``hmac``
-(imported by NumPy's random module through ``secrets``) fall back to the
-built-in hashes and no command maps OpenSSL's libcrypto.  The pin is set only
-where NumPy is not yet imported, and the mask takes hold only where
-``hashlib`` is not: a caller of ``main`` that has imported them keeps its
-thread count, its environment and its hashes.
+Process policy: before it runs a command, ``main`` pins OpenBLAS, OpenMP and
+MKL to one thread each, overriding the environment, so a report does not
+depend on the core count.  Where the interpreter has its own SHA-256 module
+it also masks ``_hashlib``, so ``hashlib`` and ``hmac`` (imported by NumPy's
+random module through ``secrets``) fall back to the built-in hashes and no
+command maps OpenSSL's libcrypto.  The pin is set only where NumPy is not yet
+imported, and the mask takes hold only where ``hashlib`` is not: a caller of
+``main`` that has imported them keeps its thread count, its environment and
+its hashes.
 
-Where it sets the pin, the callback also registers ``gc.freeze`` to run at
-exit.  ``atexit`` handlers run before the interpreter's last collections, so
-every object alive at exit (some 24,000 made at import by NumPy, click and
-qest) moves to the permanent generation and those collections skip it; that
-takes about a tenth off the wall time of a short command.  Collections
-during the run are unchanged.  Objects alive at exit get no last collection,
-so finalizers of those in reference cycles do not run, which Python does not
-promise anyway.  A caller that has imported NumPy owns its process, and its
-exit is left be.
+Where it sets the pin, ``main`` also registers ``gc.freeze`` to run at exit.
+``atexit`` handlers run before the interpreter's last collections, so every
+object alive at exit (some 23,000 made at import by NumPy and qest) moves to
+the permanent generation and those collections skip it; that takes about a
+tenth off the wall time of a short command.  Objects alive at exit get no
+last collection, so finalizers of those in reference cycles do not run,
+which Python does not promise anyway.
 
-Where it sets the pin, the callback also lets a report of more than one
-chunk of ``CSV_BLOCK_ROWS`` rows (``gauss`` past 8192 trials, a two-stage
-``estimate`` past 8192 trials) format its CSV on two CPUs: where a chunk 1
-exists and ``os.sched_getaffinity`` gives at least two CPUs, one
-``os.fork``ed helper formats the odd chunks and sends them through a pipe
-while the command formats the even ones and writes all in order
-(``_write_csv_rows``).  The bytes are those of one process formatting every
-chunk; a 10^5-trial ``gauss`` takes about 0.21 s instead of 0.31 s on two
-CPUs.  The helper leaves only through ``os._exit`` and is always reaped; if
-it fails, the command exits 3 with one line.  A caller that has imported
-NumPy may run threads, which a fork does not carry, so its CSVs are
-formatted in its own process, as are CSVs of one chunk and any CSV on one
-CPU.
+Where it sets the pin, ``main`` also lets a CSV of more than one chunk of
+``CSV_BLOCK_ROWS`` rows (``gauss`` or a two-stage ``estimate`` past 8192
+trials) be formatted on two CPUs, where ``os.sched_getaffinity`` gives two
+or more: one ``os.fork``ed helper formats the odd chunks and sends them
+through a pipe while the command formats the even ones and writes all in
+order (``_write_csv_rows``), the bytes of one process formatting every
+chunk.  A 10^5-trial ``gauss`` takes about 0.21 s instead of 0.31 s.  The
+helper leaves only through ``os._exit`` and is always reaped; if it fails,
+the command exits 3 with one line.  A caller that has imported NumPy may run
+threads, which a fork does not carry, so its CSVs are formatted in its own
+process.
 """
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import contextlib
-import functools
 import gc
 import itertools
 import json
 import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .errors import NumericalError, ValidationError
@@ -116,10 +112,10 @@ def _jsonable(obj):
 
 
 CSV_BLOCK_ROWS = 8192
-# the key of click's ``Context.meta`` that the ``main`` callback sets where the
-# CLI owns its process (NumPy not yet imported); only such an invocation
-# forks the CSV helper (``_write_csv_rows``)
-OWNS_PROCESS = "qest.owns_process"
+# set by ``main`` for the command it runs where the CLI owns its process
+# (NumPy not yet imported); only such a command forks the CSV helper
+# (``_write_csv_rows``)
+_owns_process = False
 # pipe buffer asked for by ``_write_csv_rows``: Linux's default
 # /proc/sys/fs/pipe-max-size, the most an unprivileged process may set
 CSV_PIPE_BYTES = 1 << 20
@@ -150,9 +146,7 @@ def _csv_text(columns) -> bytes:
 
 def _forks_csv_helper() -> bool:
     """Whether the CLI owns its process and may run on two CPUs or more."""
-    ctx = click.get_current_context(silent=True)
-    owns = ctx is not None and ctx.meta.get(OWNS_PROCESS, False)
-    return owns and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    return _owns_process and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def _write_csv_rows(fh, blocks) -> None:
@@ -268,7 +262,7 @@ def _write_report(out_prefix: str | None, config: dict, results: dict, csv_heade
                 path.unlink(missing_ok=True)
                 raise
     else:
-        click.echo(text)
+        print(text)
     return report
 
 
@@ -316,106 +310,76 @@ class _ExitCodes:
     NUMERICAL = 3
 
 
-def _run_guarded(fn):
-    try:
-        fn()
-    except (ValidationError, click.ClickException) as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(_ExitCodes.VALIDATION)
-    except NumericalError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(_ExitCodes.NUMERICAL)
-    except MemoryError as exc:
-        click.echo(f"numerical failure: out of memory: {exc}", err=True)
-        sys.exit(_ExitCodes.NUMERICAL)
-    sys.exit(_ExitCodes.OK)
-
-
-class _CommaList(click.ParamType):
+def _comma_list(name: str, item=None):
     """Comma-separated items on the command line, at least one.  A config
     gives a JSON list, read as its items joined by commas, or the same text.
-    With no ``item`` type the value stays that comma text."""
+    With no ``item`` converter the value stays that comma text."""
 
-    def __init__(self, name: str, item=None):
-        self.name = name
-        self.item = item
-
-    def convert(self, value, param, ctx):
+    def convert(value):
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         items = [x for x in text.split(",") if x.strip() != ""]
         if not items:
-            self.fail(f"{text!r} is an empty comma list", param, ctx)
-        if self.item is None:
+            raise argparse.ArgumentTypeError(f"{text!r} is an empty comma list")
+        if item is None:
             return text
         try:
-            return [self.item(x) for x in items]
+            return [item(x) for x in items]
         except ValueError:
-            self.fail(f"{text!r} is not a comma list of {self.name}", param, ctx)
+            raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of {name}") from None
+
+    return convert
 
 
-class _Number(click.ParamType):
-    """A click number type that refuses the JSON values of another kind that
-    it would convert: booleans, and floats where ``int`` would truncate."""
+def _number(kind, name: str, refused: tuple):
+    """``kind`` (int or float) of a value, refusing the JSON values of another
+    kind that ``kind`` would convert: booleans, and floats where ``int`` would
+    truncate."""
 
-    def __init__(self, base: click.ParamType, refused: tuple):
-        self.base = base
-        self.refused = refused
-        self.name = base.name
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, self.refused):
-            self.fail(f"{value!r} is not of type {self.name}", param, ctx)
-        return self.base.convert(value, param, ctx)
-
-
-FLOATS = _CommaList("floats", float)
-INTS = _CommaList("ints", int)
-NAMES = _CommaList("names", lambda x: x.strip().lower())
-COMMA_TEXT = _CommaList("text")
-INT = _Number(click.INT, (bool, float))
-FLOAT = _Number(click.FLOAT, (bool,))
-
-_OUT = click.option("--out", default=None, help="report prefix: writes <out>.json, and <out>.csv for row data")
-_SEED = click.option("--seed", type=INT, default=0)
-
-
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Quantum estimation experiments: states, bounds, Gaussian protocols."""
-    # the process policy of the module docstring; once NumPy is loaded the
-    # pin would reach only child processes, and the process is the caller's
-    if "numpy" not in sys.modules:
-        click.get_current_context().meta[OWNS_PROCESS] = True
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = "1"
-        atexit.register(gc.freeze)
-    for name in ("_sha2", "_sha256"):  # Python >= 3.12; 3.10 and 3.11
+    def convert(value):
+        if isinstance(value, refused):
+            raise argparse.ArgumentTypeError(f"{value!r} is not of type {name}")
         try:
-            __import__(name)
-        except ImportError:
-            continue
-        sys.modules.setdefault("_hashlib", None)
-        break
+            return kind(value)
+        except (TypeError, ValueError):
+            raise argparse.ArgumentTypeError(f"{value!r} is not a valid {name}.") from None
+
+    return convert
 
 
-def _experiment(name: str):
-    """Make ``fn(values)`` the subcommand ``name``.
+def _choice(*names):
+    def convert(value):
+        if str(value) not in names:
+            raise argparse.ArgumentTypeError(f"{value!r} is not one of {', '.join(map(repr, names))}.")
+        return str(value)
 
-    The click options stacked on ``fn`` are the experiment's one schema.  The
-    subcommand reads its command line through them and ``qest run`` reads a
-    config through them (``_config_values``); both hand ``fn`` the same dict,
-    one converted value per option name.  ``functools.wraps`` hands the
-    options to the command and leaves ``fn`` as its ``callback.__wrapped__``,
-    through which ``qest run`` calls it.
-    """
+    return convert
+
+
+FLOATS = _comma_list("floats", float)
+INTS = _comma_list("ints", int)
+NAMES = _comma_list("names", lambda x: x.strip().lower())
+COMMA_TEXT = _comma_list("text")
+INT = _number(int, "integer", (bool, float))
+FLOAT = _number(float, "float", (bool,))
+
+# option rows: (name, converter, default, help); ``...`` marks a required option
+_OUT = ("out", str, None, "report prefix: writes <out>.json, and <out>.csv for row data")
+_SEED = ("seed", INT, 0, "random seed")
+_MODEL = ("model", str, ..., "model name, e.g. qubit-full, qubit-z0, diag:3 or gauss1:0.3:16")
+_THETA = ("theta", FLOATS, ..., "comma-separated parameter point")
+
+# name: (function, option rows) of every subcommand, ``run`` included
+_COMMANDS = {}
+
+
+def _experiment(name: str, *options):
+    """Make ``fn(values)`` the subcommand ``name``.  ``options`` is its one
+    schema: ``main`` builds the subcommand's options from it and ``qest run``
+    reads a config through it (``_config_values``); both hand ``fn`` the same
+    dict, one converted value per option name."""
 
     def register(fn):
-        @main.command(name)
-        @functools.wraps(fn)
-        def command(**values):
-            _run_guarded(lambda: fn(values))
-
+        _COMMANDS[name] = (fn, options)
         return fn
 
     return register
@@ -429,35 +393,34 @@ def _report_config(name: str, values: dict) -> dict:
     return config
 
 
-def _config_values(command: click.Command, config: dict) -> dict:
-    """The value ``config`` gives each option of ``command``, converted by the
-    option's type.  An absent or null key takes the option's default; a
-    required option's key must be there, and no other key may be."""
-    unknown = set(config) - {param.name for param in command.params} - {"experiment"}
+def _config_values(options, config: dict) -> dict:
+    """The value ``config`` gives each of ``options``, read by the option's
+    converter.  An absent or null key takes the option's default; a required
+    option's key must be there, and no other key may be."""
+    unknown = set(config) - {option[0] for option in options} - {"experiment"}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    ctx = click.Context(command)
     values = {}
-    for param in command.params:
-        value = config.get(param.name)
+    for name, convert, default, _ in options:
+        value = config.get(name)
         if value is None:
-            if param.required:
-                raise ValidationError(f"missing config key {param.name!r}")
-            value = param.get_default(ctx)
+            if default is ...:
+                raise ValidationError(f"missing config key {name!r}")
+            values[name] = default
+            continue
         try:
-            values[param.name] = param.type(value, param, ctx)
-        except click.BadParameter as exc:
-            raise ValidationError(f"config key {param.name!r}: {exc.message}") from exc
+            values[name] = convert(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ValidationError(f"config key {name!r}: {exc}") from exc
     return values
 
 
-@_experiment("fisher")
-@click.option("--model", required=True)
-@click.option("--theta", type=FLOATS, required=True, help="comma-separated parameter point")
-@click.option("--kind", type=click.Choice(["sld", "rld", "classical"]), default="sld")
-@click.option("--povm", default=None, help="POVM JSON file (classical kind)")
-@_OUT
-@_SEED
+@_experiment(
+    "fisher", _MODEL, _THETA,
+    ("kind", _choice("sld", "rld", "classical"), "sld", "sld, rld or classical"),
+    ("povm", str, None, "POVM JSON file (classical kind)"),
+    _OUT, _SEED,
+)
 def fisher_experiment(values: dict) -> None:
     """Fisher information matrix of a model at a point."""
     from .fisher import classical_fisher, rld_fisher, sld_fisher
@@ -472,31 +435,24 @@ def fisher_experiment(values: dict) -> None:
             raise ValidationError("classical Fisher needs --povm")
         j = classical_fisher(model, theta, _load_povm(values["povm"]))
         config["povm"] = str(Path(values["povm"]).resolve())
-        results = {
-            "matrix": matrix_to_json(j.matrix.astype(complex)),
-            "droppedMass": j.dropped_mass,
-        }
+        results = {"droppedMass": j.dropped_mass}
     else:
         del config["povm"]
         logs, j = (sld_fisher if kind == "sld" else rld_fisher)(model, theta)
-        results = {
-            "matrix": matrix_to_json(j.matrix.astype(complex)),
-            "residuals": list(logs.residuals),
-        }
-    results["kind"] = kind
+        results = {"residuals": list(logs.residuals)}
+    results.update(matrix=matrix_to_json(j.matrix.astype(complex)), kind=kind)
     _write_report(values["out"], config, results)
 
 
-@_experiment("bounds")
-@click.option("--model", required=True)
-@click.option("--theta", type=FLOATS, required=True)
-@click.option(
-    "--g", type=click.UNPROCESSED, default="identity",
-    help="'identity', a matrix as JSON rows (e.g. [[1,0],[0,2]]), or a matrix JSON file",
+@_experiment(
+    "bounds", _MODEL, _THETA,
+    # a config may give the rows as a list, which _load_weight reads as they are
+    ("g", lambda spec: spec, "identity",
+     "'identity', a matrix as JSON rows (e.g. [[1,0],[0,2]]), or a matrix JSON file"),
+    ("starts", INT, 1, "accepted for old configs; has no effect"),
+    _OUT,
+    ("seed", INT, 0, "accepted for old configs; has no effect"),
 )
-@click.option("--starts", type=INT, default=1, help="accepted for old configs; has no effect")
-@_OUT
-@click.option("--seed", type=INT, default=0, help="accepted for old configs; has no effect")
 def bounds_experiment(values: dict) -> None:
     """Bound chain: SLD Cramer-Rao, collective bound, qubit single-copy bound."""
     from .bounds import cr_value, holevo_bound, qubit_c1
@@ -530,13 +486,14 @@ def bounds_experiment(values: dict) -> None:
     _write_report(values["out"], config, results)
 
 
-@_experiment("gauss")
-@click.option("--zeta", type=FLOATS, required=True, help="re,im of the displacement")
-@click.option("--N", "N", type=FLOAT, required=True, help="thermal photon number")
-@click.option("--n", type=INT, required=True, help="copies per trial")
-@click.option("--trials", type=INT, default=10000)
-@_OUT
-@_SEED
+@_experiment(
+    "gauss",
+    ("zeta", FLOATS, ..., "re,im of the displacement"),
+    ("N", FLOAT, ..., "thermal photon number"),
+    ("n", INT, ..., "copies per trial"),
+    ("trials", INT, 10000, "Monte Carlo trials"),
+    _OUT, _SEED,
+)
 def gauss_experiment(values: dict) -> None:
     """Concentration-protocol Monte Carlo for the one-mode Gaussian family."""
     import numpy as np
@@ -575,26 +532,17 @@ def gauss_experiment(values: dict) -> None:
             yield [np.arange(start, start + zh.size), zh.real, zh.imag, nh, zb.real, zb.imag, nb]
             start += zh.size
 
-    header = [
-        "trial",
-        "zeta_hat_re",
-        "zeta_hat_im",
-        "noise_hat",
-        "zeta_hat_base_re",
-        "zeta_hat_base_im",
-        "noise_hat_base",
-    ]
+    header = ["trial", "zeta_hat_re", "zeta_hat_im", "noise_hat", "zeta_hat_base_re", "zeta_hat_base_im", "noise_hat_base"]
     _write_report(values["out"], config, results, header, csv_blocks() if values["out"] else None)
 
 
-@_experiment("clt")
-@click.option("--model", required=True)
-@click.option("--theta", type=FLOATS, required=True)
-@click.option("--ops", type=NAMES, required=True, help="comma list of paulis, e.g. z or x,y")
-@click.option("--word", type=INTS, required=True, help="1-based indices into --ops")
-@click.option("--n", type=INTS, required=True, help="comma list of copy counts")
-@_OUT
-@_SEED
+@_experiment(
+    "clt", _MODEL, _THETA,
+    ("ops", NAMES, ..., "comma list of paulis, e.g. z or x,y"),
+    ("word", INTS, ..., "1-based indices into --ops"),
+    ("n", INTS, ..., "comma list of copy counts"),
+    _OUT, _SEED,
+)
 def clt_experiment(values: dict) -> None:
     """Collective moments against the limiting Gaussian moments."""
     from .clt import CollectiveSpec, collective_moment
@@ -619,24 +567,19 @@ def clt_experiment(values: dict) -> None:
         "gaussian": {"re": limit.real, "im": limit.imag},
         "rows": [{"n": r[0], "exactRe": r[1], "exactIm": r[2], "gap": r[5]} for r in rows],
     }
-    _write_report(
-        values["out"],
-        config,
-        results,
-        ["n", "exact_re", "exact_im", "gaussian_re", "gaussian_im", "gap"],
-        [list(zip(*rows))],
-    )
+    header = ["n", "exact_re", "exact_im", "gaussian_re", "gaussian_im", "gap"]
+    _write_report(values["out"], config, results, header, [list(zip(*rows))])
 
 
-@_experiment("estimate")
-@click.option("--mode", type=click.Choice(["two-stage", "collective"]), required=True)
-@click.option("--model", required=True)
-@click.option("--theta", type=FLOATS, required=True)
-@click.option("--n", type=COMMA_TEXT, required=True, help="copies (two-stage) or comma list (collective)")
-@click.option("--trials", type=INT, default=1000)
-@click.option("--eps", type=FLOAT, default=0.1, help="kernel regularization (collective)")
-@_OUT
-@_SEED
+@_experiment(
+    "estimate",
+    ("mode", _choice("two-stage", "collective"), ..., "two-stage or collective"),
+    _MODEL, _THETA,
+    ("n", COMMA_TEXT, ..., "copies (two-stage) or comma list (collective)"),
+    ("trials", INT, 1000, "Monte Carlo trials (two-stage)"),
+    ("eps", FLOAT, 0.1, "kernel regularization (collective)"),
+    _OUT, _SEED,
+)
 def estimate_experiment(values: dict) -> None:
     """Run an estimator: adaptive two-stage Monte Carlo or exact collective check."""
     import numpy as np
@@ -652,14 +595,8 @@ def estimate_experiment(values: dict) -> None:
     if values["mode"] == "two-stage":
         if len(n_list) != 1:
             raise ValidationError("two-stage estimation takes one copy count --n")
-        report = two_stage_estimate(
-            model,
-            theta,
-            mixed_basis_povm("zxy" if model.param_dim == 3 else "zx"),
-            n_list[0],
-            seed,
-            trials=values["trials"],
-        )
+        povm = mixed_basis_povm("zxy" if model.param_dim == 3 else "zx")
+        report = two_stage_estimate(model, theta, povm, n_list[0], seed, trials=values["trials"])
         results = {
             "empiricalMean": report.empirical_mean,
             "mseMatrix": report.mse_matrix,
@@ -694,46 +631,107 @@ def estimate_experiment(values: dict) -> None:
         ],
     }
     csv_rows = [
-        [
-            r.n_copies,
-            float(np.trace(r.scaled_covariance)),
-            float(np.linalg.norm(r.a_matrix - identity)),
-            r.completeness_residual,
-        ]
-        for r in rows
+        [r["n"], r["scaledTrace"], float(np.linalg.norm(r["aMatrix"] - identity)), r["completenessResidual"]]
+        for r in results["rows"]
     ]
-    _write_report(
-        out,
-        config,
-        results,
-        ["n", "scaled_trace", "a_minus_identity", "completeness_residual"],
-        [list(zip(*csv_rows))],
-    )
+    header = ["n", "scaled_trace", "a_minus_identity", "completeness_residual"]
+    _write_report(out, config, results, header, [list(zip(*csv_rows))])
 
 
-@main.command("run")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--out", "out_prefix", default=None, help="overrides the config's out prefix")
-def run_cmd(config_path, out_prefix):
+@_experiment(
+    "run",
+    ("config", str, ..., "JSON config file"),
+    ("out", str, None, "overrides the config's out prefix"),
+)
+def run_experiment(values: dict) -> None:
     """Run an experiment described by a JSON config file."""
+    try:
+        config = json.loads(Path(values["config"]).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValidationError("config must be a JSON object")
+    name = config.get("experiment")
+    if not isinstance(name, str) or name == "run" or name not in _COMMANDS:
+        raise ValidationError(f"unknown experiment {name!r}")
+    fn, options = _COMMANDS[name]
+    config_values = _config_values(options, config)
+    if values["out"]:
+        config_values["out"] = values["out"]
+    fn(config_values)
 
-    def work():
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors exit 2 with one stderr line; ``main``
+    reports a command's validation errors through it too."""
+
+    def error(self, message):
+        print(f"validation error: {message}", file=sys.stderr)
+        sys.exit(_ExitCodes.VALIDATION)
+
+
+def _values_attached(argv: list) -> list:
+    """``argv`` with each option of a subcommand joined to the token after it
+    (``--theta=-0.5,0``), so that a value that starts with a dash, such as a
+    negative coordinate, is read as the option's value."""
+    takes_value = {f"--{option[0]}" for _, options in _COMMANDS.values() for option in options}
+    joined, tokens = [], iter(argv)
+    for arg in tokens:
+        value = next(tokens, None) if arg in takes_value else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
+def main(argv=None, standalone_mode=True):
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names.
+
+    Every call ends in ``SystemExit`` with an exit code of the module
+    docstring (0 after ``--help`` and ``--version``), and only a command that
+    parses gets the process policy.  ``standalone_mode`` is accepted for
+    callers of ``main(argv, standalone_mode=False)`` and changes nothing:
+    such a caller reads the code of the ``SystemExit``.
+    """
+    global _owns_process
+    parser = _Parser(prog="qest", description="Quantum estimation experiments: states, bounds, Gaussian protocols.",
+                     add_help=False, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        summary = fn.__doc__.splitlines()[0]
+        command = commands.add_parser(name, help=summary, description=summary, add_help=False, allow_abbrev=False)
+        for option, convert, default, help_text in options:
+            command.add_argument(f"--{option}", type=convert, default=default, required=default is ..., help=help_text)
+        command.add_argument("--help", action="help", help="show this message and exit")
+    values = vars(parser.parse_args(_values_attached(sys.argv[1:] if argv is None else argv)))
+    fn, _ = _COMMANDS[values.pop("command")]
+    # once NumPy is loaded the pin would reach only child processes, and the
+    # process is the caller's
+    _owns_process = "numpy" not in sys.modules
+    if _owns_process:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
+        atexit.register(gc.freeze)
+    for name in ("_sha2", "_sha256"):  # Python >= 3.12; 3.10 and 3.11
         try:
-            config = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ValidationError("config must be a JSON object")
-        name = config.get("experiment")
-        if not isinstance(name, str) or name == "run" or name not in main.commands:
-            raise ValidationError(f"unknown experiment {name!r}")
-        command = main.commands[name]
-        values = _config_values(command, config)
-        if out_prefix:
-            values["out"] = out_prefix
-        command.callback.__wrapped__(values)
-
-    _run_guarded(work)
+            __import__(name)
+        except ImportError:
+            continue
+        sys.modules.setdefault("_hashlib", None)
+        break
+    try:
+        fn(values)
+    except (ValidationError, argparse.ArgumentTypeError) as exc:
+        parser.error(str(exc))
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        sys.exit(_ExitCodes.NUMERICAL)
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
+        sys.exit(_ExitCodes.NUMERICAL)
+    finally:
+        _owns_process = False
+    sys.exit(_ExitCodes.OK)
 
 
 if __name__ == "__main__":

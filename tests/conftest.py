@@ -1,4 +1,7 @@
+import contextlib
+import io
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -75,3 +78,30 @@ def random_hermitian(rng, dim=2) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke_main(argv) -> CliResult:
+    """Run ``qest.cli.main(argv)`` in this process with its standard streams
+    captured.  ``main`` ends in ``SystemExit``, whose code is the exit code;
+    any other exception propagates."""
+    from qest.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exit_code = 0
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+    return CliResult(exit_code, stdout.getvalue(), stderr.getvalue())

@@ -12,23 +12,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qest.cli import CSV_BLOCK_ROWS, _config_hash, main
+from qest.cli import _COMMANDS, CSV_BLOCK_ROWS, _config_hash
 from qest.collective import mixed_basis_povm, two_stage_estimate
 from qest.gaussian import TRIAL_BLOCK, gaussian_protocol_mse, number_povm, protocol_trials
 from qest.models import model_from_name
 from qest.qcore import matrix_to_json
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, invoke_main
 
 
 def run_cli(args):
     """Invoke the CLI.  A report it writes, to stdout or to ``--out``, must
     carry the SHA-256 of its canonical config; hashlib is the oracle."""
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    result = invoke_main(args)
     if result.exit_code == 0:
         out = args[args.index("--out") + 1] if "--out" in args else None
         text = Path(f"{out}.json").read_text() if out else result.stdout
@@ -624,10 +623,11 @@ class TestRunConfig:
             ({"kind": "bogus"}, "config key 'kind'"),
             ({"seed": 4.5}, "config key 'seed': 4.5 is not of type integer"),
             ({"seed": True}, "config key 'seed': True is not of type integer"),
+            ({"seed": [1]}, "config key 'seed': [1] is not a valid integer."),
             ({"theta": "0,x,0"}, "config key 'theta'"),
             ({"experiment": ["fisher"]}, "unknown experiment"),
         ],
-        ids=["tolerances", "bad-choice", "float-seed", "bool-seed", "bad-list", "unhashable-experiment"],
+        ids=["tolerances", "bad-choice", "float-seed", "bool-seed", "list-seed", "bad-list", "unhashable-experiment"],
     )
     def test_bad_value_exits_2(self, tmp_path, extra, message):
         config = {"experiment": "fisher", "model": "qubit-full", "theta": [0, 0, 0], **extra}
@@ -785,6 +785,44 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "fisher" in proc.stdout
+
+    def test_help_lists_every_command_and_option(self):
+        result = run_cli(["--help"])
+        assert result.exit_code == 0
+        for name, (_, options) in _COMMANDS.items():
+            assert name in result.stdout
+            command = run_cli([name, "--help"])
+            assert command.exit_code == 0
+            # the help text is wrapped at any space or hyphen
+            text = "".join(command.stdout.split())
+            for option, _, _, help_text in options:
+                assert f"--{option}" in text and "".join(help_text.split()) in text
+
+
+class TestUsageErrors:
+    FISHER = ["fisher", "--model", "qubit-full", "--theta", "0,0,0"]
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (FISHER + ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["fisher", "--theta", "0,0,0"], "the following arguments are required: --model"),
+            (["fisher", "--model", "qubit-full", "--theta", "0,x,0"], "argument --theta: '0,x,0' is not a comma list of floats"),
+            (["bogus"] + FISHER[1:], "argument COMMAND: invalid choice: 'bogus'"),
+        ],
+        ids=["unknown-option", "missing-option", "bad-value", "unknown-command"],
+    )
+    def test_exit_2_with_one_line(self, argv, reason):
+        result = run_cli(argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"validation error: {reason}")
+
+    def test_a_value_may_start_with_a_dash(self):
+        result = run_cli(["fisher", "--model", "qubit-full", "--theta", "-0.2,0,0"])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["config"]["theta"] == [-0.2, 0.0, 0.0]
 
 
 def csv_writer_text(header, rows) -> str:
@@ -944,6 +982,7 @@ def scipy_modules(modules):
 
 def assert_front_end_only(modules):
     assert "numpy" not in modules
+    assert "click" not in modules
     assert {m for m in modules if m.split(".")[0] == "qest"} == {"qest", "qest.cli", "qest.errors"}
 
 
@@ -1041,7 +1080,9 @@ class TestImports:
     def test_no_command_loads_openssl(self, name, tmp_path):
         # hashlib and hmac, imported by the config hash and by NumPy's random
         # module (through secrets), take the interpreter's built-in hashes
-        assert "_hashlib" not in modules_after(reporting_argv(name, tmp_path / "reports"))
+        modules = modules_after(reporting_argv(name, tmp_path / "reports"))
+        assert "_hashlib" not in modules
+        assert "click" not in modules
 
     @pytest.mark.parametrize("name", list(REPORTING_COMMANDS))
     def test_reports_match_a_process_that_loaded_openssl(self, name, tmp_path):

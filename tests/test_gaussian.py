@@ -625,13 +625,11 @@ class TestProtocolMemory:
         assert peak <= self.LIMIT
 
     def test_gauss_command_with_csv(self, tmp_path):
-        from click.testing import CliRunner
-
-        from qest.cli import main
+        from conftest import invoke_main
 
         def gauss(trials, out):
             argv = ["gauss", "--zeta", "0.6,0.4", "--N", "1", "--n", "100", "--trials", str(trials), "--seed", "1"]
-            assert CliRunner().invoke(main, argv + ["--out", str(out)], catch_exceptions=False).exit_code == 0
+            assert invoke_main(argv + ["--out", str(out)]).exit_code == 0
 
         gauss(1000, tmp_path / "warm")
         peak = traced_peak(lambda: gauss(self.TRIALS, tmp_path / "g"))
